@@ -9,6 +9,7 @@ from .errors import (
     BracketError,
     ConfigError,
     IntegrationError,
+    ParameterError,
     SingularityError,
     StepInstabilityError,
 )

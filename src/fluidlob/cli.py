@@ -11,6 +11,7 @@ The FLUIDLOB_THREADS environment variable caps parallel replication trials.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -152,9 +153,12 @@ def _parse_vector(text: str) -> np.ndarray:
 def _threads() -> int:
     raw = os.environ.get("FLUIDLOB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"FLUIDLOB_THREADS: expected a positive integer, got '{raw}'")
+    return threads
 
 
 def _icfg(cfg: ModelConfig, params: dict) -> IntegratorConfig | None:
@@ -178,12 +182,10 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _validate_params(command: str, params: dict) -> None:
-    if "horizon" in params:
-        _require(float(params["horizon"]) >= 0, "T: must be nonnegative")
-    if command in ("fluid", "stability-local", "stability-global"):
+    # Horizons, n, epsilon, dt, sample_dt and q0 are checked by SimConfig,
+    # IntegratorConfig and integrate, which raise ParameterError.
+    if command in ("stability-local", "stability-global"):
         _require(float(params.get("horizon", 1)) > 0, "T: must be positive")
-    if "n" in params:
-        _require(int(params["n"]) >= 1, "n: must be a positive integer")
     if "reps" in params:
         _require(int(params["reps"]) >= 1, "reps: must be at least 1")
     if "directions" in params:
@@ -192,10 +194,6 @@ def _validate_params(command: str, params: dict) -> None:
         _require(int(params["n_inits"]) >= 1, "inits: must be at least 1")
     if "box" in params:
         _require(float(params["box"]) > 0, "box: must be positive")
-    if "epsilon" in params:
-        _require(float(params["epsilon"]) >= 0, "epsilon: must be nonnegative")
-    if "dt" in params and params["dt"] is not None:
-        _require(float(params["dt"]) > 0, "dt: must be positive")
     if "deltas" in params:
         _require(
             all(float(x) >= 0 for x in str(params["deltas"]).split(",")),
@@ -354,7 +352,9 @@ def run(spec: ExperimentSpec) -> int:
     raise ConfigError(f"command: unknown '{spec.command}'")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process and never mutated: parse_args keeps no state.
     parser = argparse.ArgumentParser(
         prog="fluidlob",
         description="Order-routing queueing model: simulation, fluid limit, and stability studies",

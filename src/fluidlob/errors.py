@@ -5,6 +5,10 @@ class ConfigError(ValueError):
     """Invalid model configuration or config file; the message names the offending key."""
 
 
+class ParameterError(ConfigError):
+    """Invalid run parameter (horizon, step, sampling, initial state); the message names it."""
+
+
 class AssumptionError(RuntimeError):
     """A standing assumption on the model parameters does not hold."""
 

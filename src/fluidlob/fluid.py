@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, SingularityError, StepInstabilityError
+from .errors import IntegrationError, ParameterError, SingularityError, StepInstabilityError
 from .model import ModelConfig, compute_bands, compute_kappa
 from .routing import QueueState, _band_chi
 
@@ -51,9 +51,9 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise ParameterError("dt: must be positive")
         if not 0.0 < self.workload_floor_factor < 1.0:
-            raise ValueError("workload_floor_factor must lie in (0, 1)")
+            raise ParameterError("workload_floor_factor: must lie in (0, 1)")
 
 
 def default_integrator_config(cfg: ModelConfig, *, refine_check: bool = False) -> IntegratorConfig:
@@ -225,14 +225,14 @@ def integrate(
     """
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (cfg.n_exchanges,):
-        raise ValueError(f"expected {cfg.n_exchanges} initial queue lengths")
+        raise ParameterError(f"q0: expected {cfg.n_exchanges} initial queue lengths")
     if np.any(q0 < 0):
-        raise ValueError("initial queue lengths must be nonnegative")
+        raise ParameterError("q0: initial queue lengths must be nonnegative")
     w0 = float(cfg.beta @ q0)
     if not w0 > 0:
-        raise ValueError("initial workload must be positive")
+        raise ParameterError("q0: initial workload must be positive")
     if not horizon > 0:
-        raise ValueError("horizon must be positive")
+        raise ParameterError("horizon: must be positive")
     if icfg is None:
         icfg = default_integrator_config(cfg)
 

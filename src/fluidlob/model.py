@@ -7,7 +7,6 @@ they can be shared freely across concurrent tasks.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -40,6 +39,13 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _positive_int(x) -> bool:
+    try:
+        return int(x) == x and x >= 1
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
+        return False
 
 
 def _frozen(x, dtype=float) -> np.ndarray:
@@ -81,8 +87,8 @@ class ExponentialType(TypeDistribution):
     kind = "exponential"
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ConfigError("type_dist.rate: must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ConfigError("type_dist.rate: must be positive and finite")
 
     def cdf(self, x):
         return -np.expm1(-self.rate * np.maximum(np.asarray(x, dtype=float), 0.0))
@@ -105,8 +111,8 @@ class HalfNormalType(TypeDistribution):
     kind = "half-normal"
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ConfigError("type_dist.sigma: must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError("type_dist.sigma: must be positive and finite")
 
     def cdf(self, x):
         return erf(np.maximum(np.asarray(x, dtype=float), 0.0) / (self.sigma * _SQRT2))
@@ -141,6 +147,8 @@ class TabulatedType(TypeDistribution):
         c = np.asarray(self.cdf_values, dtype=float)
         if g.ndim != 1 or g.shape != c.shape or len(g) < 2:
             raise ConfigError("type_dist.gamma/cdf: need two equal-length 1-d grids")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(c))):
+            raise ConfigError("type_dist.gamma/cdf: values must be finite")
         if g[0] != 0.0:
             raise ConfigError("type_dist.gamma: grid must start at 0")
         if np.any(np.diff(g) <= 0):
@@ -201,7 +209,7 @@ class DeterministicSize(SizeDistribution):
     kind = "deterministic"
 
     def __post_init__(self):
-        if int(self.value) != self.value or self.value < 1:
+        if not _positive_int(self.value):
             raise ConfigError("size.value: must be a positive integer")
         object.__setattr__(self, "value", int(self.value))
 
@@ -257,6 +265,8 @@ class TabulatedSize(SizeDistribution):
         p = np.asarray(self.probs, dtype=float)
         if v.ndim != 1 or v.shape != p.shape or len(v) == 0:
             raise ConfigError("size.values/probs: need two equal-length 1-d arrays")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+            raise ConfigError("size.values/probs: must be finite")
         if np.any(v != np.rint(v)) or np.any(v < 1):
             raise ConfigError("size.values: support must be positive integers")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
@@ -311,15 +321,18 @@ class ModelConfig:
     optimized_size: SizeDistribution
 
     def __post_init__(self):
-        n = self.n_exchanges
-        if int(n) != n or n < 1:
+        if not _positive_int(self.n_exchanges):
             raise ConfigError("n_exchanges: must be a positive integer")
-        object.__setattr__(self, "n_exchanges", int(n))
+        object.__setattr__(self, "n_exchanges", int(self.n_exchanges))
         for name in ("beta", "lam", "rebates", "b_dedicated"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.n_exchanges,):
                 raise ConfigError(f"{name}: expected {self.n_exchanges} entries")
             object.__setattr__(self, name, _frozen(arr))
+        for name in ("beta", "lam", "big_lambda", "mu", "rebate0", "rebates", "v",
+                     "b_dedicated", "b_optimized"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{'lambda' if name == 'lam' else name}: must be finite")
         if np.any(self.beta <= 0):
             raise ConfigError("beta: entries must be positive")
         if np.any(self.lam < 0):
@@ -591,7 +604,9 @@ def config_from_dict(d: dict) -> ModelConfig:
     for key in required:
         if key not in d:
             raise ConfigError(f"{key}: missing")
-    n = d["n_exchanges"]
+    if not _positive_int(d["n_exchanges"]):
+        raise ConfigError("n_exchanges: must be a positive integer")
+    n = int(d["n_exchanges"])
     sizes = d["size_dists"]
     if not isinstance(sizes, dict):
         raise ConfigError("size_dists: expected an object with market/dedicated/optimized")
@@ -653,8 +668,3 @@ def save_config(cfg: ModelConfig, path) -> None:
         json.dump(config_to_dict(cfg), fh, indent=2)
         fh.write("\n")
 
-
-def config_digest(cfg: ModelConfig) -> str:
-    """Stable short digest of a configuration, used to tag report files."""
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]

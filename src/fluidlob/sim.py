@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ParameterError
 from .fluid import FluidTrajectory, IntegratorConfig, integrate
 from .model import ModelConfig
 from .routing import QueueState, route
@@ -101,21 +102,21 @@ class SimConfig:
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
-            raise ValueError("n must be a positive integer")
+            raise ParameterError("n: must be a positive integer")
         object.__setattr__(self, "n", int(self.n))
         if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+            raise ParameterError("horizon: must be nonnegative")
         if not self.sample_dt > 0:
-            raise ValueError("sample_dt must be positive")
+            raise ParameterError("sample_dt: must be positive")
         if self.horizon > 0 and self.sample_dt > self.horizon + 1e-12:
-            raise ValueError("sample_dt must not exceed the horizon")
+            raise ParameterError("sample_dt: must not exceed the horizon")
         if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise ParameterError("epsilon: must be nonnegative")
         q0 = np.array(self.q0_scaled, dtype=float)
         if np.any(q0 < 0):
-            raise ValueError("q0_scaled must be nonnegative")
+            raise ParameterError("q0_scaled: entries must be nonnegative")
         if not np.any(q0 > 0):
-            raise ValueError("q0_scaled needs a positive component (positive initial workload)")
+            raise ParameterError("q0_scaled: needs a positive entry (positive initial workload)")
         q0.setflags(write=False)
         object.__setattr__(self, "q0_scaled", q0)
 

@@ -66,14 +66,19 @@ class Equilibrium:
         }
 
 
-def _stationarity_gap(cfg: ModelConfig, bands, w: float) -> float:
-    """Inflow minus service at workload w; the equilibrium workload is its root."""
-    total_chi = float(_band_chi(bands, cfg.type_dist, w).sum())
-    return float(
+def _stationarity_gap(cfg: ModelConfig, bands, w):
+    """Inflow minus service at workload w; the equilibrium workload is its root.
+
+    `w` may be a scalar (returns a float) or a 1-d array of workloads (returns
+    one gap per workload, bit-identical to the scalar values).
+    """
+    total_chi = _band_chi(bands, cfg.type_dist, w).sum(axis=-1)
+    gap = (
         cfg.b_dedicated @ cfg.lam
         + cfg.b_optimized * cfg.big_lambda * total_chi
         - cfg.v * cfg.mu
     )
+    return float(gap) if np.ndim(w) == 0 else gap
 
 
 def _require_throughput(cfg: ModelConfig) -> None:
@@ -102,7 +107,7 @@ def workload_roots(cfg: ModelConfig) -> list[float]:
     bands = compute_bands(cfg)
     anchor = cfg.v * cfg.mu / cfg.big_lambda
     grid = np.geomspace(1e-6 * anchor, 1e6 * anchor, 301)
-    vals = [_stationarity_gap(cfg, bands, w) for w in grid]
+    vals = _stationarity_gap(cfg, bands, grid).tolist()
 
     roots: list[float] = []
     for k in range(len(grid) - 1):
@@ -171,6 +176,23 @@ def solve_equilibrium(cfg: ModelConfig) -> Equilibrium:
 # Jacobian and closed-form determinant
 # ---------------------------------------------------------------------------
 
+def _rank1_parts(cfg: ModelConfig, q, what: str):
+    """Workload W, the Jacobian J = y beta^T - diag(d) and the rank-1 parts d, c
+    of `det_shifted` at q, all from one chi'(W)."""
+    q = np.asarray(q, dtype=float)
+    w = float(cfg.beta @ q)
+    if not w > 0:
+        raise ValueError(f"{what} is undefined at zero workload")
+    lam_o = cfg.b_optimized * cfg.big_lambda
+    mu_eff = cfg.v * cfg.mu
+    dchi = chi_derivative(cfg, w)
+    d = cfg.beta * mu_eff / w
+    c = cfg.beta**2 * q * mu_eff / w**2 + lam_o * cfg.beta * dchi
+    jac = np.outer(lam_o * dchi + (mu_eff / w**2) * (cfg.beta * q), cfg.beta)
+    jac[np.diag_indices_from(jac)] -= d
+    return w, jac, d, c
+
+
 def jacobian(cfg: ModelConfig, q) -> np.ndarray:
     """Jacobian of the fluid drift at q.
 
@@ -178,16 +200,13 @@ def jacobian(cfg: ModelConfig, q) -> np.ndarray:
     y = b_o Lambda chi'(W) + (v mu / W^2) u and u_i = beta_i q_i.  Matches
     centered finite differences of the drift.
     """
-    q = np.asarray(q, dtype=float)
-    w = float(cfg.beta @ q)
-    if not w > 0:
-        raise ValueError("Jacobian is undefined at zero workload")
-    lam_o = cfg.b_optimized * cfg.big_lambda
-    mu_eff = cfg.v * cfg.mu
-    y = lam_o * chi_derivative(cfg, w) + (mu_eff / w**2) * (cfg.beta * q)
-    jac = np.outer(y, cfg.beta)
-    jac[np.diag_indices_from(jac)] -= mu_eff * cfg.beta / w
-    return jac
+    return _rank1_parts(cfg, q, "Jacobian")[1]
+
+
+def _det_from_parts(d: np.ndarray, c: np.ndarray, nu: float) -> float:
+    dn = d + nu
+    sign = -1.0 if len(d) % 2 == 0 else 1.0
+    return float(np.prod(dn) * (np.sum(c / dn) - 1.0) * sign)
 
 
 def det_shifted(cfg: ModelConfig, q, nu: float) -> float:
@@ -197,18 +216,10 @@ def det_shifted(cfg: ModelConfig, q, nu: float) -> float:
     * (-1)^(N-1) with c_i = beta_i^2 q_i mu_eff / W^2 + Lambda_eff beta_i chi_i'(W);
     valid for nu >= 0 where the shifted diagonal is invertible.
     """
-    q = np.asarray(q, dtype=float)
-    w = float(cfg.beta @ q)
-    if not w > 0:
-        raise ValueError("determinant is undefined at zero workload")
+    _, _, d, c = _rank1_parts(cfg, q, "determinant")
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    lam_o = cfg.b_optimized * cfg.big_lambda
-    mu_eff = cfg.v * cfg.mu
-    d = cfg.beta * mu_eff / w + nu
-    c = cfg.beta**2 * q * mu_eff / w**2 + lam_o * cfg.beta * chi_derivative(cfg, w)
-    sign = -1.0 if cfg.n_exchanges % 2 == 0 else 1.0
-    return float(np.prod(d) * (np.sum(c / d) - 1.0) * sign)
+    return _det_from_parts(d, c, nu)
 
 
 @dataclass(frozen=True)
@@ -243,16 +254,9 @@ class SpectrumReport:
         }
 
 
-def _secular(cfg: ModelConfig, q, w: float):
-    lam_o = cfg.b_optimized * cfg.big_lambda
-    mu_eff = cfg.v * cfg.mu
-    d = cfg.beta * mu_eff / w
-    c = cfg.beta**2 * np.asarray(q, float) * mu_eff / w**2 + lam_o * cfg.beta * chi_derivative(cfg, w)
-
-    def phi(nu):
-        return float(np.sum(c / (d + nu)) - 1.0)
-
-    return d, phi
+def _secular(d: np.ndarray, c: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """Secular function sum_i c_i / (d_i + nu) - 1 at each nu of a 1-d array."""
+    return (c / (d + nus[:, None])).sum(axis=1) - 1.0
 
 
 def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
@@ -264,11 +268,7 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
     from the diagonal poles are counted against the real roots of the secular
     function.
     """
-    q = np.asarray(q, dtype=float)
-    w = float(cfg.beta @ q)
-    if not w > 0:
-        raise ValueError("spectrum is undefined at zero workload")
-    jac = jacobian(cfg, q)
+    w, jac, d, c = _rank1_parts(cfg, q, "spectrum")
     try:
         eigs = np.linalg.eigvals(jac)
     except np.linalg.LinAlgError as exc:
@@ -281,10 +281,9 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
     eye = np.eye(cfg.n_exchanges)
     for nu in nu_grid:
         direct = float(np.linalg.det(jac - nu * eye))
-        closed = det_shifted(cfg, q, float(nu))
+        closed = _det_from_parts(d, c, float(nu))
         max_rel = max(max_rel, abs(closed - direct) / max(abs(direct), 1e-300))
 
-    d, phi = _secular(cfg, q, w)
     gaps = np.diff(np.sort(d))
     secular_checked = cfg.n_exchanges == 1 or bool(np.all(gaps > 1e-9 * d.max()))
     sec_roots = real_off_pole = None
@@ -297,7 +296,7 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
             x for x in real_eigs if np.min(np.abs(x - poles)) > 1e-7 * max(1.0, d.max())
         ]
         real_off_pole = len(off_pole)
-        sec_res = max((abs(phi(x)) for x in off_pole), default=0.0)
+        sec_res = float(np.abs(_secular(d, c, np.array(off_pole))).max()) if off_pole else 0.0
         # Count real secular roots by sign changes between consecutive poles
         # (plus the two outer intervals, bounded by the Gershgorin radius).
         radius = float(np.max(np.sum(np.abs(jac), axis=1))) + 1.0
@@ -306,7 +305,7 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
         for a, b in zip(edges[:-1], edges[1:]):
             pad = 1e-6 * max(1.0, b - a)
             xs = np.linspace(a + pad, b - pad, 200)
-            vals = np.array([phi(x) for x in xs])
+            vals = _secular(d, c, xs)
             count += int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
         sec_roots = count
 

@@ -15,11 +15,14 @@ from fluidlob import (
     HalfNormalType,
     ModelConfig,
     QueueState,
+    chi_derivative,
     compute_bands,
     config_from_dict,
     fluid_rhs,
+    jacobian,
     solve_workload_star,
 )
+from fluidlob.routing import _band_chi
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -111,6 +114,83 @@ def fd_jacobian(cfg: ModelConfig, q, h: float = 1e-5) -> np.ndarray:
             fluid_rhs(cfg, QueueState.of(cfg, hi)) - fluid_rhs(cfg, QueueState.of(cfg, lo))
         ) / (2 * step)
     return out
+
+
+def scan_grid(cfg: ModelConfig) -> np.ndarray:
+    """The 301-point geometric grid of the equilibrium root scan."""
+    anchor = cfg.v * cfg.mu / cfg.big_lambda
+    return np.geomspace(1e-6 * anchor, 1e6 * anchor, 301)
+
+
+def loop_stationarity_gap(cfg: ModelConfig, bands, w: float) -> float:
+    """Inflow minus service at one workload (the scalar form of the gap)."""
+    total_chi = float(_band_chi(bands, cfg.type_dist, w).sum())
+    return float(
+        cfg.b_dedicated @ cfg.lam
+        + cfg.b_optimized * cfg.big_lambda * total_chi
+        - cfg.v * cfg.mu
+    )
+
+
+def loop_scan(cfg: ModelConfig) -> np.ndarray:
+    """Stationarity gap on the scan grid, one workload per call."""
+    bands = compute_bands(cfg)
+    return np.array([loop_stationarity_gap(cfg, bands, w) for w in scan_grid(cfg)])
+
+
+def loop_workload_roots(cfg: ModelConfig) -> list[float]:
+    """Workload roots from the one-point-per-call scan and the scalar bisection."""
+    bands = compute_bands(cfg)
+    grid = scan_grid(cfg)
+    vals = loop_scan(cfg).tolist()
+    roots: list[float] = []
+    for k in range(len(grid) - 1):
+        lo, hi = grid[k], grid[k + 1]
+        flo, fhi = vals[k], vals[k + 1]
+        if flo == 0.0:
+            if not roots or abs(roots[-1] - lo) > 1e-12 * lo:
+                roots.append(float(lo))
+            continue
+        if flo * fhi < 0:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if hi - lo <= 1e-13 * mid:
+                    break
+                fm = loop_stationarity_gap(cfg, bands, mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+def loop_secular_real_roots(cfg: ModelConfig, q) -> int:
+    """Real roots of the secular function sum_i c_i/(d_i + nu) - 1, counted by
+    sign changes on 200 points per pole interval, one nu per call."""
+    q = np.asarray(q, dtype=float)
+    w = float(cfg.beta @ q)
+    lam_o = cfg.b_optimized * cfg.big_lambda
+    mu_eff = cfg.v * cfg.mu
+    d = cfg.beta * mu_eff / w
+    c = cfg.beta**2 * q * mu_eff / w**2 + lam_o * cfg.beta * chi_derivative(cfg, w)
+
+    def phi(nu):
+        return float(np.sum(c / (d + nu)) - 1.0)
+
+    radius = float(np.max(np.sum(np.abs(jacobian(cfg, q)), axis=1))) + 1.0
+    edges = np.concatenate(([-radius], np.sort(-d), [radius]))
+    count = 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        pad = 1e-6 * max(1.0, b - a)
+        vals = np.array([phi(x) for x in np.linspace(a + pad, b - pad, 200)])
+        count += int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+    return count
 
 
 # ---------------------------------------------------------------------------

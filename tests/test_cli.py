@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fluidlob import IntegratorConfig, integrate, simulate, SimConfig
+from fluidlob import cli
 from fluidlob.cli import ExperimentSpec, emit_plotdata, main
 from fluidlob.errors import ConfigError
 
@@ -191,6 +192,44 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         ["stability-local", REF1, "--deltas", "-0.1", "--T", "5", "-o", str(tmp_path)]
     )
     assert status == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", REF1, "--n", "10", "--T", "1", "--sample-dt", "5"], "sample_dt"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "0,0"], "q0_scaled"),
+        (["converge", REF1, "--n", "10", "--reps", "1", "--T", "0"], "horizon"),
+    ],
+)
+def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):
+    assert main(argv + ["-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}:")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_invalid_threads_variable_is_validation_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("FLUIDLOB_THREADS", value)
+    argv = ["converge", REF1, "--n", "10", "--reps", "1", "--T", "1", "-o", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: FLUIDLOB_THREADS:")
+
+
+def test_cached_parser_carries_no_state_between_commands(tmp_path):
+    commands = [
+        ["fluid", REF1, "--q0", "0.5,0.5", "--T", "1", "--dt", "0.01"],
+        ["check", REF1],
+        ["equilibrium", REF2],
+    ]
+    together = tmp_path / "together"
+    for argv in commands:
+        assert main(argv + ["-o", str(together)]) == 0
+    for k, argv in enumerate(commands):
+        alone = tmp_path / f"alone{k}"
+        cli._build_parser.cache_clear()
+        assert main(argv + ["-o", str(alone)]) == 0
+        for path in alone.iterdir():
+            assert path.read_bytes() == (together / path.name).read_bytes()
 
 
 def test_overloaded_config_is_experiment_failure(tmp_path, capsys):

@@ -254,6 +254,57 @@ def test_config_rejects_mean_mismatch():
         make_config(v=2.0)  # deterministic(1) market sizes no longer match v
 
 
+_NAN, _INF = float("nan"), float("inf")
+_DET1 = {"kind": "deterministic", "value": 1}
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("n_exchanges", _NAN, "n_exchanges"),
+        ("beta", [_NAN, 1.0], "beta"),
+        ("lambda", [0.3, _INF], "lambda"),
+        ("big_lambda", _INF, "big_lambda"),
+        ("mu", _INF, "mu"),
+        ("rebate0", -_INF, "rebate0"),
+        ("rebates", [1.0, _NAN], "rebates"),
+        ("v", _NAN, "v"),
+        ("b_dedicated", [_INF, 1.0], "b_dedicated"),
+        ("b_optimized", _NAN, "b_optimized"),
+        ("type_dist", {"kind": "exponential", "rate": _INF}, "type_dist.rate"),
+        ("type_dist", {"kind": "half-normal", "sigma": _NAN}, "type_dist.sigma"),
+        (
+            "type_dist",
+            {"kind": "tabulated", "gamma": [0.0, 1.0, _INF], "cdf": [0.0, 0.5, 1.0]},
+            "type_dist.gamma/cdf",
+        ),
+        (
+            "type_dist",
+            {"kind": "tabulated", "gamma": [0.0, 1.0, 2.0], "cdf": [0.0, _NAN, 1.0]},
+            "type_dist.gamma/cdf",
+        ),
+        (
+            "size_dists",
+            {"market": {"kind": "deterministic", "value": _INF}, "dedicated": _DET1, "optimized": _DET1},
+            "size.value",
+        ),
+        (
+            "size_dists",
+            {
+                "market": _DET1,
+                "dedicated": {"kind": "tabulated", "values": [1, 1], "probs": [_NAN, 1.0]},
+                "optimized": _DET1,
+            },
+            "size.values/probs",
+        ),
+    ],
+)
+def test_config_rejects_non_finite_values(key, value, named):
+    with pytest.raises(ConfigError) as info:
+        make_config(**{key: value})
+    assert str(info.value).startswith(f"{named}:")
+
+
 def test_config_reports_missing_key():
     bad = {"n_exchanges": 2}
     with pytest.raises(ConfigError, match="beta"):

@@ -8,6 +8,7 @@ from fluidlob import (
     AssumptionError,
     IntegratorConfig,
     chi_derivative,
+    compute_bands,
     det_shifted,
     global_stability_experiment,
     integrate,
@@ -20,7 +21,18 @@ from fluidlob import (
     workload_rhs,
 )
 
-from helpers import fd_jacobian, make_config, random_stable_config, random_valid_config
+from fluidlob.stability import _stationarity_gap, workload_roots
+
+from helpers import (
+    fd_jacobian,
+    loop_scan,
+    loop_secular_real_roots,
+    loop_workload_roots,
+    make_config,
+    random_stable_config,
+    random_valid_config,
+    scan_grid,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +210,23 @@ def test_spectrum_randomized_stable(rng):
 # ---------------------------------------------------------------------------
 # Local stability experiment
 # ---------------------------------------------------------------------------
+
+def test_vectorised_solvers_match_loop_versions(ref1, ref2, rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cases = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(24)]
+        checked = 0
+        for cfg in cases:
+            scan = _stationarity_gap(cfg, compute_bands(cfg), scan_grid(cfg))
+            assert scan.tobytes() == loop_scan(cfg).tobytes()
+            assert workload_roots(cfg) == loop_workload_roots(cfg)
+            q_star = solve_equilibrium(cfg).q_star
+            rep = spectrum(cfg, q_star)
+            if rep.secular_checked:
+                assert rep.secular_real_roots == loop_secular_real_roots(cfg, q_star)
+                checked += 1
+    assert {cfg.n_exchanges for cfg in cases} >= {1, 12} and checked >= 20
+
 
 def test_local_experiment_zero_delta(ref1):
     eq = solve_equilibrium(ref1)

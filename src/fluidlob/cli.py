@@ -176,41 +176,14 @@ def _q0(cfg: ModelConfig, params: dict) -> np.ndarray:
     return q0
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
-def _validate_params(command: str, params: dict) -> None:
-    # Horizons, n, epsilon, dt, sample_dt and q0 are checked by SimConfig,
-    # IntegratorConfig and integrate, which raise ParameterError.
-    if command in ("stability-local", "stability-global"):
-        _require(float(params.get("horizon", 1)) > 0, "T: must be positive")
-    if "reps" in params:
-        _require(int(params["reps"]) >= 1, "reps: must be at least 1")
-    if "directions" in params:
-        _require(int(params["directions"]) >= 1, "directions: must be at least 1")
-    if "n_inits" in params:
-        _require(int(params["n_inits"]) >= 1, "inits: must be at least 1")
-    if "box" in params:
-        _require(float(params["box"]) > 0, "box: must be positive")
-    if "deltas" in params:
-        _require(
-            all(float(x) >= 0 for x in str(params["deltas"]).split(",")),
-            "deltas: must be nonnegative",
-        )
-    if "n_values" in params:
-        _require(
-            all(int(x) >= 1 for x in str(params["n_values"]).split(",")),
-            "n: scaling levels must be positive integers",
-        )
-
-
 def run(spec: ExperimentSpec) -> int:
-    """Execute one experiment, write its artifacts, and print a summary line."""
+    """Execute one experiment, write its artifacts, and print a summary line.
+
+    Parameter ranges are checked by the library (SimConfig, IntegratorConfig,
+    integrate, replicate and the stability experiments raise ParameterError).
+    """
     cfg = load_config(spec.model_config_path)
     params = spec.params
-    _validate_params(spec.command, params)
     outdir = Path(params.get("outdir", "out"))
     name = Path(spec.model_config_path).stem
 

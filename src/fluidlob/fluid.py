@@ -78,15 +78,22 @@ def fluid_rhs(cfg: ModelConfig, state: QueueState) -> np.ndarray:
     """Drift of venue i: b_d_i lam_i + b_o Lambda chi_i(W) - v mu_i(q)."""
     if not state.workload > 0:
         raise ValueError("fluid field is singular at zero workload")
-    return _rhs_batch(cfg, compute_bands(cfg), state.q[None, :])[0]
+    return _rhs_batch(cfg, compute_bands(cfg))(state.q[None, :])[0]
 
 
-def _rhs_batch(cfg: ModelConfig, bands, q: np.ndarray) -> np.ndarray:
-    """Vectorised drift for a (B, N) matrix of states with positive workloads."""
-    w = q @ cfg.beta
-    chi_v = _band_chi(bands, cfg.type_dist, w)
-    service = (cfg.v * cfg.mu) * (cfg.beta * q) / w[:, None]
-    return cfg.b_dedicated * cfg.lam + (cfg.b_optimized * cfg.big_lambda) * chi_v - service
+def _rhs_batch(cfg: ModelConfig, bands):
+    """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W for
+    a (B, N) matrix of states with positive workloads; constants hoisted."""
+    beta, tdist = cfg.beta, cfg.type_dist
+    inflow = cfg.b_dedicated * cfg.lam
+    lam_o = cfg.b_optimized * cfg.big_lambda
+    v_mu = cfg.v * cfg.mu
+
+    def rhs(q: np.ndarray) -> np.ndarray:
+        w = q @ beta
+        return inflow + lam_o * _band_chi(bands, tdist, w) - v_mu * (beta * q) / w[:, None]
+
+    return rhs
 
 
 @dataclass
@@ -120,7 +127,7 @@ def _integrate_batch(
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
-    bands = compute_bands(cfg)
+    rhs = _rhs_batch(cfg, compute_bands(cfg))
     n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     dt = horizon / n_steps
     floor = icfg.workload_floor_factor * np.asarray(kappas, dtype=float)
@@ -131,6 +138,7 @@ def _integrate_batch(
         raise ValueError("every initial state needs positive workload")
 
     alive = np.ones(n_traj, dtype=bool)
+    all_alive = True  # until a trajectory fails, the freezes below are no-ops
     reasons: list = [None] * n_traj
     min_w = w.copy()
     times = np.arange(n_steps + 1) * dt
@@ -144,14 +152,14 @@ def _integrate_batch(
     max_refine = 0.0
 
     def rk4(qc, h):
-        k1 = _rhs_batch(cfg, bands, qc)
-        k2 = _rhs_batch(cfg, bands, qc + 0.5 * h * k1)
-        k3 = _rhs_batch(cfg, bands, qc + 0.5 * h * k2)
-        k4 = _rhs_batch(cfg, bands, qc + h * k3)
+        k1 = rhs(qc)
+        k2 = rhs(qc + 0.5 * h * k1)
+        k3 = rhs(qc + 0.5 * h * k2)
+        k4 = rhs(qc + h * k3)
         return qc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def fail(mask, message):
-        nonlocal alive
+        nonlocal alive, all_alive
         if on_error == "raise":
             idx = int(np.flatnonzero(mask)[0])
             raise_map = {
@@ -163,6 +171,7 @@ def _integrate_batch(
         for idx in np.flatnonzero(mask):
             reasons[idx] = message
         alive = alive & ~mask
+        all_alive = False
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
@@ -190,9 +199,13 @@ def _integrate_batch(
             if bad.any():
                 fail(bad, "floor")
 
-            q = np.where(alive[:, None], q_new, q)
-            w = np.where(alive, w_new, w)
-            min_w = np.where(alive, np.minimum(min_w, w), min_w)
+            if all_alive:
+                q, w = q_new, w_new
+                min_w = np.minimum(min_w, w)
+            else:
+                q = np.where(alive[:, None], q_new, q)
+                w = np.where(alive, w_new, w)
+                min_w = np.where(alive, np.minimum(min_w, w), min_w)
             w_hist[step] = w
             if store_states:
                 q_hist[step] = q

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -46,6 +46,13 @@ def _positive_int(x) -> bool:
         return int(x) == x and x >= 1
     except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
         return False
+
+
+def _number(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: must be a number, got {value!r}") from None
 
 
 def _frozen(x, dtype=float) -> np.ndarray:
@@ -325,9 +332,13 @@ class ModelConfig:
             raise ConfigError("n_exchanges: must be a positive integer")
         object.__setattr__(self, "n_exchanges", int(self.n_exchanges))
         for name in ("beta", "lam", "rebates", "b_dedicated"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            key = "lambda" if name == "lam" else name
+            try:
+                arr = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key}: entries must be numbers") from None
             if arr.shape != (self.n_exchanges,):
-                raise ConfigError(f"{name}: expected {self.n_exchanges} entries")
+                raise ConfigError(f"{key}: expected {self.n_exchanges} entries")
             object.__setattr__(self, name, _frozen(arr))
         for name in ("beta", "lam", "big_lambda", "mu", "rebate0", "rebates", "v",
                      "b_dedicated", "b_optimized"):
@@ -379,18 +390,26 @@ class RoutingBands:
     A type gamma is routed to venue i exactly when gamma lies in
     W * [a_minus[i], a_plus[i]] for the current workload W.  `a_plus` is +inf
     for the venue with the top rebate; `empty_band[i]` marks venues that are
-    never chosen (a_plus < a_minus).
+    never chosen (a_plus < a_minus).  `finite` marks the finite upper edges
+    and `edges` is [a_minus, a_plus with infinite entries set to 0], the
+    points at which the routing fractions evaluate the type CDF.
     """
 
     a_minus: np.ndarray
     a_plus: np.ndarray
     a_min_global: float
     empty_band: np.ndarray
+    finite: np.ndarray = field(init=False)
+    edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_minus", _frozen(self.a_minus))
         object.__setattr__(self, "a_plus", _frozen(self.a_plus))
         object.__setattr__(self, "empty_band", _frozen(self.empty_band, dtype=bool))
+        finite = np.isfinite(self.a_plus)
+        object.__setattr__(self, "finite", _frozen(finite, dtype=bool))
+        edges = np.concatenate((self.a_minus, np.where(finite, self.a_plus, 0.0)))
+        object.__setattr__(self, "edges", _frozen(edges))
 
 
 def compute_bands(cfg: ModelConfig) -> RoutingBands:
@@ -558,13 +577,17 @@ def _type_dist_from_dict(d, key: str) -> TypeDistribution:
     kind = d["kind"]
     try:
         if kind == "exponential":
-            return ExponentialType(rate=float(d["rate"]))
+            return ExponentialType(rate=_number(d["rate"], f"{key}.rate"))
         if kind == "half-normal":
-            return HalfNormalType(sigma=float(d["sigma"]))
+            return HalfNormalType(sigma=_number(d["sigma"], f"{key}.sigma"))
         if kind == "tabulated":
             return TabulatedType(gammas=d["gamma"], cdf_values=d["cdf"])
     except KeyError as exc:
         raise ConfigError(f"{key}: missing field {exc}") from None
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # non-numeric grid entries
+        raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"{key}.kind: unknown type distribution '{kind}' (one of {sorted(_TYPE_KINDS)})")
 
 
@@ -576,11 +599,16 @@ def _size_dist_from_dict(d, key: str) -> SizeDistribution:
         if kind == "deterministic":
             return DeterministicSize(value=d["value"])
         if kind == "geometric":
-            return GeometricSize(p=float(d["p"]))
+            return GeometricSize(p=_number(d["p"], "size.p"))
         if kind == "tabulated":
             return TabulatedSize(values=d["values"], probs=d["probs"])
     except KeyError as exc:
         raise ConfigError(f"{key}: missing field {exc}") from None
+    except ConfigError as exc:
+        # The size classes name their fields "size.<field>"; name the config key.
+        raise ConfigError(key + str(exc).removeprefix("size")) from None
+    except (TypeError, ValueError) as exc:  # non-numeric support or probabilities
+        raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"{key}.kind: unknown size distribution '{kind}' (one of {sorted(_SIZE_KINDS)})")
 
 
@@ -617,13 +645,13 @@ def config_from_dict(d: dict) -> ModelConfig:
         n_exchanges=n,
         beta=d["beta"],
         lam=d["lambda"],
-        big_lambda=float(d["big_lambda"]),
-        mu=float(d["mu"]),
-        rebate0=float(d["rebate0"]),
+        big_lambda=_number(d["big_lambda"], "big_lambda"),
+        mu=_number(d["mu"], "mu"),
+        rebate0=_number(d["rebate0"], "rebate0"),
         rebates=d["rebates"],
-        v=float(d["v"]),
+        v=_number(d["v"], "v"),
         b_dedicated=d["b_dedicated"],
-        b_optimized=float(d["b_optimized"]),
+        b_optimized=_number(d["b_optimized"], "b_optimized"),
         type_dist=_type_dist_from_dict(d["type_dist"], "type_dist"),
         market_sizes=_size_dist_list(sizes["market"], "size_dists.market", n),
         dedicated_sizes=_size_dist_list(sizes["dedicated"], "size_dists.dedicated", n),

@@ -69,6 +69,33 @@ def expected_delays(cfg: ModelConfig, state: QueueState) -> np.ndarray:
     return np.where(state.q > 0, base, 0.0)
 
 
+def _router(cfg: ModelConfig):
+    """The routing argmax as a plain-float rule `pick(gamma, queues, w)`.
+
+    `queues` holds the N queue lengths (any scale) and `w` the workload on the
+    scale of the delays.  Payoffs follow numpy's operation order: option 0
+    pays gamma*rebate0, venue i pays gamma*r_i - W / ((mu*beta_i)*v) when its
+    queue is nonempty and gamma*r_i otherwise.  Exact payoff ties go to the
+    highest rebate, which puts index 0 last.  With every queue empty no delay
+    is formed and the top-rebate venue wins.
+    """
+    rebate0 = float(cfg.rebate0)
+    venues = [
+        (i + 1, float(r), float(s))
+        for i, (r, s) in enumerate(zip(cfg.rebates, cfg.mu * cfg.beta * cfg.v))
+    ]
+
+    def pick(gamma, queues, w) -> int:
+        best, best_r, target = gamma * rebate0, rebate0, 0
+        for (k, r, s), q in zip(venues, queues):
+            pay = gamma * r - w / s if q > 0 else gamma * r
+            if pay > best or (pay == best and r > best_r):
+                best, best_r, target = pay, r, k
+        return target
+
+    return pick
+
+
 def route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
     """Venue choice of a type-gamma investor: argmax of gamma*r_i - delay_i.
 
@@ -80,28 +107,22 @@ def route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
         raise ValueError("gamma must be positive")
     if not state.workload > 0:
         raise ValueError("routing is undefined at zero workload")
-    delays = expected_delays(cfg, state)
-    payoffs = np.concatenate(([gamma * cfg.rebate0], gamma * cfg.rebates - delays))
-    ties = np.flatnonzero(payoffs == payoffs.max())
-    if len(ties) == 1:
-        return int(ties[0])
-    all_rebates = np.concatenate(([cfg.rebate0], cfg.rebates))
-    return int(ties[np.argmax(all_rebates[ties])])
+    return _router(cfg)(gamma, state.q.tolist(), state.workload)
 
 
 def _band_chi(bands: RoutingBands, tdist: TypeDistribution, w) -> np.ndarray:
     """Venue routing fractions F(w a_plus) - F(w a_minus), clipped to [0, 1].
 
-    `w` may be a scalar or a 1-d array of workloads; the result has one row of
-    N venue fractions per workload.  Infinite upper edges contribute F = 1 and
-    empty bands collapse to 0 via the clip.
+    `w` may be a scalar or an array of workloads; the result has one row of
+    N venue fractions per workload.  One `cdf` call covers both edges
+    (`bands.edges`); infinite upper edges contribute F = 1 and empty bands
+    collapse to 0 via the clip.
     """
     w = np.asarray(w, dtype=float)
-    lo = tdist.cdf(w[..., None] * bands.a_minus)
-    finite = np.isfinite(bands.a_plus)
-    ap = np.where(finite, bands.a_plus, 0.0)
-    hi = np.where(finite, tdist.cdf(w[..., None] * ap), 1.0)
-    return np.clip(hi - lo, 0.0, 1.0)
+    f = tdist.cdf(w[..., None] * bands.edges)
+    n = len(bands.finite)
+    hi = np.where(bands.finite, f[..., n:], 1.0)
+    return np.minimum(np.maximum(hi - f[..., :n], 0.0), 1.0)
 
 
 def chi(cfg: ModelConfig, w: float, epsilon: float = 0.0) -> np.ndarray:
@@ -137,9 +158,8 @@ def chi_derivative(cfg: ModelConfig, w: float) -> np.ndarray:
     bands = compute_bands(cfg)
     f = cfg.type_dist.pdf
     lo = bands.a_minus * np.asarray(f(w * bands.a_minus), dtype=float)
-    finite = np.isfinite(bands.a_plus)
-    ap = np.where(finite, bands.a_plus, 0.0)
-    hi = np.where(finite, ap * np.asarray(f(w * ap), dtype=float), 0.0)
+    ap = bands.edges[cfg.n_exchanges:]
+    hi = np.where(bands.finite, ap * np.asarray(f(w * ap), dtype=float), 0.0)
     out = hi - lo
     out[bands.empty_band] = 0.0
     return out

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ParameterError
 from .fluid import FluidTrajectory, IntegratorConfig, integrate
 from .model import ModelConfig
-from .routing import QueueState, route
+from .routing import _router
 
 __all__ = [
     "SimConfig",
@@ -67,13 +67,15 @@ class _Stream:
     def __init__(self, seed: int, name: str, draw):
         self._gen = _stream_generator(seed, name)
         self._draw = draw
-        self._buf = None
+        self._buf = []
         self._pos = 0
         self.count = 0
 
     def take(self):
-        if self._buf is None or self._pos >= len(self._buf):
-            self._buf = self._draw(self._gen, _BLOCK)
+        if self._pos >= len(self._buf):
+            # tolist() is exact for float64 and int64 draws and makes the
+            # per-draw reads plain Python numbers.
+            self._buf = self._draw(self._gen, _BLOCK).tolist()
             self._pos = 0
         value = self._buf[self._pos]
         self._pos += 1
@@ -206,9 +208,10 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
     mkt_sizes = [_Stream(seed, f"mkt-sizes-{i}", cfg.market_sizes[i].sample) for i in range(n_venues)]
 
     inf = math.inf
-    next_ded = [float(s.take()) if s._draw is not None else inf for s in ded_times]
-    next_opt = float(opt_times.take()) if opt_times is not None else inf
-    next_mkt = float(mkt_times.take())
+    next_ded = [s.take() if s._draw is not None else inf for s in ded_times]
+    next_opt = opt_times.take() if opt_times is not None else inf
+    next_mkt = mkt_times.take()
+    pick_venue = _router(cfg)
 
     def workload_int() -> float:
         total = 0.0
@@ -216,7 +219,9 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
             total += beta[i] * queues[i]
         return total
 
-    min_w = workload_int() / n
+    # Workload beta . Q of the current state, recomputed at the end of every event.
+    w_int = workload_int()
+    min_w = w_int / n
     grid_pos = 0
 
     def emit_until(limit: float):
@@ -229,8 +234,6 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
                 out_d[grid_pos, i] = served[i] / n
             out_r0[grid_pos] = routed_zero / n
             grid_pos += 1
-
-    top_rebate_venue = 1 + int(np.argmax(cfg.rebates))
 
     while True:
         tau = next_mkt
@@ -248,37 +251,30 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
 
         if kind >= 0:
             i = kind
-            size = int(ded_sizes[i].take())
+            size = ded_sizes[i].take()
             queues[i] += size
             arr_ded[i] += size
-            next_ded[i] = tau + float(ded_times[i].take())
+            next_ded[i] = tau + ded_times[i].take()
         elif kind == -2:
-            gamma = float(opt_types.take())
+            gamma = opt_types.take()
             if gamma <= 0.0:
                 gamma = 5e-324  # types are positive; a drawn 0.0 is a float artifact
-            size = int(opt_sizes.take())
-            w_int = workload_int()
-            if w_int > 0:
-                target = route(
-                    cfg, gamma, QueueState(q=np.array(queues, dtype=float) / n, workload=w_int / n)
-                )
-            else:
-                target = top_rebate_venue
+            size = opt_sizes.take()
+            target = pick_venue(gamma, queues, w_int / n)
             if target == 0:
                 routed_zero += 1
             else:
                 queues[target - 1] += size
                 arr_opt[target - 1] += size
-            next_opt = tau + float(opt_times.take())
+            next_opt = tau + opt_times.take()
         else:
-            u = float(mkt_accept.take())
-            w_int = workload_int()
+            u = mkt_accept.take()
             if eps > 0:
                 accept_p = min(1.0, (w_int / n) / eps)
             else:
                 accept_p = 1.0 if w_int > 0 else 0.0
             if u < accept_p:
-                pick = float(mkt_venue.take()) * w_int
+                pick = mkt_venue.take() * w_int
                 acc = 0.0
                 i = n_venues - 1
                 for j in range(n_venues):
@@ -286,13 +282,14 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
                     if pick < acc:
                         i = j
                         break
-                size = int(mkt_sizes[i].take())
+                size = mkt_sizes[i].take()
                 delivered = size if size <= queues[i] else queues[i]
                 queues[i] -= delivered
                 served[i] += delivered
-            next_mkt = tau + float(mkt_times.take())
+            next_mkt = tau + mkt_times.take()
 
-        w_scaled = workload_int() / n
+        w_int = workload_int()
+        w_scaled = w_int / n
         if w_scaled < min_w:
             min_w = w_scaled
 
@@ -366,8 +363,10 @@ def replicate(
     across scaling levels, which keeps rows comparable and regenerable.
     """
     if reps < 1:
-        raise ValueError("reps must be at least 1")
+        raise ParameterError("reps: must be at least 1")
     n_values = [int(n) for n in n_values]
+    if not n_values or min(n_values) < 1:
+        raise ParameterError("n: scaling levels must be positive integers")
     traj = integrate(cfg, sim_template.q0_scaled, sim_template.horizon, icfg)
 
     def one(n: int, rep: int) -> tuple[int, int, float]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, BracketError
+from .errors import AssumptionError, BracketError, ParameterError
 from .fluid import IntegratorConfig, _integrate_batch, fluid_rhs
 from .model import ModelConfig, compute_bands, compute_kappa
 from .routing import QueueState, _band_chi, chi, chi_derivative
@@ -400,9 +400,11 @@ def local_stability_experiment(
     """
     deltas = [float(d) for d in deltas]
     if any(d < 0 for d in deltas):
-        raise ValueError("deltas must be nonnegative")
+        raise ParameterError("deltas: must be nonnegative")
     if directions < 1:
-        raise ValueError("need at least one direction")
+        raise ParameterError("directions: must be at least 1")
+    if not horizon > 0:
+        raise ParameterError("horizon: must be positive")
     if icfg is None:
         icfg = _experiment_icfg(cfg)
     gen = np.random.default_rng(seed)
@@ -516,9 +518,13 @@ def global_stability_experiment(
     converges below `threshold` with a monotone workload gap.
     """
     if np.any(cfg.beta != cfg.beta[0]):
-        raise ValueError("global stability experiment requires equal beta weights")
-    if n_inits < 1 or not box > 0:
-        raise ValueError("need n_inits >= 1 and box > 0")
+        raise ParameterError("beta: the global stability experiment requires equal beta weights")
+    if n_inits < 1:
+        raise ParameterError("n_inits: must be at least 1")
+    if not box > 0:
+        raise ParameterError("box: must be positive")
+    if not horizon > 0:
+        raise ParameterError("horizon: must be positive")
     if icfg is None:
         icfg = _experiment_icfg(cfg)
     eq = solve_equilibrium(cfg)

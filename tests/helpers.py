@@ -18,6 +18,7 @@ from fluidlob import (
     chi_derivative,
     compute_bands,
     config_from_dict,
+    expected_delays,
     fluid_rhs,
     jacobian,
     solve_workload_star,
@@ -97,6 +98,43 @@ def band_route(cfg: ModelConfig, gamma: float, w: float) -> int:
         if w * bands.a_minus[i] <= gamma <= w * bands.a_plus[i]:
             return i + 1
     return 0
+
+
+def numpy_route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
+    """The routing argmax on numpy arrays, as `route` computed it before the
+    plain-float rule: payoff vector, exact ties to the highest rebate."""
+    delays = expected_delays(cfg, state)
+    payoffs = np.concatenate(([gamma * cfg.rebate0], gamma * cfg.rebates - delays))
+    ties = np.flatnonzero(payoffs == payoffs.max())
+    all_rebates = np.concatenate(([cfg.rebate0], cfg.rebates))
+    return int(ties[np.argmax(all_rebates[ties])])
+
+
+def two_cdf_band_chi(bands, tdist, w) -> np.ndarray:
+    """The band formula with one `cdf` call per edge and `np.clip`, as
+    `_band_chi` computed it before the fused edge vector."""
+    w = np.asarray(w, dtype=float)
+    lo = tdist.cdf(w[..., None] * bands.a_minus)
+    finite = np.isfinite(bands.a_plus)
+    ap = np.where(finite, bands.a_plus, 0.0)
+    hi = np.where(finite, tdist.cdf(w[..., None] * ap), 1.0)
+    return np.clip(hi - lo, 0.0, 1.0)
+
+
+def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray) -> np.ndarray:
+    """The batched drift with every constant formed per call and the two-cdf
+    band formula, in the operation order of the integrator's field."""
+    w = q @ cfg.beta
+    chi_v = two_cdf_band_chi(compute_bands(cfg), cfg.type_dist, w)
+    service = (cfg.v * cfg.mu) * (cfg.beta * q) / w[:, None]
+    return cfg.b_dedicated * cfg.lam + (cfg.b_optimized * cfg.big_lambda) * chi_v - service
+
+
+def assert_bitwise(a, b) -> None:
+    """Equal shape, dtype and bytes: stricter than == (signed zeros, NaNs)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 def fd_jacobian(cfg: ModelConfig, q, h: float = 1e-5) -> np.ndarray:

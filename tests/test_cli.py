@@ -177,6 +177,35 @@ def test_bad_config_names_failing_key(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"beta": ["a", 1.0]}, "beta"),
+        ({"mu": "x"}, "mu"),
+        (
+            {
+                "size_dists": {
+                    "market": [
+                        {"kind": "deterministic", "value": 1},
+                        {"kind": "deterministic", "value": 0},
+                    ],
+                    "dedicated": {"kind": "deterministic", "value": 1},
+                    "optimized": {"kind": "deterministic", "value": 1},
+                }
+            },
+            "size_dists.market[1].value",
+        ),
+    ],
+)
+def test_bad_config_value_is_validation_error_naming_key(tmp_path, capsys, change, named):
+    cfg = json.loads((FIXTURES / "ref1.json").read_text())
+    cfg.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["equilibrium", str(path), "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}:")
+
+
 def test_run_rejects_unknown_command():
     with pytest.raises(ConfigError):
         ExperimentSpec(command="nope", model_config_path=REF1)
@@ -200,6 +229,12 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["simulate", REF1, "--n", "10", "--T", "1", "--sample-dt", "5"], "sample_dt"),
         (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "0,0"], "q0_scaled"),
         (["converge", REF1, "--n", "10", "--reps", "1", "--T", "0"], "horizon"),
+        (["stability-global", REF1, "--T", "1", "--inits", "1"], "beta"),
+        (["converge", REF1, "--n", "10", "--reps", "0", "--T", "1"], "reps"),
+        (["stability-local", REF1, "--deltas", "0.1", "--T", "1", "--directions", "0"], "directions"),
+        (["stability-local", REF1, "--deltas", "0.1", "--T", "0"], "horizon"),
+        (["stability-global", REF2, "--T", "1", "--inits", "0"], "n_inits"),
+        (["stability-global", REF2, "--T", "1", "--box", "0"], "box"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):

@@ -14,9 +14,16 @@ from fluidlob import (
     solve_equilibrium,
     workload_rhs,
 )
-from fluidlob.fluid import _integrate_batch, default_integrator_config
+from fluidlob import compute_bands, compute_kappa
+from fluidlob.fluid import _integrate_batch, _rhs_batch, default_integrator_config
 
-from helpers import make_config
+from helpers import (
+    assert_bitwise,
+    make_config,
+    random_positive_state,
+    random_stable_config,
+    unhoisted_rhs,
+)
 
 
 FAST = IntegratorConfig(dt=0.01)
@@ -153,6 +160,51 @@ def test_workload_floor_abort():
             IntegratorConfig(dt=0.01),
             np.array([1.0]),
         )
+
+
+def test_hoisted_rhs_is_bitwise_the_unhoisted_field(ref1, ref2, rng):
+    cfgs = [ref1, ref2] + [random_stable_config(rng, n_max=6) for _ in range(6)]
+    for cfg in cfgs:
+        rhs = _rhs_batch(cfg, compute_bands(cfg))
+        for rows in (1, 7):
+            q = np.array([random_positive_state(rng, cfg) for _ in range(rows)])
+            assert_bitwise(rhs(q), unhoisted_rhs(cfg, q))
+
+
+def test_recorded_floor_breach_freezes_only_that_trajectory(ref1):
+    # Row 2 starts high (W0 = 12 > W* = 4 ln 2) with a kappa whose floor, 10.5,
+    # its workload crosses on the way down (near t = 2): the breach is recorded, the row
+    # keeps its last state above the floor, and the other rows run exactly as
+    # in a batch without it.
+    icfg = IntegratorConfig(dt=0.01)
+    w_star = solve_equilibrium(ref1).w_star
+    others = np.array([[0.5, 0.5], [2.0, 1.0], [0.2, 3.0], [1.0, 0.1]])
+    kappas = np.array([compute_kappa(ref1, float(q @ ref1.beta), w_star) for q in others])
+    base = _integrate_batch(ref1, others, 4.0, icfg, kappas, store_states=True, on_error="record")
+    assert not base.failed.any()
+
+    q0s = np.insert(others, 2, [4.0, 4.0], axis=0)
+    res = _integrate_batch(
+        ref1, q0s, 4.0, icfg, np.insert(kappas, 2, 21.0), store_states=True, on_error="record"
+    )
+    assert res.fail_reason == [None, None, "floor", None, None]
+    assert res.failed.tolist() == [False, False, True, False, False]
+    keep = [0, 1, 3, 4]
+    assert_bitwise(res.states[:, keep], base.states)
+    assert_bitwise(res.workload[:, keep], base.workload)
+    assert_bitwise(res.terminal[keep], base.terminal)
+    assert_bitwise(res.min_workload[keep], base.min_workload)
+
+    free = _integrate_batch(
+        ref1, q0s[2:3], 4.0, icfg, np.array([1.0]), store_states=True, on_error="record"
+    )
+    breach = int(np.flatnonzero(free.workload[:, 0] < 10.5)[0])
+    assert 0 < breach < res.steps
+    assert_bitwise(res.states[:breach, 2], free.states[:breach, 0])
+    frozen = free.states[breach - 1, 0]
+    assert np.all(res.states[breach:, 2] == frozen)
+    assert_bitwise(res.terminal[2], frozen)
+    assert res.min_workload[2] == free.workload[breach - 1, 0]
 
 
 def test_negative_undershoot_is_an_error():

@@ -1,0 +1,48 @@
+"""Pinned artifact bytes: a change that alters a simulated path, a draw count
+or the fluid reference shows up here, and must then update these constants
+on purpose.
+
+The digests were computed with numpy 2.4.6 and scipy 1.17.1 on x86-64; a
+different libm or numpy build may change last bits of the fluid solution.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fluidlob import SimConfig, load_config, simulate
+from fluidlob.cli import main
+
+from helpers import FIXTURES
+
+SIM_CSV_SHA256 = {
+    "ref1": "5b0f47ce7585e686100187cc279fb392bb0349035da5efd6f38b5c64f3e72694",
+    "ref2": "3a7dd5a54aa715832beac82a1b0d1e18d7c0f6bdfb4fb3a04eaf7fb8bb47f21b",
+}
+SIM_RNG_FINGERPRINT = {
+    "ref1": "9f0844e04cd5512c2df6fd0a010701d4e6e9daa2f881c4994f237150b6c75fb2",
+    "ref2": "1164bdbb096c3b1959ff47978c0ad2ba48362e4ac6d48b74f3ec1293e32e18f4",
+}
+FLUID_REF1_CSV_SHA256 = "c53032f59dde9f2778eb142d17683e774267a517926878c07647f6655c699892"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["ref1", "ref2"])
+def test_simulate_bytes_and_fingerprint_are_pinned(tmp_path, name):
+    config = FIXTURES / f"{name}.json"
+    argv = ["simulate", str(config), "--n", "2000", "--T", "2", "--seed", "7", "-o", str(tmp_path)]
+    assert main(argv) == 0
+    assert _sha256(tmp_path / f"sim_{name}_n2000_seed7.csv") == SIM_CSV_SHA256[name]
+
+    cfg = load_config(config)
+    run = SimConfig(n=2000, horizon=2.0, sample_dt=0.01, seed=7, q0_scaled=np.ones(cfg.n_exchanges))
+    assert simulate(cfg, run).rng_fingerprint == SIM_RNG_FINGERPRINT[name]
+
+
+def test_fluid_reference_bytes_are_pinned(tmp_path):
+    assert main(["fluid", str(FIXTURES / "ref1.json"), "--T", "2", "-o", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "fluid_ref1.csv") == FLUID_REF1_CSV_SHA256

@@ -286,7 +286,7 @@ _DET1 = {"kind": "deterministic", "value": 1}
         (
             "size_dists",
             {"market": {"kind": "deterministic", "value": _INF}, "dedicated": _DET1, "optimized": _DET1},
-            "size.value",
+            "size_dists.market.value",
         ),
         (
             "size_dists",
@@ -295,13 +295,55 @@ _DET1 = {"kind": "deterministic", "value": 1}
                 "dedicated": {"kind": "tabulated", "values": [1, 1], "probs": [_NAN, 1.0]},
                 "optimized": _DET1,
             },
-            "size.values/probs",
+            "size_dists.dedicated.values/probs",
+        ),
+        # Values that are not numbers at all.
+        ("beta", ["a", 1.0], "beta"),
+        ("lambda", [0.3, {}], "lambda"),
+        ("rebates", "x", "rebates"),
+        ("b_dedicated", [1.0, None, 2.0], "b_dedicated"),
+        ("mu", "x", "mu"),
+        ("big_lambda", [1.0], "big_lambda"),
+        ("rebate0", None, "rebate0"),
+        ("v", "one", "v"),
+        ("b_optimized", {}, "b_optimized"),
+        ("type_dist", {"kind": "exponential", "rate": "x"}, "type_dist.rate"),
+        ("type_dist", {"kind": "half-normal", "sigma": None}, "type_dist.sigma"),
+        ("type_dist", {"kind": "tabulated", "gamma": [0.0, "a"], "cdf": [0.0, 1.0]}, "type_dist"),
+        (
+            "size_dists",
+            {"market": _DET1, "dedicated": _DET1, "optimized": {"kind": "geometric", "p": "x"}},
+            "size_dists.optimized.p",
+        ),
+        (
+            "size_dists",
+            {
+                "market": [_DET1, {"kind": "tabulated", "values": ["a", 1], "probs": [0.5, 0.5]}],
+                "dedicated": _DET1,
+                "optimized": _DET1,
+            },
+            "size_dists.market[1]",
         ),
     ],
 )
 def test_config_rejects_non_finite_values(key, value, named):
     with pytest.raises(ConfigError) as info:
         make_config(**{key: value})
+    assert str(info.value).startswith(f"{named}:")
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ({"kind": "deterministic", "value": 0}, "size_dists.market[1].value"),
+        ({"kind": "geometric", "p": 1.5}, "size_dists.market[1].p"),
+        ({"kind": "tabulated", "values": [1, 2], "probs": [0.5, 0.6]}, "size_dists.market[1].probs"),
+        ({"kind": "tabulated", "values": [0, 2], "probs": [0.5, 0.5]}, "size_dists.market[1].values"),
+    ],
+)
+def test_size_dist_errors_name_the_config_key(entry, named):
+    with pytest.raises(ConfigError) as info:
+        make_config(size_dists={"market": [_DET1, entry], "dedicated": _DET1, "optimized": _DET1})
     assert str(info.value).startswith(f"{named}:")
 
 

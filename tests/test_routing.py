@@ -16,7 +16,17 @@ from fluidlob import (
     solve_workload_star,
 )
 
-from helpers import brute_force_route, make_config, random_valid_config
+from fluidlob.routing import _band_chi, _router
+
+from helpers import (
+    assert_bitwise,
+    brute_force_route,
+    make_config,
+    numpy_route,
+    random_stable_config,
+    random_valid_config,
+    two_cdf_band_chi,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +102,60 @@ def test_route_oracle_equivalence(ref1, ref2, rng):
             gamma = float(cfg.type_dist.sample(rng, 1)[0]) + 1e-12
             state = QueueState.of(cfg, q)
             assert route(cfg, gamma, state) == brute_force_route(cfg, gamma, q)
+
+
+def test_plain_float_router_matches_numpy_argmax(ref1, ref2, rng):
+    # Integer queue states as the simulator holds them (empty queues and the
+    # all-empty state included), delays on the 1/n scale.
+    cfgs = [ref1, ref2] + [random_stable_config(rng, n_max=6) for _ in range(12)]
+    n = 50
+    for cfg in cfgs:
+        pick = _router(cfg)
+        top = 1 + int(np.argmax(cfg.rebates))
+        for _ in range(300):
+            queues = rng.integers(0, 6, cfg.n_exchanges)
+            queues[rng.random(cfg.n_exchanges) < 0.3] = 0
+            gamma = float(cfg.type_dist.sample(rng, 1)[0]) + 1e-12
+            w_int = 0.0
+            for b, k in zip(cfg.beta.tolist(), queues.tolist()):
+                w_int += b * k
+            got = pick(gamma, queues.tolist(), w_int / n)
+            assert got == brute_force_route(cfg, gamma, queues / n)
+            if w_int == 0:
+                assert got == top
+                continue
+            state = QueueState(q=queues / n, workload=w_int / n)
+            assert got == numpy_route(cfg, gamma, state) == route(cfg, gamma, state)
+
+
+def test_router_exact_payoff_ties_go_to_the_higher_rebate(ref1):
+    # ref1: beta (2, 1), rebates (1, 2), rebate0 -1, mu = v = 1.
+    # q = (0.5, 1), W = 2, gamma = 1: both venues pay exactly 0.
+    # q = (1.5, 1), W = 4, gamma = 1: option 0 and venue 1 both pay exactly -1.
+    for q, want in (([0.5, 1.0], 2), ([1.5, 1.0], 1)):
+        state = QueueState.of(ref1, q)
+        assert _router(ref1)(1.0, q, state.workload) == want
+        assert route(ref1, 1.0, state) == want
+        assert numpy_route(ref1, 1.0, state) == want
+        assert brute_force_route(ref1, 1.0, q) == want
+
+
+def test_fused_band_chi_is_bitwise_the_two_cdf_form(ref1, ref2, rng):
+    tabulated = make_config(
+        type_dist={"kind": "tabulated", "gamma": [0.0, 0.5, 1.0, 2.0, 4.0],
+                   "cdf": [0.0, 0.3, 0.6, 0.9, 1.0]}
+    )
+    half_normal = make_config(type_dist={"kind": "half-normal", "sigma": 1.3})
+    cfgs = [ref1, ref2, tabulated, half_normal]
+    cfgs += [random_stable_config(rng, n_max=8) for _ in range(8)]
+    kinds = {type(cfg.type_dist).__name__ for cfg in cfgs}
+    assert kinds == {"ExponentialType", "HalfNormalType", "TabulatedType"}
+    for cfg in cfgs:
+        bands = compute_bands(cfg)
+        grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 97)))
+        workloads = [1.7, 0.0, grid, rng.uniform(0.01, 20.0, (9, cfg.n_exchanges))]
+        for w in workloads:
+            assert_bitwise(_band_chi(bands, cfg.type_dist, w), two_cdf_band_chi(bands, cfg.type_dist, w))
 
 
 def test_route_band_consistency(ref1, rng):

@@ -25,6 +25,25 @@ SIM_RNG_FINGERPRINT = {
     "ref2": "1164bdbb096c3b1959ff47978c0ad2ba48362e4ac6d48b74f3ec1293e32e18f4",
 }
 FLUID_REF1_CSV_SHA256 = "c53032f59dde9f2778eb142d17683e774267a517926878c07647f6655c699892"
+# Batched RK4 (B = 32 and B = 50 trajectories) behind the stability experiments.
+STABILITY_RUNS = {
+    "local": (
+        ["stability-local", "ref1", "--deltas", "0.01,0.1", "--T", "100", "--dt", "0.1"],
+        "stability_local_ref1",
+        {
+            "json": "44fefba140c526b73b7b82474184a5478b792f1ee7b463ffdf556a0e59ebf32c",
+            "csv": "7821ba7526714b4bb05907d062248ce65b81408e2839283b9ba9838937afd2dc",
+        },
+    ),
+    "global": (
+        ["stability-global", "ref2", "--inits", "50", "--T", "150", "--dt", "0.1"],
+        "stability_global_ref2",
+        {
+            "json": "1a7eca2b2acc37f797a4054037fceda5c7ed164c45f57099f3c5f9ff5773971b",
+            "csv": "d1803d7e242e561a3b9fde6b61ec0ce5e3a1aada2eb293fb2874bf1859728cf1",
+        },
+    ),
+}
 
 
 def _sha256(path) -> str:
@@ -46,3 +65,13 @@ def test_simulate_bytes_and_fingerprint_are_pinned(tmp_path, name):
 def test_fluid_reference_bytes_are_pinned(tmp_path):
     assert main(["fluid", str(FIXTURES / "ref1.json"), "--T", "2", "-o", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "fluid_ref1.csv") == FLUID_REF1_CSV_SHA256
+
+
+@pytest.mark.parametrize("kind", sorted(STABILITY_RUNS))
+def test_stability_batch_bytes_are_pinned(tmp_path, kind):
+    argv, stem, digests = STABILITY_RUNS[kind]
+    command, name, *rest = argv
+    config = str(FIXTURES / f"{name}.json")
+    assert main([command, config, *rest, "--seed", "7", "-o", str(tmp_path)]) == 0
+    for ext, digest in digests.items():
+        assert _sha256(tmp_path / f"{stem}.{ext}") == digest

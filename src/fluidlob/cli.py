@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AssumptionError, BracketError, ConfigError, IntegrationError
+from .errors import AssumptionError, BracketError, ConfigError, IntegrationError, ParameterError
 from .fluid import FluidTrajectory, IntegratorConfig, integrate
 from .model import ModelConfig, check_assumptions, load_config
 from .sim import ConvergenceTable, SimConfig, SimPath, replicate, simulate
@@ -150,6 +150,15 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"vector parameter: cannot parse '{text}'") from None
 
 
+def _parse_list(text, convert, key: str) -> list:
+    try:
+        return [convert(x) for x in str(text).split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"{key}: cannot parse '{text}' as comma-separated {convert.__name__} values"
+        ) from None
+
+
 def _threads() -> int:
     raw = os.environ.get("FLUIDLOB_THREADS", "1")
     try:
@@ -243,7 +252,7 @@ def run(spec: ExperimentSpec) -> int:
         return 0
 
     if spec.command == "converge":
-        n_values = [int(x) for x in str(params["n_values"]).split(",")]
+        n_values = _parse_list(params["n_values"], int, "n")
         sim = SimConfig(
             n=n_values[0],
             horizon=float(params["horizon"]),
@@ -267,7 +276,7 @@ def run(spec: ExperimentSpec) -> int:
         report = local_stability_experiment(
             cfg,
             eq,
-            deltas=[float(x) for x in str(params["deltas"]).split(",")],
+            deltas=_parse_list(params["deltas"], float, "deltas"),
             horizon=float(params["horizon"]),
             directions=int(params.get("directions", 16)),
             seed=int(params.get("seed", 0)),

@@ -83,15 +83,31 @@ def fluid_rhs(cfg: ModelConfig, state: QueueState) -> np.ndarray:
 
 def _rhs_batch(cfg: ModelConfig, bands):
     """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W for
-    a (B, N) matrix of states with positive workloads; constants hoisted."""
-    beta, tdist = cfg.beta, cfg.type_dist
-    inflow = cfg.b_dedicated * cfg.lam
-    lam_o = cfg.b_optimized * cfg.big_lambda
-    v_mu = cfg.v * cfg.mu
+    a (B, N) matrix of states with positive workloads; constants hoisted.
 
-    def rhs(q: np.ndarray) -> np.ndarray:
-        w = q @ beta
-        return inflow + lam_o * _band_chi(bands, tdist, w) - v_mu * (beta * q) / w[:, None]
+    `rhs(q, w)` takes the workloads `w = q @ beta` when the caller has them.
+    The field is built in place in the array `_band_chi` returns, in the
+    operation order of the expression above.
+    """
+    beta, tdist = cfg.beta, cfg.type_dist
+    # (1, N) rows and 0-d arrays give the same bits as (N,) vectors and
+    # Python floats, and numpy dispatches them faster on small batches.
+    beta_row = beta[None, :]
+    inflow = (cfg.b_dedicated * cfg.lam)[None, :]
+    lam_o = np.array(cfg.b_optimized * cfg.big_lambda)
+    v_mu = np.array(cfg.v * cfg.mu)
+
+    def rhs(q: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        if w is None:
+            w = q @ beta
+        drift = _band_chi(bands, tdist, w)
+        drift *= lam_o
+        drift += inflow
+        service = beta_row * q
+        service *= v_mu
+        service /= w[:, None]
+        drift -= service
+        return drift
 
     return rhs
 
@@ -131,16 +147,17 @@ def _integrate_batch(
     n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     dt = horizon / n_steps
     floor = icfg.workload_floor_factor * np.asarray(kappas, dtype=float)
+    floor_max = floor.max()
+    beta, refine = cfg.beta, icfg.refine_check
 
     q = q0s.copy()
-    w = q @ cfg.beta
+    w = q @ beta
     if np.any(w <= 0):
         raise ValueError("every initial state needs positive workload")
 
     alive = np.ones(n_traj, dtype=bool)
     all_alive = True  # until a trajectory fails, the freezes below are no-ops
     reasons: list = [None] * n_traj
-    min_w = w.copy()
     times = np.arange(n_steps + 1) * dt
     times[-1] = horizon
     w_hist = np.empty((n_steps + 1, n_traj))
@@ -151,12 +168,34 @@ def _integrate_batch(
         q_hist[0] = q
     max_refine = 0.0
 
-    def rk4(qc, h):
-        k1 = rhs(qc)
-        k2 = rhs(qc + 0.5 * h * k1)
-        k3 = rhs(qc + 0.5 * h * k2)
-        k4 = rhs(qc + h * k3)
-        return qc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rk4_of(h):
+        # One step qc + (h/6) (k1 + 2 k2 + 2 k3 + k4), every stage and the sum
+        # formed in place, in the operation order of that expression.
+        half, full, sixth, two = np.array(0.5 * h), np.array(h), np.array(h / 6.0), np.array(2.0)
+
+        def rk4(qc, wc=None):
+            k1 = rhs(qc, wc)
+            stage = k1 * half
+            stage += qc
+            k2 = rhs(stage)
+            np.multiply(k2, half, out=stage)
+            stage += qc
+            k3 = rhs(stage)
+            np.multiply(k3, full, out=stage)
+            stage += qc
+            k4 = rhs(stage)
+            k2 *= two
+            k2 += k1
+            k3 *= two
+            k2 += k3
+            k2 += k4
+            k2 *= sixth
+            k2 += qc
+            return k2
+
+        return rk4
+
+    rk4, rk4_half = rk4_of(dt), rk4_of(0.5 * dt)
 
     def fail(mask, message):
         nonlocal alive, all_alive
@@ -175,9 +214,10 @@ def _integrate_batch(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
-            q_new = rk4(q, dt)
-            if icfg.refine_check:
-                q_half = rk4(rk4(q, 0.5 * dt), 0.5 * dt)
+            # w is q @ beta from the end of the previous step (or the start)
+            q_new = rk4(q, w)
+            if refine:
+                q_half = rk4_half(rk4_half(q, w))
                 disc = np.max(np.abs(q_new - q_half), axis=1)
                 scale = np.maximum(1.0, np.max(np.abs(q_new), axis=1))
                 bad = alive & ~np.isnan(disc) & (disc > _REFINE_TOL * scale)
@@ -188,24 +228,28 @@ def _integrate_batch(
                 if live_disc.size:
                     max_refine = max(max_refine, float(np.nanmax(live_disc)))
 
-            low = np.min(q_new, axis=1)
-            bad = alive & ~(low >= -_CLIP_TOL)
-            if bad.any():
-                fail(bad, "negative")
-            np.clip(q_new, 0.0, None, out=q_new)
+            # Each check is one reduction over the batch; the per-trajectory
+            # masks run only when it finds an entry that may fail (NaN too).
+            # A strictly positive state is its own floor at 0.
+            low = q_new.min()
+            if not low > 0.0:
+                if not low >= -_CLIP_TOL:
+                    bad = alive & ~(np.min(q_new, axis=1) >= -_CLIP_TOL)
+                    if bad.any():
+                        fail(bad, "negative")
+                np.maximum(q_new, 0.0, out=q_new)  # what np.clip(q_new, 0.0, None) runs
 
-            w_new = q_new @ cfg.beta
-            bad = alive & ~(w_new >= floor)
-            if bad.any():
-                fail(bad, "floor")
+            w_new = q_new @ beta
+            if not w_new.min() >= floor_max:
+                bad = alive & ~(w_new >= floor)
+                if bad.any():
+                    fail(bad, "floor")
 
             if all_alive:
                 q, w = q_new, w_new
-                min_w = np.minimum(min_w, w)
             else:
                 q = np.where(alive[:, None], q_new, q)
                 w = np.where(alive, w_new, w)
-                min_w = np.where(alive, np.minimum(min_w, w), min_w)
             w_hist[step] = w
             if store_states:
                 q_hist[step] = q
@@ -215,7 +259,7 @@ def _integrate_batch(
         workload=w_hist,
         states=q_hist,
         terminal=q,
-        min_workload=min_w,
+        min_workload=w_hist.min(axis=0),  # frozen rows repeat a kept value
         failed=~alive,
         fail_reason=reasons,
         steps=n_steps,

@@ -268,7 +268,10 @@ class TabulatedSize(SizeDistribution):
     kind = "tabulated"
 
     def __post_init__(self):
-        v = np.asarray(self.values)
+        try:
+            v = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"size: values must be integers, got {self.values!r}") from None
         p = np.asarray(self.probs, dtype=float)
         if v.ndim != 1 or v.shape != p.shape or len(v) == 0:
             raise ConfigError("size.values/probs: need two equal-length 1-d arrays")
@@ -392,7 +395,9 @@ class RoutingBands:
     for the venue with the top rebate; `empty_band[i]` marks venues that are
     never chosen (a_plus < a_minus).  `finite` marks the finite upper edges
     and `edges` is [a_minus, a_plus with infinite entries set to 0], the
-    points at which the routing fractions evaluate the type CDF.
+    points at which the routing fractions evaluate the type CDF.  Rebates are
+    distinct, so exactly one upper edge is infinite: `top` is its position in
+    `edges`, where the routing fractions take F(inf) = 1 instead.
     """
 
     a_minus: np.ndarray
@@ -401,6 +406,7 @@ class RoutingBands:
     empty_band: np.ndarray
     finite: np.ndarray = field(init=False)
     edges: np.ndarray = field(init=False)
+    top: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_minus", _frozen(self.a_minus))
@@ -410,6 +416,8 @@ class RoutingBands:
         object.__setattr__(self, "finite", _frozen(finite, dtype=bool))
         edges = np.concatenate((self.a_minus, np.where(finite, self.a_plus, 0.0)))
         object.__setattr__(self, "edges", _frozen(edges))
+        (top,) = np.flatnonzero(~finite)
+        object.__setattr__(self, "top", len(finite) + int(top))
 
 
 def compute_bands(cfg: ModelConfig) -> RoutingBands:

@@ -110,19 +110,24 @@ def route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
     return _router(cfg)(gamma, state.q.tolist(), state.workload)
 
 
+_ZERO = np.array(0.0)  # a 0-d operand: numpy dispatches it faster than 0.0
+
+
 def _band_chi(bands: RoutingBands, tdist: TypeDistribution, w) -> np.ndarray:
-    """Venue routing fractions F(w a_plus) - F(w a_minus), clipped to [0, 1].
+    """Venue routing fractions max(F(w a_plus) - F(w a_minus), 0).
 
     `w` may be a scalar or an array of workloads; the result has one row of
     N venue fractions per workload.  One `cdf` call covers both edges
-    (`bands.edges`); infinite upper edges contribute F = 1 and empty bands
-    collapse to 0 via the clip.
+    (`bands.edges`); the infinite upper edge contributes F = 1, written into
+    its slot, and empty bands collapse to 0 via the max.  No fraction
+    exceeds 1, as F takes values in [0, 1].
     """
     w = np.asarray(w, dtype=float)
     f = tdist.cdf(w[..., None] * bands.edges)
-    n = len(bands.finite)
-    hi = np.where(bands.finite, f[..., n:], 1.0)
-    return np.minimum(np.maximum(hi - f[..., :n], 0.0), 1.0)
+    f[..., bands.top] = 1.0
+    n = len(bands.a_minus)
+    chi = f[..., n:] - f[..., :n]
+    return np.maximum(chi, _ZERO, out=chi)
 
 
 def chi(cfg: ModelConfig, w: float, epsilon: float = 0.0) -> np.ndarray:

@@ -169,6 +169,8 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
     """
     n = sim.n
     n_venues = cfg.n_exchanges
+    if sim.q0_scaled.shape != (n_venues,):
+        raise ParameterError(f"q0_scaled: expected {n_venues} entries, got {sim.q0_scaled.size}")
     beta = [float(b) for b in cfg.beta]
     horizon = float(sim.horizon)
     grid = _sample_grid(horizon, float(sim.sample_dt))

@@ -5,6 +5,7 @@ package implementations are checked against.
 
 from __future__ import annotations
 
+import math
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from fluidlob import (
     jacobian,
     solve_workload_star,
 )
+from fluidlob.errors import IntegrationError, SingularityError, StepInstabilityError
+from fluidlob.fluid import _CLIP_TOL, _REFINE_TOL, _BatchResult
 from fluidlob.routing import _band_chi
 
 REPO = Path(__file__).resolve().parents[1]
@@ -128,6 +131,123 @@ def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray) -> np.ndarray:
     chi_v = two_cdf_band_chi(compute_bands(cfg), cfg.type_dist, w)
     service = (cfg.v * cfg.mu) * (cfg.beta * q) / w[:, None]
     return cfg.b_dedicated * cfg.lam + (cfg.b_optimized * cfg.big_lambda) * chi_v - service
+
+
+def oracle_rhs_batch(cfg: ModelConfig, bands):
+    """The batched drift with hoisted constants, as the integrator formed it
+    before its in-place field: one expression, a new array per operation."""
+    beta, tdist = cfg.beta, cfg.type_dist
+    inflow = cfg.b_dedicated * cfg.lam
+    lam_o = cfg.b_optimized * cfg.big_lambda
+    v_mu = cfg.v * cfg.mu
+
+    def rhs(q: np.ndarray) -> np.ndarray:
+        w = q @ beta
+        return inflow + lam_o * two_cdf_band_chi(bands, tdist, w) - v_mu * (beta * q) / w[:, None]
+
+    return rhs
+
+
+def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=False, on_error="raise"):
+    """Classical RK4 over a batch, step for step as `_integrate_batch` ran it
+    before its lean kernel: a fresh `q @ beta` for every k1, per-trajectory
+    masks for every check, `np.clip` for the undershoot."""
+    q0s = np.asarray(q0s, dtype=float)
+    n_traj, _ = q0s.shape
+    rhs = oracle_rhs_batch(cfg, compute_bands(cfg))
+    n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
+    dt = horizon / n_steps
+    floor = icfg.workload_floor_factor * np.asarray(kappas, dtype=float)
+
+    q = q0s.copy()
+    w = q @ cfg.beta
+    if np.any(w <= 0):
+        raise ValueError("every initial state needs positive workload")
+
+    alive = np.ones(n_traj, dtype=bool)
+    all_alive = True
+    reasons: list = [None] * n_traj
+    min_w = w.copy()
+    times = np.arange(n_steps + 1) * dt
+    times[-1] = horizon
+    w_hist = np.empty((n_steps + 1, n_traj))
+    w_hist[0] = w
+    q_hist = None
+    if store_states:
+        q_hist = np.empty((n_steps + 1, n_traj, q.shape[1]))
+        q_hist[0] = q
+    max_refine = 0.0
+
+    def rk4(qc, h):
+        k1 = rhs(qc)
+        k2 = rhs(qc + 0.5 * h * k1)
+        k3 = rhs(qc + 0.5 * h * k2)
+        k4 = rhs(qc + h * k3)
+        return qc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def fail(mask, message):
+        nonlocal alive, all_alive
+        if on_error == "raise":
+            idx = int(np.flatnonzero(mask)[0])
+            raise_map = {
+                "floor": SingularityError,
+                "negative": IntegrationError,
+                "unstable": StepInstabilityError,
+            }
+            raise raise_map[message](f"trajectory {idx}: {message} at t={times[step]:.6g}")
+        for idx in np.flatnonzero(mask):
+            reasons[idx] = message
+        alive = alive & ~mask
+        all_alive = False
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(1, n_steps + 1):
+            q_new = rk4(q, dt)
+            if icfg.refine_check:
+                q_half = rk4(rk4(q, 0.5 * dt), 0.5 * dt)
+                disc = np.max(np.abs(q_new - q_half), axis=1)
+                scale = np.maximum(1.0, np.max(np.abs(q_new), axis=1))
+                bad = alive & ~np.isnan(disc) & (disc > _REFINE_TOL * scale)
+                bad |= alive & np.isnan(disc)
+                if bad.any():
+                    fail(bad, "unstable")
+                live_disc = disc[alive]
+                if live_disc.size:
+                    max_refine = max(max_refine, float(np.nanmax(live_disc)))
+
+            low = np.min(q_new, axis=1)
+            bad = alive & ~(low >= -_CLIP_TOL)
+            if bad.any():
+                fail(bad, "negative")
+            np.clip(q_new, 0.0, None, out=q_new)
+
+            w_new = q_new @ cfg.beta
+            bad = alive & ~(w_new >= floor)
+            if bad.any():
+                fail(bad, "floor")
+
+            if all_alive:
+                q, w = q_new, w_new
+                min_w = np.minimum(min_w, w)
+            else:
+                q = np.where(alive[:, None], q_new, q)
+                w = np.where(alive, w_new, w)
+                min_w = np.where(alive, np.minimum(min_w, w), min_w)
+            w_hist[step] = w
+            if store_states:
+                q_hist[step] = q
+
+    return _BatchResult(
+        times=times,
+        workload=w_hist,
+        states=q_hist,
+        terminal=q,
+        min_workload=min_w,
+        failed=~alive,
+        fail_reason=reasons,
+        steps=n_steps,
+        max_refine_error=max_refine,
+    )
 
 
 def assert_bitwise(a, b) -> None:

@@ -235,6 +235,8 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["stability-local", REF1, "--deltas", "0.1", "--T", "0"], "horizon"),
         (["stability-global", REF2, "--T", "1", "--inits", "0"], "n_inits"),
         (["stability-global", REF2, "--T", "1", "--box", "0"], "box"),
+        (["converge", REF1, "--n", "20,x", "--reps", "1", "--T", "1"], "n"),
+        (["stability-local", REF1, "--deltas", "a", "--T", "1"], "deltas"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):

@@ -14,12 +14,13 @@ from fluidlob import (
     solve_equilibrium,
     workload_rhs,
 )
-from fluidlob import compute_bands, compute_kappa
+from fluidlob import compute_bands, compute_kappa, solve_workload_star
 from fluidlob.fluid import _integrate_batch, _rhs_batch, default_integrator_config
 
 from helpers import (
     assert_bitwise,
     make_config,
+    oracle_integrate_batch,
     random_positive_state,
     random_stable_config,
     unhoisted_rhs,
@@ -205,6 +206,85 @@ def test_recorded_floor_breach_freezes_only_that_trajectory(ref1):
     assert np.all(res.states[breach:, 2] == frozen)
     assert_bitwise(res.terminal[2], frozen)
     assert res.min_workload[2] == free.workload[breach - 1, 0]
+
+
+def _assert_same_batch(res, ref) -> None:
+    for name in ("times", "workload", "states", "terminal", "min_workload", "failed"):
+        assert_bitwise(getattr(res, name), getattr(ref, name))
+    assert res.fail_reason == ref.fail_reason
+    assert res.steps == ref.steps
+    assert_bitwise(np.float64(res.max_refine_error), np.float64(ref.max_refine_error))
+
+
+def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
+    # Single and batched runs, with and without the half-step check; in the
+    # "breach" runs the last row starts high and gets a floor that its
+    # workload crosses mid-run, so it is recorded and frozen there.  At this
+    # dt the stiffest draws also fail the half-step check.
+    cfgs = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(12)]
+    horizon, dt, kw = 1.5, 0.01, dict(store_states=True, on_error="record")
+    seen = set()
+    for cfg in cfgs:
+        w_star = solve_workload_star(cfg)
+        high = np.full(cfg.n_exchanges, 4.0 * w_star / cfg.beta.sum())
+        free = oracle_integrate_batch(
+            cfg, high[None, :], horizon, IntegratorConfig(dt=dt), np.array([0.0]), **kw
+        )
+        w_free = free.workload[:, 0]
+        mid = len(w_free) // 2
+        assert w_free[-1] < w_free[mid]
+        breach_kappa = w_free[mid] + w_free[-1]  # floor = their mean
+
+        for rows, breach in ((1, False), (1, True), (5, True)):
+            q0s = np.array([random_positive_state(rng, cfg) for _ in range(rows)])
+            kappas = np.array([compute_kappa(cfg, float(q @ cfg.beta), w_star) for q in q0s])
+            if breach:
+                q0s[-1], kappas[-1] = high, breach_kappa
+            for refine in (False, True):
+                icfg = IntegratorConfig(dt=dt, refine_check=refine)
+                ref = oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, **kw)
+                if not refine:
+                    assert ref.fail_reason[-1] == ("floor" if breach else None)
+                seen.update(ref.fail_reason)
+                _assert_same_batch(_integrate_batch(cfg, q0s, horizon, icfg, kappas, **kw), ref)
+    assert seen == {None, "floor", "unstable"}
+
+
+@pytest.mark.parametrize(
+    "lam, q0, dt, refine, kappa",
+    [
+        ([0.0, 0.0], [1.0, 1.0], 0.01, False, 1.0),
+        ([0.0, 0.0], [1.0, 1.0], 0.5, False, 1e-9),
+        ([0.5, 0.0], [0.01, 1.0], 0.5, False, 1e-12),
+        ([0.0, 0.0], [1.0, 1.0], 0.5, True, 1e-12),
+    ],
+    ids=["floor", "nan-state", "negative", "unstable"],
+)
+def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, refine, kappa):
+    # A draining field (the pure drain of the failure tests below, or one
+    # fed only at venue 1) with a healthy second row: the same error in
+    # "raise" mode, the same record otherwise.  In "nan-state" the first row
+    # reaches W = 0 inside a step; in "negative" it undershoots to a finite
+    # negative queue.
+    cfg = make_config(**{"lambda": lam}, big_lambda=0.0, beta=[1.0, 1.0])
+    icfg = IntegratorConfig(dt=dt, refine_check=refine)
+    q0s, kappas = np.array([q0, [2.0, 0.5]]), np.array([kappa, 1e-12])
+    with pytest.raises(IntegrationError) as want:
+        oracle_integrate_batch(cfg, q0s, 3.0, icfg, kappas)
+    with pytest.raises(want.type, match=f"^{want.value}$"):
+        _integrate_batch(cfg, q0s, 3.0, icfg, kappas)
+    kw = dict(store_states=True, on_error="record")
+    ref = oracle_integrate_batch(cfg, q0s, 3.0, icfg, kappas, **kw)
+    assert ref.failed[0]
+    _assert_same_batch(_integrate_batch(cfg, q0s, 3.0, icfg, kappas, **kw), ref)
+
+
+def test_maximum_is_the_clip_of_the_undershoot():
+    # The step floors its state with np.maximum(q, 0, out=q), the ufunc that
+    # np.clip(q, 0, None) dispatches to: same bytes on signed zeros, tiny
+    # undershoots, infinities and NaN.
+    q = np.array([[-0.0, 0.0, -1e-300, 1e-300], [-1e-13, np.inf, -np.inf, np.nan]])
+    assert_bitwise(np.maximum(q, 0.0, out=q.copy()), np.clip(q, 0.0, None, out=q.copy()))
 
 
 def test_negative_undershoot_is_an_error():

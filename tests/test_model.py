@@ -347,6 +347,13 @@ def test_size_dist_errors_name_the_config_key(entry, named):
     assert str(info.value).startswith(f"{named}:")
 
 
+def test_non_numeric_tabulated_size_support_asks_for_integers():
+    entry = {"kind": "tabulated", "values": ["a", 1], "probs": [0.5, 0.5]}
+    with pytest.raises(ConfigError) as info:
+        make_config(size_dists={"market": [_DET1, entry], "dedicated": _DET1, "optimized": _DET1})
+    assert str(info.value) == "size_dists.market[1]: values must be integers, got ['a', 1]"
+
+
 def test_config_reports_missing_key():
     bad = {"n_exchanges": 2}
     with pytest.raises(ConfigError, match="beta"):

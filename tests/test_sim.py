@@ -7,6 +7,7 @@ import pytest
 from fluidlob import (
     FluidTrajectory,
     IntegratorConfig,
+    ParameterError,
     SimConfig,
     SimPath,
     integrate,
@@ -195,3 +196,10 @@ def test_sim_config_validation():
         SimConfig(n=10, horizon=1.0, sample_dt=0.1, seed=1, q0_scaled=np.array([-1.0, 1.0]))
     with pytest.raises(ValueError):
         SimConfig(n=10, horizon=1.0, sample_dt=0.1, seed=1, q0_scaled=np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("entries", [2, 5])
+def test_simulate_rejects_q0_of_the_wrong_length(ref2, entries):
+    run = _sim(q0_scaled=np.ones(entries), horizon=1.0)
+    with pytest.raises(ParameterError, match=f"^q0_scaled: expected 3 entries, got {entries}$"):
+        simulate(ref2, run)

@@ -143,13 +143,6 @@ def emit_plotdata(obj, out) -> Path:
     return out
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(x) for x in text.split(",") if x != ""])
-    except ValueError:
-        raise ConfigError(f"vector parameter: cannot parse '{text}'") from None
-
-
 def _parse_list(text, convert, key: str) -> list:
     try:
         return [convert(x) for x in str(text).split(",")]
@@ -179,7 +172,7 @@ def _icfg(cfg: ModelConfig, params: dict) -> IntegratorConfig | None:
 def _q0(cfg: ModelConfig, params: dict) -> np.ndarray:
     if params.get("q0") is None:
         return np.ones(cfg.n_exchanges)
-    q0 = _parse_vector(params["q0"])
+    q0 = np.array(_parse_list(params["q0"], float, "q0"))
     if len(q0) != cfg.n_exchanges:
         raise ConfigError(f"q0: expected {cfg.n_exchanges} entries, got {len(q0)}")
     return q0

@@ -237,6 +237,7 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["stability-global", REF2, "--T", "1", "--box", "0"], "box"),
         (["converge", REF1, "--n", "20,x", "--reps", "1", "--T", "1"], "n"),
         (["stability-local", REF1, "--deltas", "a", "--T", "1"], "deltas"),
+        (["fluid", REF1, "--q0", "1,x", "--T", "1"], "q0"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):

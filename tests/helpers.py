@@ -124,37 +124,27 @@ def two_cdf_band_chi(bands, tdist, w) -> np.ndarray:
     return np.clip(hi - lo, 0.0, 1.0)
 
 
-def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray) -> np.ndarray:
+def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray, bands=None) -> np.ndarray:
     """The batched drift with every constant formed per call and the two-cdf
     band formula, in the operation order of the integrator's field."""
     w = q @ cfg.beta
-    chi_v = two_cdf_band_chi(compute_bands(cfg), cfg.type_dist, w)
+    chi_v = two_cdf_band_chi(bands or compute_bands(cfg), cfg.type_dist, w)
     service = (cfg.v * cfg.mu) * (cfg.beta * q) / w[:, None]
     return cfg.b_dedicated * cfg.lam + (cfg.b_optimized * cfg.big_lambda) * chi_v - service
-
-
-def oracle_rhs_batch(cfg: ModelConfig, bands):
-    """The batched drift with hoisted constants, as the integrator formed it
-    before its in-place field: one expression, a new array per operation."""
-    beta, tdist = cfg.beta, cfg.type_dist
-    inflow = cfg.b_dedicated * cfg.lam
-    lam_o = cfg.b_optimized * cfg.big_lambda
-    v_mu = cfg.v * cfg.mu
-
-    def rhs(q: np.ndarray) -> np.ndarray:
-        w = q @ beta
-        return inflow + lam_o * two_cdf_band_chi(bands, tdist, w) - v_mu * (beta * q) / w[:, None]
-
-    return rhs
 
 
 def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=False, on_error="raise"):
     """Classical RK4 over a batch, step for step as `_integrate_batch` ran it
     before its lean kernel: a fresh `q @ beta` for every k1, per-trajectory
-    masks for every check, `np.clip` for the undershoot."""
+    masks for every check, `np.clip` for the undershoot, and the field as one
+    expression (`unhoisted_rhs`)."""
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
-    rhs = oracle_rhs_batch(cfg, compute_bands(cfg))
+    bands = compute_bands(cfg)
+
+    def rhs(q):
+        return unhoisted_rhs(cfg, q, bands)
+
     n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     dt = horizon / n_steps
     floor = icfg.workload_floor_factor * np.asarray(kappas, dtype=float)

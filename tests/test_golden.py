@@ -1,6 +1,6 @@
-"""Pinned artifact bytes: a change that alters a simulated path, a draw count
-or the fluid reference shows up here, and must then update these constants
-on purpose.
+"""Pinned artifact bytes: a change that alters a simulated path, a draw count,
+the fluid reference or a batched stability run shows up here, and must then
+update these constants on purpose.
 
 The digests were computed with numpy 2.4.6 and scipy 1.17.1 on x86-64; a
 different libm or numpy build may change last bits of the fluid solution.

@@ -19,10 +19,8 @@ from .fluid import (
     default_integrator_config,
     fluid_rhs,
     integrate,
-    workload_rhs,
 )
 from .model import (
-    AssumptionReport,
     DeterministicSize,
     ExponentialType,
     GeometricSize,
@@ -33,7 +31,6 @@ from .model import (
     TabulatedSize,
     TabulatedType,
     TypeDistribution,
-    check_assumptions,
     compute_bands,
     compute_kappa,
     config_from_dict,
@@ -41,27 +38,20 @@ from .model import (
     load_config,
     save_config,
 )
-from .routing import (
-    QueueState,
-    chi,
-    chi_derivative,
-    expected_delays,
-    market_rates,
-    mu_gradient,
-    route,
-)
+from .routing import QueueState, chi, chi_derivative, route, solve_workload_star
 from .sim import ConvergenceTable, SimConfig, SimPath, replicate, simulate, sup_distance
 from .stability import (
+    AssumptionReport,
     Equilibrium,
     GlobalStabilityReport,
     LocalStabilityReport,
     SpectrumReport,
+    check_assumptions,
     det_shifted,
     global_stability_experiment,
     jacobian,
     local_stability_experiment,
     solve_equilibrium,
-    solve_workload_star,
     spectrum,
 )
 

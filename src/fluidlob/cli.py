@@ -5,7 +5,6 @@ Exit status: 0 on pass, 1 on validation errors (bad config or parameters,
 with a pointer to the failing schema key), 2 on experiment failure such as
 non-convergence.  All files are written atomically (temp file + rename) and
 floats are formatted to 12 significant digits so reruns are byte-identical.
-The FLUIDLOB_THREADS environment variable caps parallel replication trials.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ import numpy as np
 
 from .errors import AssumptionError, BracketError, ConfigError, IntegrationError, ParameterError
 from .fluid import FluidTrajectory, IntegratorConfig, integrate
-from .model import ModelConfig, check_assumptions, load_config
+from .model import ModelConfig, load_config
 from .sim import ConvergenceTable, SimConfig, SimPath, replicate, simulate
 from .stability import (
+    check_assumptions,
     global_stability_experiment,
     local_stability_experiment,
     solve_equilibrium,
@@ -152,17 +152,6 @@ def _parse_list(text, convert, key: str) -> list:
         ) from None
 
 
-def _threads() -> int:
-    raw = os.environ.get("FLUIDLOB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"FLUIDLOB_THREADS: expected a positive integer, got '{raw}'")
-    return threads
-
-
 def _icfg(cfg: ModelConfig, params: dict) -> IntegratorConfig | None:
     if params.get("dt") is None:
         return None
@@ -176,6 +165,18 @@ def _q0(cfg: ModelConfig, params: dict) -> np.ndarray:
     if len(q0) != cfg.n_exchanges:
         raise ConfigError(f"q0: expected {cfg.n_exchanges} entries, got {len(q0)}")
     return q0
+
+
+def _sim_config(cfg: ModelConfig, params: dict, n: int) -> SimConfig:
+    horizon = float(params["horizon"])
+    return SimConfig(
+        n=n,
+        horizon=horizon,
+        sample_dt=float(params.get("sample_dt", max(horizon / 200, 1e-9))),
+        seed=int(params.get("seed", 0)),
+        q0_scaled=_q0(cfg, params),
+        epsilon=float(params.get("epsilon", 0.0)),
+    )
 
 
 def run(spec: ExperimentSpec) -> int:
@@ -228,14 +229,7 @@ def run(spec: ExperimentSpec) -> int:
         return 0
 
     if spec.command == "simulate":
-        sim = SimConfig(
-            n=int(params["n"]),
-            horizon=float(params["horizon"]),
-            sample_dt=float(params.get("sample_dt", max(float(params["horizon"]) / 200, 1e-9))),
-            seed=int(params.get("seed", 0)),
-            q0_scaled=_q0(cfg, params),
-            epsilon=float(params.get("epsilon", 0.0)),
-        )
+        sim = _sim_config(cfg, params, int(params["n"]))
         path_obj = simulate(cfg, sim)
         path = emit_plotdata(path_obj, outdir / f"sim_{name}_n{sim.n}_seed{sim.seed}.csv")
         print(
@@ -246,15 +240,8 @@ def run(spec: ExperimentSpec) -> int:
 
     if spec.command == "converge":
         n_values = _parse_list(params["n_values"], int, "n")
-        sim = SimConfig(
-            n=n_values[0],
-            horizon=float(params["horizon"]),
-            sample_dt=float(params.get("sample_dt", max(float(params["horizon"]) / 200, 1e-9))),
-            seed=int(params.get("seed", 0)),
-            q0_scaled=_q0(cfg, params),
-            epsilon=float(params.get("epsilon", 0.0)),
-        )
-        table = replicate(cfg, sim, n_values, int(params["reps"]), max_workers=_threads())
+        sim = _sim_config(cfg, params, n_values[0])
+        table = replicate(cfg, sim, n_values, int(params["reps"]))
         path = emit_plotdata(table, outdir / f"converge_{name}.csv")
         medians = [med for (_, med, _) in table.summary]
         decreasing = all(a > b for a, b in zip(medians, medians[1:]))

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, ParameterError, SingularityError, StepInstabilityError
-from .model import ModelConfig, compute_bands, compute_kappa
-from .routing import QueueState, _band_chi
+from .model import ModelConfig, compute_kappa
+from .routing import QueueState, _band_chi, solve_workload_star
 
 __all__ = [
     "IntegratorConfig",
     "FluidTrajectory",
     "fluid_rhs",
     "integrate",
-    "workload_rhs",
 ]
 
 # Accepted full steps may differ from two verification half-steps by at most
@@ -78,10 +77,10 @@ def fluid_rhs(cfg: ModelConfig, state: QueueState) -> np.ndarray:
     """Drift of venue i: b_d_i lam_i + b_o Lambda chi_i(W) - v mu_i(q)."""
     if not state.workload > 0:
         raise ValueError("fluid field is singular at zero workload")
-    return _rhs_batch(cfg, compute_bands(cfg))(state.q[None, :])[0]
+    return _rhs_batch(cfg)(state.q[None, :])[0]
 
 
-def _rhs_batch(cfg: ModelConfig, bands):
+def _rhs_batch(cfg: ModelConfig):
     """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W for
     a (B, N) matrix of states with positive workloads; constants hoisted.
 
@@ -89,7 +88,7 @@ def _rhs_batch(cfg: ModelConfig, bands):
     The field is built in place in the array `_band_chi` returns, in the
     operation order of the expression above.
     """
-    beta, tdist = cfg.beta, cfg.type_dist
+    beta, tdist, bands = cfg.beta, cfg.type_dist, cfg.bands
     # (1, N) rows and 0-d arrays give the same bits as (N,) vectors and
     # Python floats, and numpy dispatches them faster on small batches.
     beta_row = beta[None, :]
@@ -139,11 +138,12 @@ def _integrate_batch(
 
     With on_error="record", per-trajectory failures (floor breach, negative
     undershoot, unstable step) freeze that trajectory at its last good state
-    and are reported in the result instead of raised.
+    and are reported in the result instead of raised; once every trajectory
+    has failed, the frozen states fill the rest of the history.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
-    rhs = _rhs_batch(cfg, compute_bands(cfg))
+    rhs = _rhs_batch(cfg)
     n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     dt = horizon / n_steps
     floor = icfg.workload_floor_factor * np.asarray(kappas, dtype=float)
@@ -253,6 +253,11 @@ def _integrate_batch(
             w_hist[step] = w
             if store_states:
                 q_hist[step] = q
+            if not all_alive and not alive.any():
+                w_hist[step + 1:] = w
+                if store_states:
+                    q_hist[step + 1:] = q
+                break
 
     return _BatchResult(
         times=times,
@@ -265,6 +270,20 @@ def _integrate_batch(
         steps=n_steps,
         max_refine_error=max_refine,
     )
+
+
+def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
+    """`q0` as a float vector and its workload; a ParameterError names `q0:`
+    unless it holds N nonnegative queue lengths with positive workload."""
+    q0 = np.asarray(q0, dtype=float)
+    if q0.shape != (cfg.n_exchanges,):
+        raise ParameterError(f"q0: expected {cfg.n_exchanges} initial queue lengths")
+    if np.any(q0 < 0):
+        raise ParameterError("q0: initial queue lengths must be nonnegative")
+    w0 = float(cfg.beta @ q0)
+    if not w0 > 0:
+        raise ParameterError("q0: initial workload must be positive")
+    return q0, w0
 
 
 def integrate(
@@ -280,20 +299,11 @@ def integrate(
     half-step verification disagrees with an accepted step, and
     IntegrationError on negative component undershoot beyond roundoff.
     """
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (cfg.n_exchanges,):
-        raise ParameterError(f"q0: expected {cfg.n_exchanges} initial queue lengths")
-    if np.any(q0 < 0):
-        raise ParameterError("q0: initial queue lengths must be nonnegative")
-    w0 = float(cfg.beta @ q0)
-    if not w0 > 0:
-        raise ParameterError("q0: initial workload must be positive")
-    if not horizon > 0:
-        raise ParameterError("horizon: must be positive")
+    q0, w0 = _initial_state(cfg, q0)
+    if not 0 < horizon < math.inf:
+        raise ParameterError("horizon: must be positive and finite")
     if icfg is None:
         icfg = default_integrator_config(cfg)
-
-    from .stability import solve_workload_star
 
     kappa = compute_kappa(cfg, w0, solve_workload_star(cfg))
     res = _integrate_batch(
@@ -309,21 +319,3 @@ def integrate(
         max_refine_error=res.max_refine_error,
     )
 
-
-def workload_rhs(cfg: ModelConfig, w: float) -> float:
-    """Total-mass drift sum_i b_d_i lam_i + b_o Lambda (1 - chi_0(w)) - v mu.
-
-    Only valid as a closed scalar field when all beta weights are equal (then
-    the workload is proportional to the total mass and the venue composition
-    drops out).
-    """
-    if np.any(cfg.beta != cfg.beta[0]):
-        raise ValueError("workload_rhs requires equal beta weights")
-    if not w > 0:
-        raise ValueError("w must be positive")
-    venues = _band_chi(compute_bands(cfg), cfg.type_dist, w)
-    return float(
-        cfg.b_dedicated @ cfg.lam
-        + cfg.b_optimized * cfg.big_lambda * float(venues.sum())
-        - cfg.v * cfg.mu
-    )

@@ -1,12 +1,14 @@
 """Model primitives: parameters, investor-type and order-size distributions,
-routing bands, and checks of the standing assumptions.
+and the routing bands.
 
-All types are immutable after construction (arrays are marked read-only), so
-they can be shared freely across concurrent tasks.
+All types are immutable after construction (arrays are marked read-only).  A
+ModelConfig computes its routing bands on first use of `bands` and keeps
+them, so the bands are derived, and an empty band reported, once per config.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .errors import AssumptionError, BracketError, ConfigError
+from .errors import ConfigError
 
 __all__ = [
     "TypeDistribution",
@@ -28,10 +30,8 @@ __all__ = [
     "TabulatedSize",
     "ModelConfig",
     "RoutingBands",
-    "AssumptionReport",
     "compute_bands",
     "compute_kappa",
-    "check_assumptions",
     "config_from_dict",
     "config_to_dict",
     "load_config",
@@ -381,6 +381,14 @@ class ModelConfig:
         if abs(self.optimized_size.mean - self.b_optimized) > 1e-9 * max(1.0, self.b_optimized):
             raise ConfigError("size_dists.optimized: mean does not match b_optimized")
 
+    @functools.cached_property
+    def bands(self) -> RoutingBands:
+        """The routing bands of this config, computed on first use and kept.
+
+        `dataclasses.replace` builds a new config, which computes its own.
+        """
+        return compute_bands(self)
+
 
 # ---------------------------------------------------------------------------
 # Routing bands and derived constants
@@ -426,7 +434,8 @@ def compute_bands(cfg: ModelConfig) -> RoutingBands:
     The lower edge pits venue i against the immediate-execution option and all
     venues with smaller rebates; the upper edge against all venues with larger
     rebates (empty set giving +inf).  Raw upper edges below zero are clamped to
-    0; the band is empty either way.
+    0; the band is empty either way.  Every call warns about empty bands;
+    `ModelConfig.bands` calls this once per config.
     """
     n = cfg.n_exchanges
     inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
@@ -465,110 +474,6 @@ def compute_kappa(cfg: ModelConfig, w0: float, w_star: float) -> float:
     if not w_star > 0:
         raise ValueError("w_star must be positive")
     return float(cfg.beta.min() / cfg.beta.max() * min(w0, w_star))
-
-
-# ---------------------------------------------------------------------------
-# Assumption checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Outcome of the standing-assumption checks for one configuration.
-
-    `cond_i_holds` reports whether gamma * f(gamma) decreases strictly on the
-    geometric grid recorded in `gamma_f_grid` (lo, hi, points); it is None when
-    the equilibrium workload could not be solved.  `cond_ii_sides` holds the
-    three terms of the throughput inequality lhs < v*mu < rhs.  Condition (iii)
-    concerns how simulations are initialised and is enforced by construction.
-    """
-
-    cond_i_holds: bool | None
-    gamma_f_grid: tuple[float, float, int] | None
-    cond_ii_holds: bool
-    cond_ii_sides: tuple[float, float, float]
-    cond_iii_note: str
-    cond_iv_holds: bool
-    empty_band_exchanges: tuple[int, ...]
-    kappa: float | None
-    complete: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "cond_i_holds": self.cond_i_holds,
-            "gamma_f_grid": list(self.gamma_f_grid) if self.gamma_f_grid else None,
-            "cond_ii_holds": self.cond_ii_holds,
-            "cond_ii_sides": list(self.cond_ii_sides),
-            "cond_iii_note": self.cond_iii_note,
-            "cond_iv_holds": self.cond_iv_holds,
-            "empty_band_exchanges": list(self.empty_band_exchanges),
-            "kappa": self.kappa,
-            "complete": self.complete,
-        }
-
-
-def check_assumptions(
-    cfg: ModelConfig,
-    q0,
-    *,
-    grid_points: int = 1000,
-    grid_span: float = 1e4,
-) -> AssumptionReport:
-    """Evaluate the standing assumptions for `cfg` started from queue vector `q0`.
-
-    The tail-monotonicity condition (i) is checked numerically on a geometric
-    grid of at least 1000 points spanning [a_min*kappa, a_min*kappa*grid_span];
-    the throughput condition (ii) is checked exactly; (iv) via the routing
-    bands.  kappa combines the initial workload with the solved equilibrium
-    workload; if that solve fails the report is marked incomplete.
-    """
-    q0 = np.asarray(q0, dtype=float)
-    w0 = float(cfg.beta @ q0)
-    if not w0 > 0:
-        raise ValueError("q0 must have positive workload")
-    bands = compute_bands(cfg)
-
-    lam_eff = float(cfg.b_dedicated @ cfg.lam)
-    v_mu = cfg.v * cfg.mu
-    rhs = lam_eff + cfg.b_optimized * cfg.big_lambda
-    cond_ii = lam_eff < v_mu < rhs
-
-    empty = tuple(int(i) for i in np.flatnonzero(bands.empty_band))
-    cond_iv = len(empty) == 0
-
-    from .stability import solve_workload_star
-
-    kappa = None
-    cond_i = None
-    grid_info = None
-    complete = True
-    try:
-        w_star = solve_workload_star(cfg)
-    except (AssumptionError, BracketError):
-        complete = False
-    else:
-        kappa = compute_kappa(cfg, w0, w_star)
-        lo = bands.a_min_global * kappa
-        hi = lo * grid_span
-        pts = max(int(grid_points), 1000)
-        grid = np.geomspace(lo, hi, pts)
-        gf = grid * np.asarray(cfg.type_dist.pdf(grid), dtype=float)
-        # Strict decrease between consecutive points, allowing the far tail to
-        # sit at exactly 0 once gamma*f(gamma) underflows.
-        diffs = np.diff(gf)
-        cond_i = bool(np.all((diffs < 0) | ((gf[:-1] == 0.0) & (gf[1:] == 0.0))))
-        grid_info = (lo, hi, pts)
-
-    return AssumptionReport(
-        cond_i_holds=cond_i,
-        gamma_f_grid=grid_info,
-        cond_ii_holds=cond_ii,
-        cond_ii_sides=(lam_eff, v_mu, rhs),
-        cond_iii_note="initial queue lengths are set to round(n * q0_scaled) by the simulator",
-        cond_iv_holds=cond_iv,
-        empty_band_exchanges=empty,
-        kappa=kappa,
-        complete=complete,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,27 @@
-"""Pure functions of the queue state: market-order splitting rates, expected
-delays, the routing argmax, routing fractions and their derivative.
+"""Pure functions of the queue state and the workload: the routing argmax,
+the routing fractions chi and their derivative, and the stationary workload
+(the root of the stationarity gap built from chi).
 
-Everything here is stateless and safe for unrestricted concurrent use.
+Everything here is stateless.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, RoutingBands, TypeDistribution, compute_bands
+from .errors import AssumptionError, BracketError
+from .model import ModelConfig, RoutingBands, TypeDistribution
 
 __all__ = [
     "QueueState",
-    "market_rates",
-    "expected_delays",
     "route",
     "chi",
     "chi_derivative",
-    "mu_gradient",
+    "workload_roots",
+    "solve_workload_star",
 ]
 
 
@@ -40,33 +42,6 @@ class QueueState:
         q = q.copy()
         q.setflags(write=False)
         return cls(q=q, workload=float(cfg.beta @ q))
-
-
-def market_rates(cfg: ModelConfig, state: QueueState, epsilon: float = 0.0) -> np.ndarray:
-    """Per-venue market-order rates mu * beta_i q_i / (beta . q).
-
-    With epsilon > 0 the denominator is clipped from below at epsilon; with
-    epsilon = 0 an all-empty state yields the zero vector (service suspended).
-    Components sum to mu whenever the denominator is not clipped.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    num = cfg.mu * cfg.beta * state.q
-    if epsilon > 0:
-        return num / max(state.workload, epsilon)
-    if state.workload <= 0:
-        return np.zeros(cfg.n_exchanges)
-    return num / state.workload
-
-
-def expected_delays(cfg: ModelConfig, state: QueueState) -> np.ndarray:
-    """Expected delay per venue: W / (mu beta_i v) for nonempty queues, else 0.
-
-    The immediate-execution option (index 0) always has zero delay and is
-    handled by the caller.
-    """
-    base = state.workload / (cfg.mu * cfg.beta * cfg.v)
-    return np.where(state.q > 0, base, 0.0)
 
 
 def _router(cfg: ModelConfig):
@@ -147,7 +122,7 @@ def chi(cfg: ModelConfig, w: float, epsilon: float = 0.0) -> np.ndarray:
         if not w > 0:
             raise ValueError("chi is undefined at zero workload without truncation")
         w_eff = w
-    venues = _band_chi(compute_bands(cfg), cfg.type_dist, w_eff)
+    venues = _band_chi(cfg.bands, cfg.type_dist, w_eff)
     chi0 = min(max(1.0 - float(venues.sum()), 0.0), 1.0)
     return np.concatenate(([chi0], venues))
 
@@ -160,7 +135,7 @@ def chi_derivative(cfg: ModelConfig, w: float) -> np.ndarray:
     """
     if not w > 0:
         raise ValueError("w must be positive")
-    bands = compute_bands(cfg)
+    bands = cfg.bands
     f = cfg.type_dist.pdf
     lo = bands.a_minus * np.asarray(f(w * bands.a_minus), dtype=float)
     ap = bands.edges[cfg.n_exchanges:]
@@ -170,11 +145,85 @@ def chi_derivative(cfg: ModelConfig, w: float) -> np.ndarray:
     return out
 
 
-def mu_gradient(cfg: ModelConfig, state: QueueState) -> np.ndarray:
-    """Jacobian of the market-rate map: row i is mu beta_i [W e_i - q_i beta] / W^2."""
-    w = state.workload
-    if not w > 0:
-        raise ValueError("gradient is undefined at zero workload")
-    grad = -np.outer(cfg.beta * state.q, cfg.beta) * (cfg.mu / w**2)
-    grad[np.diag_indices_from(grad)] += cfg.mu * cfg.beta / w
-    return grad
+def _stationarity_gap(cfg: ModelConfig, w):
+    """Inflow minus service at workload w; the equilibrium workload is its root.
+
+    `w` may be a scalar (returns a float) or a 1-d array of workloads (returns
+    one gap per workload, bit-identical to the scalar values).
+    """
+    total_chi = _band_chi(cfg.bands, cfg.type_dist, w).sum(axis=-1)
+    gap = (
+        cfg.b_dedicated @ cfg.lam
+        + cfg.b_optimized * cfg.big_lambda * total_chi
+        - cfg.v * cfg.mu
+    )
+    return float(gap) if np.ndim(w) == 0 else gap
+
+
+def _require_throughput(cfg: ModelConfig) -> None:
+    lam_eff = float(cfg.b_dedicated @ cfg.lam)
+    v_mu = cfg.v * cfg.mu
+    if not lam_eff < v_mu:
+        raise AssumptionError(
+            f"dedicated inflow {lam_eff} must stay below service capacity {v_mu}"
+        )
+    if not v_mu < lam_eff + cfg.b_optimized * cfg.big_lambda:
+        raise AssumptionError(
+            "service capacity must stay below the total inflow "
+            f"{lam_eff + cfg.b_optimized * cfg.big_lambda}"
+        )
+
+
+def workload_roots(cfg: ModelConfig) -> list[float]:
+    """All roots of the stationarity gap found by geometric scan plus bisection.
+
+    Scans [1e-6, 1e6] * (v mu / Lambda); each sign change is bisected to
+    relative width 1e-13.  Raises BracketError when no sign change exists and
+    warns when more than one root is found (multiplicity is surfaced, never
+    silently resolved).
+    """
+    _require_throughput(cfg)
+    anchor = cfg.v * cfg.mu / cfg.big_lambda
+    grid = np.geomspace(1e-6 * anchor, 1e6 * anchor, 301)
+    vals = _stationarity_gap(cfg, grid).tolist()
+
+    roots: list[float] = []
+    for k in range(len(grid) - 1):
+        lo, hi = grid[k], grid[k + 1]
+        flo, fhi = vals[k], vals[k + 1]
+        if flo == 0.0:
+            if not roots or abs(roots[-1] - lo) > 1e-12 * lo:
+                roots.append(float(lo))
+            continue
+        if flo * fhi < 0:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if hi - lo <= 1e-13 * mid:
+                    break
+                fm = _stationarity_gap(cfg, mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    if not roots:
+        raise BracketError(
+            "no sign change of the stationarity gap on the scan grid; "
+            "the configuration violates the existence conditions"
+        )
+    if len(roots) > 1:
+        warnings.warn(
+            f"multiple stationary workload roots found: {roots}; returning the smallest",
+            stacklevel=2,
+        )
+    return roots
+
+
+def solve_workload_star(cfg: ModelConfig) -> float:
+    """Equilibrium workload (the smallest root when several exist)."""
+    return min(workload_roots(cfg))

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,14 +105,14 @@ class SimConfig:
         if int(self.n) != self.n or self.n < 1:
             raise ParameterError("n: must be a positive integer")
         object.__setattr__(self, "n", int(self.n))
-        if self.horizon < 0:
-            raise ParameterError("horizon: must be nonnegative")
+        if not 0 <= self.horizon < math.inf:
+            raise ParameterError("horizon: must be nonnegative and finite")
         if not self.sample_dt > 0:
             raise ParameterError("sample_dt: must be positive")
         if self.horizon > 0 and self.sample_dt > self.horizon + 1e-12:
             raise ParameterError("sample_dt: must not exceed the horizon")
-        if self.epsilon < 0:
-            raise ParameterError("epsilon: must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ParameterError("epsilon: must be nonnegative and finite")
         q0 = np.array(self.q0_scaled, dtype=float)
         if np.any(q0 < 0):
             raise ParameterError("q0_scaled: entries must be nonnegative")
@@ -356,7 +355,6 @@ def replicate(
     reps: int,
     *,
     icfg: IntegratorConfig | None = None,
-    max_workers: int = 1,
 ) -> ConvergenceTable:
     """Run `reps` seeded replications per scaling level and compare each to the
     fluid limit (integrated once).
@@ -371,16 +369,11 @@ def replicate(
         raise ParameterError("n: scaling levels must be positive integers")
     traj = integrate(cfg, sim_template.q0_scaled, sim_template.horizon, icfg)
 
-    def one(n: int, rep: int) -> tuple[int, int, float]:
-        run = replace(sim_template, n=n, seed=sim_template.seed + rep)
-        return n, rep, sup_distance(simulate(cfg, run), traj)
-
-    jobs = [(n, r) for n in n_values for r in range(reps)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda a: one(*a), jobs))
-    else:
-        rows = [one(*job) for job in jobs]
+    rows = []
+    for n in n_values:
+        for rep in range(reps):
+            run = replace(sim_template, n=n, seed=sim_template.seed + rep)
+            rows.append((n, rep, sup_distance(simulate(cfg, run), traj)))
 
     summary = []
     for n in n_values:

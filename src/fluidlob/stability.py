@@ -1,10 +1,10 @@
-"""Stationary equilibrium, Jacobian spectrum, and trajectory-based stability
-experiments.
+"""Checks of the standing assumptions, stationary equilibrium, Jacobian
+spectrum, and trajectory-based stability experiments.
 
-The equilibrium reduces to a scalar root problem in the workload W: total
-limit-order inflow matches total service exactly when
-sum_i b_d_i lam_i + b_o Lambda sum_i chi_i(W) = v mu.  The venue composition
-then follows from the per-venue balance.  Local stability is certified by the
+The equilibrium reduces to a scalar root problem in the workload W (solved
+in `routing.workload_roots`): total limit-order inflow matches total service
+exactly when sum_i b_d_i lam_i + b_o Lambda sum_i chi_i(W) = v mu.  The venue
+composition then follows from the per-venue balance.  Local stability is certified by the
 eigenvalues of the drift Jacobian, cross-checked against a closed-form
 determinant built from its rank-1-plus-diagonal structure.
 """
@@ -12,24 +12,24 @@ determinant built from its rank-1-plus-diagonal structure.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionError, BracketError, ParameterError
-from .fluid import IntegratorConfig, _integrate_batch, fluid_rhs
-from .model import ModelConfig, compute_bands, compute_kappa
-from .routing import QueueState, _band_chi, chi, chi_derivative
+from .fluid import IntegratorConfig, _initial_state, _integrate_batch, fluid_rhs
+from .model import ModelConfig, compute_kappa
+from .routing import QueueState, chi, chi_derivative, solve_workload_star, workload_roots
 
 __all__ = [
+    "AssumptionReport",
     "Equilibrium",
     "SpectrumReport",
     "LocalTrial",
     "LocalStabilityReport",
     "GlobalTrial",
     "GlobalStabilityReport",
-    "solve_workload_star",
+    "check_assumptions",
     "solve_equilibrium",
     "jacobian",
     "det_shifted",
@@ -40,6 +40,106 @@ __all__ = [
 
 # Verdict thresholds on the largest eigenvalue real part.
 STABILITY_TOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Assumption checks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """Outcome of the standing-assumption checks for one configuration.
+
+    `cond_i_holds` reports whether gamma * f(gamma) decreases strictly on the
+    geometric grid recorded in `gamma_f_grid` (lo, hi, points); it is None when
+    the equilibrium workload could not be solved.  `cond_ii_sides` holds the
+    three terms of the throughput inequality lhs < v*mu < rhs.  Condition (iii)
+    concerns how simulations are initialised and is enforced by construction.
+    """
+
+    cond_i_holds: bool | None
+    gamma_f_grid: tuple[float, float, int] | None
+    cond_ii_holds: bool
+    cond_ii_sides: tuple[float, float, float]
+    cond_iii_note: str
+    cond_iv_holds: bool
+    empty_band_exchanges: tuple[int, ...]
+    kappa: float | None
+    complete: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "cond_i_holds": self.cond_i_holds,
+            "gamma_f_grid": list(self.gamma_f_grid) if self.gamma_f_grid else None,
+            "cond_ii_holds": self.cond_ii_holds,
+            "cond_ii_sides": list(self.cond_ii_sides),
+            "cond_iii_note": self.cond_iii_note,
+            "cond_iv_holds": self.cond_iv_holds,
+            "empty_band_exchanges": list(self.empty_band_exchanges),
+            "kappa": self.kappa,
+            "complete": self.complete,
+        }
+
+
+def check_assumptions(
+    cfg: ModelConfig,
+    q0,
+    *,
+    grid_points: int = 1000,
+    grid_span: float = 1e4,
+) -> AssumptionReport:
+    """Evaluate the standing assumptions for `cfg` started from queue vector `q0`.
+
+    The tail-monotonicity condition (i) is checked numerically on a geometric
+    grid of at least 1000 points spanning [a_min*kappa, a_min*kappa*grid_span];
+    the throughput condition (ii) is checked exactly; (iv) via the routing
+    bands.  kappa combines the initial workload with the solved equilibrium
+    workload; if that solve fails the report is marked incomplete.  `q0` is
+    validated as `fluid.integrate` validates it.
+    """
+    _, w0 = _initial_state(cfg, q0)
+    bands = cfg.bands
+
+    lam_eff = float(cfg.b_dedicated @ cfg.lam)
+    v_mu = cfg.v * cfg.mu
+    rhs = lam_eff + cfg.b_optimized * cfg.big_lambda
+    cond_ii = lam_eff < v_mu < rhs
+
+    empty = tuple(int(i) for i in np.flatnonzero(bands.empty_band))
+    cond_iv = len(empty) == 0
+
+    kappa = None
+    cond_i = None
+    grid_info = None
+    complete = True
+    try:
+        w_star = solve_workload_star(cfg)
+    except (AssumptionError, BracketError):
+        complete = False
+    else:
+        kappa = compute_kappa(cfg, w0, w_star)
+        lo = bands.a_min_global * kappa
+        hi = lo * grid_span
+        pts = max(int(grid_points), 1000)
+        grid = np.geomspace(lo, hi, pts)
+        gf = grid * np.asarray(cfg.type_dist.pdf(grid), dtype=float)
+        # Strict decrease between consecutive points, allowing the far tail to
+        # sit at exactly 0 once gamma*f(gamma) underflows.
+        diffs = np.diff(gf)
+        cond_i = bool(np.all((diffs < 0) | ((gf[:-1] == 0.0) & (gf[1:] == 0.0))))
+        grid_info = (lo, hi, pts)
+
+    return AssumptionReport(
+        cond_i_holds=cond_i,
+        gamma_f_grid=grid_info,
+        cond_ii_holds=cond_ii,
+        cond_ii_sides=(lam_eff, v_mu, rhs),
+        cond_iii_note="initial queue lengths are set to round(n * q0_scaled) by the simulator",
+        cond_iv_holds=cond_iv,
+        empty_band_exchanges=empty,
+        kappa=kappa,
+        complete=complete,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -64,91 +164,6 @@ class Equilibrium:
             "all_roots": list(self.all_roots),
             "unique": self.unique,
         }
-
-
-def _stationarity_gap(cfg: ModelConfig, bands, w):
-    """Inflow minus service at workload w; the equilibrium workload is its root.
-
-    `w` may be a scalar (returns a float) or a 1-d array of workloads (returns
-    one gap per workload, bit-identical to the scalar values).
-    """
-    total_chi = _band_chi(bands, cfg.type_dist, w).sum(axis=-1)
-    gap = (
-        cfg.b_dedicated @ cfg.lam
-        + cfg.b_optimized * cfg.big_lambda * total_chi
-        - cfg.v * cfg.mu
-    )
-    return float(gap) if np.ndim(w) == 0 else gap
-
-
-def _require_throughput(cfg: ModelConfig) -> None:
-    lam_eff = float(cfg.b_dedicated @ cfg.lam)
-    v_mu = cfg.v * cfg.mu
-    if not lam_eff < v_mu:
-        raise AssumptionError(
-            f"dedicated inflow {lam_eff} must stay below service capacity {v_mu}"
-        )
-    if not v_mu < lam_eff + cfg.b_optimized * cfg.big_lambda:
-        raise AssumptionError(
-            "service capacity must stay below the total inflow "
-            f"{lam_eff + cfg.b_optimized * cfg.big_lambda}"
-        )
-
-
-def workload_roots(cfg: ModelConfig) -> list[float]:
-    """All roots of the stationarity gap found by geometric scan plus bisection.
-
-    Scans [1e-6, 1e6] * (v mu / Lambda); each sign change is bisected to
-    relative width 1e-13.  Raises BracketError when no sign change exists and
-    warns when more than one root is found (multiplicity is surfaced, never
-    silently resolved).
-    """
-    _require_throughput(cfg)
-    bands = compute_bands(cfg)
-    anchor = cfg.v * cfg.mu / cfg.big_lambda
-    grid = np.geomspace(1e-6 * anchor, 1e6 * anchor, 301)
-    vals = _stationarity_gap(cfg, bands, grid).tolist()
-
-    roots: list[float] = []
-    for k in range(len(grid) - 1):
-        lo, hi = grid[k], grid[k + 1]
-        flo, fhi = vals[k], vals[k + 1]
-        if flo == 0.0:
-            if not roots or abs(roots[-1] - lo) > 1e-12 * lo:
-                roots.append(float(lo))
-            continue
-        if flo * fhi < 0:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if hi - lo <= 1e-13 * mid:
-                    break
-                fm = _stationarity_gap(cfg, bands, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
-        raise BracketError(
-            "no sign change of the stationarity gap on the scan grid; "
-            "the configuration violates the existence conditions"
-        )
-    if len(roots) > 1:
-        warnings.warn(
-            f"multiple stationary workload roots found: {roots}; returning the smallest",
-            stacklevel=2,
-        )
-    return roots
-
-
-def solve_workload_star(cfg: ModelConfig) -> float:
-    """Equilibrium workload (the smallest root when several exist)."""
-    return min(workload_roots(cfg))
 
 
 def solve_equilibrium(cfg: ModelConfig) -> Equilibrium:
@@ -399,12 +414,12 @@ def local_stability_experiment(
     itemized in the report, not raised.
     """
     deltas = [float(d) for d in deltas]
-    if any(d < 0 for d in deltas):
-        raise ParameterError("deltas: must be nonnegative")
+    if not all(0 <= d < math.inf for d in deltas):
+        raise ParameterError("deltas: must be nonnegative and finite")
     if directions < 1:
         raise ParameterError("directions: must be at least 1")
-    if not horizon > 0:
-        raise ParameterError("horizon: must be positive")
+    if not 0 < horizon < math.inf:
+        raise ParameterError("horizon: must be positive and finite")
     if icfg is None:
         icfg = _experiment_icfg(cfg)
     gen = np.random.default_rng(seed)
@@ -521,10 +536,10 @@ def global_stability_experiment(
         raise ParameterError("beta: the global stability experiment requires equal beta weights")
     if n_inits < 1:
         raise ParameterError("n_inits: must be at least 1")
-    if not box > 0:
-        raise ParameterError("box: must be positive")
-    if not horizon > 0:
-        raise ParameterError("horizon: must be positive")
+    if not 0 < box < math.inf:
+        raise ParameterError("box: must be positive and finite")
+    if not 0 < horizon < math.inf:
+        raise ParameterError("horizon: must be positive and finite")
     if icfg is None:
         icfg = _experiment_icfg(cfg)
     eq = solve_equilibrium(cfg)

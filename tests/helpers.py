@@ -19,7 +19,6 @@ from fluidlob import (
     chi_derivative,
     compute_bands,
     config_from_dict,
-    expected_delays,
     fluid_rhs,
     jacobian,
     solve_workload_star,
@@ -106,7 +105,7 @@ def band_route(cfg: ModelConfig, gamma: float, w: float) -> int:
 def numpy_route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
     """The routing argmax on numpy arrays, as `route` computed it before the
     plain-float rule: payoff vector, exact ties to the highest rebate."""
-    delays = expected_delays(cfg, state)
+    delays = np.where(state.q > 0, state.workload / (cfg.mu * cfg.beta * cfg.v), 0.0)
     payoffs = np.concatenate(([gamma * cfg.rebate0], gamma * cfg.rebates - delays))
     ties = np.flatnonzero(payoffs == payoffs.max())
     all_rebates = np.concatenate(([cfg.rebate0], cfg.rebates))

@@ -238,19 +238,23 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["converge", REF1, "--n", "20,x", "--reps", "1", "--T", "1"], "n"),
         (["stability-local", REF1, "--deltas", "a", "--T", "1"], "deltas"),
         (["fluid", REF1, "--q0", "1,x", "--T", "1"], "q0"),
+        (["fluid", REF1, "--T", "inf"], "horizon"),
+        (["simulate", REF1, "--n", "10", "--T", "inf"], "horizon"),
+        (["converge", REF1, "--n", "10", "--reps", "1", "--T", "inf"], "horizon"),
+        (["stability-local", REF1, "--deltas", "0.1", "--T", "inf"], "horizon"),
+        (["stability-global", REF2, "--T", "inf", "--inits", "1"], "horizon"),
+        (["stability-global", REF2, "--T", "1", "--inits", "1", "--box", "inf"], "box"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--epsilon", "nan"], "epsilon"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--epsilon", "inf"], "epsilon"),
+        (["stability-local", REF1, "--deltas", "nan", "--T", "1"], "deltas"),
+        (["stability-local", REF1, "--deltas", "inf", "--T", "1"], "deltas"),
+        (["check", REF1, "--q0=-1,3"], "q0"),
+        (["check", REF1, "--q0", "0,0"], "q0"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):
     assert main(argv + ["-o", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {named}:")
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_invalid_threads_variable_is_validation_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("FLUIDLOB_THREADS", value)
-    argv = ["converge", REF1, "--n", "10", "--reps", "1", "--T", "1", "-o", str(tmp_path)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: FLUIDLOB_THREADS:")
 
 
 def test_cached_parser_carries_no_state_between_commands(tmp_path):

@@ -12,10 +12,10 @@ from fluidlob import (
     fluid_rhs,
     integrate,
     solve_equilibrium,
-    workload_rhs,
 )
-from fluidlob import compute_bands, compute_kappa, solve_workload_star
+from fluidlob import compute_kappa, solve_workload_star
 from fluidlob.fluid import _integrate_batch, _rhs_batch, default_integrator_config
+from fluidlob.routing import _stationarity_gap
 
 from helpers import (
     assert_bitwise,
@@ -120,17 +120,17 @@ def test_step_halving_fourth_order(ref1):
 
 def test_equal_beta_reduction(ref2):
     # For equal beta the workload along the full trajectory matches a scalar
-    # integration of the summed field.
+    # integration of the summed field, the stationarity gap.
     dt = 0.01
     traj = integrate(ref2, [1.0, 0.5, 2.0], 20.0, IntegratorConfig(dt=dt))
     w = float(ref2.beta @ np.array([1.0, 0.5, 2.0]))
     scalar = [w]
     beta1 = float(ref2.beta[0])
     for _ in range(traj.steps):
-        k1 = beta1 * workload_rhs(ref2, w)
-        k2 = beta1 * workload_rhs(ref2, w + 0.5 * dt * k1)
-        k3 = beta1 * workload_rhs(ref2, w + 0.5 * dt * k2)
-        k4 = beta1 * workload_rhs(ref2, w + dt * k3)
+        k1 = beta1 * _stationarity_gap(ref2, w)
+        k2 = beta1 * _stationarity_gap(ref2, w + 0.5 * dt * k1)
+        k3 = beta1 * _stationarity_gap(ref2, w + 0.5 * dt * k2)
+        k4 = beta1 * _stationarity_gap(ref2, w + dt * k3)
         w = w + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         scalar.append(w)
     assert np.abs(traj.workload - np.array(scalar)).max() < 1e-8
@@ -166,7 +166,7 @@ def test_workload_floor_abort():
 def test_hoisted_rhs_is_bitwise_the_unhoisted_field(ref1, ref2, rng):
     cfgs = [ref1, ref2] + [random_stable_config(rng, n_max=6) for _ in range(6)]
     for cfg in cfgs:
-        rhs = _rhs_batch(cfg, compute_bands(cfg))
+        rhs = _rhs_batch(cfg)
         for rows in (1, 7):
             q = np.array([random_positive_state(rng, cfg) for _ in range(rows)])
             assert_bitwise(rhs(q), unhoisted_rhs(cfg, q))
@@ -251,24 +251,26 @@ def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
 
 
 @pytest.mark.parametrize(
-    "lam, q0, dt, refine, kappa",
+    "lam, q0, dt, refine, kappas",
     [
-        ([0.0, 0.0], [1.0, 1.0], 0.01, False, 1.0),
-        ([0.0, 0.0], [1.0, 1.0], 0.5, False, 1e-9),
-        ([0.5, 0.0], [0.01, 1.0], 0.5, False, 1e-12),
-        ([0.0, 0.0], [1.0, 1.0], 0.5, True, 1e-12),
+        ([0.0, 0.0], [1.0, 1.0], 0.01, False, [1.0, 1e-12]),
+        ([0.0, 0.0], [1.0, 1.0], 0.5, False, [1e-9, 1e-12]),
+        ([0.5, 0.0], [0.01, 1.0], 0.5, False, [1e-12, 1e-12]),
+        ([0.0, 0.0], [1.0, 1.0], 0.5, True, [1e-12, 1e-12]),
+        ([0.0, 0.0], [1.0, 1.0], 0.01, False, [3.0, 2.0]),
     ],
-    ids=["floor", "nan-state", "negative", "unstable"],
+    ids=["floor", "nan-state", "negative", "unstable", "all-floor"],
 )
-def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, refine, kappa):
+def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, refine, kappas):
     # A draining field (the pure drain of the failure tests below, or one
-    # fed only at venue 1) with a healthy second row: the same error in
-    # "raise" mode, the same record otherwise.  In "nan-state" the first row
-    # reaches W = 0 inside a step; in "negative" it undershoots to a finite
-    # negative queue.
+    # fed only at venue 1) with a second row that stays healthy, except in
+    # "all-floor": the same error in "raise" mode, the same record otherwise.
+    # In "nan-state" the first row reaches W = 0 inside a step; in "negative"
+    # it undershoots to a finite negative queue.  In "all-floor" the rows
+    # breach their floors at t = 0.5 and t = 1.5 of the horizon 3.
     cfg = make_config(**{"lambda": lam}, big_lambda=0.0, beta=[1.0, 1.0])
     icfg = IntegratorConfig(dt=dt, refine_check=refine)
-    q0s, kappas = np.array([q0, [2.0, 0.5]]), np.array([kappa, 1e-12])
+    q0s, kappas = np.array([q0, [2.0, 0.5]]), np.array(kappas)
     with pytest.raises(IntegrationError) as want:
         oracle_integrate_batch(cfg, q0s, 3.0, icfg, kappas)
     with pytest.raises(want.type, match=f"^{want.value}$"):
@@ -312,18 +314,18 @@ def test_step_instability_detected():
 
 
 # ---------------------------------------------------------------------------
-# workload_rhs
+# Workload drift for equal beta: the stationarity gap
 # ---------------------------------------------------------------------------
 
 def test_workload_rhs_root_at_w_star(ref2):
     w_star = 4 * math.log(2.5)
-    assert workload_rhs(ref2, w_star) == pytest.approx(0.0, abs=1e-12)
+    assert _stationarity_gap(ref2, w_star) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_workload_rhs_signs(ref2):
     w_star = 4 * math.log(2.5)
-    assert workload_rhs(ref2, 0.5 * w_star) > 0
-    assert workload_rhs(ref2, 2.0 * w_star) < 0
+    assert _stationarity_gap(ref2, 0.5 * w_star) > 0
+    assert _stationarity_gap(ref2, 2.0 * w_star) < 0
 
 
 def test_workload_rhs_degenerate_lambda0(ref2):
@@ -335,10 +337,5 @@ def test_workload_rhs_degenerate_lambda0(ref2):
         rebates=[1.0, 2.0, 3.0],
         b_dedicated=[1.0, 1.0, 1.0],
     )
-    values = [workload_rhs(cfg, w) for w in (0.5, 2.0, 9.0)]
+    values = [_stationarity_gap(cfg, w) for w in (0.5, 2.0, 9.0)]
     assert values == pytest.approx([-0.4, -0.4, -0.4])
-
-
-def test_workload_rhs_rejects_unequal_beta(ref1):
-    with pytest.raises(ValueError):
-        workload_rhs(ref1, 1.0)

@@ -19,8 +19,11 @@ from fluidlob import (
     compute_kappa,
     config_from_dict,
     config_to_dict,
+    global_stability_experiment,
     load_config,
     save_config,
+    solve_equilibrium,
+    spectrum,
 )
 
 from helpers import FIXTURES, brute_force_route, make_config, random_valid_config
@@ -94,6 +97,16 @@ def test_a_minus_positive_for_random_configs(rng):
 def test_empty_band_warns(ref2):
     with pytest.warns(UserWarning, match="empty routing bands"):
         compute_bands(ref2)
+
+
+def test_empty_band_warns_once_per_config():
+    # A fresh config: the session fixture may already hold its bands.
+    cfg = load_config(FIXTURES / "ref2.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        global_stability_experiment(cfg, n_inits=2, box=5.0, horizon=1.0, seed=0)
+        spectrum(cfg, solve_equilibrium(cfg).q_star)
+    assert sum("empty routing bands" in str(w.message) for w in caught) == 1
 
 
 def test_empty_band_gets_no_flow(ref2):

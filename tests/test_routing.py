@@ -9,9 +9,6 @@ from fluidlob import (
     chi_derivative,
     compute_bands,
     compute_kappa,
-    expected_delays,
-    market_rates,
-    mu_gradient,
     route,
     solve_workload_star,
 )
@@ -27,56 +24,6 @@ from helpers import (
     random_valid_config,
     two_cdf_band_chi,
 )
-
-
-# ---------------------------------------------------------------------------
-# market_rates
-# ---------------------------------------------------------------------------
-
-def test_market_rates_symmetric():
-    cfg = make_config(beta=[1.0, 1.0], mu=2.0)
-    rates = market_rates(cfg, QueueState.of(cfg, [1.0, 1.0]))
-    assert rates == pytest.approx([1.0, 1.0])
-
-
-def test_market_rates_ref1(ref1):
-    rates = market_rates(ref1, QueueState.of(ref1, [1.0, 1.0]))
-    assert rates == pytest.approx([2 / 3, 1 / 3])
-
-
-def test_market_rates_truncated():
-    cfg = make_config(beta=[1.0, 1.0])
-    rates = market_rates(cfg, QueueState.of(cfg, [0.1, 0.1]), epsilon=1.0)
-    assert rates == pytest.approx([0.1, 0.1])
-
-
-def test_market_rates_zero_state(ref1):
-    assert np.array_equal(market_rates(ref1, QueueState.of(ref1, [0.0, 0.0])), [0.0, 0.0])
-
-
-def test_market_rates_conserve_mu(ref1, rng):
-    for cfg in [ref1] + [random_valid_config(rng) for _ in range(20)]:
-        q = rng.uniform(0.01, 5, cfg.n_exchanges)
-        total = market_rates(cfg, QueueState.of(cfg, q)).sum()
-        assert total == pytest.approx(cfg.mu, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# expected_delays
-# ---------------------------------------------------------------------------
-
-def test_delays_ref1(ref1):
-    assert expected_delays(ref1, QueueState.of(ref1, [1.0, 1.0])) == pytest.approx([1.5, 3.0])
-
-
-def test_delays_zero_queue(ref1):
-    delays = expected_delays(ref1, QueueState.of(ref1, [1.0, 0.0]))
-    assert delays[1] == 0.0 and delays[0] > 0
-
-
-def test_delays_equal_beta():
-    cfg = make_config(beta=[1.0, 1.0])
-    assert expected_delays(cfg, QueueState.of(cfg, [2.0, 2.0])) == pytest.approx([4.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,49 +211,6 @@ def test_chi_derivative_matches_finite_differences(ref1, ref2, strict, rng):
 
 
 # ---------------------------------------------------------------------------
-# mu_gradient
-# ---------------------------------------------------------------------------
-
-def test_mu_gradient_symmetric():
-    cfg = make_config(beta=[1.0, 1.0])
-    grad = mu_gradient(cfg, QueueState.of(cfg, [1.0, 1.0]))
-    assert grad == pytest.approx(np.array([[0.25, -0.25], [-0.25, 0.25]]))
-
-
-def test_mu_gradient_single_exchange():
-    cfg = make_config(
-        n_exchanges=1, beta=[1.0], **{"lambda": [0.3]}, rebates=[1.0], b_dedicated=[1.0]
-    )
-    grad = mu_gradient(cfg, QueueState.of(cfg, [2.0]))
-    assert np.abs(grad).max() < 1e-15
-
-
-def test_mu_gradient_rate_conservation(ref1, rng):
-    # The rates sum to mu identically, so the gradient rows sum to zero.
-    for cfg in [ref1] + [random_valid_config(rng) for _ in range(10)]:
-        q = rng.uniform(0.2, 3.0, cfg.n_exchanges)
-        grad = mu_gradient(cfg, QueueState.of(cfg, q))
-        assert grad.sum(axis=0) == pytest.approx(np.zeros(cfg.n_exchanges), abs=1e-12)
-
-
-def test_mu_gradient_matches_finite_differences(ref1, rng):
-    for cfg in [ref1] + [random_valid_config(rng) for _ in range(10)]:
-        q = rng.uniform(0.2, 3.0, cfg.n_exchanges)
-        grad = mu_gradient(cfg, QueueState.of(cfg, q))
-        fd = np.empty_like(grad)
-        for j in range(cfg.n_exchanges):
-            h = 1e-6 * max(1.0, q[j])
-            hi, lo = q.copy(), q.copy()
-            hi[j] += h
-            lo[j] -= h
-            fd[:, j] = (
-                market_rates(cfg, QueueState.of(cfg, hi)) - market_rates(cfg, QueueState.of(cfg, lo))
-            ) / (2 * h)
-        scale = max(1.0, float(np.abs(grad).max()))
-        assert np.abs(grad - fd).max() / scale < 1e-6
-
-
-# ---------------------------------------------------------------------------
 # Lipschitz witness
 # ---------------------------------------------------------------------------
 
@@ -328,7 +232,9 @@ def test_lipschitz_witness_on_workload_floor(ref1, ref2, rng):
             if gap < 1e-9:
                 continue
             d_chi = float(np.abs(chi(cfg, s1.workload) - chi(cfg, s2.workload)).max())
-            d_mu = float(np.abs(market_rates(cfg, s1) - market_rates(cfg, s2)).max())
+            rates1 = cfg.mu * cfg.beta * s1.q / s1.workload
+            rates2 = cfg.mu * cfg.beta * s2.q / s2.workload
+            d_mu = float(np.abs(rates1 - rates2).max())
             worst_chi = max(worst_chi, d_chi / gap)
             worst_mu = max(worst_mu, d_mu / gap)
         assert worst_chi <= chi_bound

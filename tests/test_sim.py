@@ -176,15 +176,6 @@ def test_replicate_median_decreases(ref1):
     assert len(table.rows) == 12
 
 
-def test_replicate_threaded_matches_serial(ref1):
-    template = _sim(n=25, horizon=2.0, sample_dt=0.1, seed=13)
-    serial = replicate(ref1, template, [25, 50], 3, icfg=IntegratorConfig(dt=0.01))
-    threaded = replicate(
-        ref1, template, [25, 50], 3, icfg=IntegratorConfig(dt=0.01), max_workers=4
-    )
-    assert serial.rows == threaded.rows
-
-
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n=0, horizon=1.0, sample_dt=0.1, seed=1, q0_scaled=Q0)

@@ -8,20 +8,16 @@ from fluidlob import (
     AssumptionError,
     IntegratorConfig,
     chi_derivative,
-    compute_bands,
     det_shifted,
     global_stability_experiment,
     integrate,
     jacobian,
     local_stability_experiment,
-    market_rates,
-    QueueState,
     solve_equilibrium,
     spectrum,
-    workload_rhs,
 )
 
-from fluidlob.stability import _stationarity_gap, workload_roots
+from fluidlob.routing import _stationarity_gap, workload_roots
 
 from helpers import (
     fd_jacobian,
@@ -59,7 +55,7 @@ def test_equilibrium_ref2(ref2):
 def test_equilibrium_balance_identity(ref1):
     # At the stationary point, each venue's service rate matches its inflow.
     eq = solve_equilibrium(ref1)
-    rates = market_rates(ref1, QueueState.of(ref1, eq.q_star))
+    rates = ref1.mu * ref1.beta * eq.q_star / (ref1.beta @ eq.q_star)
     inflow = ref1.b_dedicated * ref1.lam + ref1.b_optimized * ref1.big_lambda * eq.chi_at_star[1:]
     assert rates[0] == pytest.approx(0.55, abs=1e-10)
     assert rates * ref1.v == pytest.approx(inflow, abs=1e-10)
@@ -73,7 +69,7 @@ def test_equilibrium_randomized_balance(rng):
             eq = solve_equilibrium(cfg)
         assert eq.residual < 1e-10
         assert float(cfg.beta @ eq.q_star) == pytest.approx(eq.w_star, abs=1e-10)
-        rates = market_rates(cfg, QueueState.of(cfg, eq.q_star)) * cfg.v
+        rates = cfg.mu * cfg.beta * eq.q_star / (cfg.beta @ eq.q_star) * cfg.v
         inflow = cfg.b_dedicated * cfg.lam + cfg.b_optimized * cfg.big_lambda * eq.chi_at_star[1:]
         assert rates == pytest.approx(inflow, abs=1e-10)
 
@@ -87,7 +83,7 @@ def test_equilibrium_requires_throughput_condition():
 
 def test_workload_fixed_point(ref2):
     eq = solve_equilibrium(ref2)
-    assert workload_rhs(ref2, eq.w_star) == pytest.approx(0.0, abs=1e-12)
+    assert _stationarity_gap(ref2, eq.w_star) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def test_vectorised_solvers_match_loop_versions(ref1, ref2, rng):
         cases = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(24)]
         checked = 0
         for cfg in cases:
-            scan = _stationarity_gap(cfg, compute_bands(cfg), scan_grid(cfg))
+            scan = _stationarity_gap(cfg, scan_grid(cfg))
             assert scan.tobytes() == loop_scan(cfg).tobytes()
             assert workload_roots(cfg) == loop_workload_roots(cfg)
             q_star = solve_equilibrium(cfg).q_star

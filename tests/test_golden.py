@@ -1,6 +1,7 @@
 """Pinned artifact bytes: a change that alters a simulated path, a draw count,
-the fluid reference or a batched stability run shows up here, and must then
-update these constants on purpose.
+the fluid reference, a batched stability run or the check, equilibrium and
+spectrum reports shows up here, and must then update these constants on
+purpose.
 
 The digests were computed with numpy 2.4.6 and scipy 1.17.1 on x86-64; a
 different libm or numpy build may change last bits of the fluid solution.
@@ -44,6 +45,15 @@ STABILITY_RUNS = {
         },
     ),
 }
+# The JSON reports of the commands that run no integration.
+REPORT_JSON_SHA256 = {
+    ("check", "ref1"): "615f2a2c7bc0f5c2df98f7dd5e1b0ceab41bd71c768328dddeba653634bfe727",
+    ("check", "ref2"): "12492c8f91b5a947078567557f471d09a4896e2e07b6e0817e44272c182fc521",
+    ("equilibrium", "ref1"): "d57f6182b6346626b81988dd1754c812f6970da98110d5eceaff3c98f9a07f7d",
+    ("equilibrium", "ref2"): "540bc3f7e41e9189f3a724e26d652578c1b33dd206ed6400bc8528248eadd81b",
+    ("spectrum", "ref1"): "00031ab010369684f4bd7def217f8b267a49176833af473980aa716c3230c720",
+    ("spectrum", "ref2"): "af734a30890ca62d229d7f3407b54a2befb00c12262b8759598000bf8765f4e7",
+}
 
 
 def _sha256(path) -> str:
@@ -75,3 +85,9 @@ def test_stability_batch_bytes_are_pinned(tmp_path, kind):
     assert main([command, config, *rest, "--seed", "7", "-o", str(tmp_path)]) == 0
     for ext, digest in digests.items():
         assert _sha256(tmp_path / f"{stem}.{ext}") == digest
+
+
+@pytest.mark.parametrize("command, name", sorted(REPORT_JSON_SHA256))
+def test_report_json_bytes_are_pinned(tmp_path, command, name):
+    assert main([command, str(FIXTURES / f"{name}.json"), "-o", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / f"{command}_{name}.json") == REPORT_JSON_SHA256[command, name]

@@ -15,13 +15,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AssumptionError, BracketError, ConfigError, IntegrationError, ParameterError
-from .fluid import FluidTrajectory, IntegratorConfig, integrate
+from .fluid import FluidTrajectory, IntegratorConfig, default_integrator_config, integrate
 from .model import ModelConfig, load_config
 from .sim import ConvergenceTable, SimConfig, SimPath, replicate, simulate
 from .stability import (
@@ -32,33 +31,7 @@ from .stability import (
     spectrum,
 )
 
-__all__ = ["ExperimentSpec", "run", "emit_plotdata", "main"]
-
-COMMANDS = (
-    "check",
-    "equilibrium",
-    "spectrum",
-    "fluid",
-    "simulate",
-    "converge",
-    "stability-local",
-    "stability-global",
-)
-
-
-@dataclass
-class ExperimentSpec:
-    """One experiment: a command, a model config file, and its parameters."""
-
-    command: str
-    model_config_path: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"command: unknown '{self.command}' (one of {COMMANDS})")
-        if not Path(self.model_config_path).is_file():
-            raise ConfigError(f"model_config_path: no such file '{self.model_config_path}'")
+__all__ = ["run", "emit_plotdata", "main"]
 
 
 def _fmt(x) -> str:
@@ -153,18 +126,18 @@ def _parse_list(text, convert, key: str) -> list:
 
 
 def _icfg(cfg: ModelConfig, params: dict) -> IntegratorConfig | None:
+    """The `--dt`/`--refine` integrator; None leaves the library's default step."""
+    refine = bool(params.get("refine", False))
     if params.get("dt") is None:
-        return None
-    return IntegratorConfig(dt=float(params["dt"]), refine_check=bool(params.get("refine", False)))
+        return default_integrator_config(cfg, refine_check=True) if refine else None
+    return IntegratorConfig(dt=float(params["dt"]), refine_check=refine)
 
 
 def _q0(cfg: ModelConfig, params: dict) -> np.ndarray:
+    # The library checks the length and the entries.
     if params.get("q0") is None:
         return np.ones(cfg.n_exchanges)
-    q0 = np.array(_parse_list(params["q0"], float, "q0"))
-    if len(q0) != cfg.n_exchanges:
-        raise ConfigError(f"q0: expected {cfg.n_exchanges} entries, got {len(q0)}")
-    return q0
+    return np.array(_parse_list(params["q0"], float, "q0"))
 
 
 def _sim_config(cfg: ModelConfig, params: dict, n: int) -> SimConfig:
@@ -179,18 +152,31 @@ def _sim_config(cfg: ModelConfig, params: dict, n: int) -> SimConfig:
     )
 
 
-def run(spec: ExperimentSpec) -> int:
+def _emit_trials(command: str, name: str, outdir: Path, report, header, rows) -> int:
+    """Write a stability report as JSON and its trials as CSV, print the
+    summary line, and return the exit status."""
+    stem = f"{command.replace('-', '_')}_{name}"
+    _write_json(outdir / f"{stem}.json", report.to_dict())
+    csv_path = outdir / f"{stem}.csv"
+    _atomic_write(csv_path, _csv_text(header, rows, meta={"seed": report.seed}))
+    worst = max((t.terminal_distance for t in report.trials), default=float("nan"))
+    print(f"{command} {name}: passed={report.passed} worst={worst:.3e} -> {csv_path}")
+    return 0 if report.passed else 2
+
+
+def run(command: str, config_path, params: dict) -> int:
     """Execute one experiment, write its artifacts, and print a summary line.
 
-    Parameter ranges are checked by the library (SimConfig, IntegratorConfig,
-    integrate, replicate and the stability experiments raise ParameterError).
+    `command` is one of the CLI's subcommands and `params` holds its options
+    by destination name.  Parameter ranges are checked by the library
+    (SimConfig, IntegratorConfig, integrate, replicate and the stability
+    experiments raise ParameterError); an unknown command raises ConfigError.
     """
-    cfg = load_config(spec.model_config_path)
-    params = spec.params
+    cfg = load_config(config_path)
     outdir = Path(params.get("outdir", "out"))
-    name = Path(spec.model_config_path).stem
+    name = Path(config_path).stem
 
-    if spec.command == "check":
+    if command == "check":
         report = check_assumptions(cfg, _q0(cfg, params))
         path = outdir / f"check_{name}.json"
         _write_json(path, report.to_dict())
@@ -200,14 +186,14 @@ def run(spec: ExperimentSpec) -> int:
         )
         return 0
 
-    if spec.command == "equilibrium":
+    if command == "equilibrium":
         eq = solve_equilibrium(cfg)
         path = outdir / f"equilibrium_{name}.json"
         _write_json(path, eq.to_dict())
         print(f"equilibrium {name}: w_star={eq.w_star:.6f} residual={eq.residual:.2e} -> {path}")
         return 0
 
-    if spec.command == "spectrum":
+    if command == "spectrum":
         eq = solve_equilibrium(cfg)
         rep = spectrum(cfg, eq.q_star)
         path = outdir / f"spectrum_{name}.json"
@@ -218,7 +204,7 @@ def run(spec: ExperimentSpec) -> int:
         )
         return 0 if rep.verdict == "stable" else 2
 
-    if spec.command == "fluid":
+    if command == "fluid":
         q0 = _q0(cfg, params)
         traj = integrate(cfg, q0, float(params["horizon"]), _icfg(cfg, params))
         path = emit_plotdata(traj, outdir / f"fluid_{name}.csv")
@@ -228,7 +214,7 @@ def run(spec: ExperimentSpec) -> int:
         )
         return 0
 
-    if spec.command == "simulate":
+    if command == "simulate":
         sim = _sim_config(cfg, params, int(params["n"]))
         path_obj = simulate(cfg, sim)
         path = emit_plotdata(path_obj, outdir / f"sim_{name}_n{sim.n}_seed{sim.seed}.csv")
@@ -238,7 +224,7 @@ def run(spec: ExperimentSpec) -> int:
         )
         return 0
 
-    if spec.command == "converge":
+    if command == "converge":
         n_values = _parse_list(params["n_values"], int, "n")
         sim = _sim_config(cfg, params, n_values[0])
         table = replicate(cfg, sim, n_values, int(params["reps"]))
@@ -251,7 +237,7 @@ def run(spec: ExperimentSpec) -> int:
         )
         return 0 if decreasing else 2
 
-    if spec.command == "stability-local":
+    if command == "stability-local":
         eq = solve_equilibrium(cfg)
         report = local_stability_experiment(
             cfg,
@@ -262,24 +248,19 @@ def run(spec: ExperimentSpec) -> int:
             seed=int(params.get("seed", 0)),
             icfg=_icfg(cfg, params),
         )
-        _write_json(outdir / f"stability_local_{name}.json", report.to_dict())
-        csv_path = outdir / f"stability_local_{name}.csv"
-        _atomic_write(
-            csv_path,
-            _csv_text(
-                ["delta", "direction", "terminal_distance", "min_workload", "kappa", "ok"],
-                (
-                    [t.delta, t.direction, t.terminal_distance, t.min_workload, t.kappa, int(t.ok)]
-                    for t in report.trials
-                ),
-                meta={"seed": report.seed},
+        return _emit_trials(
+            command,
+            name,
+            outdir,
+            report,
+            ["delta", "direction", "terminal_distance", "min_workload", "kappa", "ok"],
+            (
+                [t.delta, t.direction, t.terminal_distance, t.min_workload, t.kappa, int(t.ok)]
+                for t in report.trials
             ),
         )
-        worst = max((t.terminal_distance for t in report.trials), default=float("nan"))
-        print(f"stability-local {name}: passed={report.passed} worst={worst:.3e} -> {csv_path}")
-        return 0 if report.passed else 2
 
-    if spec.command == "stability-global":
+    if command == "stability-global":
         report = global_stability_experiment(
             cfg,
             n_inits=int(params.get("n_inits", 50)),
@@ -288,30 +269,25 @@ def run(spec: ExperimentSpec) -> int:
             seed=int(params.get("seed", 0)),
             icfg=_icfg(cfg, params),
         )
-        _write_json(outdir / f"stability_global_{name}.json", report.to_dict())
-        csv_path = outdir / f"stability_global_{name}.csv"
-        _atomic_write(
-            csv_path,
-            _csv_text(
-                ["trial", "terminal_distance", "workload_monotone", "tube_entry_time", "ok"],
-                (
-                    [
-                        k,
-                        t.terminal_distance,
-                        int(t.workload_monotone),
-                        t.tube_entry_time if t.tube_entry_time is not None else float("nan"),
-                        int(t.ok),
-                    ]
-                    for k, t in enumerate(report.trials)
-                ),
-                meta={"seed": report.seed},
+        return _emit_trials(
+            command,
+            name,
+            outdir,
+            report,
+            ["trial", "terminal_distance", "workload_monotone", "tube_entry_time", "ok"],
+            (
+                [
+                    k,
+                    t.terminal_distance,
+                    int(t.workload_monotone),
+                    t.tube_entry_time if t.tube_entry_time is not None else float("nan"),
+                    int(t.ok),
+                ]
+                for k, t in enumerate(report.trials)
             ),
         )
-        worst = max((t.terminal_distance for t in report.trials), default=float("nan"))
-        print(f"stability-global {name}: passed={report.passed} worst={worst:.3e} -> {csv_path}")
-        return 0 if report.passed else 2
 
-    raise ConfigError(f"command: unknown '{spec.command}'")
+    raise ConfigError(f"command: unknown '{command}'")
 
 
 @functools.cache
@@ -394,8 +370,7 @@ def main(argv=None) -> int:
     config = args.pop("config")
     params = {k: v for k, v in args.items() if v is not None}
     try:
-        spec = ExperimentSpec(command=command, model_config_path=config, params=params)
-        return run(spec)
+        return run(command, config, params)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

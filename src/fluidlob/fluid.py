@@ -31,28 +31,30 @@ __all__ = [
 _REFINE_TOL = 1e-6
 # Negative components beyond this are an integration error, not roundoff.
 _CLIP_TOL = 1e-12
+# The abort floor as a fraction of kappa.  kappa is a strict lower bound for
+# the exact flow, so a workload below half of it signals malfunction.
+_FLOOR_FACTOR = 0.5
+# Most points of a time grid, checked before it is allocated: the RK4 grid
+# here and the simulator's sample grid.
+_MAX_GRID = 10**7
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integrator settings.
 
-    `dt` is the base step (the horizon is divided into uniform steps no longer
-    than this).  With `refine_check` every accepted step is compared against
-    two half-steps.  `workload_floor_factor` sets the abort threshold as a
-    fraction of kappa; kappa is a strict lower bound for the exact flow, so
-    one half of it signals malfunction.
+    `dt` is the base step, positive and finite (the horizon is divided into
+    uniform steps no longer than this).  With `refine_check` every accepted
+    step is compared against two half-steps.  The integration aborts when a
+    workload falls below half of its bound kappa.
     """
 
     dt: float
     refine_check: bool = False
-    workload_floor_factor: float = 0.5
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ParameterError("dt: must be positive")
-        if not 0.0 < self.workload_floor_factor < 1.0:
-            raise ParameterError("workload_floor_factor: must lie in (0, 1)")
+        if not 0 < self.dt < math.inf:
+            raise ParameterError("dt: must be positive and finite")
 
 
 def default_integrator_config(cfg: ModelConfig, *, refine_check: bool = False) -> IntegratorConfig:
@@ -143,10 +145,12 @@ def _integrate_batch(
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
+    if not horizon / icfg.dt < _MAX_GRID:
+        raise ParameterError(f"dt: the horizon would take more than {_MAX_GRID} steps")
     rhs = _rhs_batch(cfg)
     n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     dt = horizon / n_steps
-    floor = icfg.workload_floor_factor * np.asarray(kappas, dtype=float)
+    floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
     floor_max = floor.max()
     beta, refine = cfg.beta, icfg.refine_check
 
@@ -294,10 +298,10 @@ def integrate(
 ) -> FluidTrajectory:
     """Integrate the fluid system from q0 over [0, horizon].
 
-    Raises SingularityError if the workload drops below
-    workload_floor_factor * kappa, StepInstabilityError if the optional
-    half-step verification disagrees with an accepted step, and
-    IntegrationError on negative component undershoot beyond roundoff.
+    Raises SingularityError if the workload drops below half of kappa,
+    StepInstabilityError if the optional half-step verification disagrees
+    with an accepted step, and IntegrationError on negative component
+    undershoot beyond roundoff.
     """
     q0, w0 = _initial_state(cfg, q0)
     if not 0 < horizon < math.inf:

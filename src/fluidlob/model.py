@@ -65,30 +65,8 @@ def _frozen(x, dtype=float) -> np.ndarray:
 # Investor-type distributions
 # ---------------------------------------------------------------------------
 
-class TypeDistribution:
-    """Distribution of the investor type: atomless CDF F on (0, inf) with density f.
-
-    F is nondecreasing with F(0) = 0 and F(inf) = 1.  `cdf` and `pdf` accept
-    scalars or arrays (inf included) and broadcast like numpy ufuncs.
-    """
-
-    kind = "abstract"
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ExponentialType(TypeDistribution):
+class ExponentialType:
     rate: float
 
     kind = "exponential"
@@ -112,7 +90,7 @@ class ExponentialType(TypeDistribution):
 
 
 @dataclass(frozen=True)
-class HalfNormalType(TypeDistribution):
+class HalfNormalType:
     sigma: float
 
     kind = "half-normal"
@@ -137,7 +115,7 @@ class HalfNormalType(TypeDistribution):
 
 
 @dataclass(frozen=True)
-class TabulatedType(TypeDistribution):
+class TabulatedType:
     """CDF given on a grid and completed by monotone piecewise-linear interpolation.
 
     The grid must start at (0, 0) and end with CDF value 1; the density is the
@@ -185,32 +163,19 @@ class TabulatedType(TypeDistribution):
         return {"kind": self.kind, "gamma": self.gammas.tolist(), "cdf": self.cdf_values.tolist()}
 
 
+# Distribution of the investor type: atomless CDF F on (0, inf) with density
+# f, F nondecreasing with F(0) = 0 and F(inf) = 1.  Each kind has `cdf` and
+# `pdf`, which take scalars or arrays (inf included) and broadcast like numpy
+# ufuncs, `sample(gen, size)` and `to_dict()`.
+TypeDistribution = ExponentialType | HalfNormalType | TabulatedType
+
+
 # ---------------------------------------------------------------------------
 # Order-size distributions
 # ---------------------------------------------------------------------------
 
-class SizeDistribution:
-    """Order-size distribution on {1, 2, ...} with finite first two moments."""
-
-    kind = "abstract"
-
-    @property
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def second_moment(self) -> float:
-        raise NotImplementedError
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class DeterministicSize(SizeDistribution):
+class DeterministicSize:
     value: int
 
     kind = "deterministic"
@@ -224,10 +189,6 @@ class DeterministicSize(SizeDistribution):
     def mean(self):
         return float(self.value)
 
-    @property
-    def second_moment(self):
-        return float(self.value) ** 2
-
     def sample(self, gen, size):
         return np.full(size, self.value, dtype=np.int64)
 
@@ -236,7 +197,7 @@ class DeterministicSize(SizeDistribution):
 
 
 @dataclass(frozen=True)
-class GeometricSize(SizeDistribution):
+class GeometricSize:
     p: float
 
     kind = "geometric"
@@ -249,10 +210,6 @@ class GeometricSize(SizeDistribution):
     def mean(self):
         return 1.0 / self.p
 
-    @property
-    def second_moment(self):
-        return (2.0 - self.p) / self.p**2
-
     def sample(self, gen, size):
         return gen.geometric(self.p, size).astype(np.int64)
 
@@ -261,7 +218,7 @@ class GeometricSize(SizeDistribution):
 
 
 @dataclass(frozen=True)
-class TabulatedSize(SizeDistribution):
+class TabulatedSize:
     values: np.ndarray
     probs: np.ndarray
 
@@ -288,15 +245,16 @@ class TabulatedSize(SizeDistribution):
     def mean(self):
         return float(self.probs @ self.values)
 
-    @property
-    def second_moment(self):
-        return float(self.probs @ (self.values.astype(float) ** 2))
-
     def sample(self, gen, size):
         return gen.choice(self.values, size=size, p=self.probs)
 
     def to_dict(self):
         return {"kind": self.kind, "values": self.values.tolist(), "probs": self.probs.tolist()}
+
+
+# Order-size distribution on {1, 2, ...} with a finite mean.  Each kind has
+# the property `mean`, `sample(gen, size)` (int64 draws) and `to_dict()`.
+SizeDistribution = DeterministicSize | GeometricSize | TabulatedSize
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +555,8 @@ def load_config(path) -> ModelConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file: no such file '{path}'") from None
     except OSError as exc:
         raise ConfigError(f"config file: {exc}") from exc
     except json.JSONDecodeError as exc:

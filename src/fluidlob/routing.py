@@ -105,24 +105,13 @@ def _band_chi(bands: RoutingBands, tdist: TypeDistribution, w) -> np.ndarray:
     return np.maximum(chi, _ZERO, out=chi)
 
 
-def chi(cfg: ModelConfig, w: float, epsilon: float = 0.0) -> np.ndarray:
-    """Routing fractions (chi_0, chi_1, ..., chi_N) at workload w, index 0 first.
-
-    With epsilon > 0 the workload is clipped from below at epsilon before the
-    band formula is applied; epsilon = 0 requires w > 0.  Components lie in
-    [0, 1] and sum to 1.
+def chi(cfg: ModelConfig, w: float) -> np.ndarray:
+    """Routing fractions (chi_0, chi_1, ..., chi_N) at workload w > 0, index 0
+    first.  Components lie in [0, 1] and sum to 1.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if epsilon > 0:
-        if w < 0:
-            raise ValueError("w must be nonnegative")
-        w_eff = max(w, epsilon)
-    else:
-        if not w > 0:
-            raise ValueError("chi is undefined at zero workload without truncation")
-        w_eff = w
-    venues = _band_chi(cfg.bands, cfg.type_dist, w_eff)
+    if not w > 0:
+        raise ValueError("chi is undefined at zero workload")
+    venues = _band_chi(cfg.bands, cfg.type_dist, w)
     chi0 = min(max(1.0 - float(venues.sum()), 0.0), 1.0)
     return np.concatenate(([chi0], venues))
 
@@ -160,18 +149,20 @@ def _stationarity_gap(cfg: ModelConfig, w):
     return float(gap) if np.ndim(w) == 0 else gap
 
 
-def _require_throughput(cfg: ModelConfig) -> None:
+def _throughput_sides(cfg: ModelConfig) -> tuple[float, float, float]:
+    """The three sides of the throughput condition lam_eff < v mu < lam_eff + b_o Lambda."""
     lam_eff = float(cfg.b_dedicated @ cfg.lam)
-    v_mu = cfg.v * cfg.mu
+    return lam_eff, cfg.v * cfg.mu, lam_eff + cfg.b_optimized * cfg.big_lambda
+
+
+def _require_throughput(cfg: ModelConfig) -> None:
+    lam_eff, v_mu, total = _throughput_sides(cfg)
     if not lam_eff < v_mu:
         raise AssumptionError(
             f"dedicated inflow {lam_eff} must stay below service capacity {v_mu}"
         )
-    if not v_mu < lam_eff + cfg.b_optimized * cfg.big_lambda:
-        raise AssumptionError(
-            "service capacity must stay below the total inflow "
-            f"{lam_eff + cfg.b_optimized * cfg.big_lambda}"
-        )
+    if not v_mu < total:
+        raise AssumptionError(f"service capacity must stay below the total inflow {total}")
 
 
 def workload_roots(cfg: ModelConfig) -> list[float]:

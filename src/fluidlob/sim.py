@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .fluid import FluidTrajectory, IntegratorConfig, integrate
+from .fluid import _MAX_GRID, FluidTrajectory, integrate
 from .model import ModelConfig
 from .routing import _router
 
@@ -59,11 +59,16 @@ def _stream_generator(seed: int, name: str) -> np.random.Generator:
 
 
 class _Stream:
-    """Block-buffered draws from one named substream; counts logical draws."""
+    """Block-buffered draws from one named substream; counts logical draws.
 
-    __slots__ = ("_gen", "_draw", "_buf", "_pos", "count")
+    A stream of event times at rate 0 is absent: its `draw` is None and it
+    never draws.
+    """
+
+    __slots__ = ("name", "_gen", "_draw", "_buf", "_pos", "count")
 
     def __init__(self, seed: int, name: str, draw):
+        self.name = name
         self._gen = _stream_generator(seed, name)
         self._draw = draw
         self._buf = []
@@ -81,8 +86,16 @@ class _Stream:
         self.count += 1
         return value
 
+    def first(self) -> float:
+        """The first event time; inf for an absent stream."""
+        return self.take() if self._draw is not None else math.inf
 
-def _exp_draw(scale: float):
+
+def _exp_draw(rate: float):
+    """Exponential inter-arrival draws at `rate`; None (absent) at rate 0."""
+    if rate == 0:
+        return None
+    scale = 1.0 / rate
     return lambda gen, size: gen.exponential(scale, size)
 
 
@@ -111,6 +124,8 @@ class SimConfig:
             raise ParameterError("sample_dt: must be positive")
         if self.horizon > 0 and self.sample_dt > self.horizon + 1e-12:
             raise ParameterError("sample_dt: must not exceed the horizon")
+        if not self.horizon / self.sample_dt < _MAX_GRID:
+            raise ParameterError(f"sample_dt: the sample grid would exceed {_MAX_GRID} points")
         if not 0 <= self.epsilon < math.inf:
             raise ParameterError("epsilon: must be nonnegative and finite")
         q0 = np.array(self.q0_scaled, dtype=float)
@@ -189,28 +204,20 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
     out_d = np.empty((n_grid, n_venues))
     out_r0 = np.empty(n_grid)
 
-    ded_times = [
-        _Stream(seed, f"ded-times-{i}", _exp_draw(1.0 / (n * cfg.lam[i])) if cfg.lam[i] > 0 else None)
-        for i in range(n_venues)
-    ]
+    ded_times = [_Stream(seed, f"ded-times-{i}", _exp_draw(n * cfg.lam[i])) for i in range(n_venues)]
     ded_sizes = [
         _Stream(seed, f"ded-sizes-{i}", cfg.dedicated_sizes[i].sample) for i in range(n_venues)
     ]
-    opt_times = (
-        _Stream(seed, "opt-times", _exp_draw(1.0 / (n * cfg.big_lambda)))
-        if cfg.big_lambda > 0
-        else None
-    )
+    opt_times = _Stream(seed, "opt-times", _exp_draw(n * cfg.big_lambda))
     opt_types = _Stream(seed, "opt-types", cfg.type_dist.sample)
     opt_sizes = _Stream(seed, "opt-sizes", cfg.optimized_size.sample)
-    mkt_times = _Stream(seed, "mkt-times", _exp_draw(1.0 / (n * cfg.mu)))
+    mkt_times = _Stream(seed, "mkt-times", _exp_draw(n * cfg.mu))
     mkt_accept = _Stream(seed, "mkt-accept", _unif_draw)
     mkt_venue = _Stream(seed, "mkt-venue", _unif_draw)
     mkt_sizes = [_Stream(seed, f"mkt-sizes-{i}", cfg.market_sizes[i].sample) for i in range(n_venues)]
 
-    inf = math.inf
-    next_ded = [s.take() if s._draw is not None else inf for s in ded_times]
-    next_opt = opt_times.take() if opt_times is not None else inf
+    next_ded = [s.first() for s in ded_times]
+    next_opt = opt_times.first()
     next_mkt = mkt_times.take()
     pick_venue = _router(cfg)
 
@@ -296,15 +303,9 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
 
     emit_until(horizon + 1.0)  # flush the remaining grid points with the final state
 
-    streams = [*ded_times, *ded_sizes, opt_types, opt_sizes, mkt_times, mkt_accept, mkt_venue, *mkt_sizes]
-    names = (
-        [f"ded-times-{i}" for i in range(n_venues)]
-        + [f"ded-sizes-{i}" for i in range(n_venues)]
-        + ["opt-types", "opt-sizes", "mkt-times", "mkt-accept", "mkt-venue"]
-        + [f"mkt-sizes-{i}" for i in range(n_venues)]
-    )
-    counts = dict(zip(names, (s.count for s in streams)))
-    counts["opt-times"] = opt_times.count if opt_times is not None else 0
+    streams = [*ded_times, *ded_sizes, opt_times, opt_types, opt_sizes, mkt_times, mkt_accept,
+               mkt_venue, *mkt_sizes]
+    counts = {s.name: s.count for s in streams}
     blob = f"seed={seed}|" + "|".join(f"{k}:{counts[k]}" for k in sorted(counts))
     fingerprint = hashlib.sha256(blob.encode()).hexdigest()
 
@@ -348,16 +349,9 @@ class ConvergenceTable:
         raise KeyError(n)
 
 
-def replicate(
-    cfg: ModelConfig,
-    sim_template: SimConfig,
-    n_values,
-    reps: int,
-    *,
-    icfg: IntegratorConfig | None = None,
-) -> ConvergenceTable:
+def replicate(cfg: ModelConfig, sim_template: SimConfig, n_values, reps: int) -> ConvergenceTable:
     """Run `reps` seeded replications per scaling level and compare each to the
-    fluid limit (integrated once).
+    fluid limit (integrated once, at the default step).
 
     Replicate r uses seed `sim_template.seed + r`; the same seed set is reused
     across scaling levels, which keeps rows comparable and regenerable.
@@ -367,7 +361,7 @@ def replicate(
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < 1:
         raise ParameterError("n: scaling levels must be positive integers")
-    traj = integrate(cfg, sim_template.q0_scaled, sim_template.horizon, icfg)
+    traj = integrate(cfg, sim_template.q0_scaled, sim_template.horizon)
 
     rows = []
     for n in n_values:

@@ -19,7 +19,14 @@ import numpy as np
 from .errors import AssumptionError, BracketError, ParameterError
 from .fluid import IntegratorConfig, _initial_state, _integrate_batch, fluid_rhs
 from .model import ModelConfig, compute_kappa
-from .routing import QueueState, chi, chi_derivative, solve_workload_star, workload_roots
+from .routing import (
+    QueueState,
+    _throughput_sides,
+    chi,
+    chi_derivative,
+    solve_workload_star,
+    workload_roots,
+)
 
 __all__ = [
     "AssumptionReport",
@@ -40,6 +47,14 @@ __all__ = [
 
 # Verdict thresholds on the largest eigenvalue real part.
 STABILITY_TOL = 1e-10
+# Condition (i) is checked on this many geometric points over this span.
+_GAMMA_F_POINTS = 1000
+_GAMMA_F_SPAN = 1e4
+# Pass thresholds on the terminal distance to the stationary point, and the
+# roundoff allowed in the monotone workload gap.
+_LOCAL_THRESHOLD = 1e-6
+_GLOBAL_THRESHOLD = 1e-4
+_MONOTONE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -81,36 +96,20 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(
-    cfg: ModelConfig,
-    q0,
-    *,
-    grid_points: int = 1000,
-    grid_span: float = 1e4,
-) -> AssumptionReport:
+def check_assumptions(cfg: ModelConfig, q0) -> AssumptionReport:
     """Evaluate the standing assumptions for `cfg` started from queue vector `q0`.
 
     The tail-monotonicity condition (i) is checked numerically on a geometric
-    grid of at least 1000 points spanning [a_min*kappa, a_min*kappa*grid_span];
-    the throughput condition (ii) is checked exactly; (iv) via the routing
+    grid of 1000 points spanning [a_min*kappa, a_min*kappa*1e4]; the
+    throughput condition (ii) is checked exactly; (iv) via the routing
     bands.  kappa combines the initial workload with the solved equilibrium
     workload; if that solve fails the report is marked incomplete.  `q0` is
     validated as `fluid.integrate` validates it.
     """
     _, w0 = _initial_state(cfg, q0)
-    bands = cfg.bands
-
-    lam_eff = float(cfg.b_dedicated @ cfg.lam)
-    v_mu = cfg.v * cfg.mu
-    rhs = lam_eff + cfg.b_optimized * cfg.big_lambda
-    cond_ii = lam_eff < v_mu < rhs
-
-    empty = tuple(int(i) for i in np.flatnonzero(bands.empty_band))
-    cond_iv = len(empty) == 0
-
-    kappa = None
-    cond_i = None
-    grid_info = None
+    sides = _throughput_sides(cfg)
+    empty = tuple(int(i) for i in np.flatnonzero(cfg.bands.empty_band))
+    kappa = cond_i = grid_info = None
     complete = True
     try:
         w_star = solve_workload_star(cfg)
@@ -118,24 +117,23 @@ def check_assumptions(
         complete = False
     else:
         kappa = compute_kappa(cfg, w0, w_star)
-        lo = bands.a_min_global * kappa
-        hi = lo * grid_span
-        pts = max(int(grid_points), 1000)
-        grid = np.geomspace(lo, hi, pts)
+        lo = cfg.bands.a_min_global * kappa
+        hi = lo * _GAMMA_F_SPAN
+        grid = np.geomspace(lo, hi, _GAMMA_F_POINTS)
         gf = grid * np.asarray(cfg.type_dist.pdf(grid), dtype=float)
         # Strict decrease between consecutive points, allowing the far tail to
         # sit at exactly 0 once gamma*f(gamma) underflows.
         diffs = np.diff(gf)
         cond_i = bool(np.all((diffs < 0) | ((gf[:-1] == 0.0) & (gf[1:] == 0.0))))
-        grid_info = (lo, hi, pts)
+        grid_info = (lo, hi, _GAMMA_F_POINTS)
 
     return AssumptionReport(
         cond_i_holds=cond_i,
         gamma_f_grid=grid_info,
-        cond_ii_holds=cond_ii,
-        cond_ii_sides=(lam_eff, v_mu, rhs),
+        cond_ii_holds=sides[0] < sides[1] < sides[2],
+        cond_ii_sides=sides,
         cond_iii_note="initial queue lengths are set to round(n * q0_scaled) by the simulator",
-        cond_iv_holds=cond_iv,
+        cond_iv_holds=not empty,
         empty_band_exchanges=empty,
         kappa=kappa,
         complete=complete,
@@ -251,7 +249,6 @@ class SpectrumReport:
     secular_real_roots: int | None
     real_eigs_off_pole: int | None
     secular_max_residual: float | None
-    marginal_tolerance: float = STABILITY_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -265,7 +262,7 @@ class SpectrumReport:
             "secular_real_roots": self.secular_real_roots,
             "real_eigs_off_pole": self.real_eigs_off_pole,
             "secular_max_residual": self.secular_max_residual,
-            "marginal_tolerance": self.marginal_tolerance,
+            "marginal_tolerance": STABILITY_TOL,
         }
 
 
@@ -348,11 +345,22 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
 # Trajectory experiments
 # ---------------------------------------------------------------------------
 
-def _experiment_icfg(cfg: ModelConfig) -> IntegratorConfig:
-    # Coarser than the single-trajectory default: RK4 at 1e-2/mu keeps the
-    # global error orders of magnitude below the experiment thresholds while
-    # fitting the experiment runtime budgets.
-    return IntegratorConfig(dt=1e-2 / cfg.mu)
+def _run_batch(
+    cfg: ModelConfig, eq: Equilibrium, q0s: np.ndarray, horizon: float, icfg: IntegratorConfig | None
+):
+    """Integrate one trial per row of `q0s`, recording per-trial failures.
+
+    Returns the batch result, the kappas and the terminal max-norm distances
+    to the stationary point.  Without `icfg` the step is 1e-2/mu, coarser
+    than the single-trajectory default: RK4 there keeps the global error
+    orders of magnitude below the experiment thresholds while fitting the
+    experiment runtime budgets.
+    """
+    if icfg is None:
+        icfg = IntegratorConfig(dt=1e-2 / cfg.mu)
+    kappas = np.array([compute_kappa(cfg, w0, eq.w_star) for w0 in q0s @ cfg.beta])
+    res = _integrate_batch(cfg, q0s, horizon, icfg, kappas, store_states=False, on_error="record")
+    return res, kappas, np.max(np.abs(res.terminal - eq.q_star), axis=1)
 
 
 @dataclass(frozen=True)
@@ -404,11 +412,10 @@ def local_stability_experiment(
     *,
     seed: int = 0,
     icfg: IntegratorConfig | None = None,
-    threshold: float = 1e-6,
 ) -> LocalStabilityReport:
     """Perturb the equilibrium by each delta along random unit directions and
     integrate; the experiment passes when every trajectory returns to within
-    `threshold` of the stationary point by the horizon.
+    1e-6 of the stationary point by the horizon.
 
     Per-trial failures (nonpositive perturbed state, integration abort) are
     itemized in the report, not raised.
@@ -420,13 +427,10 @@ def local_stability_experiment(
         raise ParameterError("directions: must be at least 1")
     if not 0 < horizon < math.inf:
         raise ParameterError("horizon: must be positive and finite")
-    if icfg is None:
-        icfg = _experiment_icfg(cfg)
     gen = np.random.default_rng(seed)
     dirs = gen.normal(size=(directions, cfg.n_exchanges))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    w_star = eq.w_star
     starts = []
     labels = []
     skipped = []
@@ -443,16 +447,10 @@ def local_stability_experiment(
 
     trials = list(skipped)
     if starts:
-        q0s = np.asarray(starts)
-        w0s = q0s @ cfg.beta
-        kappas = np.array([compute_kappa(cfg, w0, w_star) for w0 in w0s])
-        res = _integrate_batch(
-            cfg, q0s, horizon, icfg, kappas, store_states=False, on_error="record"
-        )
-        dist = np.max(np.abs(res.terminal - eq.q_star), axis=1)
+        res, kappas, dist = _run_batch(cfg, eq, np.asarray(starts), horizon, icfg)
         for k, (d, j) in enumerate(labels):
             err = res.fail_reason[k]
-            ok = err is None and dist[k] < threshold
+            ok = err is None and dist[k] < _LOCAL_THRESHOLD
             trials.append(
                 LocalTrial(
                     delta=d,
@@ -466,7 +464,11 @@ def local_stability_experiment(
             )
     passed = bool(trials) and all(t.ok for t in trials)
     return LocalStabilityReport(
-        trials=tuple(trials), passed=passed, threshold=threshold, horizon=horizon, seed=seed
+        trials=tuple(trials),
+        passed=passed,
+        threshold=_LOCAL_THRESHOLD,
+        horizon=horizon,
+        seed=seed,
     )
 
 
@@ -522,15 +524,13 @@ def global_stability_experiment(
     seed: int,
     *,
     icfg: IntegratorConfig | None = None,
-    threshold: float = 1e-4,
-    monotone_tol: float = 1e-9,
 ) -> GlobalStabilityReport:
     """Integrate from random initial states in (0, box]^N (equal beta only).
 
     Records per trajectory the terminal distance to the stationary point,
     whether |W_t - W*| is nonincreasing along the grid, and the first grid
     time inside the tube |W - W*| <= 0.01 W*.  Passes when every trajectory
-    converges below `threshold` with a monotone workload gap.
+    converges below 1e-4 with a monotone workload gap.
     """
     if np.any(cfg.beta != cfg.beta[0]):
         raise ParameterError("beta: the global stability experiment requires equal beta weights")
@@ -540,8 +540,6 @@ def global_stability_experiment(
         raise ParameterError("box: must be positive and finite")
     if not 0 < horizon < math.inf:
         raise ParameterError("horizon: must be positive and finite")
-    if icfg is None:
-        icfg = _experiment_icfg(cfg)
     eq = solve_equilibrium(cfg)
     w_star = eq.w_star
     tube = 0.01 * w_star
@@ -552,13 +550,9 @@ def global_stability_experiment(
         while not float(cfg.beta @ q0s[k]) > 0:
             q0s[k] = gen.uniform(0.0, box, size=cfg.n_exchanges)
 
-    w0s = q0s @ cfg.beta
-    kappas = np.array([compute_kappa(cfg, w0, w_star) for w0 in w0s])
-    res = _integrate_batch(cfg, q0s, horizon, icfg, kappas, store_states=False, on_error="record")
-
-    dist = np.max(np.abs(res.terminal - eq.q_star), axis=1)
+    res, kappas, dist = _run_batch(cfg, eq, q0s, horizon, icfg)
     gap = np.abs(res.workload - w_star)          # (K+1, B)
-    monotone = np.all(np.diff(gap, axis=0) <= monotone_tol, axis=0)
+    monotone = np.all(np.diff(gap, axis=0) <= _MONOTONE_TOL, axis=0)
     inside = gap <= tube
     trials = []
     for k in range(n_inits):
@@ -567,7 +561,7 @@ def global_stability_experiment(
         if hit.size:
             entry = float(res.times[hit[0]])
         err = res.fail_reason[k]
-        ok = err is None and dist[k] < threshold and bool(monotone[k])
+        ok = err is None and dist[k] < _GLOBAL_THRESHOLD and bool(monotone[k])
         trials.append(
             GlobalTrial(
                 init=tuple(float(x) for x in q0s[k]),
@@ -584,7 +578,7 @@ def global_stability_experiment(
     return GlobalStabilityReport(
         trials=tuple(trials),
         passed=passed,
-        threshold=threshold,
+        threshold=_GLOBAL_THRESHOLD,
         tube_radius=tube,
         horizon=horizon,
         seed=seed,

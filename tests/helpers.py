@@ -24,7 +24,7 @@ from fluidlob import (
     solve_workload_star,
 )
 from fluidlob.errors import IntegrationError, SingularityError, StepInstabilityError
-from fluidlob.fluid import _CLIP_TOL, _REFINE_TOL, _BatchResult
+from fluidlob.fluid import _CLIP_TOL, _FLOOR_FACTOR, _REFINE_TOL, _BatchResult
 from fluidlob.routing import _band_chi
 
 REPO = Path(__file__).resolve().parents[1]
@@ -146,7 +146,7 @@ def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=Fals
 
     n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     dt = horizon / n_steps
-    floor = icfg.workload_floor_factor * np.asarray(kappas, dtype=float)
+    floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
 
     q = q0s.copy()
     w = q @ cfg.beta

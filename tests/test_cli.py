@@ -6,7 +6,7 @@ import pytest
 
 from fluidlob import IntegratorConfig, integrate, simulate, SimConfig
 from fluidlob import cli
-from fluidlob.cli import ExperimentSpec, emit_plotdata, main
+from fluidlob.cli import emit_plotdata, main, run
 from fluidlob.errors import ConfigError
 
 from helpers import FIXTURES
@@ -62,6 +62,15 @@ def test_fluid_command_csv(tmp_path):
     first = out.read_bytes()
     assert main(["fluid", REF1, "--q0", "1,1", "--T", "5", "--dt", "0.01", "-o", str(tmp_path)]) == 0
     assert out.read_bytes() == first
+
+
+def test_refine_without_dt_checks_the_default_step(tmp_path, capsys):
+    # At a workload of 1.5e-3 the venue split relaxes at a rate of about 1.3e3,
+    # so the default step 1e-3 fails the half-step check; unchecked, it runs.
+    argv = ["fluid", REF1, "--q0", "5e-4,5e-4", "--T", "1", "-o", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(argv + ["--refine"]) == 2
+    assert "unstable at t=0.001" in capsys.readouterr().err
 
 
 def test_simulate_command_csv(tmp_path):
@@ -206,9 +215,9 @@ def test_bad_config_value_is_validation_error_naming_key(tmp_path, capsys, chang
     assert capsys.readouterr().err.startswith(f"error: {named}:")
 
 
-def test_run_rejects_unknown_command():
-    with pytest.raises(ConfigError):
-        ExperimentSpec(command="nope", model_config_path=REF1)
+def test_run_rejects_unknown_command(tmp_path):
+    with pytest.raises(ConfigError, match="^command: unknown 'nope'$"):
+        run("nope", REF1, {"outdir": str(tmp_path)})
 
 
 def test_parameter_range_is_validation_error(tmp_path, capsys):
@@ -250,6 +259,18 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["stability-local", REF1, "--deltas", "inf", "--T", "1"], "deltas"),
         (["check", REF1, "--q0=-1,3"], "q0"),
         (["check", REF1, "--q0", "0,0"], "q0"),
+        (["fluid", REF1, "--T", "1", "--dt", "inf"], "dt"),
+        (["stability-local", REF1, "--deltas", "0.1", "--T", "1", "--dt", "inf"], "dt"),
+        (["stability-global", REF2, "--T", "1", "--inits", "1", "--dt", "inf"], "dt"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--sample-dt", "1e-300"], "sample_dt"),
+        (["converge", REF1, "--n", "10", "--reps", "1", "--T", "1", "--sample-dt", "1e-300"],
+         "sample_dt"),
+        (["fluid", REF1, "--T", "1", "--dt", "1e-300"], "dt"),
+        (["stability-local", REF1, "--deltas", "0.1", "--T", "1", "--dt", "1e-300"], "dt"),
+        (["stability-global", REF2, "--T", "1", "--inits", "1", "--dt", "1e-300"], "dt"),
+        (["check", REF1, "--q0", "1,1,1"], "q0"),
+        (["fluid", REF1, "--q0", "1", "--T", "1"], "q0"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "1,1,1"], "q0_scaled"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):

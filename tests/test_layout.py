@@ -5,11 +5,20 @@ modules import only from layers below their own, in the order
 
 (`sim` and `stability` share a layer and do not import each other;
 `__init__` and `__main__` sit on top).
+
+The public API carries no option that the program never sets: every
+defaulted parameter of a function, and every defaulted field of a dataclass,
+that `fluidlob` or `fluidlob.cli` exports is passed, by keyword or by
+position, by some call in `src/fluidlob` or `perfbench/` (tests excepted).
 """
 
 import ast
+import inspect
 
 import pytest
+
+import fluidlob
+from fluidlob import cli
 
 from helpers import REPO
 
@@ -59,3 +68,54 @@ def test_imports_are_module_level_and_point_down(module):
             assert LAYER[target] < LAYER[module], (
                 f"{module}.py:{node.lineno}: imports {target}, which is not in a lower layer"
             )
+
+
+def _exported() -> dict:
+    names = {name: getattr(fluidlob, name) for name in dir(fluidlob) if not name.startswith("_")}
+    names.update((name, getattr(cli, name)) for name in cli.__all__)
+    return {
+        name: obj
+        for name, obj in names.items()
+        if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, Exception))
+    }
+
+
+def _defaulted(obj) -> list[tuple[str, int | None]]:
+    """(name, position or None) of each parameter of `obj` that has a default."""
+    params = inspect.signature(obj).parameters.values()
+    positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    return [
+        (p.name, positional.index(p.name) if p.name in positional else None)
+        for p in params
+        if p.default is not p.empty
+    ]
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*PACKAGE.glob("*.py"), *(REPO / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: **mapping
+        return True
+    if position is None:
+        return False
+    return position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_exported_option_has_a_caller():
+    calls = _calls_by_name()
+    unset = [
+        f"{name}({param})"
+        for name, obj in sorted(_exported().items())
+        for param, position in _defaulted(obj)
+        if not any(_passes(call, param, position) for call in calls.get(name, []))
+    ]
+    assert not unset, f"defaulted parameters that no caller in the program sets: {unset}"

@@ -156,12 +156,10 @@ def test_chi_normalization(ref1, ref2, strict):
             assert abs(parts.sum() - 1.0) < 1e-12
 
 
-def test_chi_truncation(ref1):
-    assert np.array_equal(chi(ref1, 0.0, epsilon=0.5), chi(ref1, 0.5))
-    assert np.array_equal(chi(ref1, 0.2, epsilon=0.5), chi(ref1, 0.5))
-    assert np.array_equal(chi(ref1, 2.0, epsilon=0.5), chi(ref1, 2.0))
-    with pytest.raises(ValueError):
-        chi(ref1, 0.0)
+def test_chi_rejects_nonpositive_workload(ref1):
+    for w in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            chi(ref1, w)
 
 
 def test_chi_monotone_in_regime(ref2, strict):

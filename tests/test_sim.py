@@ -162,8 +162,8 @@ def test_sup_distance_horizon_mismatch(ref1):
 
 def test_replicate_single_rep_matches_direct_run(ref1):
     template = _sim(n=30, horizon=3.0, sample_dt=0.1, seed=5)
-    table = replicate(ref1, template, [30], 1, icfg=IntegratorConfig(dt=0.01))
-    traj = integrate(ref1, Q0, 3.0, IntegratorConfig(dt=0.01))
+    table = replicate(ref1, template, [30], 1)
+    traj = integrate(ref1, Q0, 3.0)
     direct = sup_distance(simulate(ref1, replace(template, seed=5)), traj)
     assert table.rows == ((30, 0, pytest.approx(direct)),)
     assert table.median(30) == pytest.approx(direct)
@@ -171,7 +171,7 @@ def test_replicate_single_rep_matches_direct_run(ref1):
 
 def test_replicate_median_decreases(ref1):
     template = _sim(n=20, horizon=3.0, sample_dt=0.1, seed=77)
-    table = replicate(ref1, template, [20, 500], 6, icfg=IntegratorConfig(dt=0.01))
+    table = replicate(ref1, template, [20, 500], 6)
     assert table.median(20) > table.median(500)
     assert len(table.rows) == 12
 

@@ -16,7 +16,6 @@ from .errors import (
 from .fluid import (
     FluidTrajectory,
     IntegratorConfig,
-    default_integrator_config,
     fluid_rhs,
     integrate,
 )

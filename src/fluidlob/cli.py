@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AssumptionError, BracketError, ConfigError, IntegrationError, ParameterError
-from .fluid import FluidTrajectory, IntegratorConfig, default_integrator_config, integrate
+from .fluid import FluidTrajectory, IntegratorConfig, integrate
 from .model import ModelConfig, load_config
 from .sim import ConvergenceTable, SimConfig, SimPath, replicate, simulate
 from .stability import (
@@ -125,12 +125,12 @@ def _parse_list(text, convert, key: str) -> list:
         ) from None
 
 
-def _icfg(cfg: ModelConfig, params: dict) -> IntegratorConfig | None:
-    """The `--dt`/`--refine` integrator; None leaves the library's default step."""
-    refine = bool(params.get("refine", False))
-    if params.get("dt") is None:
-        return default_integrator_config(cfg, refine_check=True) if refine else None
-    return IntegratorConfig(dt=float(params["dt"]), refine_check=refine)
+def _icfg(params: dict) -> IntegratorConfig:
+    """The `--dt`/`--refine` integrator; without `--dt` the library picks the step."""
+    dt = params.get("dt")
+    return IntegratorConfig(
+        dt=None if dt is None else float(dt), refine_check=bool(params.get("refine", False))
+    )
 
 
 def _q0(cfg: ModelConfig, params: dict) -> np.ndarray:
@@ -206,11 +206,12 @@ def run(command: str, config_path, params: dict) -> int:
 
     if command == "fluid":
         q0 = _q0(cfg, params)
-        traj = integrate(cfg, q0, float(params["horizon"]), _icfg(cfg, params))
+        traj = integrate(cfg, q0, float(params["horizon"]), _icfg(params))
         path = emit_plotdata(traj, outdir / f"fluid_{name}.csv")
         print(
             f"fluid {name}: T={params['horizon']} terminal={np.round(traj.states[-1], 6).tolist()} "
-            f"min_W={traj.min_workload:.6f} (kappa={traj.kappa:.6f}) -> {path}"
+            f"min_W={traj.min_workload:.6f} (kappa={traj.kappa:.6f}) dt={traj.dt:.6g} "
+            f"steps={traj.steps} pilot_steps={traj.pilot_steps} -> {path}"
         )
         return 0
 
@@ -246,7 +247,7 @@ def run(command: str, config_path, params: dict) -> int:
             horizon=float(params["horizon"]),
             directions=int(params.get("directions", 16)),
             seed=int(params.get("seed", 0)),
-            icfg=_icfg(cfg, params),
+            icfg=_icfg(params),
         )
         return _emit_trials(
             command,
@@ -267,7 +268,7 @@ def run(command: str, config_path, params: dict) -> int:
             box=float(params.get("box", 5.0)),
             horizon=float(params["horizon"]),
             seed=int(params.get("seed", 0)),
-            icfg=_icfg(cfg, params),
+            icfg=_icfg(params),
         )
         return _emit_trials(
             command,

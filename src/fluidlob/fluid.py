@@ -1,11 +1,13 @@
-"""Fluid vector field and fixed-step integration of the coupled ODE system.
+"""Fluid vector field and uniform-step RK4 integration of the coupled ODE system.
 
 The field is singular where the workload vanishes; integration therefore runs
 with a safety floor at a fraction of the proven workload lower bound kappa and
 aborts if the floor is ever breached (which signals a bug or a violated
-assumption, not physics).  Routing fractions use the workload-only band form
-throughout, which is what removes the ambiguity of the per-venue delay at
-empty queues.
+assumption, not physics).  Without an explicit step, `integrate` picks its
+uniform step by step doubling with Richardson error estimation (Hairer,
+Norsett & Wanner, *Solving ODEs I*, section II.4).  Routing fractions use the
+workload-only band form throughout, which is what removes the ambiguity of the
+per-venue delay at empty queues.
 """
 
 from __future__ import annotations
@@ -37,34 +39,41 @@ _FLOOR_FACTOR = 0.5
 # Most points of a time grid, checked before it is allocated: the RK4 grid
 # here and the simulator's sample grid.
 _MAX_GRID = 10**7
+# The step selector returns a grid once it agrees with a pilot at half its
+# step count within this factor times max(1, max|q|) at every common node.
+_SELECT_TOL = 1e-10
+# The fewest steps of a selected grid; its first pilot has half as many.
+_MIN_SELECTED = 200
+# Most pilot pairs the selector runs before it gives up.
+_MAX_PASSES = 10
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integrator settings.
+    """Uniform-step integrator settings.
 
     `dt` is the base step, positive and finite (the horizon is divided into
-    uniform steps no longer than this).  With `refine_check` every accepted
-    step is compared against two half-steps.  The integration aborts when a
-    workload falls below half of its bound kappa.
+    uniform steps no longer than this); None lets `integrate` pick the step.
+    With `refine_check` every accepted step is compared against two
+    half-steps.  The integration aborts when a workload falls below half of
+    its bound kappa.
     """
 
-    dt: float
+    dt: float | None = None
     refine_check: bool = False
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
+        if self.dt is not None and not 0 < self.dt < math.inf:
             raise ParameterError("dt: must be positive and finite")
-
-
-def default_integrator_config(cfg: ModelConfig, *, refine_check: bool = False) -> IntegratorConfig:
-    """Default step: 1e-3 of the characteristic service time 1/mu."""
-    return IntegratorConfig(dt=1e-3 / cfg.mu, refine_check=refine_check)
 
 
 @dataclass(frozen=True)
 class FluidTrajectory:
-    """A fluid solution sampled on the integrator grid."""
+    """A fluid solution sampled on the integrator grid.
+
+    `dt` is the uniform step that ran and `steps` its count; `pilot_steps`
+    counts the steps of the selector's pilot grids (0 for an explicit step).
+    """
 
     times: np.ndarray      # (K+1,)
     states: np.ndarray     # (K+1, N)
@@ -72,6 +81,8 @@ class FluidTrajectory:
     min_workload: float
     kappa: float
     steps: int
+    dt: float
+    pilot_steps: int
     max_refine_error: float
 
 
@@ -135,20 +146,24 @@ def _integrate_batch(
     *,
     store_states: bool = False,
     on_error: str = "raise",
+    n_steps: int | None = None,
 ) -> _BatchResult:
     """Classical RK4 over a batch of trajectories sharing one time grid.
 
-    With on_error="record", per-trajectory failures (floor breach, negative
-    undershoot, unstable step) freeze that trajectory at its last good state
-    and are reported in the result instead of raised; once every trajectory
-    has failed, the frozen states fill the rest of the history.
+    The grid has `n_steps` uniform steps when given, and otherwise the fewest
+    no longer than `icfg.dt`.  With on_error="record", per-trajectory
+    failures (floor breach, negative undershoot, unstable step) freeze that
+    trajectory at its last good state and are reported in the result instead
+    of raised; once every trajectory has failed, the frozen states fill the
+    rest of the history.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
-    if not horizon / icfg.dt < _MAX_GRID:
-        raise ParameterError(f"dt: the horizon would take more than {_MAX_GRID} steps")
+    if n_steps is None:
+        if not horizon / icfg.dt < _MAX_GRID:
+            raise ParameterError(f"dt: the horizon would take more than {_MAX_GRID} steps")
+        n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     rhs = _rhs_batch(cfg)
-    n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     dt = horizon / n_steps
     floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
     floor_max = floor.max()
@@ -290,29 +305,105 @@ def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
     return q0, w0
 
 
+def _select_grid(
+    cfg: ModelConfig, q0: np.ndarray, horizon: float, kappas: np.ndarray, grain: int
+) -> tuple[_BatchResult, int]:
+    """Pick a uniform RK4 grid by step doubling; return its run and the steps
+    of the pilot grids.
+
+    Each pass runs pilots at K and 2K steps and returns the 2K run once the
+    two agree within `_SELECT_TOL` times max(1, max|q|) at every node of the
+    K run.  Otherwise the fourth-order error rule, gap(K) ~ K^-4, predicts
+    the K that meets the tolerance, rounded up to K times a power of two; a
+    pilot that breaches the floor or goes negative doubles K.  The returned
+    step count is `grain` times a power of two, so the nodes of `grain`
+    uniform intervals over the horizon are among its nodes.
+    """
+    k = grain
+    while k < _MIN_SELECTED or k % 2:
+        k *= 2
+    k //= 2
+    pilot_icfg = IntegratorConfig()
+    runs: dict[int, _BatchResult | None] = {}  # pilots by step count; None if one failed
+    ran = 0
+
+    def pilot(steps):
+        nonlocal ran
+        if steps not in runs:
+            ran += steps
+            try:
+                runs[steps] = _integrate_batch(
+                    cfg, q0[None, :], horizon, pilot_icfg, kappas, store_states=True, n_steps=steps
+                )
+            except IntegrationError:  # a floor breach or a negative undershoot
+                runs[steps] = None
+        return runs[steps]
+
+    for _ in range(_MAX_PASSES):
+        if not 2 * k < _MAX_GRID:
+            raise IntegrationError(
+                f"no uniform step meets the tolerance {_SELECT_TOL:g} "
+                f"in fewer than {_MAX_GRID} steps"
+            )
+        coarse, fine = pilot(k), pilot(2 * k)
+        grow = 2
+        if coarse is not None and fine is not None:
+            states = fine.states[:, 0]
+            gap = float(np.max(np.abs(coarse.states[:, 0] - states[::2])))
+            tol = _SELECT_TOL * max(1.0, float(np.max(np.abs(states))))
+            if gap <= tol:
+                return fine, ran - 2 * k
+            if gap / tol < math.inf:  # a non-finite gap doubles K like a failed pilot
+                grow = 2 ** max(1, math.ceil(math.log2(gap / tol) / 4))
+        k *= grow
+        for stale in [steps for steps in runs if steps < k]:
+            del runs[stale]
+    raise IntegrationError(
+        f"no uniform step meets the tolerance {_SELECT_TOL:g} within {_MAX_PASSES} passes"
+    )
+
+
 def integrate(
     cfg: ModelConfig,
     q0,
     horizon: float,
     icfg: IntegratorConfig | None = None,
+    *,
+    grain: int = _MIN_SELECTED,
 ) -> FluidTrajectory:
     """Integrate the fluid system from q0 over [0, horizon].
+
+    Without `icfg.dt` the uniform step is picked by step doubling
+    (`_select_grid`) on a grid of `grain` times a power of two steps, at
+    least 200.  With `refine_check` the step that runs is checked against
+    two half-steps.
 
     Raises SingularityError if the workload drops below half of kappa,
     StepInstabilityError if the optional half-step verification disagrees
     with an accepted step, and IntegrationError on negative component
-    undershoot beyond roundoff.
+    undershoot beyond roundoff or when no step meets the tolerance.
     """
     q0, w0 = _initial_state(cfg, q0)
     if not 0 < horizon < math.inf:
         raise ParameterError("horizon: must be positive and finite")
+    if not (int(grain) == grain and grain >= 1):
+        raise ParameterError("grain: must be a positive integer")
     if icfg is None:
-        icfg = default_integrator_config(cfg)
+        icfg = IntegratorConfig()
 
     kappa = compute_kappa(cfg, w0, solve_workload_star(cfg))
-    res = _integrate_batch(
-        cfg, q0[None, :], horizon, icfg, np.array([kappa]), store_states=True, on_error="raise"
-    )
+    kappas = np.array([kappa])
+    pilot_steps = 0
+    if icfg.dt is not None:
+        res = _integrate_batch(cfg, q0[None, :], horizon, icfg, kappas, store_states=True)
+    else:
+        res, pilot_steps = _select_grid(cfg, q0, horizon, kappas, int(grain))
+        if icfg.refine_check:
+            # The check leaves the accepted steps as they are, so the selected
+            # grid runs again with it and gives the same states.
+            res = _integrate_batch(
+                cfg, q0[None, :], horizon, icfg, kappas, store_states=True, n_steps=res.steps
+            )
     return FluidTrajectory(
         times=res.times,
         states=res.states[:, 0, :],
@@ -320,6 +411,8 @@ def integrate(
         min_workload=float(res.min_workload[0]),
         kappa=kappa,
         steps=res.steps,
+        dt=horizon / res.steps,
+        pilot_steps=pilot_steps,
         max_refine_error=res.max_refine_error,
     )
 

@@ -351,7 +351,13 @@ class ConvergenceTable:
 
 def replicate(cfg: ModelConfig, sim_template: SimConfig, n_values, reps: int) -> ConvergenceTable:
     """Run `reps` seeded replications per scaling level and compare each to the
-    fluid limit (integrated once, at the default step).
+    fluid limit.
+
+    The fluid limit is integrated once, at the step `integrate` picks, on a
+    grid never coarser than the sample grid: its step count is the sample
+    interval count times a power of two.  When the sample step divides the
+    horizon, as the CLI's default horizon/200 does, every sample time is a
+    node of the fluid grid and `sup_distance` interpolates nothing.
 
     Replicate r uses seed `sim_template.seed + r`; the same seed set is reused
     across scaling levels, which keeps rows comparable and regenerable.
@@ -361,7 +367,8 @@ def replicate(cfg: ModelConfig, sim_template: SimConfig, n_values, reps: int) ->
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < 1:
         raise ParameterError("n: scaling levels must be positive integers")
-    traj = integrate(cfg, sim_template.q0_scaled, sim_template.horizon)
+    intervals = len(_sample_grid(sim_template.horizon, sim_template.sample_dt)) - 1
+    traj = integrate(cfg, sim_template.q0_scaled, sim_template.horizon, grain=intervals)
 
     rows = []
     for n in n_values:

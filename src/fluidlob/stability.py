@@ -12,7 +12,7 @@ determinant built from its rank-1-plus-diagonal structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -351,13 +351,13 @@ def _run_batch(
     """Integrate one trial per row of `q0s`, recording per-trial failures.
 
     Returns the batch result, the kappas and the terminal max-norm distances
-    to the stationary point.  Without `icfg` the step is 1e-2/mu, coarser
-    than the single-trajectory default: RK4 there keeps the global error
-    orders of magnitude below the experiment thresholds while fitting the
-    experiment runtime budgets.
+    to the stationary point.  Without `icfg.dt` the step is 1e-2/mu: RK4
+    there keeps the global error orders of magnitude below the experiment
+    thresholds while fitting the experiment runtime budgets.
     """
-    if icfg is None:
-        icfg = IntegratorConfig(dt=1e-2 / cfg.mu)
+    icfg = icfg or IntegratorConfig()
+    if icfg.dt is None:
+        icfg = replace(icfg, dt=1e-2 / cfg.mu)
     kappas = np.array([compute_kappa(cfg, w0, eq.w_star) for w0 in q0s @ cfg.beta])
     res = _integrate_batch(cfg, q0s, horizon, icfg, kappas, store_states=False, on_error="record")
     return res, kappas, np.max(np.abs(res.terminal - eq.q_star), axis=1)

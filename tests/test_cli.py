@@ -64,13 +64,28 @@ def test_fluid_command_csv(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_refine_without_dt_checks_the_default_step(tmp_path, capsys):
+def test_refine_rejects_a_fixed_step_too_coarse_near_the_origin(tmp_path, capsys):
     # At a workload of 1.5e-3 the venue split relaxes at a rate of about 1.3e3,
-    # so the default step 1e-3 fails the half-step check; unchecked, it runs.
-    argv = ["fluid", REF1, "--q0", "5e-4,5e-4", "--T", "1", "-o", str(tmp_path)]
+    # so the step 1e-3 fails the half-step check; unchecked, it runs.
+    argv = ["fluid", REF1, "--q0", "5e-4,5e-4", "--T", "1", "--dt", "0.001", "-o", str(tmp_path)]
     assert main(argv) == 0
     assert main(argv + ["--refine"]) == 2
     assert "unstable at t=0.001" in capsys.readouterr().err
+
+
+def test_selected_step_near_the_origin_passes_refine(tmp_path, capsys):
+    # Without --dt the step shrinks until it resolves the fast relaxation.
+    argv = ["fluid", REF1, "--q0", "5e-4,5e-4", "--T", "0.1", "-o", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(argv + ["--refine"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("dt=3.125e-05 steps=3200 pilot_steps=") == 2
+
+
+def test_hopeless_start_names_the_tolerance(tmp_path, capsys):
+    argv = ["fluid", REF1, "--q0", "1e-300,0", "--T", "1", "-o", str(tmp_path)]
+    assert main(argv) == 2
+    assert "no uniform step meets the tolerance 1e-10" in capsys.readouterr().err
 
 
 def test_simulate_command_csv(tmp_path):
@@ -167,6 +182,8 @@ def test_single_row_trajectory_emission(tmp_path, ref1):
         min_workload=4.0,
         kappa=1.0,
         steps=0,
+        dt=0.0,
+        pilot_steps=0,
         max_refine_error=0.0,
     )
     out = emit_plotdata(traj, tmp_path / "one.csv")

@@ -14,7 +14,8 @@ from fluidlob import (
     solve_equilibrium,
 )
 from fluidlob import compute_kappa, solve_workload_star
-from fluidlob.fluid import _integrate_batch, _rhs_batch, default_integrator_config
+from fluidlob import fluid
+from fluidlob.fluid import _SELECT_TOL, _integrate_batch, _rhs_batch
 from fluidlob.routing import _stationarity_gap
 
 from helpers import (
@@ -87,12 +88,78 @@ def test_integrate_workload_stays_above_kappa(ref1, ref2):
         assert np.abs(recomputed - traj.workload).max() < 1e-12
 
 
-def test_integrate_default_config(ref1):
-    icfg = default_integrator_config(ref1)
-    assert icfg.dt == pytest.approx(1e-3)
-    traj = integrate(ref1, [1.0, 1.0], 1.0)
-    assert traj.steps == 1000
-    assert traj.times[-1] == pytest.approx(1.0)
+@pytest.mark.parametrize("horizon", [1.0, 2.0, 10.0])
+@pytest.mark.parametrize("name", ["ref1", "ref2"])
+def test_selected_step_meets_its_tolerance(request, name, horizon):
+    # The selector's contract: the default run agrees with an explicit run at
+    # half its step within _SELECT_TOL at every common node.
+    cfg = request.getfixturevalue(name)
+    q0 = np.ones(cfg.n_exchanges)
+    traj = integrate(cfg, q0, horizon)
+    assert traj.times[-1] == horizon and traj.steps == len(traj.times) - 1
+    assert traj.dt == horizon / traj.steps and traj.pilot_steps >= traj.steps // 2
+    half = integrate(cfg, q0, horizon, IntegratorConfig(dt=traj.dt / 2))
+    assert half.steps == 2 * traj.steps and half.pilot_steps == 0
+    assert np.abs(traj.states - half.states[::2]).max() <= _SELECT_TOL
+
+
+def test_selected_grid_counts(ref1):
+    # ref1 at T=2: pilots at 100 and 200 steps agree, and the 200-step run is
+    # returned; T=10 needs the fourth-order rule's jump to 400 and 800.
+    short = integrate(ref1, [1.0, 1.0], 2.0)
+    assert (short.steps, short.pilot_steps, short.dt) == (200, 100, 0.01)
+    long = integrate(ref1, [1.0, 1.0], 10.0)
+    assert (long.steps, long.pilot_steps) == (800, 100 + 200 + 400)
+    # A grain's intervals end on the selected nodes.
+    assert integrate(ref1, [1.0, 1.0], 2.0, grain=30).steps == 240
+    assert integrate(ref1, [1.0, 1.0], 2.0, grain=1000).steps == 1000
+    with pytest.raises(ValueError, match="^grain:"):
+        integrate(ref1, [1.0, 1.0], 2.0, grain=0)
+
+
+def test_selected_step_semigroup(ref1):
+    once = integrate(ref1, [1.0, 1.0], 8.0)
+    first = integrate(ref1, [1.0, 1.0], 4.0)
+    second = integrate(ref1, first.states[-1], 4.0)
+    assert np.abs(second.states[-1] - once.states[-1]).max() < 1e-9
+
+
+def test_refine_checks_the_selected_step(ref1):
+    plain = integrate(ref1, [1.0, 1.0], 2.0)
+    checked = integrate(ref1, [1.0, 1.0], 2.0, IntegratorConfig(refine_check=True))
+    assert np.array_equal(plain.states, checked.states) and checked.steps == plain.steps
+    assert 0 < checked.max_refine_error < 1e-6 and plain.max_refine_error == 0
+
+
+def _count_batches(monkeypatch) -> list:
+    grids = []
+    batch = fluid._integrate_batch
+
+    def counted(*args, **kwargs):
+        grids.append(kwargs.get("n_steps"))
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(fluid, "_integrate_batch", counted)
+    return grids
+
+
+def test_hopeless_start_stops_after_a_bounded_number_of_passes(ref1, monkeypatch):
+    # Every pilot from W0 = 2e-300 fails; each pass at most doubles the grid
+    # and runs one new pilot, so the selector gives up after _MAX_PASSES.
+    grids = _count_batches(monkeypatch)
+    with pytest.raises(IntegrationError, match=f"tolerance {_SELECT_TOL:g} within"):
+        integrate(ref1, [1e-300, 0.0], 1.0)
+    assert grids == [100 * 2**j for j in range(fluid._MAX_PASSES + 1)]
+
+
+def test_selector_refuses_a_grid_beyond_the_cap(ref1, monkeypatch):
+    # The rule asks for 800 steps at T=10; with the cap below that, the
+    # selector fails at once and never runs the grid.
+    grids = _count_batches(monkeypatch)
+    monkeypatch.setattr(fluid, "_MAX_GRID", 500)
+    with pytest.raises(IntegrationError, match=f"tolerance {_SELECT_TOL:g} in fewer than 500"):
+        integrate(ref1, [1.0, 1.0], 10.0)
+    assert grids == [100, 200]
 
 
 def test_integrate_refine_check(ref1):

@@ -25,7 +25,10 @@ SIM_RNG_FINGERPRINT = {
     "ref1": "9f0844e04cd5512c2df6fd0a010701d4e6e9daa2f881c4994f237150b6c75fb2",
     "ref2": "1164bdbb096c3b1959ff47978c0ad2ba48362e4ac6d48b74f3ec1293e32e18f4",
 }
+# `fluid ref1 --T 2` at the explicit step 1e-3 (2001 rows) and at the
+# selected step (201 rows).
 FLUID_REF1_CSV_SHA256 = "c53032f59dde9f2778eb142d17683e774267a517926878c07647f6655c699892"
+FLUID_REF1_SELECTED_CSV_SHA256 = "16587302aab6a9f473b80c37442ad1d0bdd2b91cb7a6810fe6ac89e32558270d"
 # Batched RK4 (B = 32 and B = 50 trajectories) behind the stability experiments.
 STABILITY_RUNS = {
     "local": (
@@ -73,8 +76,14 @@ def test_simulate_bytes_and_fingerprint_are_pinned(tmp_path, name):
 
 
 def test_fluid_reference_bytes_are_pinned(tmp_path):
-    assert main(["fluid", str(FIXTURES / "ref1.json"), "--T", "2", "-o", str(tmp_path)]) == 0
+    argv = ["fluid", str(FIXTURES / "ref1.json"), "--T", "2", "--dt", "0.001", "-o", str(tmp_path)]
+    assert main(argv) == 0
     assert _sha256(tmp_path / "fluid_ref1.csv") == FLUID_REF1_CSV_SHA256
+
+
+def test_fluid_selected_step_bytes_are_pinned(tmp_path):
+    assert main(["fluid", str(FIXTURES / "ref1.json"), "--T", "2", "-o", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "fluid_ref1.csv") == FLUID_REF1_SELECTED_CSV_SHA256
 
 
 @pytest.mark.parametrize("kind", sorted(STABILITY_RUNS))

@@ -16,6 +16,7 @@ from fluidlob import (
     solve_workload_star,
     sup_distance,
 )
+from fluidlob import sim
 from fluidlob.model import compute_kappa
 
 from helpers import make_config
@@ -148,6 +149,8 @@ def test_sup_distance_constant_paths():
         min_workload=4.0,
         kappa=1.0,
         steps=4,
+        dt=0.25,
+        pilot_steps=0,
         max_refine_error=0.0,
     )
     assert sup_distance(path, traj) == pytest.approx(1.0)
@@ -167,6 +170,25 @@ def test_replicate_single_rep_matches_direct_run(ref1):
     direct = sup_distance(simulate(ref1, replace(template, seed=5)), traj)
     assert table.rows == ((30, 0, pytest.approx(direct)),)
     assert table.median(30) == pytest.approx(direct)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 3.0, 10.0])
+def test_replicate_reference_holds_every_sample_time(ref1, monkeypatch, horizon):
+    # At the CLI's default sample step, horizon/200, every sample time is a
+    # node of the fluid reference; a finer sample grid gets a finer reference.
+    refs = []
+
+    def recorded(*args, **kwargs):
+        refs.append(integrate(*args, **kwargs))
+        return refs[-1]
+
+    monkeypatch.setattr(sim, "integrate", recorded)
+    for sample_dt in (horizon / 200, horizon / 1000):
+        template = _sim(n=20, horizon=horizon, sample_dt=sample_dt, seed=3)
+        replicate(ref1, template, [20], 1)
+        times = simulate(ref1, template).times
+        assert refs[-1].steps >= len(times) - 1
+        assert np.isin(times, refs[-1].times).all()
 
 
 def test_replicate_median_decreases(ref1):

@@ -38,7 +38,15 @@ from .model import (
     save_config,
 )
 from .routing import QueueState, chi, chi_derivative, route, solve_workload_star
-from .sim import ConvergenceTable, SimConfig, SimPath, replicate, simulate, sup_distance
+from .sim import (
+    ConvergenceTable,
+    SimConfig,
+    SimCounters,
+    SimPath,
+    replicate,
+    simulate,
+    sup_distance,
+)
 from .stability import (
     AssumptionReport,
     Equilibrium,

@@ -142,10 +142,13 @@ def _q0(cfg: ModelConfig, params: dict) -> np.ndarray:
 
 def _sim_config(cfg: ModelConfig, params: dict, n: int) -> SimConfig:
     horizon = float(params["horizon"])
+    # 200 sample intervals by default, or one where horizon/200 underflows;
+    # at T = 0 the grid is the one point 0 and any positive step does.
+    default_dt = horizon / 200 or horizon or 1.0
     return SimConfig(
         n=n,
         horizon=horizon,
-        sample_dt=float(params.get("sample_dt", max(horizon / 200, 1e-9))),
+        sample_dt=float(params.get("sample_dt", default_dt)),
         seed=int(params.get("seed", 0)),
         q0_scaled=_q0(cfg, params),
         epsilon=float(params.get("epsilon", 0.0)),

@@ -3,14 +3,33 @@
 Event scheme
 ------------
 Dedicated and optimized arrivals are Poisson streams with constant rates
-n*lam_i and n*Lambda, so their event times come straight from exponential
-inter-arrival draws.  The state-dependent market-order stream is realized by
+n*lam_i and n*Lambda.  The state-dependent market-order stream is realized by
 thinning a candidate stream at the envelope rate n*mu: each candidate is
 accepted with probability (current total market rate) / (n*mu) and, when
 accepted, assigned to venue i with probability beta_i Q_i / (beta . Q).  A
 market order of size V against queue Q_i serves min(V, Q_i); the residue is
 discarded, and the served counter records delivered volume so the bookkeeping
 identity Q = Q_0 + A_d + A_o - D holds exactly.
+
+None of the event times depends on the state, so the schedule is built ahead
+of it.  Each time stream's event times are the running sums (`np.cumsum`,
+which adds in sequence) of its exponential draws, a block of draws at a time.
+The streams are merged one window at a time.  A window ends at the earliest
+last drawn time L among the streams that have not yet passed the horizon: it
+holds every drawn event before L, and the events at exactly L of the stream
+that set L and of the streams before it in the tie order.  Every event left
+for later windows sorts after every event taken, so memory stays at a block
+per stream whatever the horizon.  Inside a window one stable `np.lexsort`
+orders the events by time and, at equal times, puts the market candidate
+first, then dedicated arrivals by venue index, then optimized arrivals.
+
+Marks that belong to an event's index are drawn with the window: dedicated
+sizes, optimized types and sizes, and the acceptance uniform of every market
+candidate.  Only state-dependent work runs event by event: routing, the
+acceptance test, the venue pick and service.  The venue uniform and the
+market size are drawn by accepted candidates only, so they are consumed by
+counters.  Each sample time takes the state after the events at or before
+it.
 
 The acceptance uniform is consumed at every candidate regardless of state.
 Two runs sharing a seed therefore consume identical randomness for as long as
@@ -33,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -43,6 +63,7 @@ from .routing import _router
 
 __all__ = [
     "SimConfig",
+    "SimCounters",
     "SimPath",
     "ConvergenceTable",
     "simulate",
@@ -58,49 +79,113 @@ def _stream_generator(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed & (2**64 - 1), key))))
 
 
-class _Stream:
-    """Block-buffered draws from one named substream; counts logical draws.
+class _Draws:
+    """Draws from one named substream, fetched `_BLOCK` at a time; `count`
+    is the number consumed."""
 
-    A stream of event times at rate 0 is absent: its `draw` is None and it
-    never draws.
-    """
-
-    __slots__ = ("name", "_gen", "_draw", "_buf", "_pos", "count")
+    __slots__ = ("name", "_gen", "_draw", "_buf", "count")
 
     def __init__(self, seed: int, name: str, draw):
         self.name = name
         self._gen = _stream_generator(seed, name)
         self._draw = draw
-        self._buf = []
-        self._pos = 0
+        self._buf = np.empty(0)
         self.count = 0
 
-    def take(self):
-        if self._pos >= len(self._buf):
-            # tolist() is exact for float64 and int64 draws and makes the
-            # per-draw reads plain Python numbers.
-            self._buf = self._draw(self._gen, _BLOCK).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        self.count += 1
-        return value
+    def peek(self, m: int) -> np.ndarray:
+        """The next `m` draws, not consumed."""
+        buf = self._buf
+        while len(buf) < m:
+            block = self._draw(self._gen, _BLOCK)
+            buf = np.concatenate((buf, block)) if len(buf) else block
+        self._buf = buf
+        return buf[:m]
 
-    def first(self) -> float:
-        """The first event time; inf for an absent stream."""
-        return self.take() if self._draw is not None else math.inf
+    def skip(self, m: int) -> None:
+        self._buf = self._buf[m:]
+        self.count += m
 
-
-def _exp_draw(rate: float):
-    """Exponential inter-arrival draws at `rate`; None (absent) at rate 0."""
-    if rate == 0:
-        return None
-    scale = 1.0 / rate
-    return lambda gen, size: gen.exponential(scale, size)
+    def take(self, m: int) -> np.ndarray:
+        out = self.peek(m)
+        self.skip(m)
+        return out
 
 
-def _unif_draw(gen, size):
+def _uniform(gen, size):
     return gen.random(size)
+
+
+class _Clock:
+    """The event times of one Poisson stream and the marks drawn with them.
+
+    The times are running sums of exponential draws, a block at a time:
+    `pending` holds the drawn times not yet scheduled and `last` the latest
+    drawn.  `code` is the stream's place in the tie order and `marks(m)` the
+    float and integer marks of its next m events.  A stream at rate 0 is
+    absent: it never draws and `last` is inf.
+    """
+
+    __slots__ = ("name", "code", "marks", "_gen", "_scale", "pending", "last", "events")
+
+    def __init__(self, seed: int, name: str, rate: float, code: int, marks):
+        self.name = name
+        self.code = code
+        self.marks = marks
+        self._gen = _stream_generator(seed, name) if rate > 0 else None
+        self._scale = 1.0 / rate if rate > 0 else None
+        self.pending = np.empty(0)
+        self.last = 0.0 if rate > 0 else math.inf
+        self.events = 0
+
+    @property
+    def present(self) -> bool:
+        return self._gen is not None
+
+    def refill(self) -> None:
+        draws = self._gen.exponential(self._scale, _BLOCK)
+        draws[0] += self.last
+        self.pending = np.cumsum(draws)
+        self.last = float(self.pending[-1])
+
+    def take(self, limit: float, inclusive: bool) -> np.ndarray:
+        """Schedule the pending times before `limit`, or at most `limit`."""
+        k = int(np.searchsorted(self.pending, limit, side="right" if inclusive else "left"))
+        taken, self.pending = self.pending[:k], self.pending[k:]
+        self.events += k
+        return taken
+
+
+def _schedule(clocks: list[_Clock], horizon: float):
+    """The merged event schedule up to `horizon`, one window at a time.
+
+    `clocks` are given in tie order.  Yields (times, codes, floats, ints,
+    limit): a window's event times in order, with the code of each event's
+    stream and its marks, and a time that no later event precedes (inf for
+    the last window), so the state at a sample time before it is final.
+    """
+    clocks = [c for c in clocks if c.present]
+    while True:
+        for c in clocks:
+            if not len(c.pending) and c.last <= horizon:
+                c.refill()
+        running = [c for c in clocks if c.last <= horizon]
+        if running:
+            head = min(running, key=lambda c: (c.last, c.code))
+            limit = head.last
+            parts = [c.take(limit, c.code <= head.code) for c in clocks]
+        else:
+            limit = math.inf
+            parts = [c.take(horizon, True) for c in clocks]
+        sizes = [len(p) for p in parts]
+        marks = [c.marks(m) for c, m in zip(clocks, sizes)]
+        times = np.concatenate(parts)
+        codes = np.repeat([c.code for c in clocks], sizes)
+        order = np.lexsort((codes, times))
+        floats = np.concatenate([f for f, _ in marks])[order]
+        ints = np.concatenate([i for _, i in marks])[order]
+        yield times[order], codes[order], floats, ints, limit
+        if not running:
+            return
 
 
 @dataclass(frozen=True)
@@ -138,6 +223,27 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class SimCounters:
+    """Event counts of one run up to the horizon, deterministic given the seed.
+
+    `dedicated[i]` counts dedicated arrivals at venue i+1 and `optimized`
+    the optimized arrivals.  `candidates` counts market candidates and
+    `accepted` those the thinning kept; `truncated` counts the candidates met
+    with epsilon > 0 and an acceptance probability below 1.  `routed[i]`
+    counts optimized orders sent to venue i+1, `routed_zero` those sent to
+    immediate execution.
+    """
+
+    dedicated: tuple[int, ...]
+    optimized: int
+    candidates: int
+    accepted: int
+    truncated: int
+    routed: tuple[int, ...]
+    routed_zero: int
+
+
+@dataclass(frozen=True)
 class SimPath:
     """A sampled trajectory of the rescaled system with event accounting.
 
@@ -158,6 +264,7 @@ class SimPath:
     rng_fingerprint: str
     n: int
     seed: int
+    counters: SimCounters
 
 
 def _sample_grid(horizon: float, dt: float) -> np.ndarray:
@@ -188,138 +295,154 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
     beta = [float(b) for b in cfg.beta]
     horizon = float(sim.horizon)
     grid = _sample_grid(horizon, float(sim.sample_dt))
-    n_grid = len(grid)
     eps = float(sim.epsilon)
     seed = sim.seed
+
+    ded_sizes = [_Draws(seed, f"ded-sizes-{i}", cfg.dedicated_sizes[i].sample) for i in range(n_venues)]
+    opt_types = _Draws(seed, "opt-types", cfg.type_dist.sample)
+    opt_sizes = _Draws(seed, "opt-sizes", cfg.optimized_size.sample)
+    mkt_accept = _Draws(seed, "mkt-accept", _uniform)
+    mkt_venue = _Draws(seed, "mkt-venue", _uniform)
+    mkt_sizes = [_Draws(seed, f"mkt-sizes-{i}", cfg.market_sizes[i].sample) for i in range(n_venues)]
+
+    def market_marks(m):
+        return mkt_accept.take(m), np.zeros(m, dtype=np.int64)
+
+    def dedicated_marks(sizes):
+        return lambda m: (np.zeros(m), sizes.take(m))
+
+    def optimized_marks(m):
+        gamma = opt_types.take(m)
+        # Types are positive; a drawn 0.0 is a float artifact.
+        return np.where(gamma <= 0.0, 5e-324, gamma), opt_sizes.take(m)
+
+    # Codes in tie order: market 0, dedicated at venue i+1 is i+1, optimized N+1.
+    opt_code = n_venues + 1
+    clocks = [
+        _Clock(seed, "mkt-times", n * cfg.mu, 0, market_marks),
+        *(
+            _Clock(seed, f"ded-times-{i}", n * cfg.lam[i], i + 1, dedicated_marks(ded_sizes[i]))
+            for i in range(n_venues)
+        ),
+        _Clock(seed, "opt-times", n * cfg.big_lambda, opt_code, optimized_marks),
+    ]
+    pick_venue = _router(cfg)
 
     queues = [int(x) for x in np.rint(np.asarray(sim.q0_scaled) * n)]
     arr_ded = [0] * n_venues
     arr_opt = [0] * n_venues
     served = [0] * n_venues
+    routed = [0] * n_venues
     routed_zero = 0
+    truncated = 0
+    # Integer counts at each sample time: Q, A_d, A_o, D by venue, then routed-to-zero.
+    samples = np.empty((len(grid), 4 * n_venues + 1), dtype=np.int64)
+    row = 0
 
-    out_q = np.empty((n_grid, n_venues))
-    out_ad = np.empty((n_grid, n_venues))
-    out_ao = np.empty((n_grid, n_venues))
-    out_d = np.empty((n_grid, n_venues))
-    out_r0 = np.empty(n_grid)
+    # The workload beta . Q and its scaled value, refreshed whenever a queue
+    # changes.  Arrivals cannot lower a float sum of nonnegative terms, so a
+    # new minimum can only follow service.
+    venue_idx = range(n_venues)
+    w_int = 0.0
+    for j in venue_idx:
+        w_int += beta[j] * queues[j]
+    w_scaled = min_w = w_int / n
+    truncating = eps > 0
 
-    ded_times = [_Stream(seed, f"ded-times-{i}", _exp_draw(n * cfg.lam[i])) for i in range(n_venues)]
-    ded_sizes = [
-        _Stream(seed, f"ded-sizes-{i}", cfg.dedicated_sizes[i].sample) for i in range(n_venues)
-    ]
-    opt_times = _Stream(seed, "opt-times", _exp_draw(n * cfg.big_lambda))
-    opt_types = _Stream(seed, "opt-types", cfg.type_dist.sample)
-    opt_sizes = _Stream(seed, "opt-sizes", cfg.optimized_size.sample)
-    mkt_times = _Stream(seed, "mkt-times", _exp_draw(n * cfg.mu))
-    mkt_accept = _Stream(seed, "mkt-accept", _unif_draw)
-    mkt_venue = _Stream(seed, "mkt-venue", _unif_draw)
-    mkt_sizes = [_Stream(seed, f"mkt-sizes-{i}", cfg.market_sizes[i].sample) for i in range(n_venues)]
+    for times, codes, floats, ints, limit in _schedule(clocks, horizon):
+        n_candidates = int(np.count_nonzero(codes == 0))
+        venue_u = mkt_venue.peek(n_candidates).tolist()
+        market_v = [s.peek(n_candidates).tolist() for s in mkt_sizes]
+        used_v = [0] * n_venues
+        accepted = 0
+        events = zip(codes.tolist(), floats.tolist(), ints.tolist())
+        last_row = int(np.searchsorted(grid, limit, side="left"))
+        cuts = np.searchsorted(times, grid[row:last_row], side="right").tolist()
+        done = 0
+        for cut in [*cuts, len(times)]:
+            for code, x, size in islice(events, cut - done):
+                if code == 0:
+                    # Accept with probability min(1, W/epsilon), or 1 when
+                    # W > 0 and epsilon = 0; the uniform x lies in [0, 1), so
+                    # it decides only when that probability is below 1.
+                    if truncating:
+                        accept_p = min(1.0, w_scaled / eps)
+                        if accept_p < 1.0:
+                            truncated += 1
+                            if not x < accept_p:
+                                continue
+                    elif not w_int > 0:
+                        continue
+                    pick = venue_u[accepted] * w_int
+                    accepted += 1
+                    acc = 0.0
+                    i = n_venues - 1
+                    for j in venue_idx:
+                        acc += beta[j] * queues[j]
+                        if pick < acc:
+                            i = j
+                            break
+                    size = market_v[i][used_v[i]]
+                    used_v[i] += 1
+                    delivered = size if size <= queues[i] else queues[i]
+                    queues[i] -= delivered
+                    served[i] += delivered
+                elif code == opt_code:
+                    target = pick_venue(x, queues, w_scaled)
+                    if target == 0:
+                        routed_zero += 1
+                        continue
+                    queues[target - 1] += size
+                    arr_opt[target - 1] += size
+                    routed[target - 1] += 1
+                else:
+                    queues[code - 1] += size
+                    arr_ded[code - 1] += size
+                w_int = 0.0
+                for j in venue_idx:
+                    w_int += beta[j] * queues[j]
+                w_scaled = w_int / n
+                if w_scaled < min_w:
+                    min_w = w_scaled
+            done = cut
+            if row < last_row:
+                samples[row] = (*queues, *arr_ded, *arr_opt, *served, routed_zero)
+                row += 1
+        mkt_venue.skip(accepted)
+        for s, used in zip(mkt_sizes, used_v):
+            s.skip(used)
 
-    next_ded = [s.first() for s in ded_times]
-    next_opt = opt_times.first()
-    next_mkt = mkt_times.take()
-    pick_venue = _router(cfg)
-
-    def workload_int() -> float:
-        total = 0.0
-        for i in range(n_venues):
-            total += beta[i] * queues[i]
-        return total
-
-    # Workload beta . Q of the current state, recomputed at the end of every event.
-    w_int = workload_int()
-    min_w = w_int / n
-    grid_pos = 0
-
-    def emit_until(limit: float):
-        nonlocal grid_pos
-        while grid_pos < n_grid and grid[grid_pos] < limit:
-            for i in range(n_venues):
-                out_q[grid_pos, i] = queues[i] / n
-                out_ad[grid_pos, i] = arr_ded[i] / n
-                out_ao[grid_pos, i] = arr_opt[i] / n
-                out_d[grid_pos, i] = served[i] / n
-            out_r0[grid_pos] = routed_zero / n
-            grid_pos += 1
-
-    while True:
-        tau = next_mkt
-        kind = -1  # market
-        for i in range(n_venues):
-            if next_ded[i] < tau:
-                tau = next_ded[i]
-                kind = i
-        if next_opt < tau:
-            tau = next_opt
-            kind = -2  # optimized
-        if tau > horizon:
-            break
-        emit_until(tau)
-
-        if kind >= 0:
-            i = kind
-            size = ded_sizes[i].take()
-            queues[i] += size
-            arr_ded[i] += size
-            next_ded[i] = tau + ded_times[i].take()
-        elif kind == -2:
-            gamma = opt_types.take()
-            if gamma <= 0.0:
-                gamma = 5e-324  # types are positive; a drawn 0.0 is a float artifact
-            size = opt_sizes.take()
-            target = pick_venue(gamma, queues, w_int / n)
-            if target == 0:
-                routed_zero += 1
-            else:
-                queues[target - 1] += size
-                arr_opt[target - 1] += size
-            next_opt = tau + opt_times.take()
-        else:
-            u = mkt_accept.take()
-            if eps > 0:
-                accept_p = min(1.0, (w_int / n) / eps)
-            else:
-                accept_p = 1.0 if w_int > 0 else 0.0
-            if u < accept_p:
-                pick = mkt_venue.take() * w_int
-                acc = 0.0
-                i = n_venues - 1
-                for j in range(n_venues):
-                    acc += beta[j] * queues[j]
-                    if pick < acc:
-                        i = j
-                        break
-                size = mkt_sizes[i].take()
-                delivered = size if size <= queues[i] else queues[i]
-                queues[i] -= delivered
-                served[i] += delivered
-            next_mkt = tau + mkt_times.take()
-
-        w_int = workload_int()
-        w_scaled = w_int / n
-        if w_scaled < min_w:
-            min_w = w_scaled
-
-    emit_until(horizon + 1.0)  # flush the remaining grid points with the final state
-
-    streams = [*ded_times, *ded_sizes, opt_times, opt_types, opt_sizes, mkt_times, mkt_accept,
-               mkt_venue, *mkt_sizes]
-    counts = {s.name: s.count for s in streams}
+    # A present time stream drew one time past the horizon.
+    counts = {c.name: c.events + 1 if c.present else 0 for c in clocks}
+    for d in (*ded_sizes, opt_types, opt_sizes, mkt_accept, mkt_venue, *mkt_sizes):
+        counts[d.name] = d.count
     blob = f"seed={seed}|" + "|".join(f"{k}:{counts[k]}" for k in sorted(counts))
     fingerprint = hashlib.sha256(blob.encode()).hexdigest()
 
+    scaled = samples / n
+    q_s, ad_s, ao_s, d_s = (
+        np.ascontiguousarray(scaled[:, k * n_venues : (k + 1) * n_venues]) for k in range(4)
+    )
     return SimPath(
         times=grid,
-        q_scaled=out_q,
-        arrivals_dedicated=out_ad,
-        arrivals_optimized=out_ao,
-        served=out_d,
-        routed_zero=out_r0,
+        q_scaled=q_s,
+        arrivals_dedicated=ad_s,
+        arrivals_optimized=ao_s,
+        served=d_s,
+        routed_zero=np.ascontiguousarray(scaled[:, -1]),
         min_workload=min_w,
         rng_fingerprint=fingerprint,
         n=n,
         seed=seed,
+        counters=SimCounters(
+            dedicated=tuple(c.events for c in clocks[1:-1]),
+            optimized=clocks[-1].events,
+            candidates=clocks[0].events,
+            accepted=mkt_venue.count,
+            truncated=truncated,
+            routed=tuple(routed),
+            routed_zero=routed_zero,
+        ),
     )
 
 

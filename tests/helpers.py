@@ -5,6 +5,7 @@ package implementations are checked against.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from pathlib import Path
@@ -25,7 +26,8 @@ from fluidlob import (
 )
 from fluidlob.errors import IntegrationError, SingularityError, StepInstabilityError
 from fluidlob.fluid import _CLIP_TOL, _FLOOR_FACTOR, _REFINE_TOL, _BatchResult
-from fluidlob.routing import _band_chi
+from fluidlob.routing import _band_chi, _router
+from fluidlob.sim import _sample_grid, _stream_generator
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -237,6 +239,192 @@ def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=Fals
         steps=n_steps,
         max_refine_error=max_refine,
     )
+
+
+class _OracleStream:
+    """Block-buffered draws from one named substream; counts logical draws.
+
+    A stream of event times at rate 0 is absent: its `draw` is None and it
+    never draws.
+    """
+
+    def __init__(self, seed: int, name: str, draw):
+        self.name = name
+        self._gen = _stream_generator(seed, name)
+        self._draw = draw
+        self._buf = []
+        self._pos = 0
+        self.count = 0
+
+    def take(self):
+        if self._pos >= len(self._buf):
+            self._buf = self._draw(self._gen, 4096).tolist()
+            self._pos = 0
+        value = self._buf[self._pos]
+        self._pos += 1
+        self.count += 1
+        return value
+
+    def first(self) -> float:
+        return self.take() if self._draw is not None else math.inf
+
+
+def _oracle_exp_draw(rate: float):
+    if rate == 0:
+        return None
+    scale = 1.0 / rate
+    return lambda gen, size: gen.exponential(scale, size)
+
+
+def _oracle_unif_draw(gen, size):
+    return gen.random(size)
+
+
+def oracle_simulate(cfg: ModelConfig, sim) -> dict:
+    """The simulator as one event loop, step for step as `simulate` ran it
+    before the precomputed schedule: each step scans the heads of the time
+    streams for the earliest (ties to the market candidate, then the lowest
+    dedicated venue, then the optimized stream), draws one value at a time
+    and recomputes the workload after every event.
+
+    Returns the `SimPath` fields except `counters`, and under "counts" the
+    number of draws taken from each named stream.
+    """
+    n = sim.n
+    n_venues = cfg.n_exchanges
+    beta = [float(b) for b in cfg.beta]
+    horizon = float(sim.horizon)
+    grid = _sample_grid(horizon, float(sim.sample_dt))
+    n_grid = len(grid)
+    eps = float(sim.epsilon)
+    seed = sim.seed
+
+    queues = [int(x) for x in np.rint(np.asarray(sim.q0_scaled) * n)]
+    arr_ded = [0] * n_venues
+    arr_opt = [0] * n_venues
+    served = [0] * n_venues
+    routed_zero = 0
+
+    out_q = np.empty((n_grid, n_venues))
+    out_ad = np.empty((n_grid, n_venues))
+    out_ao = np.empty((n_grid, n_venues))
+    out_d = np.empty((n_grid, n_venues))
+    out_r0 = np.empty(n_grid)
+
+    stream = _OracleStream
+    ded_times = [stream(seed, f"ded-times-{i}", _oracle_exp_draw(n * cfg.lam[i])) for i in range(n_venues)]
+    ded_sizes = [stream(seed, f"ded-sizes-{i}", cfg.dedicated_sizes[i].sample) for i in range(n_venues)]
+    opt_times = stream(seed, "opt-times", _oracle_exp_draw(n * cfg.big_lambda))
+    opt_types = stream(seed, "opt-types", cfg.type_dist.sample)
+    opt_sizes = stream(seed, "opt-sizes", cfg.optimized_size.sample)
+    mkt_times = stream(seed, "mkt-times", _oracle_exp_draw(n * cfg.mu))
+    mkt_accept = stream(seed, "mkt-accept", _oracle_unif_draw)
+    mkt_venue = stream(seed, "mkt-venue", _oracle_unif_draw)
+    mkt_sizes = [stream(seed, f"mkt-sizes-{i}", cfg.market_sizes[i].sample) for i in range(n_venues)]
+
+    next_ded = [s.first() for s in ded_times]
+    next_opt = opt_times.first()
+    next_mkt = mkt_times.take()
+    pick_venue = _router(cfg)
+
+    def workload_int() -> float:
+        total = 0.0
+        for i in range(n_venues):
+            total += beta[i] * queues[i]
+        return total
+
+    w_int = workload_int()
+    min_w = w_int / n
+    grid_pos = 0
+
+    def emit_until(limit: float):
+        nonlocal grid_pos
+        while grid_pos < n_grid and grid[grid_pos] < limit:
+            for i in range(n_venues):
+                out_q[grid_pos, i] = queues[i] / n
+                out_ad[grid_pos, i] = arr_ded[i] / n
+                out_ao[grid_pos, i] = arr_opt[i] / n
+                out_d[grid_pos, i] = served[i] / n
+            out_r0[grid_pos] = routed_zero / n
+            grid_pos += 1
+
+    while True:
+        tau = next_mkt
+        kind = -1  # market
+        for i in range(n_venues):
+            if next_ded[i] < tau:
+                tau = next_ded[i]
+                kind = i
+        if next_opt < tau:
+            tau = next_opt
+            kind = -2  # optimized
+        if tau > horizon:
+            break
+        emit_until(tau)
+
+        if kind >= 0:
+            i = kind
+            size = ded_sizes[i].take()
+            queues[i] += size
+            arr_ded[i] += size
+            next_ded[i] = tau + ded_times[i].take()
+        elif kind == -2:
+            gamma = opt_types.take()
+            if gamma <= 0.0:
+                gamma = 5e-324
+            size = opt_sizes.take()
+            target = pick_venue(gamma, queues, w_int / n)
+            if target == 0:
+                routed_zero += 1
+            else:
+                queues[target - 1] += size
+                arr_opt[target - 1] += size
+            next_opt = tau + opt_times.take()
+        else:
+            u = mkt_accept.take()
+            if eps > 0:
+                accept_p = min(1.0, (w_int / n) / eps)
+            else:
+                accept_p = 1.0 if w_int > 0 else 0.0
+            if u < accept_p:
+                pick = mkt_venue.take() * w_int
+                acc = 0.0
+                i = n_venues - 1
+                for j in range(n_venues):
+                    acc += beta[j] * queues[j]
+                    if pick < acc:
+                        i = j
+                        break
+                size = mkt_sizes[i].take()
+                delivered = size if size <= queues[i] else queues[i]
+                queues[i] -= delivered
+                served[i] += delivered
+            next_mkt = tau + mkt_times.take()
+
+        w_int = workload_int()
+        w_scaled = w_int / n
+        if w_scaled < min_w:
+            min_w = w_scaled
+
+    emit_until(horizon + 1.0)
+
+    streams = [*ded_times, *ded_sizes, opt_times, opt_types, opt_sizes, mkt_times, mkt_accept,
+               mkt_venue, *mkt_sizes]
+    counts = {s.name: s.count for s in streams}
+    blob = f"seed={seed}|" + "|".join(f"{k}:{counts[k]}" for k in sorted(counts))
+    return {
+        "times": grid,
+        "q_scaled": out_q,
+        "arrivals_dedicated": out_ad,
+        "arrivals_optimized": out_ao,
+        "served": out_d,
+        "routed_zero": out_r0,
+        "min_workload": min_w,
+        "rng_fingerprint": hashlib.sha256(blob.encode()).hexdigest(),
+        "n": n,
+        "seed": seed,
+        "counts": counts,
+    }
 
 
 def assert_bitwise(a, b) -> None:

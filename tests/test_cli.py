@@ -88,6 +88,18 @@ def test_hopeless_start_names_the_tolerance(tmp_path, capsys):
     assert "no uniform step meets the tolerance 1e-10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["1e-300", "1e-12", "5e-324", "0"])
+def test_default_sample_step_follows_a_tiny_horizon(tmp_path, horizon):
+    # Without --sample-dt the grid has 200 intervals (one where horizon/200
+    # underflows, none at T = 0), however small the horizon.
+    argv = ["simulate", REF1, "--n", "5", "--T", horizon, "-o", str(tmp_path)]
+    assert main(argv) == 0
+    _, _, rows = _read_csv(tmp_path / "sim_ref1_n5_seed0.csv")
+    t = float(horizon)
+    want = 201 if t / 200 > 0 else (2 if t > 0 else 1)
+    assert len(rows) == want
+    assert rows[0, 0] == 0.0 and rows[-1, 0] == t
+
 def test_simulate_command_csv(tmp_path):
     assert (
         main(

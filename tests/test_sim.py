@@ -9,6 +9,7 @@ from fluidlob import (
     IntegratorConfig,
     ParameterError,
     SimConfig,
+    SimCounters,
     SimPath,
     integrate,
     replicate,
@@ -16,13 +17,16 @@ from fluidlob import (
     solve_workload_star,
     sup_distance,
 )
-from fluidlob import sim
+from fluidlob import load_config, sim
 from fluidlob.model import compute_kappa
 
-from helpers import make_config
+from helpers import FIXTURES, make_config, oracle_simulate, random_valid_config
 
 
 Q0 = np.array([1.0, 1.0])
+NO_EVENTS = SimCounters(
+    dedicated=(0, 0), optimized=0, candidates=0, accepted=0, truncated=0, routed=(0, 0), routed_zero=0
+)
 
 
 def _sim(**kw):
@@ -124,6 +128,7 @@ def test_sup_distance_exact_match(ref1):
         rng_fingerprint="",
         n=1,
         seed=0,
+        counters=NO_EVENTS,
     )
     assert sup_distance(path, traj) == pytest.approx(0.0, abs=1e-12)
 
@@ -141,6 +146,7 @@ def test_sup_distance_constant_paths():
         rng_fingerprint="",
         n=1,
         seed=0,
+        counters=NO_EVENTS,
     )
     traj = FluidTrajectory(
         times=times,
@@ -216,3 +222,189 @@ def test_simulate_rejects_q0_of_the_wrong_length(ref2, entries):
     run = _sim(q0_scaled=np.ones(entries), horizon=1.0)
     with pytest.raises(ParameterError, match=f"^q0_scaled: expected 3 entries, got {entries}$"):
         simulate(ref2, run)
+
+
+# ---------------------------------------------------------------------------
+# The precomputed schedule against the event-loop oracle
+# ---------------------------------------------------------------------------
+
+_GEOMETRIC = {"kind": "geometric", "p": 0.5}
+_TABULATED = {"kind": "tabulated", "values": [1, 3], "probs": [0.5, 0.5]}
+# Tabulated types; geometric and tabulated sizes with means b = v = 2.
+_MIXED = dict(
+    type_dist={"kind": "tabulated", "gamma": [0.0, 1.0, 3.0], "cdf": [0.0, 0.6, 1.0]},
+    v=2.0,
+    b_dedicated=[2.0, 2.0],
+    b_optimized=2.0,
+    size_dists={
+        "market": [_GEOMETRIC, _TABULATED],
+        "dedicated": [_TABULATED, _GEOMETRIC],
+        "optimized": _GEOMETRIC,
+    },
+)
+
+
+def _case_config(name):
+    if name in ("ref1", "ref2"):
+        return load_config(FIXTURES / f"{name}.json")
+    if name == "mixed":
+        return make_config(**_MIXED)
+    if name == "no-dedicated-1":
+        return make_config(**{"lambda": [0.0, 0.2]})
+    if name == "no-arrivals":
+        return make_config(**{"lambda": [0.0, 0.0]}, big_lambda=0.0)
+    kind, seed = name.rsplit("-", 1)
+    return random_valid_config(np.random.default_rng(int(seed)), kinds=(kind,))
+
+
+# (config, n, horizon, sample_dt, epsilon, q0 per venue); q0 None is all ones.
+ORACLE_CASES = {
+    "ref1": ("ref1", 2000, 2.0, 0.01, 0.0, None),
+    "ref2": ("ref2", 200, 1.0, 0.005, 0.0, None),
+    "tabulated types, geometric and tabulated sizes": ("mixed", 500, 2.0, 0.01, 0.0, None),
+    "exponential types": ("exponential-3", 300, 2.0, 0.02, 0.0, None),
+    "half-normal types": ("half-normal-4", 300, 2.0, 0.02, 0.0, None),
+    "epsilon truncation": ("ref1", 400, 3.0, 0.03, 2.9, None),
+    "queues that empty": ("ref1", 10, 2.0, 0.01, 0.0, 0.1),
+    "zero-rate dedicated stream": ("no-dedicated-1", 300, 2.0, 0.02, 0.0, None),
+    "service only": ("no-arrivals", 300, 2.0, 0.02, 0.0, None),
+    "zero horizon": ("ref2", 100, 0.0, 1.0, 0.0, None),
+    "block boundary": ("ref1", 5000, 2.0, 0.01, 0.0, None),
+}
+
+
+def _oracle_run(case, seed):
+    name, n, horizon, sample_dt, eps, q0 = ORACLE_CASES[case]
+    cfg = _case_config(name)
+    q0 = np.ones(cfg.n_exchanges) if q0 is None else np.full(cfg.n_exchanges, q0)
+    run = SimConfig(n=n, horizon=horizon, sample_dt=sample_dt, seed=seed, q0_scaled=q0, epsilon=eps)
+    return cfg, run, simulate(cfg, run), oracle_simulate(cfg, run)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_simulate_is_bitwise_the_event_loop_oracle(case, seed):
+    _, _, path, want = _oracle_run(case, seed)
+    for key, value in want.items():
+        if key == "counts":
+            continue
+        got = getattr(path, key)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and got.shape == value.shape, key
+            assert got.tobytes() == value.tobytes(), key
+        else:
+            assert got == value, key
+
+
+def test_oracle_cases_reach_their_edge(ref1):
+    # Each edge case does what its name says, so the bitwise test covers it.
+    counts = {case: _oracle_run(case, 3)[3]["counts"] for case in ORACLE_CASES}
+    assert counts["block boundary"]["mkt-times"] > 2 * sim._BLOCK
+    assert counts["block boundary"]["opt-types"] > sim._BLOCK
+    assert counts["zero-rate dedicated stream"]["ded-times-0"] == 0
+    assert counts["zero horizon"]["mkt-accept"] == 0
+    assert counts["service only"]["opt-times"] == 0
+    # Candidates met with every queue empty are rejected: the clock is suspended.
+    empty = _oracle_run("queues that empty", 3)[2]
+    assert np.any(empty.q_scaled.sum(axis=1) == 0)
+    assert empty.counters.accepted < empty.counters.candidates
+    assert _oracle_run("epsilon truncation", 3)[2].counters.truncated > 0
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_counters_equal_the_stream_counts(case):
+    cfg, run, path, want = _oracle_run(case, 3)
+    counts = want["counts"]
+    c = path.counters
+    n_venues = cfg.n_exchanges
+    for i in range(n_venues):
+        present = cfg.lam[i] > 0
+        assert counts[f"ded-times-{i}"] == (c.dedicated[i] + 1 if present else 0)
+        assert counts[f"ded-sizes-{i}"] == c.dedicated[i]
+    assert counts["opt-times"] == (c.optimized + 1 if cfg.big_lambda > 0 else 0)
+    assert counts["opt-types"] == counts["opt-sizes"] == c.optimized
+    assert counts["mkt-times"] - 1 == counts["mkt-accept"] == c.candidates
+    assert counts["mkt-venue"] == sum(counts[f"mkt-sizes-{i}"] for i in range(n_venues))
+    assert counts["mkt-venue"] == c.accepted
+    assert sum(c.routed) + c.routed_zero == c.optimized
+    if run.epsilon > 0:
+        # Only a probability below 1 can reject a candidate.
+        assert c.candidates - c.accepted <= c.truncated <= c.candidates
+    else:
+        assert c.truncated == 0
+
+
+@pytest.mark.parametrize("case", ["ref1", "ref2", "epsilon truncation", "queues that empty"])
+def test_counters_count_orders_at_unit_sizes(case):
+    _, run, path, _ = _oracle_run(case, 5)
+    c = path.counters
+    n = run.n
+    assert np.array_equal(np.rint(path.arrivals_dedicated[-1] * n), c.dedicated)
+    assert np.array_equal(np.rint(path.arrivals_optimized[-1] * n), c.routed)
+    assert round(path.routed_zero[-1] * n) == c.routed_zero
+    # Every accepted candidate serves one unit from a nonempty queue.
+    assert round(path.served[-1].sum() * n) == c.accepted
+
+
+class _HandClock(sim._Clock):
+    """A clock whose blocks of event times are given; each event's float
+    mark is its index in the stream."""
+
+    def __init__(self, code, blocks):
+        super().__init__(0, f"hand-{code}", 1.0, code, self._marks)
+        self._blocks = [np.array(b, dtype=float) for b in blocks]
+
+    def _marks(self, m):
+        start = self.events - m
+        return np.arange(start, start + m, dtype=float), np.zeros(m, dtype=np.int64)
+
+    def refill(self):
+        self.pending = self._blocks.pop(0)
+        self.last = float(self.pending[-1])
+
+
+def test_schedule_breaks_ties_market_then_dedicated_then_optimized():
+    # Equal times within and across streams, and across a block boundary:
+    # the market stream's first block ends at 2 and its second starts at 2.
+    clocks = [
+        _HandClock(0, [[1, 2], [2, 6]]),
+        _HandClock(1, [[2, 3, 7]]),
+        _HandClock(2, [[2, 2, 9]]),
+        _HandClock(3, [[1, 2], [4, 8]]),
+    ]
+    windows = list(sim._schedule(clocks, 5.0))
+    got = [
+        (t, code, int(index))
+        for times, codes, floats, _, _ in windows
+        for t, code, index in zip(times.tolist(), codes.tolist(), floats.tolist())
+    ]
+    assert got == [
+        (1.0, 0, 0), (1.0, 3, 0),
+        (2.0, 0, 1), (2.0, 0, 2), (2.0, 1, 0), (2.0, 2, 0), (2.0, 2, 1), (2.0, 3, 1),
+        (3.0, 1, 1), (4.0, 3, 2),
+    ]
+    # A window's limit bounds every earlier event and no later one.
+    assert len(windows) > 1 and windows[-1][4] == math.inf
+    for k, (_, _, _, _, limit) in enumerate(windows):
+        assert all(t <= limit for w in windows[: k + 1] for t in w[0])
+        assert all(t >= limit for w in windows[k + 1 :] for t in w[0])
+    assert [c.events for c in clocks] == [3, 2, 2, 3]
+
+
+def test_schedule_windows_stay_within_a_block_per_stream(ref1):
+    # The merge never holds the whole event list: a long run is cut into
+    # windows of at most one block per time stream.
+    run = SimConfig(n=20000, horizon=2.0, sample_dt=0.01, seed=1, q0_scaled=Q0)
+    path = simulate(ref1, run)
+    c = path.counters
+    total = sum(c.dedicated) + c.optimized + c.candidates
+    clocks = [
+        sim._Clock(1, name, rate, code, lambda m: (np.zeros(m), np.zeros(m, dtype=np.int64)))
+        for code, (name, rate) in enumerate(
+            [("mkt-times", 20000 * ref1.mu), ("ded-times-0", 20000 * ref1.lam[0]),
+             ("ded-times-1", 20000 * ref1.lam[1]), ("opt-times", 20000 * ref1.big_lambda)]
+        )
+    ]
+    sizes = [len(w[0]) for w in sim._schedule(clocks, 2.0)]
+    assert sum(sizes) == total > 10 * sim._BLOCK
+    assert max(sizes) <= len(clocks) * sim._BLOCK

@@ -15,7 +15,6 @@ from .errors import (
 )
 from .fluid import (
     FluidTrajectory,
-    IntegratorConfig,
     fluid_rhs,
     integrate,
 )

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AssumptionError, BracketError, ConfigError, IntegrationError, ParameterError
-from .fluid import FluidTrajectory, IntegratorConfig, integrate
+from .fluid import FluidTrajectory, integrate
 from .model import ModelConfig, load_config
 from .sim import ConvergenceTable, SimConfig, SimPath, replicate, simulate
 from .stability import (
@@ -125,14 +125,6 @@ def _parse_list(text, convert, key: str) -> list:
         ) from None
 
 
-def _icfg(params: dict) -> IntegratorConfig:
-    """The `--dt`/`--refine` integrator; without `--dt` the library picks the step."""
-    dt = params.get("dt")
-    return IntegratorConfig(
-        dt=None if dt is None else float(dt), refine_check=bool(params.get("refine", False))
-    )
-
-
 def _q0(cfg: ModelConfig, params: dict) -> np.ndarray:
     # The library checks the length and the entries.
     if params.get("q0") is None:
@@ -171,13 +163,15 @@ def run(command: str, config_path, params: dict) -> int:
     """Execute one experiment, write its artifacts, and print a summary line.
 
     `command` is one of the CLI's subcommands and `params` holds its options
-    by destination name.  Parameter ranges are checked by the library
-    (SimConfig, IntegratorConfig, integrate, replicate and the stability
-    experiments raise ParameterError); an unknown command raises ConfigError.
+    by destination name; without `dt` the library picks the fluid step.
+    Parameter ranges are checked by the library (SimConfig, integrate,
+    replicate and the stability experiments raise ParameterError); an unknown
+    command raises ConfigError.
     """
     cfg = load_config(config_path)
     outdir = Path(params.get("outdir", "out"))
     name = Path(config_path).stem
+    dt = None if params.get("dt") is None else float(params["dt"])
 
     if command == "check":
         report = check_assumptions(cfg, _q0(cfg, params))
@@ -208,8 +202,8 @@ def run(command: str, config_path, params: dict) -> int:
         return 0 if rep.verdict == "stable" else 2
 
     if command == "fluid":
-        q0 = _q0(cfg, params)
-        traj = integrate(cfg, q0, float(params["horizon"]), _icfg(params))
+        refine = bool(params.get("refine", False))
+        traj = integrate(cfg, _q0(cfg, params), float(params["horizon"]), dt=dt, refine=refine)
         path = emit_plotdata(traj, outdir / f"fluid_{name}.csv")
         print(
             f"fluid {name}: T={params['horizon']} terminal={np.round(traj.states[-1], 6).tolist()} "
@@ -250,7 +244,7 @@ def run(command: str, config_path, params: dict) -> int:
             horizon=float(params["horizon"]),
             directions=int(params.get("directions", 16)),
             seed=int(params.get("seed", 0)),
-            icfg=_icfg(params),
+            dt=dt,
         )
         return _emit_trials(
             command,
@@ -271,7 +265,7 @@ def run(command: str, config_path, params: dict) -> int:
             box=float(params.get("box", 5.0)),
             horizon=float(params["horizon"]),
             seed=int(params.get("seed", 0)),
-            icfg=_icfg(params),
+            dt=dt,
         )
         return _emit_trials(
             command,

@@ -3,11 +3,13 @@
 The field is singular where the workload vanishes; integration therefore runs
 with a safety floor at a fraction of the proven workload lower bound kappa and
 aborts if the floor is ever breached (which signals a bug or a violated
-assumption, not physics).  Without an explicit step, `integrate` picks its
-uniform step by step doubling with Richardson error estimation (Hairer,
-Norsett & Wanner, *Solving ODEs I*, section II.4).  Routing fractions use the
-workload-only band form throughout, which is what removes the ambiguity of the
-per-venue delay at empty queues.
+assumption, not physics).  A failed trajectory is recorded with its reason
+and time, and only `integrate` turns it into an exception.  Without an
+explicit step, `integrate` picks its uniform step by step doubling with
+Richardson error estimation (Hairer, Norsett & Wanner, *Solving ODEs I*,
+section II.4).  Routing fractions use the workload-only band form
+throughout, which is what removes the ambiguity of the per-venue delay at
+empty queues.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .model import ModelConfig, compute_kappa
 from .routing import QueueState, _band_chi, solve_workload_star
 
 __all__ = [
-    "IntegratorConfig",
     "FluidTrajectory",
     "fluid_rhs",
     "integrate",
@@ -46,25 +47,21 @@ _SELECT_TOL = 1e-10
 _MIN_SELECTED = 200
 # Most pilot pairs the selector runs before it gives up.
 _MAX_PASSES = 10
+# The exception `integrate` raises for each recorded failure reason.
+_FAILURES = {
+    "floor": SingularityError,
+    "negative": IntegrationError,
+    "unstable": StepInstabilityError,
+}
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Uniform-step integrator settings.
-
-    `dt` is the base step, positive and finite (the horizon is divided into
-    uniform steps no longer than this); None lets `integrate` pick the step.
-    With `refine_check` every accepted step is compared against two
-    half-steps.  The integration aborts when a workload falls below half of
-    its bound kappa.
-    """
-
-    dt: float | None = None
-    refine_check: bool = False
-
-    def __post_init__(self):
-        if self.dt is not None and not 0 < self.dt < math.inf:
-            raise ParameterError("dt: must be positive and finite")
+def _step_count(horizon: float, dt: float) -> int:
+    """The fewest uniform steps over the horizon no longer than `dt`."""
+    if not 0 < dt < math.inf:
+        raise ParameterError("dt: must be positive and finite")
+    if not horizon / dt < _MAX_GRID:
+        raise ParameterError(f"dt: the horizon would take more than {_MAX_GRID} steps")
+    return max(1, math.ceil(horizon / dt - 1e-12))
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,8 @@ class _BatchResult:
     terminal: np.ndarray          # (B, N)
     min_workload: np.ndarray      # (B,)
     failed: np.ndarray            # (B,) bool
-    fail_reason: list
+    fail_reason: list             # "floor", "negative", "unstable" or None
+    fail_time: np.ndarray         # (B,) grid time of the failed step; NaN if none
     steps: int
     max_refine_error: float
 
@@ -141,33 +139,28 @@ def _integrate_batch(
     cfg: ModelConfig,
     q0s: np.ndarray,
     horizon: float,
-    icfg: IntegratorConfig,
+    n_steps: int,
     kappas: np.ndarray,
     *,
+    refine: bool = False,
     store_states: bool = False,
-    on_error: str = "raise",
-    n_steps: int | None = None,
 ) -> _BatchResult:
-    """Classical RK4 over a batch of trajectories sharing one time grid.
+    """Classical RK4 over a batch of trajectories sharing one grid of
+    `n_steps` uniform steps; with `refine` each step is also checked against
+    two half-steps.
 
-    The grid has `n_steps` uniform steps when given, and otherwise the fewest
-    no longer than `icfg.dt`.  With on_error="record", per-trajectory
-    failures (floor breach, negative undershoot, unstable step) freeze that
-    trajectory at its last good state and are reported in the result instead
-    of raised; once every trajectory has failed, the frozen states fill the
-    rest of the history.
+    A trajectory that fails (floor breach, negative undershoot, unstable
+    step) is frozen at its last good state, and the result records the
+    reason and the time; once every trajectory has failed, the frozen states
+    fill the rest of the history.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
-    if n_steps is None:
-        if not horizon / icfg.dt < _MAX_GRID:
-            raise ParameterError(f"dt: the horizon would take more than {_MAX_GRID} steps")
-        n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
     rhs = _rhs_batch(cfg)
     dt = horizon / n_steps
     floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
     floor_max = floor.max()
-    beta, refine = cfg.beta, icfg.refine_check
+    beta = cfg.beta
 
     q = q0s.copy()
     w = q @ beta
@@ -177,6 +170,7 @@ def _integrate_batch(
     alive = np.ones(n_traj, dtype=bool)
     all_alive = True  # until a trajectory fails, the freezes below are no-ops
     reasons: list = [None] * n_traj
+    fail_time = np.full(n_traj, np.nan)
     times = np.arange(n_steps + 1) * dt
     times[-1] = horizon
     w_hist = np.empty((n_steps + 1, n_traj))
@@ -218,16 +212,9 @@ def _integrate_batch(
 
     def fail(mask, message):
         nonlocal alive, all_alive
-        if on_error == "raise":
-            idx = int(np.flatnonzero(mask)[0])
-            raise_map = {
-                "floor": SingularityError,
-                "negative": IntegrationError,
-                "unstable": StepInstabilityError,
-            }
-            raise raise_map[message](f"trajectory {idx}: {message} at t={times[step]:.6g}")
         for idx in np.flatnonzero(mask):
             reasons[idx] = message
+        fail_time[mask] = times[step]
         alive = alive & ~mask
         all_alive = False
 
@@ -286,9 +273,16 @@ def _integrate_batch(
         min_workload=w_hist.min(axis=0),  # frozen rows repeat a kept value
         failed=~alive,
         fail_reason=reasons,
+        fail_time=fail_time,
         steps=n_steps,
         max_refine_error=max_refine,
     )
+
+
+def _failure(res: _BatchResult, row: int) -> IntegrationError:
+    """The exception for the recorded failure of trajectory `row`."""
+    reason = res.fail_reason[row]
+    return _FAILURES[reason](f"trajectory {row}: {reason} at t={res.fail_time[row]:.6g}")
 
 
 def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
@@ -323,7 +317,6 @@ def _select_grid(
     while k < _MIN_SELECTED or k % 2:
         k *= 2
     k //= 2
-    pilot_icfg = IntegratorConfig()
     runs: dict[int, _BatchResult | None] = {}  # pilots by step count; None if one failed
     ran = 0
 
@@ -331,12 +324,8 @@ def _select_grid(
         nonlocal ran
         if steps not in runs:
             ran += steps
-            try:
-                runs[steps] = _integrate_batch(
-                    cfg, q0[None, :], horizon, pilot_icfg, kappas, store_states=True, n_steps=steps
-                )
-            except IntegrationError:  # a floor breach or a negative undershoot
-                runs[steps] = None
+            res = _integrate_batch(cfg, q0[None, :], horizon, steps, kappas, store_states=True)
+            runs[steps] = None if res.failed[0] else res  # a floor breach or a negative undershoot
         return runs[steps]
 
     for _ in range(_MAX_PASSES):
@@ -367,16 +356,18 @@ def integrate(
     cfg: ModelConfig,
     q0,
     horizon: float,
-    icfg: IntegratorConfig | None = None,
     *,
+    dt: float | None = None,
+    refine: bool = False,
     grain: int = _MIN_SELECTED,
 ) -> FluidTrajectory:
     """Integrate the fluid system from q0 over [0, horizon].
 
-    Without `icfg.dt` the uniform step is picked by step doubling
+    `dt` fixes the uniform step: the horizon is divided into the fewest
+    steps no longer than it.  Without it the step is picked by step doubling
     (`_select_grid`) on a grid of `grain` times a power of two steps, at
-    least 200.  With `refine_check` the step that runs is checked against
-    two half-steps.
+    least 200.  With `refine` the step that runs is checked against two
+    half-steps.
 
     Raises SingularityError if the workload drops below half of kappa,
     StepInstabilityError if the optional half-step verification disagrees
@@ -388,22 +379,22 @@ def integrate(
         raise ParameterError("horizon: must be positive and finite")
     if not (int(grain) == grain and grain >= 1):
         raise ParameterError("grain: must be a positive integer")
-    if icfg is None:
-        icfg = IntegratorConfig()
+    n_steps = None if dt is None else _step_count(horizon, dt)
 
     kappa = compute_kappa(cfg, w0, solve_workload_star(cfg))
     kappas = np.array([kappa])
     pilot_steps = 0
-    if icfg.dt is not None:
-        res = _integrate_batch(cfg, q0[None, :], horizon, icfg, kappas, store_states=True)
-    else:
+    if n_steps is None:
         res, pilot_steps = _select_grid(cfg, q0, horizon, kappas, int(grain))
-        if icfg.refine_check:
-            # The check leaves the accepted steps as they are, so the selected
-            # grid runs again with it and gives the same states.
-            res = _integrate_batch(
-                cfg, q0[None, :], horizon, icfg, kappas, store_states=True, n_steps=res.steps
-            )
+        n_steps = res.steps
+    # The half-step check leaves the accepted steps as they are, so a
+    # selected grid runs again with it and gives the same states.
+    if dt is not None or refine:
+        res = _integrate_batch(
+            cfg, q0[None, :], horizon, n_steps, kappas, refine=refine, store_states=True
+        )
+    if res.failed[0]:
+        raise _failure(res, 0)
     return FluidTrajectory(
         times=res.times,
         states=res.states[:, 0, :],

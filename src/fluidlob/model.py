@@ -359,9 +359,9 @@ class RoutingBands:
     A type gamma is routed to venue i exactly when gamma lies in
     W * [a_minus[i], a_plus[i]] for the current workload W.  `a_plus` is +inf
     for the venue with the top rebate; `empty_band[i]` marks venues that are
-    never chosen (a_plus < a_minus).  `finite` marks the finite upper edges
-    and `edges` is [a_minus, a_plus with infinite entries set to 0], the
-    points at which the routing fractions evaluate the type CDF.  Rebates are
+    never chosen (a_plus < a_minus).  `edges` is [a_minus, a_plus with
+    infinite entries set to 0], the points at which the routing fractions
+    evaluate the type CDF.  Rebates are
     distinct, so exactly one upper edge is infinite: `top` is its position in
     `edges`, where the routing fractions take F(inf) = 1 instead.
     """
@@ -370,7 +370,6 @@ class RoutingBands:
     a_plus: np.ndarray
     a_min_global: float
     empty_band: np.ndarray
-    finite: np.ndarray = field(init=False)
     edges: np.ndarray = field(init=False)
     top: int = field(init=False)
 
@@ -379,7 +378,6 @@ class RoutingBands:
         object.__setattr__(self, "a_plus", _frozen(self.a_plus))
         object.__setattr__(self, "empty_band", _frozen(self.empty_band, dtype=bool))
         finite = np.isfinite(self.a_plus)
-        object.__setattr__(self, "finite", _frozen(finite, dtype=bool))
         edges = np.concatenate((self.a_minus, np.where(finite, self.a_plus, 0.0)))
         object.__setattr__(self, "edges", _frozen(edges))
         (top,) = np.flatnonzero(~finite)

@@ -120,7 +120,8 @@ def chi_derivative(cfg: ModelConfig, w: float) -> np.ndarray:
     """d chi_i / dW at workload w: a_plus f(w a_plus) - a_minus f(w a_minus).
 
     Infinite upper edges contribute 0 (the density vanishes at infinity for
-    any finite-mean type distribution) and empty bands contribute 0 outright.
+    any finite-mean type distribution): their slot of `bands.edges` holds 0,
+    so a_plus f(w a_plus) is 0 there.  Empty bands contribute 0 outright.
     """
     if not w > 0:
         raise ValueError("w must be positive")
@@ -128,8 +129,7 @@ def chi_derivative(cfg: ModelConfig, w: float) -> np.ndarray:
     f = cfg.type_dist.pdf
     lo = bands.a_minus * np.asarray(f(w * bands.a_minus), dtype=float)
     ap = bands.edges[cfg.n_exchanges:]
-    hi = np.where(bands.finite, ap * np.asarray(f(w * ap), dtype=float), 0.0)
-    out = hi - lo
+    out = ap * np.asarray(f(w * ap), dtype=float) - lo
     out[bands.empty_band] = 0.0
     return out
 

@@ -207,7 +207,7 @@ class SimConfig:
             raise ParameterError("horizon: must be nonnegative and finite")
         if not self.sample_dt > 0:
             raise ParameterError("sample_dt: must be positive")
-        if self.horizon > 0 and self.sample_dt > self.horizon + 1e-12:
+        if self.horizon > 0 and self.sample_dt > self.horizon * (1 + 1e-12):
             raise ParameterError("sample_dt: must not exceed the horizon")
         if not self.horizon / self.sample_dt < _MAX_GRID:
             raise ParameterError(f"sample_dt: the sample grid would exceed {_MAX_GRID} points")
@@ -272,7 +272,7 @@ def _sample_grid(horizon: float, dt: float) -> np.ndarray:
         return np.array([0.0])
     k = int(math.floor(horizon / dt + 1e-9))
     grid = np.arange(k + 1) * dt
-    if grid[-1] < horizon - 1e-9 * max(1.0, horizon):
+    if grid[-1] < horizon * (1 - 1e-9):
         grid = np.append(grid, horizon)
     else:
         grid[-1] = min(grid[-1], horizon)

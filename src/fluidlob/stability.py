@@ -6,18 +6,20 @@ in `routing.workload_roots`): total limit-order inflow matches total service
 exactly when sum_i b_d_i lam_i + b_o Lambda sum_i chi_i(W) = v mu.  The venue
 composition then follows from the per-venue balance.  Local stability is certified by the
 eigenvalues of the drift Jacobian, cross-checked against a closed-form
-determinant built from its rank-1-plus-diagonal structure.
+determinant built from its rank-1-plus-diagonal structure.  The trajectory
+experiments integrate all their trials as one batch on a uniform grid, `dt`
+or 1e-2/mu, and report each failed trial with its reason.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionError, BracketError, ParameterError
-from .fluid import IntegratorConfig, _initial_state, _integrate_batch, fluid_rhs
+from .fluid import _initial_state, _integrate_batch, _step_count, fluid_rhs
 from .model import ModelConfig, compute_kappa
 from .routing import (
     QueueState,
@@ -345,21 +347,26 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
 # Trajectory experiments
 # ---------------------------------------------------------------------------
 
-def _run_batch(
-    cfg: ModelConfig, eq: Equilibrium, q0s: np.ndarray, horizon: float, icfg: IntegratorConfig | None
-):
+def _experiment_steps(cfg: ModelConfig, horizon: float, dt: float | None) -> int:
+    """Validate the horizon and return the experiment's step count.
+
+    Without `dt` the step is 1e-2/mu: RK4 there keeps the global error
+    orders of magnitude below the experiment thresholds while fitting the
+    experiment runtime budgets.
+    """
+    if not 0 < horizon < math.inf:
+        raise ParameterError("horizon: must be positive and finite")
+    return _step_count(horizon, 1e-2 / cfg.mu if dt is None else dt)
+
+
+def _run_batch(cfg: ModelConfig, eq: Equilibrium, q0s: np.ndarray, horizon: float, n_steps: int):
     """Integrate one trial per row of `q0s`, recording per-trial failures.
 
     Returns the batch result, the kappas and the terminal max-norm distances
-    to the stationary point.  Without `icfg.dt` the step is 1e-2/mu: RK4
-    there keeps the global error orders of magnitude below the experiment
-    thresholds while fitting the experiment runtime budgets.
+    to the stationary point.
     """
-    icfg = icfg or IntegratorConfig()
-    if icfg.dt is None:
-        icfg = replace(icfg, dt=1e-2 / cfg.mu)
     kappas = np.array([compute_kappa(cfg, w0, eq.w_star) for w0 in q0s @ cfg.beta])
-    res = _integrate_batch(cfg, q0s, horizon, icfg, kappas, store_states=False, on_error="record")
+    res = _integrate_batch(cfg, q0s, horizon, n_steps, kappas)
     return res, kappas, np.max(np.abs(res.terminal - eq.q_star), axis=1)
 
 
@@ -411,7 +418,7 @@ def local_stability_experiment(
     directions: int,
     *,
     seed: int = 0,
-    icfg: IntegratorConfig | None = None,
+    dt: float | None = None,
 ) -> LocalStabilityReport:
     """Perturb the equilibrium by each delta along random unit directions and
     integrate; the experiment passes when every trajectory returns to within
@@ -425,8 +432,7 @@ def local_stability_experiment(
         raise ParameterError("deltas: must be nonnegative and finite")
     if directions < 1:
         raise ParameterError("directions: must be at least 1")
-    if not 0 < horizon < math.inf:
-        raise ParameterError("horizon: must be positive and finite")
+    n_steps = _experiment_steps(cfg, horizon, dt)
     gen = np.random.default_rng(seed)
     dirs = gen.normal(size=(directions, cfg.n_exchanges))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -447,7 +453,7 @@ def local_stability_experiment(
 
     trials = list(skipped)
     if starts:
-        res, kappas, dist = _run_batch(cfg, eq, np.asarray(starts), horizon, icfg)
+        res, kappas, dist = _run_batch(cfg, eq, np.asarray(starts), horizon, n_steps)
         for k, (d, j) in enumerate(labels):
             err = res.fail_reason[k]
             ok = err is None and dist[k] < _LOCAL_THRESHOLD
@@ -523,7 +529,7 @@ def global_stability_experiment(
     horizon: float,
     seed: int,
     *,
-    icfg: IntegratorConfig | None = None,
+    dt: float | None = None,
 ) -> GlobalStabilityReport:
     """Integrate from random initial states in (0, box]^N (equal beta only).
 
@@ -538,8 +544,7 @@ def global_stability_experiment(
         raise ParameterError("n_inits: must be at least 1")
     if not 0 < box < math.inf:
         raise ParameterError("box: must be positive and finite")
-    if not 0 < horizon < math.inf:
-        raise ParameterError("horizon: must be positive and finite")
+    n_steps = _experiment_steps(cfg, horizon, dt)
     eq = solve_equilibrium(cfg)
     w_star = eq.w_star
     tube = 0.01 * w_star
@@ -550,7 +555,7 @@ def global_stability_experiment(
         while not float(cfg.beta @ q0s[k]) > 0:
             q0s[k] = gen.uniform(0.0, box, size=cfg.n_exchanges)
 
-    res, kappas, dist = _run_batch(cfg, eq, q0s, horizon, icfg)
+    res, kappas, dist = _run_batch(cfg, eq, q0s, horizon, n_steps)
     gap = np.abs(res.workload - w_star)          # (K+1, B)
     monotone = np.all(np.diff(gap, axis=0) <= _MONOTONE_TOL, axis=0)
     inside = gap <= tube

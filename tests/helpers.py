@@ -134,11 +134,14 @@ def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray, bands=None) -> np.ndarray:
     return cfg.b_dedicated * cfg.lam + (cfg.b_optimized * cfg.big_lambda) * chi_v - service
 
 
-def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=False, on_error="raise"):
+def oracle_integrate_batch(
+    cfg, q0s, horizon, dt, kappas, *, refine=False, store_states=False, on_error="raise"
+):
     """Classical RK4 over a batch, step for step as `_integrate_batch` ran it
     before its lean kernel: a fresh `q @ beta` for every k1, per-trajectory
     masks for every check, `np.clip` for the undershoot, and the field as one
-    expression (`unhoisted_rhs`)."""
+    expression (`unhoisted_rhs`).  The grid has the fewest uniform steps no
+    longer than `dt`; with on_error="raise" the first failure raises."""
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
     bands = compute_bands(cfg)
@@ -146,7 +149,7 @@ def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=Fals
     def rhs(q):
         return unhoisted_rhs(cfg, q, bands)
 
-    n_steps = max(1, math.ceil(horizon / icfg.dt - 1e-12))
+    n_steps = max(1, math.ceil(horizon / dt - 1e-12))
     dt = horizon / n_steps
     floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
 
@@ -158,6 +161,7 @@ def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=Fals
     alive = np.ones(n_traj, dtype=bool)
     all_alive = True
     reasons: list = [None] * n_traj
+    fail_time = np.full(n_traj, np.nan)
     min_w = w.copy()
     times = np.arange(n_steps + 1) * dt
     times[-1] = horizon
@@ -188,13 +192,14 @@ def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=Fals
             raise raise_map[message](f"trajectory {idx}: {message} at t={times[step]:.6g}")
         for idx in np.flatnonzero(mask):
             reasons[idx] = message
+            fail_time[idx] = times[step]
         alive = alive & ~mask
         all_alive = False
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
             q_new = rk4(q, dt)
-            if icfg.refine_check:
+            if refine:
                 q_half = rk4(rk4(q, 0.5 * dt), 0.5 * dt)
                 disc = np.max(np.abs(q_new - q_half), axis=1)
                 scale = np.maximum(1.0, np.max(np.abs(q_new), axis=1))
@@ -236,6 +241,7 @@ def oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, *, store_states=Fals
         min_workload=min_w,
         failed=~alive,
         fail_reason=reasons,
+        fail_time=fail_time,
         steps=n_steps,
         max_refine_error=max_refine,
     )

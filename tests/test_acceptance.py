@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fluidlob import (
-    IntegratorConfig,
     QueueState,
     SimConfig,
     chi,
@@ -73,10 +72,9 @@ def global_report(ref2):
 
 @pytest.fixture(scope="module")
 def fixture_trajectories(ref1, ref2):
-    fast = IntegratorConfig(dt=0.01)
     return [
-        integrate(ref1, [1.0, 1.0], 200.0, fast),
-        integrate(ref2, [1.0, 1.0, 1.0], 200.0, fast),
+        integrate(ref1, [1.0, 1.0], 200.0, dt=0.01),
+        integrate(ref2, [1.0, 1.0, 1.0], 200.0, dt=0.01),
     ]
 
 

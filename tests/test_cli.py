@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fluidlob import IntegratorConfig, integrate, simulate, SimConfig
+from fluidlob import integrate, simulate, SimConfig
 from fluidlob import cli
 from fluidlob.cli import emit_plotdata, main, run
 from fluidlob.errors import ConfigError
@@ -172,7 +172,7 @@ def test_stability_global_command(tmp_path):
 
 
 def test_emit_plotdata_deterministic(tmp_path, ref1):
-    traj = integrate(ref1, [1.0, 1.0], 2.0, IntegratorConfig(dt=0.05))
+    traj = integrate(ref1, [1.0, 1.0], 2.0, dt=0.05)
     a = emit_plotdata(traj, tmp_path / "a.csv").read_bytes()
     b = emit_plotdata(traj, tmp_path / "b.csv").read_bytes()
     assert a == b
@@ -300,11 +300,23 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["check", REF1, "--q0", "1,1,1"], "q0"),
         (["fluid", REF1, "--q0", "1", "--T", "1"], "q0"),
         (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "1,1,1"], "q0_scaled"),
+        (["simulate", REF1, "--n", "5", "--T", "1e-300", "--sample-dt", "1e-13"], "sample_dt"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):
     assert main(argv + ["-o", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {named}:")
+
+
+@pytest.mark.parametrize("sample_dt", ["1e-300", "4e-301"])
+def test_tiny_horizon_samples_both_ends(tmp_path, sample_dt):
+    # The sample grid keeps the horizon however small it is: a step equal
+    # to it, or one that leaves a last interval of half a step.
+    argv = ["simulate", REF1, "--n", "5", "--T", "1e-300", "--sample-dt", sample_dt]
+    assert main(argv + ["-o", str(tmp_path)]) == 0
+    _, _, rows = _read_csv(tmp_path / "sim_ref1_n5_seed0.csv")
+    assert rows[0, 0] == 0.0 and rows[-1, 0] == 1e-300
+    assert len(rows) == (2 if sample_dt == "1e-300" else 4)
 
 
 def test_cached_parser_carries_no_state_between_commands(tmp_path):

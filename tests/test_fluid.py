@@ -5,7 +5,6 @@ import pytest
 
 from fluidlob import (
     IntegrationError,
-    IntegratorConfig,
     QueueState,
     SingularityError,
     StepInstabilityError,
@@ -15,7 +14,7 @@ from fluidlob import (
 )
 from fluidlob import compute_kappa, solve_workload_star
 from fluidlob import fluid
-from fluidlob.fluid import _SELECT_TOL, _integrate_batch, _rhs_batch
+from fluidlob.fluid import _SELECT_TOL, _failure, _integrate_batch, _rhs_batch, _step_count
 from fluidlob.routing import _stationarity_gap
 
 from helpers import (
@@ -26,9 +25,6 @@ from helpers import (
     random_stable_config,
     unhoisted_rhs,
 )
-
-
-FAST = IntegratorConfig(dt=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +63,19 @@ def test_rhs_rejects_zero_workload(ref1):
 
 def test_integrate_fixed_point(ref1):
     eq = solve_equilibrium(ref1)
-    traj = integrate(ref1, eq.q_star, 25.0, FAST)
+    traj = integrate(ref1, eq.q_star, 25.0, dt=0.01)
     assert np.abs(traj.states - eq.q_star).max() < 1e-9
 
 
 def test_integrate_converges_to_equilibrium(ref1):
     eq = solve_equilibrium(ref1)
-    traj = integrate(ref1, [1.0, 1.0], 200.0, FAST)
+    traj = integrate(ref1, [1.0, 1.0], 200.0, dt=0.01)
     assert np.abs(traj.states[-1] - eq.q_star).max() < 1e-6
 
 
 def test_integrate_workload_stays_above_kappa(ref1, ref2):
     for cfg, q0 in ((ref1, [1.0, 1.0]), (ref2, [0.3, 0.2, 0.4])):
-        traj = integrate(cfg, q0, 100.0, FAST)
+        traj = integrate(cfg, q0, 100.0, dt=0.01)
         assert traj.min_workload > traj.kappa * (1 - 1e-6)
         assert traj.min_workload > 0
         assert np.all(traj.states >= 0)
@@ -98,7 +94,7 @@ def test_selected_step_meets_its_tolerance(request, name, horizon):
     traj = integrate(cfg, q0, horizon)
     assert traj.times[-1] == horizon and traj.steps == len(traj.times) - 1
     assert traj.dt == horizon / traj.steps and traj.pilot_steps >= traj.steps // 2
-    half = integrate(cfg, q0, horizon, IntegratorConfig(dt=traj.dt / 2))
+    half = integrate(cfg, q0, horizon, dt=traj.dt / 2)
     assert half.steps == 2 * traj.steps and half.pilot_steps == 0
     assert np.abs(traj.states - half.states[::2]).max() <= _SELECT_TOL
 
@@ -126,7 +122,7 @@ def test_selected_step_semigroup(ref1):
 
 def test_refine_checks_the_selected_step(ref1):
     plain = integrate(ref1, [1.0, 1.0], 2.0)
-    checked = integrate(ref1, [1.0, 1.0], 2.0, IntegratorConfig(refine_check=True))
+    checked = integrate(ref1, [1.0, 1.0], 2.0, refine=True)
     assert np.array_equal(plain.states, checked.states) and checked.steps == plain.steps
     assert 0 < checked.max_refine_error < 1e-6 and plain.max_refine_error == 0
 
@@ -136,7 +132,7 @@ def _count_batches(monkeypatch) -> list:
     batch = fluid._integrate_batch
 
     def counted(*args, **kwargs):
-        grids.append(kwargs.get("n_steps"))
+        grids.append(args[3])  # n_steps
         return batch(*args, **kwargs)
 
     monkeypatch.setattr(fluid, "_integrate_batch", counted)
@@ -163,15 +159,14 @@ def test_selector_refuses_a_grid_beyond_the_cap(ref1, monkeypatch):
 
 
 def test_integrate_refine_check(ref1):
-    traj = integrate(ref1, [1.0, 1.0], 2.0, IntegratorConfig(dt=0.01, refine_check=True))
+    traj = integrate(ref1, [1.0, 1.0], 2.0, dt=0.01, refine=True)
     assert traj.max_refine_error < 1e-6
 
 
 def test_semigroup_property(ref1):
-    icfg = IntegratorConfig(dt=0.01)
-    once = integrate(ref1, [1.0, 1.0], 8.0, icfg)
-    first = integrate(ref1, [1.0, 1.0], 4.0, icfg)
-    second = integrate(ref1, first.states[-1], 4.0, icfg)
+    once = integrate(ref1, [1.0, 1.0], 8.0, dt=0.01)
+    first = integrate(ref1, [1.0, 1.0], 4.0, dt=0.01)
+    second = integrate(ref1, first.states[-1], 4.0, dt=0.01)
     assert np.abs(second.states[-1] - once.states[-1]).max() < 1e-8
 
 
@@ -179,7 +174,7 @@ def test_step_halving_fourth_order(ref1):
     # Halving the step should shrink the deviation by at least 2^3.
     terminal = {}
     for dt in (0.2, 0.1, 0.05):
-        terminal[dt] = integrate(ref1, [1.0, 1.0], 5.0, IntegratorConfig(dt=dt)).states[-1]
+        terminal[dt] = integrate(ref1, [1.0, 1.0], 5.0, dt=dt).states[-1]
     d1 = np.abs(terminal[0.2] - terminal[0.1]).max()
     d2 = np.abs(terminal[0.1] - terminal[0.05]).max()
     assert d1 / d2 >= 8.0
@@ -189,7 +184,7 @@ def test_equal_beta_reduction(ref2):
     # For equal beta the workload along the full trajectory matches a scalar
     # integration of the summed field, the stationarity gap.
     dt = 0.01
-    traj = integrate(ref2, [1.0, 0.5, 2.0], 20.0, IntegratorConfig(dt=dt))
+    traj = integrate(ref2, [1.0, 0.5, 2.0], 20.0, dt=dt)
     w = float(ref2.beta @ np.array([1.0, 0.5, 2.0]))
     scalar = [w]
     beta1 = float(ref2.beta[0])
@@ -205,29 +200,27 @@ def test_equal_beta_reduction(ref2):
 
 def test_integrate_input_validation(ref1):
     with pytest.raises(ValueError):
-        integrate(ref1, [0.0, 0.0], 1.0, FAST)
+        integrate(ref1, [0.0, 0.0], 1.0, dt=0.01)
     with pytest.raises(ValueError):
-        integrate(ref1, [1.0, -0.1], 1.0, FAST)
+        integrate(ref1, [1.0, -0.1], 1.0, dt=0.01)
     with pytest.raises(ValueError):
-        integrate(ref1, [1.0, 1.0], 0.0, FAST)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=0.0)
-    with pytest.raises(ValueError, match="^dt:"):
-        IntegratorConfig(dt=math.inf)
+        integrate(ref1, [1.0, 1.0], 0.0, dt=0.01)
+    for dt in (0.0, -0.01, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^dt: must be positive and finite$"):
+            integrate(ref1, [1.0, 1.0], 1.0, dt=dt)
+    with pytest.raises(ValueError, match="^dt: the horizon would take more than"):
+        integrate(ref1, [1.0, 1.0], 1.0, dt=1e-8)
+    assert _step_count(1.0, 1.0) == 1 and _step_count(1.0, 2.0) == 1
+    assert _step_count(2.0, 0.01) == 200 and _step_count(1.0, 0.3) == 4
 
 
 def test_workload_floor_abort():
     # A pure-drain field pushes the workload to zero; the batch core must
     # abort once it crosses the configured floor.
     cfg = make_config(**{"lambda": [0.0, 0.0]}, big_lambda=0.0, beta=[1.0, 1.0])
+    res = _integrate_batch(cfg, np.array([[1.0, 1.0]]), 3.0, _step_count(3.0, 0.01), np.array([1.0]))
     with pytest.raises(SingularityError):
-        _integrate_batch(
-            cfg,
-            np.array([[1.0, 1.0]]),
-            3.0,
-            IntegratorConfig(dt=0.01),
-            np.array([1.0]),
-        )
+        raise _failure(res, 0)
 
 
 def test_hoisted_rhs_is_bitwise_the_unhoisted_field(ref1, ref2, rng):
@@ -244,17 +237,15 @@ def test_recorded_floor_breach_freezes_only_that_trajectory(ref1):
     # its workload crosses on the way down (near t = 2): the breach is recorded, the row
     # keeps its last state above the floor, and the other rows run exactly as
     # in a batch without it.
-    icfg = IntegratorConfig(dt=0.01)
+    steps = _step_count(4.0, 0.01)
     w_star = solve_equilibrium(ref1).w_star
     others = np.array([[0.5, 0.5], [2.0, 1.0], [0.2, 3.0], [1.0, 0.1]])
     kappas = np.array([compute_kappa(ref1, float(q @ ref1.beta), w_star) for q in others])
-    base = _integrate_batch(ref1, others, 4.0, icfg, kappas, store_states=True, on_error="record")
+    base = _integrate_batch(ref1, others, 4.0, steps, kappas, store_states=True)
     assert not base.failed.any()
 
     q0s = np.insert(others, 2, [4.0, 4.0], axis=0)
-    res = _integrate_batch(
-        ref1, q0s, 4.0, icfg, np.insert(kappas, 2, 21.0), store_states=True, on_error="record"
-    )
+    res = _integrate_batch(ref1, q0s, 4.0, steps, np.insert(kappas, 2, 21.0), store_states=True)
     assert res.fail_reason == [None, None, "floor", None, None]
     assert res.failed.tolist() == [False, False, True, False, False]
     keep = [0, 1, 3, 4]
@@ -263,9 +254,7 @@ def test_recorded_floor_breach_freezes_only_that_trajectory(ref1):
     assert_bitwise(res.terminal[keep], base.terminal)
     assert_bitwise(res.min_workload[keep], base.min_workload)
 
-    free = _integrate_batch(
-        ref1, q0s[2:3], 4.0, icfg, np.array([1.0]), store_states=True, on_error="record"
-    )
+    free = _integrate_batch(ref1, q0s[2:3], 4.0, steps, np.array([1.0]), store_states=True)
     breach = int(np.flatnonzero(free.workload[:, 0] < 10.5)[0])
     assert 0 < breach < res.steps
     assert_bitwise(res.states[:breach, 2], free.states[:breach, 0])
@@ -273,10 +262,11 @@ def test_recorded_floor_breach_freezes_only_that_trajectory(ref1):
     assert np.all(res.states[breach:, 2] == frozen)
     assert_bitwise(res.terminal[2], frozen)
     assert res.min_workload[2] == free.workload[breach - 1, 0]
+    assert res.fail_time[2] == res.times[breach] and np.isnan(res.fail_time[keep]).all()
 
 
 def _assert_same_batch(res, ref) -> None:
-    for name in ("times", "workload", "states", "terminal", "min_workload", "failed"):
+    for name in ("times", "workload", "states", "terminal", "min_workload", "failed", "fail_time"):
         assert_bitwise(getattr(res, name), getattr(ref, name))
     assert res.fail_reason == ref.fail_reason
     assert res.steps == ref.steps
@@ -289,13 +279,14 @@ def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
     # workload crosses mid-run, so it is recorded and frozen there.  At this
     # dt the stiffest draws also fail the half-step check.
     cfgs = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(12)]
-    horizon, dt, kw = 1.5, 0.01, dict(store_states=True, on_error="record")
+    horizon, dt = 1.5, 0.01
+    steps, kw = _step_count(horizon, dt), dict(store_states=True)
     seen = set()
     for cfg in cfgs:
         w_star = solve_workload_star(cfg)
         high = np.full(cfg.n_exchanges, 4.0 * w_star / cfg.beta.sum())
         free = oracle_integrate_batch(
-            cfg, high[None, :], horizon, IntegratorConfig(dt=dt), np.array([0.0]), **kw
+            cfg, high[None, :], horizon, dt, np.array([0.0]), on_error="record", **kw
         )
         w_free = free.workload[:, 0]
         mid = len(w_free) // 2
@@ -308,12 +299,14 @@ def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
             if breach:
                 q0s[-1], kappas[-1] = high, breach_kappa
             for refine in (False, True):
-                icfg = IntegratorConfig(dt=dt, refine_check=refine)
-                ref = oracle_integrate_batch(cfg, q0s, horizon, icfg, kappas, **kw)
+                ref = oracle_integrate_batch(
+                    cfg, q0s, horizon, dt, kappas, refine=refine, on_error="record", **kw
+                )
                 if not refine:
                     assert ref.fail_reason[-1] == ("floor" if breach else None)
                 seen.update(ref.fail_reason)
-                _assert_same_batch(_integrate_batch(cfg, q0s, horizon, icfg, kappas, **kw), ref)
+                res = _integrate_batch(cfg, q0s, horizon, steps, kappas, refine=refine, **kw)
+                _assert_same_batch(res, ref)
     assert seen == {None, "floor", "unstable"}
 
 
@@ -331,21 +324,27 @@ def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
 def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, refine, kappas):
     # A draining field (the pure drain of the failure tests below, or one
     # fed only at venue 1) with a second row that stays healthy, except in
-    # "all-floor": the same error in "raise" mode, the same record otherwise.
+    # "all-floor": the same record as the oracle, and for each failing row
+    # run alone, the error of the oracle's "raise" mode from `_failure`.
     # In "nan-state" the first row reaches W = 0 inside a step; in "negative"
     # it undershoots to a finite negative queue.  In "all-floor" the rows
     # breach their floors at t = 0.5 and t = 1.5 of the horizon 3.
     cfg = make_config(**{"lambda": lam}, big_lambda=0.0, beta=[1.0, 1.0])
-    icfg = IntegratorConfig(dt=dt, refine_check=refine)
+    steps = _step_count(3.0, dt)
     q0s, kappas = np.array([q0, [2.0, 0.5]]), np.array(kappas)
-    with pytest.raises(IntegrationError) as want:
-        oracle_integrate_batch(cfg, q0s, 3.0, icfg, kappas)
-    with pytest.raises(want.type, match=f"^{want.value}$"):
-        _integrate_batch(cfg, q0s, 3.0, icfg, kappas)
-    kw = dict(store_states=True, on_error="record")
-    ref = oracle_integrate_batch(cfg, q0s, 3.0, icfg, kappas, **kw)
+    ref = oracle_integrate_batch(
+        cfg, q0s, 3.0, dt, kappas, refine=refine, store_states=True, on_error="record"
+    )
     assert ref.failed[0]
-    _assert_same_batch(_integrate_batch(cfg, q0s, 3.0, icfg, kappas, **kw), ref)
+    _assert_same_batch(
+        _integrate_batch(cfg, q0s, 3.0, steps, kappas, refine=refine, store_states=True), ref
+    )
+    for row in np.flatnonzero(ref.failed):
+        alone = slice(row, row + 1)
+        with pytest.raises(IntegrationError) as want:
+            oracle_integrate_batch(cfg, q0s[alone], 3.0, dt, kappas[alone], refine=refine)
+        got = _failure(_integrate_batch(cfg, q0s[alone], 3.0, steps, kappas[alone], refine=refine), 0)
+        assert type(got) is want.type and str(got) == str(want.value)
 
 
 def test_maximum_is_the_clip_of_the_undershoot():
@@ -358,26 +357,18 @@ def test_maximum_is_the_clip_of_the_undershoot():
 
 def test_negative_undershoot_is_an_error():
     cfg = make_config(**{"lambda": [0.0, 0.0]}, big_lambda=0.0, beta=[1.0, 1.0])
+    res = _integrate_batch(cfg, np.array([[1.0, 1.0]]), 3.0, _step_count(3.0, 0.5), np.array([1e-9]))
     with pytest.raises(IntegrationError):
-        _integrate_batch(
-            cfg,
-            np.array([[1.0, 1.0]]),
-            3.0,
-            IntegratorConfig(dt=0.5),
-            np.array([1e-9]),
-        )
+        raise _failure(res, 0)
 
 
 def test_step_instability_detected():
     cfg = make_config(**{"lambda": [0.0, 0.0]}, big_lambda=0.0, beta=[1.0, 1.0])
+    res = _integrate_batch(
+        cfg, np.array([[1.0, 1.0]]), 3.0, _step_count(3.0, 0.5), np.array([1e-12]), refine=True
+    )
     with pytest.raises(StepInstabilityError):
-        _integrate_batch(
-            cfg,
-            np.array([[1.0, 1.0]]),
-            3.0,
-            IntegratorConfig(dt=0.5, refine_check=True),
-            np.array([1e-12]),
-        )
+        raise _failure(res, 0)
 
 
 # ---------------------------------------------------------------------------

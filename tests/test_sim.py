@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluidlob import (
     FluidTrajectory,
-    IntegratorConfig,
     ParameterError,
     SimConfig,
     SimCounters,
@@ -20,7 +20,7 @@ from fluidlob import (
 from fluidlob import load_config, sim
 from fluidlob.model import compute_kappa
 
-from helpers import FIXTURES, make_config, oracle_simulate, random_valid_config
+from helpers import FIXTURES, make_config, oracle_simulate, random_valid_config, ref1_dict
 
 
 Q0 = np.array([1.0, 1.0])
@@ -76,6 +76,79 @@ def test_bookkeeping_identity_exact(ref1):
     assert np.all(np.diff(path.routed_zero) >= 0)
 
 
+def _size_law(mean: int):
+    """A geometric or a two-point tabulated size law with the given mean."""
+    geometric = st.just({"kind": "geometric", "p": 1.0 / mean})
+    tabulated = st.integers(1, mean).map(
+        lambda low: {"kind": "tabulated", "values": [low, 2 * mean - low], "probs": [0.5, 0.5]}
+    )
+    return st.one_of(geometric, tabulated)
+
+
+@st.composite
+def _sized_runs(draw):
+    """A small config whose every size law is geometric or tabulated, and a
+    short run of it."""
+    n = draw(st.integers(1, 3))
+
+    def floats(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    v = draw(st.integers(1, 3))
+    b_dedicated = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    b_optimized = draw(st.integers(1, 3))
+    cfg = make_config(**{
+        **ref1_dict(),
+        "n_exchanges": n,
+        "beta": floats(0.5, 2.0),
+        "lambda": floats(0.0, 0.5),
+        "big_lambda": draw(st.floats(0.0, 1.5)),
+        "mu": draw(st.floats(0.5, 2.0)),
+        "rebates": [float(r) for r in draw(st.permutations(range(1, n + 1)))],
+        "v": float(v),
+        "b_dedicated": [float(b) for b in b_dedicated],
+        "b_optimized": float(b_optimized),
+        "size_dists": {
+            "market": [draw(_size_law(v)) for _ in range(n)],
+            "dedicated": [draw(_size_law(b)) for b in b_dedicated],
+            "optimized": draw(_size_law(b_optimized)),
+        },
+    })
+    horizon = draw(st.floats(0.0, 2.0, allow_subnormal=False))
+    q0 = floats(0.0, 2.0)
+    q0[draw(st.integers(0, n - 1))] += 0.5
+    run = SimConfig(
+        n=draw(st.integers(1, 30)),
+        horizon=horizon,
+        sample_dt=horizon / draw(st.integers(1, 20)) if horizon > 0 else 1.0,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        q0_scaled=q0,
+        epsilon=draw(st.sampled_from([0.0, 0.1])),
+    )
+    return cfg, run
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_sized_runs())
+def test_bookkeeping_identity_under_random_size_laws(case):
+    # Q = Q0 + A_d + A_o - D in integer counts on every row, with the
+    # series exact multiples of 1/n.
+    cfg, run = case
+    path = simulate(cfg, run)
+    n = path.n
+    counts = {}
+    for name in ("q_scaled", "arrivals_dedicated", "arrivals_optimized", "served"):
+        scaled = getattr(path, name) * n
+        counts[name] = np.rint(scaled)
+        assert np.abs(scaled - counts[name]).max() < 1e-6
+    q0 = np.rint(run.q0_scaled * n)
+    assert np.array_equal(
+        counts["q_scaled"],
+        q0 + counts["arrivals_dedicated"] + counts["arrivals_optimized"] - counts["served"],
+    )
+    assert np.all(counts["q_scaled"] >= 0)
+
+
 def test_served_bounded_by_supply(ref1):
     path = simulate(ref1, _sim(n=60, horizon=10.0))
     n = path.n
@@ -115,7 +188,7 @@ def test_truncation_coupling(ref1):
 
 
 def test_sup_distance_exact_match(ref1):
-    traj = integrate(ref1, Q0, 2.0, IntegratorConfig(dt=0.01))
+    traj = integrate(ref1, Q0, 2.0, dt=0.01)
     idx = np.arange(0, len(traj.times), 20)
     path = SimPath(
         times=traj.times[idx],
@@ -163,7 +236,7 @@ def test_sup_distance_constant_paths():
 
 
 def test_sup_distance_horizon_mismatch(ref1):
-    traj = integrate(ref1, Q0, 2.0, IntegratorConfig(dt=0.01))
+    traj = integrate(ref1, Q0, 2.0, dt=0.01)
     path = simulate(ref1, _sim(horizon=3.0))
     with pytest.raises(ValueError):
         sup_distance(path, traj)

@@ -6,7 +6,6 @@ import pytest
 
 from fluidlob import (
     AssumptionError,
-    IntegratorConfig,
     chi_derivative,
     det_shifted,
     global_stability_experiment,
@@ -268,13 +267,13 @@ def test_invariant_hyperplane(ref2):
     # Starting exactly on the equal-workload hyperplane keeps W_t at W*.
     eq = solve_equilibrium(ref2)
     q0 = np.array([0.5, 0.3, 0.2]) * eq.w_star
-    traj = integrate(ref2, q0, 50.0, IntegratorConfig(dt=0.01))
+    traj = integrate(ref2, q0, 50.0, dt=0.01)
     assert np.abs(traj.workload - eq.w_star).max() < 1e-9
 
 
 def test_workload_monotone_from_below(ref2):
     eq = solve_equilibrium(ref2)
-    traj = integrate(ref2, [0.2, 0.1, 0.1], 50.0, IntegratorConfig(dt=0.01))
+    traj = integrate(ref2, [0.2, 0.1, 0.1], 50.0, dt=0.01)
     gap = np.abs(traj.workload - eq.w_star)
     inside = np.flatnonzero(gap <= 0.01 * eq.w_star)
     assert inside.size > 0

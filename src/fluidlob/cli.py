@@ -3,13 +3,15 @@ deterministic CSV/JSON emission.
 
 Exit status: 0 on pass, 1 on validation errors (bad config or parameters,
 with a pointer to the failing schema key), 2 on experiment failure such as
-non-convergence.  All files are written atomically (temp file + rename) and
-floats are formatted to 12 significant digits so reruns are byte-identical.
+non-convergence.  All files are written atomically (temp file + rename); a
+JSON report holds its dataclass's fields in order and CSV floats have 12
+significant digits, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -53,8 +55,23 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+def _plain(value):
+    """JSON values of a report: a dataclass becomes its fields in declaration
+    order, a real array its nested lists, a tuple or list a list and a complex
+    number [re, im]."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray) and not np.iscomplexobj(value):
+        return value.tolist()
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(x) for x in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
+def _write_json(path: Path, report) -> None:
+    _atomic_write(path, json.dumps(_plain(report), indent=2) + "\n")
 
 
 def _csv_text(header: list[str], rows, meta: dict | None = None) -> str:
@@ -151,7 +168,7 @@ def _emit_trials(command: str, name: str, outdir: Path, report, header, rows) ->
     """Write a stability report as JSON and its trials as CSV, print the
     summary line, and return the exit status."""
     stem = f"{command.replace('-', '_')}_{name}"
-    _write_json(outdir / f"{stem}.json", report.to_dict())
+    _write_json(outdir / f"{stem}.json", report)
     csv_path = outdir / f"{stem}.csv"
     _atomic_write(csv_path, _csv_text(header, rows, meta={"seed": report.seed}))
     worst = max((t.terminal_distance for t in report.trials), default=float("nan"))
@@ -176,7 +193,7 @@ def run(command: str, config_path, params: dict) -> int:
     if command == "check":
         report = check_assumptions(cfg, _q0(cfg, params))
         path = outdir / f"check_{name}.json"
-        _write_json(path, report.to_dict())
+        _write_json(path, report)
         print(
             f"check {name}: cond_i={report.cond_i_holds} cond_ii={report.cond_ii_holds} "
             f"cond_iv={report.cond_iv_holds} kappa={report.kappa} -> {path}"
@@ -186,7 +203,7 @@ def run(command: str, config_path, params: dict) -> int:
     if command == "equilibrium":
         eq = solve_equilibrium(cfg)
         path = outdir / f"equilibrium_{name}.json"
-        _write_json(path, eq.to_dict())
+        _write_json(path, eq)
         print(f"equilibrium {name}: w_star={eq.w_star:.6f} residual={eq.residual:.2e} -> {path}")
         return 0
 
@@ -194,7 +211,7 @@ def run(command: str, config_path, params: dict) -> int:
         eq = solve_equilibrium(cfg)
         rep = spectrum(cfg, eq.q_star)
         path = outdir / f"spectrum_{name}.json"
-        _write_json(path, rep.to_dict())
+        _write_json(path, rep)
         print(
             f"spectrum {name}: verdict={rep.verdict} max_real={rep.max_real_part:.3e} "
             f"det_err={rep.det_identity_max_rel_err:.2e} -> {path}"

@@ -132,7 +132,9 @@ class _Clock:
         self.code = code
         self.marks = marks
         self._gen = _stream_generator(seed, name) if rate > 0 else None
-        self._scale = 1.0 / rate if rate > 0 else None
+        # Python float division: a subnormal rate gives an infinite scale, and
+        # so no events, without numpy's overflow warning.
+        self._scale = 1.0 / float(rate) if rate > 0 else None
         self.pending = np.empty(0)
         self.last = 0.0 if rate > 0 else math.inf
         self.events = 0

@@ -14,7 +14,7 @@ or 1e-2/mu, and report each failed trial with its reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,19 +84,6 @@ class AssumptionReport:
     kappa: float | None
     complete: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "cond_i_holds": self.cond_i_holds,
-            "gamma_f_grid": list(self.gamma_f_grid) if self.gamma_f_grid else None,
-            "cond_ii_holds": self.cond_ii_holds,
-            "cond_ii_sides": list(self.cond_ii_sides),
-            "cond_iii_note": self.cond_iii_note,
-            "cond_iv_holds": self.cond_iv_holds,
-            "empty_band_exchanges": list(self.empty_band_exchanges),
-            "kappa": self.kappa,
-            "complete": self.complete,
-        }
-
 
 def check_assumptions(cfg: ModelConfig, q0) -> AssumptionReport:
     """Evaluate the standing assumptions for `cfg` started from queue vector `q0`.
@@ -154,16 +141,6 @@ class Equilibrium:
     residual: float              # max-norm of the drift at q_star
     all_roots: tuple[float, ...]
     unique: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "w_star": self.w_star,
-            "q_star": self.q_star.tolist(),
-            "chi_at_star": self.chi_at_star.tolist(),
-            "residual": self.residual,
-            "all_roots": list(self.all_roots),
-            "unique": self.unique,
-        }
 
 
 def solve_equilibrium(cfg: ModelConfig) -> Equilibrium:
@@ -239,7 +216,11 @@ def det_shifted(cfg: ModelConfig, q, nu: float) -> float:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Spectrum of the drift Jacobian plus the determinant cross-checks."""
+    """Spectrum of the drift Jacobian plus the determinant cross-checks.
+
+    `eigenvalues` is complex even when all are real; `marginal_tolerance` is
+    the fixed bound on |max_real_part| within which the verdict is "marginal".
+    """
 
     jacobian: np.ndarray
     eigenvalues: np.ndarray
@@ -251,21 +232,7 @@ class SpectrumReport:
     secular_real_roots: int | None
     real_eigs_off_pole: int | None
     secular_max_residual: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "jacobian": self.jacobian.tolist(),
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "max_real_part": self.max_real_part,
-            "det_identity_max_rel_err": self.det_identity_max_rel_err,
-            "verdict": self.verdict,
-            "has_complex_pair": self.has_complex_pair,
-            "secular_checked": self.secular_checked,
-            "secular_real_roots": self.secular_real_roots,
-            "real_eigs_off_pole": self.real_eigs_off_pole,
-            "secular_max_residual": self.secular_max_residual,
-            "marginal_tolerance": STABILITY_TOL,
-        }
+    marginal_tolerance: float = field(default=STABILITY_TOL, init=False)
 
 
 def _secular(d: np.ndarray, c: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -284,7 +251,7 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
     """
     w, jac, d, c = _rank1_parts(cfg, q, "spectrum")
     try:
-        eigs = np.linalg.eigvals(jac)
+        eigs = np.linalg.eigvals(jac).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise AssumptionError(f"eigenvalue solver did not converge: {exc}") from exc
     max_real = float(np.max(eigs.real))
@@ -359,6 +326,12 @@ def _experiment_steps(cfg: ModelConfig, horizon: float, dt: float | None) -> int
     return _step_count(horizon, 1e-2 / cfg.mu if dt is None else dt)
 
 
+def _experiment_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterError("seed: must be a nonnegative integer")
+    return np.random.default_rng(seed)
+
+
 def _run_batch(cfg: ModelConfig, eq: Equilibrium, q0s: np.ndarray, horizon: float, n_steps: int):
     """Integrate one trial per row of `q0s`, recording per-trial failures.
 
@@ -383,31 +356,11 @@ class LocalTrial:
 
 @dataclass(frozen=True)
 class LocalStabilityReport:
-    trials: tuple[LocalTrial, ...]
     passed: bool
     threshold: float
     horizon: float
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "trials": [
-                {
-                    "delta": t.delta,
-                    "direction": t.direction,
-                    "terminal_distance": t.terminal_distance,
-                    "min_workload": t.min_workload,
-                    "kappa": t.kappa,
-                    "ok": t.ok,
-                    "error": t.error,
-                }
-                for t in self.trials
-            ],
-        }
+    trials: tuple[LocalTrial, ...]
 
 
 def local_stability_experiment(
@@ -433,7 +386,7 @@ def local_stability_experiment(
     if directions < 1:
         raise ParameterError("directions: must be at least 1")
     n_steps = _experiment_steps(cfg, horizon, dt)
-    gen = np.random.default_rng(seed)
+    gen = _experiment_rng(seed)
     dirs = gen.normal(size=(directions, cfg.n_exchanges))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
@@ -492,34 +445,12 @@ class GlobalTrial:
 
 @dataclass(frozen=True)
 class GlobalStabilityReport:
-    trials: tuple[GlobalTrial, ...]
     passed: bool
     threshold: float
     tube_radius: float
     horizon: float
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "tube_radius": self.tube_radius,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "trials": [
-                {
-                    "init": list(t.init),
-                    "terminal_distance": t.terminal_distance,
-                    "workload_monotone": t.workload_monotone,
-                    "tube_entry_time": t.tube_entry_time,
-                    "min_workload": t.min_workload,
-                    "kappa": t.kappa,
-                    "ok": t.ok,
-                    "error": t.error,
-                }
-                for t in self.trials
-            ],
-        }
+    trials: tuple[GlobalTrial, ...]
 
 
 def global_stability_experiment(
@@ -545,11 +476,11 @@ def global_stability_experiment(
     if not 0 < box < math.inf:
         raise ParameterError("box: must be positive and finite")
     n_steps = _experiment_steps(cfg, horizon, dt)
+    gen = _experiment_rng(seed)
     eq = solve_equilibrium(cfg)
     w_star = eq.w_star
     tube = 0.01 * w_star
 
-    gen = np.random.default_rng(seed)
     q0s = gen.uniform(0.0, box, size=(n_inits, cfg.n_exchanges))
     for k in range(n_inits):
         while not float(cfg.beta @ q0s[k]) > 0:

@@ -28,6 +28,14 @@ from fluidlob.errors import IntegrationError, SingularityError, StepInstabilityE
 from fluidlob.fluid import _CLIP_TOL, _FLOOR_FACTOR, _REFINE_TOL, _BatchResult
 from fluidlob.routing import _band_chi, _router
 from fluidlob.sim import _sample_grid, _stream_generator
+from fluidlob.stability import (
+    STABILITY_TOL,
+    AssumptionReport,
+    Equilibrium,
+    GlobalStabilityReport,
+    LocalStabilityReport,
+    SpectrumReport,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -644,3 +652,90 @@ def _as_dict(cfg: ModelConfig) -> dict:
 
 def random_positive_state(rng: np.random.Generator, cfg: ModelConfig) -> np.ndarray:
     return rng.uniform(0.2, 3.0, cfg.n_exchanges)
+
+
+# ---------------------------------------------------------------------------
+# JSON report layout: the hand-written dictionaries the reports once built
+# themselves, kept as the oracle for the CLI's field-order serializer
+# ---------------------------------------------------------------------------
+
+def oracle_report_dict(report) -> dict:
+    """The JSON payload of a check, equilibrium, spectrum, stability-local or
+    stability-global report, with every key written out by hand."""
+    r = report
+    if isinstance(r, AssumptionReport):
+        return {
+            "cond_i_holds": r.cond_i_holds,
+            "gamma_f_grid": list(r.gamma_f_grid) if r.gamma_f_grid else None,
+            "cond_ii_holds": r.cond_ii_holds,
+            "cond_ii_sides": list(r.cond_ii_sides),
+            "cond_iii_note": r.cond_iii_note,
+            "cond_iv_holds": r.cond_iv_holds,
+            "empty_band_exchanges": list(r.empty_band_exchanges),
+            "kappa": r.kappa,
+            "complete": r.complete,
+        }
+    if isinstance(r, Equilibrium):
+        return {
+            "w_star": r.w_star,
+            "q_star": r.q_star.tolist(),
+            "chi_at_star": r.chi_at_star.tolist(),
+            "residual": r.residual,
+            "all_roots": list(r.all_roots),
+            "unique": r.unique,
+        }
+    if isinstance(r, SpectrumReport):
+        return {
+            "jacobian": r.jacobian.tolist(),
+            "eigenvalues": [[z.real, z.imag] for z in r.eigenvalues],
+            "max_real_part": r.max_real_part,
+            "det_identity_max_rel_err": r.det_identity_max_rel_err,
+            "verdict": r.verdict,
+            "has_complex_pair": r.has_complex_pair,
+            "secular_checked": r.secular_checked,
+            "secular_real_roots": r.secular_real_roots,
+            "real_eigs_off_pole": r.real_eigs_off_pole,
+            "secular_max_residual": r.secular_max_residual,
+            "marginal_tolerance": STABILITY_TOL,
+        }
+    if isinstance(r, LocalStabilityReport):
+        return {
+            "passed": r.passed,
+            "threshold": r.threshold,
+            "horizon": r.horizon,
+            "seed": r.seed,
+            "trials": [
+                {
+                    "delta": t.delta,
+                    "direction": t.direction,
+                    "terminal_distance": t.terminal_distance,
+                    "min_workload": t.min_workload,
+                    "kappa": t.kappa,
+                    "ok": t.ok,
+                    "error": t.error,
+                }
+                for t in r.trials
+            ],
+        }
+    if isinstance(r, GlobalStabilityReport):
+        return {
+            "passed": r.passed,
+            "threshold": r.threshold,
+            "tube_radius": r.tube_radius,
+            "horizon": r.horizon,
+            "seed": r.seed,
+            "trials": [
+                {
+                    "init": list(t.init),
+                    "terminal_distance": t.terminal_distance,
+                    "workload_monotone": t.workload_monotone,
+                    "tube_entry_time": t.tube_entry_time,
+                    "min_workload": t.min_workload,
+                    "kappa": t.kappa,
+                    "ok": t.ok,
+                    "error": t.error,
+                }
+                for t in r.trials
+            ],
+        }
+    raise TypeError(f"no oracle layout for {type(r).__name__}")

@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from fluidlob import integrate, simulate, SimConfig
+from fluidlob import (
+    SimConfig,
+    check_assumptions,
+    global_stability_experiment,
+    integrate,
+    local_stability_experiment,
+    simulate,
+    solve_equilibrium,
+    spectrum,
+)
 from fluidlob import cli
 from fluidlob.cli import emit_plotdata, main, run
 from fluidlob.errors import ConfigError
 
-from helpers import FIXTURES
+from helpers import FIXTURES, oracle_report_dict, random_stable_config
 
 REF1 = str(FIXTURES / "ref1.json")
 REF2 = str(FIXTURES / "ref2.json")
@@ -171,6 +180,29 @@ def test_stability_global_command(tmp_path):
     assert len(payload["trials"]) == 5
 
 
+def test_reports_are_written_from_their_fields(tmp_path, ref1, ref2):
+    # The field-order serializer writes the same text as the hand-written
+    # layouts the reports once carried (`oracle_report_dict`).
+    rng = np.random.default_rng(5)
+    configs = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(30)]
+    reports = []
+    for cfg in configs:
+        eq = solve_equilibrium(cfg)
+        reports += [check_assumptions(cfg, np.ones(cfg.n_exchanges)), eq, spectrum(cfg, eq.q_star)]
+    local = local_stability_experiment(ref1, solve_equilibrium(ref1), [0.1, 3.0], 1.0, 4, dt=0.1)
+    glob = global_stability_experiment(ref2, 3, 5.0, 0.5, 0, dt=0.1)
+    reports += [local, glob]
+
+    complex_pairs = [r.has_complex_pair for r in reports if hasattr(r, "has_complex_pair")]
+    assert any(complex_pairs) and not all(complex_pairs)
+    assert sum(t.error == "nonpositive start" for t in local.trials) == 2
+    assert any(t.tube_entry_time is None for t in glob.trials)
+    for report in reports:
+        path = tmp_path / "report.json"
+        cli._write_json(path, report)
+        assert path.read_text() == json.dumps(oracle_report_dict(report), indent=2) + "\n"
+
+
 def test_emit_plotdata_deterministic(tmp_path, ref1):
     traj = integrate(ref1, [1.0, 1.0], 2.0, dt=0.05)
     a = emit_plotdata(traj, tmp_path / "a.csv").read_bytes()
@@ -301,6 +333,8 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["fluid", REF1, "--q0", "1", "--T", "1"], "q0"),
         (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "1,1,1"], "q0_scaled"),
         (["simulate", REF1, "--n", "5", "--T", "1e-300", "--sample-dt", "1e-13"], "sample_dt"),
+        (["stability-local", REF1, "--deltas", "0.1", "--T", "1", "--seed", "-1"], "seed"),
+        (["stability-global", REF2, "--inits", "2", "--T", "1", "--seed", "-1"], "seed"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,20 @@ def test_dedicated_event_rate(ref1):
     want = ref1.lam * horizon  # unit sizes
     se = np.sqrt(ref1.lam * horizon / n) / math.sqrt(reps)
     assert np.all(np.abs(totals.mean(axis=0) - want) <= 3 * se)
+
+
+def test_subnormal_rate_draws_no_events_and_no_warning():
+    # n * 5e-324 is subnormal and its inverse overflows: the stream's scale
+    # is inf, so it has no events, and the division warns of nothing.
+    cfg = make_config(**{"lambda": [5e-324, 0.2]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = simulate(cfg, _sim(n=2000, horizon=1.0, sample_dt=0.01, seed=1))
+    assert not path.arrivals_dedicated[:, 0].any()
+    assert path.arrivals_dedicated[-1, 1] > 0
+    assert path.rng_fingerprint == (
+        "549a6232b860e5a9fdd5dc14d3a7df770a2b7c360046b31e8e254c5cd493d6f4"
+    )
 
 
 def test_routed_zero_accumulates(ref1):

@@ -74,6 +74,7 @@ class FluidTrajectory:
 
     times: np.ndarray      # (K+1,)
     states: np.ndarray     # (K+1, N)
+    drift: np.ndarray      # (K+1, N) the fluid field at each node
     workload: np.ndarray   # (K+1,)
     min_workload: float
     kappa: float
@@ -81,6 +82,21 @@ class FluidTrajectory:
     dt: float
     pilot_steps: int
     max_refine_error: float
+
+    def at(self, times) -> np.ndarray:
+        """The (M, N) states at the (M,) `times` in [0, horizon], exact at the
+        nodes; between two, the cubic matching their states and drift, whose
+        error is fourth order (*Solving ODEs I*, section II.6)."""
+        t, nodes = np.asarray(times, dtype=float), self.times
+        if not (np.all(t >= 0.0) and np.all(t <= nodes[-1])):
+            raise ValueError(f"times: must lie in [0, {nodes[-1]:g}]")
+        j = np.minimum(np.searchsorted(nodes, t, side="right"), len(nodes) - 1) - 1
+        h = (nodes[j + 1] - nodes[j])[:, None]
+        s = (t - nodes[j])[:, None] / h
+        r = 1.0 - s
+        y0, y1, f0, f1 = self.states[j], self.states[j + 1], self.drift[j], self.drift[j + 1]
+        cubic = (1.0 + 2.0 * s) * r * r * y0 + s * s * (3.0 - 2.0 * s) * y1
+        return cubic + h * s * r * (r * f0 - s * f1)
 
 
 def fluid_rhs(cfg: ModelConfig, state: QueueState) -> np.ndarray:
@@ -291,6 +307,8 @@ def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (cfg.n_exchanges,):
         raise ParameterError(f"q0: expected {cfg.n_exchanges} initial queue lengths")
+    if not np.all(np.isfinite(q0)):
+        raise ParameterError("q0: initial queue lengths must be finite")
     if np.any(q0 < 0):
         raise ParameterError("q0: initial queue lengths must be nonnegative")
     w0 = float(cfg.beta @ q0)
@@ -300,7 +318,7 @@ def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
 
 
 def _select_grid(
-    cfg: ModelConfig, q0: np.ndarray, horizon: float, kappas: np.ndarray, grain: int
+    cfg: ModelConfig, q0: np.ndarray, horizon: float, kappas: np.ndarray
 ) -> tuple[_BatchResult, int]:
     """Pick a uniform RK4 grid by step doubling; return its run and the steps
     of the pilot grids.
@@ -309,14 +327,9 @@ def _select_grid(
     two agree within `_SELECT_TOL` times max(1, max|q|) at every node of the
     K run.  Otherwise the fourth-order error rule, gap(K) ~ K^-4, predicts
     the K that meets the tolerance, rounded up to K times a power of two; a
-    pilot that breaches the floor or goes negative doubles K.  The returned
-    step count is `grain` times a power of two, so the nodes of `grain`
-    uniform intervals over the horizon are among its nodes.
+    pilot that breaches the floor or goes negative doubles K.
     """
-    k = grain
-    while k < _MIN_SELECTED or k % 2:
-        k *= 2
-    k //= 2
+    k = _MIN_SELECTED // 2
     runs: dict[int, _BatchResult | None] = {}  # pilots by step count; None if one failed
     ran = 0
 
@@ -359,15 +372,13 @@ def integrate(
     *,
     dt: float | None = None,
     refine: bool = False,
-    grain: int = _MIN_SELECTED,
 ) -> FluidTrajectory:
     """Integrate the fluid system from q0 over [0, horizon].
 
     `dt` fixes the uniform step: the horizon is divided into the fewest
     steps no longer than it.  Without it the step is picked by step doubling
-    (`_select_grid`) on a grid of `grain` times a power of two steps, at
-    least 200.  With `refine` the step that runs is checked against two
-    half-steps.
+    (`_select_grid`), at least 200 steps.  With `refine` the step that runs
+    is checked against two half-steps.
 
     Raises SingularityError if the workload drops below half of kappa,
     StepInstabilityError if the optional half-step verification disagrees
@@ -377,15 +388,13 @@ def integrate(
     q0, w0 = _initial_state(cfg, q0)
     if not 0 < horizon < math.inf:
         raise ParameterError("horizon: must be positive and finite")
-    if not (int(grain) == grain and grain >= 1):
-        raise ParameterError("grain: must be a positive integer")
     n_steps = None if dt is None else _step_count(horizon, dt)
 
     kappa = compute_kappa(cfg, w0, solve_workload_star(cfg))
     kappas = np.array([kappa])
     pilot_steps = 0
     if n_steps is None:
-        res, pilot_steps = _select_grid(cfg, q0, horizon, kappas, int(grain))
+        res, pilot_steps = _select_grid(cfg, q0, horizon, kappas)
         n_steps = res.steps
     # The half-step check leaves the accepted steps as they are, so a
     # selected grid runs again with it and gives the same states.
@@ -398,6 +407,7 @@ def integrate(
     return FluidTrajectory(
         times=res.times,
         states=res.states[:, 0, :],
+        drift=_rhs_batch(cfg)(res.states[:, 0, :], res.workload[:, 0]),
         workload=res.workload[:, 0],
         min_workload=float(res.min_workload[0]),
         kappa=kappa,

@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fluidlob import (
     ExponentialType,
@@ -739,3 +740,77 @@ def oracle_report_dict(report) -> dict:
             ],
         }
     raise TypeError(f"no oracle layout for {type(r).__name__}")
+
+
+def _size_law(mean: int):
+    """Each size kind, with the given integer mean."""
+    return st.one_of(
+        st.just({"kind": "deterministic", "value": mean}),
+        st.just({"kind": "geometric", "p": 1.0 / mean}),
+        st.tuples(st.integers(1, mean), st.floats(0.0, 0.5)).map(
+            lambda a: {
+                "kind": "tabulated",
+                "values": [a[0], mean, 2 * mean - a[0]],
+                "probs": [a[1], 1.0 - 2.0 * a[1], a[1]],
+            }
+        ),
+    )
+
+
+@st.composite
+def _tabulated_type(draw):
+    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(steps), max_size=len(steps))))
+    weights[-1] += 0.1
+    return {
+        "kind": "tabulated",
+        "gamma": [0.0, *np.cumsum(steps).tolist()],
+        "cdf": [0.0, *(np.cumsum(weights) / weights.sum()).tolist()],
+    }
+
+
+@st.composite
+def config_dicts(draw, n_max: int = 4):
+    """A Hypothesis strategy: a config dict of 1 to `n_max` venues, of every
+    type kind and size kind, with the market and dedicated size laws given
+    in the broadcast or the list form."""
+    n = draw(st.integers(1, n_max))
+
+    def floats(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    v = draw(st.integers(1, 3))
+    b_dedicated = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    b_optimized = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        market = draw(_size_law(v))
+    else:
+        market = [draw(_size_law(v)) for _ in range(n)]
+    if draw(st.booleans()):
+        b_dedicated = [b_dedicated[0]] * n
+        dedicated = draw(_size_law(b_dedicated[0]))
+    else:
+        dedicated = [draw(_size_law(b)) for b in b_dedicated]
+    type_dist = draw(st.one_of(
+        st.floats(0.1, 10.0).map(lambda r: {"kind": "exponential", "rate": r}),
+        st.floats(0.1, 10.0).map(lambda s: {"kind": "half-normal", "sigma": s}),
+        _tabulated_type(),
+    ))
+    return {
+        "n_exchanges": n,
+        "beta": floats(0.1, 10.0),
+        "lambda": floats(0.0, 5.0),
+        "big_lambda": draw(st.floats(0.0, 5.0)),
+        "mu": draw(st.floats(0.1, 5.0)),
+        "rebate0": draw(st.floats(-5.0, -0.01)),
+        "rebates": draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n, unique=True)),
+        "v": float(v),
+        "b_dedicated": [float(b) for b in b_dedicated],
+        "b_optimized": float(b_optimized),
+        "type_dist": type_dist,
+        "size_dists": {
+            "market": market,
+            "dedicated": dedicated,
+            "optimized": draw(_size_law(b_optimized)),
+        },
+    }

@@ -222,6 +222,7 @@ def test_single_row_trajectory_emission(tmp_path, ref1):
     traj = FluidTrajectory(
         times=np.array([0.0]),
         states=np.array([[1.0, 2.0]]),
+        drift=np.zeros((1, 2)),
         workload=np.array([4.0]),
         min_workload=4.0,
         kappa=1.0,
@@ -335,6 +336,11 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["simulate", REF1, "--n", "5", "--T", "1e-300", "--sample-dt", "1e-13"], "sample_dt"),
         (["stability-local", REF1, "--deltas", "0.1", "--T", "1", "--seed", "-1"], "seed"),
         (["stability-global", REF2, "--inits", "2", "--T", "1", "--seed", "-1"], "seed"),
+        (["fluid", REF1, "--q0", "inf,1", "--T", "1"], "q0"),
+        (["check", REF1, "--q0", "inf,1"], "q0"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "inf,1"], "q0_scaled"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "1e300,1"], "q0_scaled"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "nan,1"], "q0_scaled"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):

@@ -106,11 +106,54 @@ def test_selected_grid_counts(ref1):
     assert (short.steps, short.pilot_steps, short.dt) == (200, 100, 0.01)
     long = integrate(ref1, [1.0, 1.0], 10.0)
     assert (long.steps, long.pilot_steps) == (800, 100 + 200 + 400)
-    # A grain's intervals end on the selected nodes.
-    assert integrate(ref1, [1.0, 1.0], 2.0, grain=30).steps == 240
-    assert integrate(ref1, [1.0, 1.0], 2.0, grain=1000).steps == 1000
-    with pytest.raises(ValueError, match="^grain:"):
-        integrate(ref1, [1.0, 1.0], 2.0, grain=0)
+
+
+@pytest.fixture(scope="module")
+def fine_reference(request):
+    """ref1 and ref2 from all ones over T=2 at dt=1e-4, read at the
+    multiples of 0.003, most of which are not nodes of a coarser grid."""
+    refs = {}
+    for name in ("ref1", "ref2"):
+        cfg = request.getfixturevalue(name)
+        fine = integrate(cfg, np.ones(cfg.n_exchanges), 2.0, dt=1e-4)
+        refs[name] = (cfg, fine.times[::30], fine.states[::30])
+    return refs
+
+
+@pytest.mark.parametrize("name", ["ref1", "ref2"])
+def test_trajectory_at_returns_the_nodes_as_stored(request, name):
+    cfg = request.getfixturevalue(name)
+    traj = integrate(cfg, np.ones(cfg.n_exchanges), 2.0)
+    assert_bitwise(traj.at(traj.times), traj.states)
+    assert_bitwise(traj.at([2.0, 0.0]), traj.states[[-1, 0]])
+    assert_bitwise(traj.drift, _rhs_batch(cfg)(traj.states, traj.workload))
+    for outside in ([-1e-300], [2.0 + 4e-16], [math.nan]):
+        with pytest.raises(ValueError, match="^times: must lie in"):
+            traj.at(outside)
+
+
+@pytest.mark.parametrize("name", ["ref1", "ref2"])
+def test_trajectory_at_meets_the_selector_tolerance_between_nodes(fine_reference, name):
+    # The selected 200-step grid read off its nodes: linear interpolation
+    # misses the reference by 5.8e-7 (ref1) and 1.4e-6 (ref2); the cubic
+    # Hermite reading by 3.0e-13 and 4.7e-13.
+    cfg, times, states = fine_reference[name]
+    traj = integrate(cfg, np.ones(cfg.n_exchanges), 2.0)
+    assert traj.steps == 200 and not np.isin(times, traj.times).all()
+    assert np.abs(traj.at(times) - states).max() <= _SELECT_TOL
+
+
+@pytest.mark.parametrize("name", ["ref1", "ref2"])
+def test_trajectory_at_is_fourth_order(fine_reference, name):
+    # Each halving of the step divides the error between the nodes by about
+    # 16; measured 12.8 to 16.9 on both fixtures for dt from 0.04 to 0.005.
+    cfg, times, states = fine_reference[name]
+    errors = [
+        np.abs(integrate(cfg, np.ones(cfg.n_exchanges), 2.0, dt=dt).at(times) - states).max()
+        for dt in (0.04, 0.02, 0.01, 0.005)
+    ]
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((11.0 < ratios) & (ratios < 19.0)), ratios
 
 
 def test_selected_step_semigroup(ref1):
@@ -205,6 +248,9 @@ def test_integrate_input_validation(ref1):
         integrate(ref1, [1.0, -0.1], 1.0, dt=0.01)
     with pytest.raises(ValueError):
         integrate(ref1, [1.0, 1.0], 0.0, dt=0.01)
+    for q0 in ([math.inf, 1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="^q0: initial queue lengths must be finite$"):
+            integrate(ref1, q0, 1.0)
     for dt in (0.0, -0.01, math.inf, math.nan):
         with pytest.raises(ValueError, match="^dt: must be positive and finite$"):
             integrate(ref1, [1.0, 1.0], 1.0, dt=dt)

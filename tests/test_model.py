@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 from scipy.integrate import quad
 
 from fluidlob import (
@@ -28,7 +28,7 @@ from fluidlob import (
     spectrum,
 )
 
-from helpers import FIXTURES, brute_force_route, make_config, random_valid_config
+from helpers import FIXTURES, brute_force_route, config_dicts, make_config, random_valid_config
 
 
 # ---------------------------------------------------------------------------
@@ -386,79 +386,6 @@ def test_config_round_trip(tmp_path, ref1, rng):
         assert config_to_dict(back) == config_to_dict(cfg)
 
 
-def _size_law(mean: int):
-    """Each size kind, with the given integer mean."""
-    return st.one_of(
-        st.just({"kind": "deterministic", "value": mean}),
-        st.just({"kind": "geometric", "p": 1.0 / mean}),
-        st.tuples(st.integers(1, mean), st.floats(0.0, 0.5)).map(
-            lambda a: {
-                "kind": "tabulated",
-                "values": [a[0], mean, 2 * mean - a[0]],
-                "probs": [a[1], 1.0 - 2.0 * a[1], a[1]],
-            }
-        ),
-    )
-
-
-@st.composite
-def _tabulated_type(draw):
-    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6))
-    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(steps), max_size=len(steps))))
-    weights[-1] += 0.1
-    return {
-        "kind": "tabulated",
-        "gamma": [0.0, *np.cumsum(steps).tolist()],
-        "cdf": [0.0, *(np.cumsum(weights) / weights.sum()).tolist()],
-    }
-
-
-@st.composite
-def _config_dicts(draw):
-    """A config dict of every type kind and size kind, with the market and
-    dedicated size laws given in the broadcast or the list form."""
-    n = draw(st.integers(1, 4))
-
-    def floats(lo, hi):
-        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
-
-    v = draw(st.integers(1, 3))
-    b_dedicated = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    b_optimized = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        market = draw(_size_law(v))
-    else:
-        market = [draw(_size_law(v)) for _ in range(n)]
-    if draw(st.booleans()):
-        b_dedicated = [b_dedicated[0]] * n
-        dedicated = draw(_size_law(b_dedicated[0]))
-    else:
-        dedicated = [draw(_size_law(b)) for b in b_dedicated]
-    type_dist = draw(st.one_of(
-        st.floats(0.1, 10.0).map(lambda r: {"kind": "exponential", "rate": r}),
-        st.floats(0.1, 10.0).map(lambda s: {"kind": "half-normal", "sigma": s}),
-        _tabulated_type(),
-    ))
-    return {
-        "n_exchanges": n,
-        "beta": floats(0.1, 10.0),
-        "lambda": floats(0.0, 5.0),
-        "big_lambda": draw(st.floats(0.0, 5.0)),
-        "mu": draw(st.floats(0.1, 5.0)),
-        "rebate0": draw(st.floats(-5.0, -0.01)),
-        "rebates": draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n, unique=True)),
-        "v": float(v),
-        "b_dedicated": [float(b) for b in b_dedicated],
-        "b_optimized": float(b_optimized),
-        "type_dist": type_dist,
-        "size_dists": {
-            "market": market,
-            "dedicated": dedicated,
-            "optimized": draw(_size_law(b_optimized)),
-        },
-    }
-
-
 def _same(a, b) -> bool:
     """Field-by-field equality of configs and distributions, arrays exact."""
     if dataclasses.is_dataclass(a):
@@ -471,7 +398,7 @@ def _same(a, b) -> bool:
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
-@given(_config_dicts())
+@given(config_dicts())
 def test_config_dict_round_trip_keeps_every_field(tmp_path_factory, d):
     cfg = config_from_dict(d)
     assert _same(config_from_dict(config_to_dict(cfg)), cfg)
@@ -492,7 +419,7 @@ def test_fixture_files_match_reference_values(ref1, ref2):
 def test_size_dist_broadcast_and_list():
     cfg = config_from_dict(
         {
-            **json.load(open(FIXTURES / "ref1.json")),
+            **json.loads((FIXTURES / "ref1.json").read_text()),
             "size_dists": {
                 "market": [
                     {"kind": "deterministic", "value": 1},

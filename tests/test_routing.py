@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fluidlob import (
     QueueState,
@@ -9,6 +10,7 @@ from fluidlob import (
     chi_derivative,
     compute_bands,
     compute_kappa,
+    config_from_dict,
     route,
     solve_workload_star,
 )
@@ -18,10 +20,12 @@ from fluidlob.routing import _band_chi, _router
 from helpers import (
     assert_bitwise,
     brute_force_route,
+    config_dicts,
     make_config,
     numpy_route,
     random_stable_config,
     random_valid_config,
+    ref1_dict,
     two_cdf_band_chi,
 )
 
@@ -105,19 +109,34 @@ def test_fused_band_chi_is_bitwise_the_two_cdf_form(ref1, ref2, rng):
             assert_bitwise(_band_chi(bands, cfg.type_dist, w), two_cdf_band_chi(bands, cfg.type_dist, w))
 
 
-def test_route_band_consistency(ref1, rng):
+@st.composite
+def _routing_cases(draw):
+    """A config dict of 1 to 6 venues, queues of which some may be empty,
+    and types in [0.001, 20]."""
+    d = draw(config_dicts(n_max=6))
+    n = d["n_exchanges"]
+    queue = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+    q = draw(st.lists(queue, min_size=n, max_size=n).filter(any))
+    gammas = draw(st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=30))
+    return d, q, gammas
+
+
+@example((ref1_dict(), [1.0, 0.0], [0.3, 0.9, 1.6, 3.5]))
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_routing_cases())
+def test_route_band_consistency(case):
     # Choosing venue i implies gamma sits inside W * [a_minus_i, a_plus_i],
-    # also when other queues are empty.
-    bands = compute_bands(ref1)
-    for _ in range(2000):
-        q = rng.uniform(0.0, 3.0, 2)
-        if rng.random() < 0.3:
-            q[rng.integers(0, 2)] = 0.0
-        state = QueueState.of(ref1, q)
-        if state.workload <= 0:
-            continue
-        gamma = float(rng.uniform(0.01, 4.0))
-        i = route(ref1, gamma, state)
+    # also when other queues are empty.  Besides the drawn types, each finite
+    # positive band edge is tried with its two float neighbours.
+    d, q, gammas = case
+    cfg = config_from_dict(d)
+    bands = compute_bands(cfg)
+    state = QueueState.of(cfg, q)
+    edges = state.workload * np.concatenate((bands.a_minus, bands.a_plus))
+    edges = edges[np.isfinite(edges) & (edges > 0)]
+    probes = np.concatenate((gammas, edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)))
+    for gamma in probes[probes > 0].tolist():
+        i = route(cfg, gamma, state)
         if i >= 1 and q[i - 1] > 0:
             tol = 1e-12 * max(1.0, gamma)
             assert state.workload * bands.a_minus[i - 1] - tol <= gamma

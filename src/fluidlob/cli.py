@@ -180,7 +180,8 @@ def run(command: str, config_path, params: dict) -> int:
     """Execute one experiment, write its artifacts, and print a summary line.
 
     `command` is one of the CLI's subcommands and `params` holds its options
-    by destination name; without `dt` the library picks the fluid step.
+    by destination name; an option left out takes its default here, and
+    without `dt` the library picks the fluid step.
     Parameter ranges are checked by the library (SimConfig, integrate,
     replicate and the stability experiments raise ParameterError); an unknown
     command raises ConfigError.
@@ -224,8 +225,9 @@ def run(command: str, config_path, params: dict) -> int:
         path = emit_plotdata(traj, outdir / f"fluid_{name}.csv")
         print(
             f"fluid {name}: T={params['horizon']} terminal={np.round(traj.states[-1], 6).tolist()} "
-            f"min_W={traj.min_workload:.6f} (kappa={traj.kappa:.6f}) dt={traj.dt:.6g} "
-            f"steps={traj.steps} pilot_steps={traj.pilot_steps} -> {path}"
+            f"min_W={traj.min_workload:.6g} (kappa={traj.kappa:.6g}) dt={traj.dt:.6g} "
+            f"steps={traj.steps} pilot_steps={traj.pilot_steps} "
+            f"err={traj.max_refine_error:.3g} -> {path}"
         )
         return 0
 
@@ -317,43 +319,43 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, **flags):
         p = sub.add_parser(name)
         p.add_argument("config", help="model config JSON file")
-        p.add_argument("-o", "--outdir", default="out", help="output directory (default: out)")
+        p.add_argument("-o", "--outdir", help="output directory (default: out)")
         for flag, kw in flags.items():
             p.add_argument(flag, **kw)
         return p
 
-    add("check", **{"--q0": dict(default=None, help="initial queues, comma separated")})
+    add("check", **{"--q0": dict(help="initial queues, comma separated")})
     add("equilibrium")
     add("spectrum")
     add(
         "fluid",
         **{
-            "--q0": dict(default=None),
+            "--q0": dict(),
             "--T": dict(dest="horizon", required=True, type=float),
-            "--dt": dict(type=float, default=None),
+            "--dt": dict(type=float),
             "--refine": dict(action="store_true"),
         },
     )
     add(
         "simulate",
         **{
-            "--q0": dict(default=None),
+            "--q0": dict(),
             "--T": dict(dest="horizon", required=True, type=float),
             "--n": dict(required=True, type=int),
-            "--seed": dict(type=int, default=0),
-            "--sample-dt": dict(dest="sample_dt", type=float, default=None),
-            "--epsilon": dict(type=float, default=0.0),
+            "--seed": dict(type=int),
+            "--sample-dt": dict(dest="sample_dt", type=float),
+            "--epsilon": dict(type=float),
         },
     )
     add(
         "converge",
         **{
-            "--q0": dict(default=None),
+            "--q0": dict(),
             "--T": dict(dest="horizon", required=True, type=float),
             "--n": dict(dest="n_values", required=True, help="comma-separated scaling levels"),
             "--reps": dict(required=True, type=int),
-            "--seed": dict(type=int, default=0),
-            "--sample-dt": dict(dest="sample_dt", type=float, default=None),
+            "--seed": dict(type=int),
+            "--sample-dt": dict(dest="sample_dt", type=float),
         },
     )
     add(
@@ -361,19 +363,19 @@ def _build_parser() -> argparse.ArgumentParser:
         **{
             "--deltas": dict(required=True, help="comma-separated perturbation radii"),
             "--T": dict(dest="horizon", required=True, type=float),
-            "--directions": dict(type=int, default=16),
-            "--seed": dict(type=int, default=0),
-            "--dt": dict(type=float, default=None),
+            "--directions": dict(type=int),
+            "--seed": dict(type=int),
+            "--dt": dict(type=float),
         },
     )
     add(
         "stability-global",
         **{
-            "--inits": dict(dest="n_inits", type=int, default=50),
-            "--box": dict(type=float, default=5.0),
+            "--inits": dict(dest="n_inits", type=int),
+            "--box": dict(type=float),
             "--T": dict(dest="horizon", required=True, type=float),
-            "--seed": dict(type=int, default=0),
-            "--dt": dict(type=float, default=None),
+            "--seed": dict(type=int),
+            "--dt": dict(type=float),
         },
     )
     return parser

@@ -26,4 +26,4 @@ class SingularityError(IntegrationError):
 
 
 class StepInstabilityError(IntegrationError):
-    """Half-step verification disagreed with the full step beyond tolerance."""
+    """A checked run disagreed with the run at twice its step count beyond tolerance."""

@@ -4,10 +4,10 @@ The field is singular where the workload vanishes; integration therefore runs
 with a safety floor at a fraction of the proven workload lower bound kappa and
 aborts if the floor is ever breached (which signals a bug or a violated
 assumption, not physics).  A failed trajectory is recorded with its reason
-and time, and only `integrate` turns it into an exception.  Without an
-explicit step, `integrate` picks its uniform step by step doubling with
-Richardson error estimation (Hairer, Norsett & Wanner, *Solving ODEs I*,
-section II.4).  Routing fractions use the workload-only band form
+and time, and only `integrate` turns it into an exception.  Its one error
+estimate is step doubling (Richardson; Hairer, Norsett & Wanner, *Solving
+ODEs I*, section II.4): it picks the uniform step unless one is given, and
+checks a given step on request.  Routing fractions use the workload-only band form
 throughout, which is what removes the ambiguity of the per-venue delay at
 empty queues.
 """
@@ -29,9 +29,6 @@ __all__ = [
     "integrate",
 ]
 
-# Accepted full steps may differ from two verification half-steps by at most
-# this factor times the state scale.
-_REFINE_TOL = 1e-6
 # Negative components beyond this are an integration error, not roundoff.
 _CLIP_TOL = 1e-12
 # The abort floor as a fraction of kappa.  kappa is a strict lower bound for
@@ -40,19 +37,15 @@ _FLOOR_FACTOR = 0.5
 # Most points of a time grid, checked before it is allocated: the RK4 grid
 # here and the simulator's sample grid.
 _MAX_GRID = 10**7
-# The step selector returns a grid once it agrees with a pilot at half its
-# step count within this factor times max(1, max|q|) at every common node.
+# Step doubling accepts a run once it agrees with the run at twice its step
+# count within this factor times max(1, max|q|) at every node it has.
 _SELECT_TOL = 1e-10
 # The fewest steps of a selected grid; its first pilot has half as many.
 _MIN_SELECTED = 200
 # Most pilot pairs the selector runs before it gives up.
 _MAX_PASSES = 10
 # The exception `integrate` raises for each recorded failure reason.
-_FAILURES = {
-    "floor": SingularityError,
-    "negative": IntegrationError,
-    "unstable": StepInstabilityError,
-}
+_FAILURES = {"floor": SingularityError, "negative": IntegrationError}
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -70,6 +63,9 @@ class FluidTrajectory:
 
     `dt` is the uniform step that ran and `steps` its count; `pilot_steps`
     counts the steps of the selector's pilot grids (0 for an explicit step).
+    `max_refine_error` is the step-doubling gap that accepted the run: to the
+    run at half its step count for a selected step, to the run at twice it
+    for an explicit step with `refine`, and 0.0 for an unchecked one.
     """
 
     times: np.ndarray      # (K+1,)
@@ -145,10 +141,9 @@ class _BatchResult:
     terminal: np.ndarray          # (B, N)
     min_workload: np.ndarray      # (B,)
     failed: np.ndarray            # (B,) bool
-    fail_reason: list             # "floor", "negative", "unstable" or None
+    fail_reason: list             # "floor", "negative" or None
     fail_time: np.ndarray         # (B,) grid time of the failed step; NaN if none
     steps: int
-    max_refine_error: float
 
 
 def _integrate_batch(
@@ -158,17 +153,15 @@ def _integrate_batch(
     n_steps: int,
     kappas: np.ndarray,
     *,
-    refine: bool = False,
     store_states: bool = False,
 ) -> _BatchResult:
     """Classical RK4 over a batch of trajectories sharing one grid of
-    `n_steps` uniform steps; with `refine` each step is also checked against
-    two half-steps.
+    `n_steps` uniform steps.
 
-    A trajectory that fails (floor breach, negative undershoot, unstable
-    step) is frozen at its last good state, and the result records the
-    reason and the time; once every trajectory has failed, the frozen states
-    fill the rest of the history.
+    A trajectory that fails (floor breach or negative undershoot) is frozen
+    at its last good state, and the result records the reason and the time;
+    once every trajectory has failed, the frozen states fill the rest of the
+    history.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
@@ -195,36 +188,29 @@ def _integrate_batch(
     if store_states:
         q_hist = np.empty((n_steps + 1, n_traj, q.shape[1]))
         q_hist[0] = q
-    max_refine = 0.0
+    half, full, sixth, two = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0), np.array(2.0)
 
-    def rk4_of(h):
-        # One step qc + (h/6) (k1 + 2 k2 + 2 k3 + k4), every stage and the sum
-        # formed in place, in the operation order of that expression.
-        half, full, sixth, two = np.array(0.5 * h), np.array(h), np.array(h / 6.0), np.array(2.0)
-
-        def rk4(qc, wc=None):
-            k1 = rhs(qc, wc)
-            stage = k1 * half
-            stage += qc
-            k2 = rhs(stage)
-            np.multiply(k2, half, out=stage)
-            stage += qc
-            k3 = rhs(stage)
-            np.multiply(k3, full, out=stage)
-            stage += qc
-            k4 = rhs(stage)
-            k2 *= two
-            k2 += k1
-            k3 *= two
-            k2 += k3
-            k2 += k4
-            k2 *= sixth
-            k2 += qc
-            return k2
-
-        return rk4
-
-    rk4, rk4_half = rk4_of(dt), rk4_of(0.5 * dt)
+    def rk4(qc, wc):
+        # One step qc + (dt/6) (k1 + 2 k2 + 2 k3 + k4), every stage and the
+        # sum formed in place, in the operation order of that expression.
+        k1 = rhs(qc, wc)
+        stage = k1 * half
+        stage += qc
+        k2 = rhs(stage)
+        np.multiply(k2, half, out=stage)
+        stage += qc
+        k3 = rhs(stage)
+        np.multiply(k3, full, out=stage)
+        stage += qc
+        k4 = rhs(stage)
+        k2 *= two
+        k2 += k1
+        k3 *= two
+        k2 += k3
+        k2 += k4
+        k2 *= sixth
+        k2 += qc
+        return k2
 
     def fail(mask, message):
         nonlocal alive, all_alive
@@ -238,18 +224,6 @@ def _integrate_batch(
         for step in range(1, n_steps + 1):
             # w is q @ beta from the end of the previous step (or the start)
             q_new = rk4(q, w)
-            if refine:
-                q_half = rk4_half(rk4_half(q, w))
-                disc = np.max(np.abs(q_new - q_half), axis=1)
-                scale = np.maximum(1.0, np.max(np.abs(q_new), axis=1))
-                bad = alive & ~np.isnan(disc) & (disc > _REFINE_TOL * scale)
-                bad |= alive & np.isnan(disc)
-                if bad.any():
-                    fail(bad, "unstable")
-                live_disc = disc[alive]
-                if live_disc.size:
-                    max_refine = max(max_refine, float(np.nanmax(live_disc)))
-
             # Each check is one reduction over the batch; the per-trajectory
             # masks run only when it finds an entry that may fail (NaN too).
             # A strictly positive state is its own floor at 0.
@@ -291,7 +265,6 @@ def _integrate_batch(
         fail_reason=reasons,
         fail_time=fail_time,
         steps=n_steps,
-        max_refine_error=max_refine,
     )
 
 
@@ -317,11 +290,23 @@ def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
     return q0, w0
 
 
+def _doubling_gap(coarse: _BatchResult, fine: _BatchResult) -> tuple[float, float, float | None]:
+    """Step doubling's error estimate for trajectory 0 of a K-step run from
+    the run at 2K steps: the max-norm gap between them at the K run's nodes,
+    the tolerance `_SELECT_TOL` times max(1, max|q|), and the first node time
+    where the gap exceeds it (None if there is none)."""
+    states = fine.states[:, 0]
+    gaps = np.max(np.abs(coarse.states[:, 0] - states[::2]), axis=1)
+    tol = _SELECT_TOL * max(1.0, float(np.max(np.abs(states))))
+    bad = np.flatnonzero(~(gaps <= tol))  # a NaN gap is bad too
+    return float(np.max(gaps)), tol, float(coarse.times[bad[0]]) if bad.size else None
+
+
 def _select_grid(
     cfg: ModelConfig, q0: np.ndarray, horizon: float, kappas: np.ndarray
-) -> tuple[_BatchResult, int]:
-    """Pick a uniform RK4 grid by step doubling; return its run and the steps
-    of the pilot grids.
+) -> tuple[_BatchResult, int, float]:
+    """Pick a uniform RK4 grid by step doubling; return its run, the steps of
+    the pilot grids and the gap that accepted it.
 
     Each pass runs pilots at K and 2K steps and returns the 2K run once the
     two agree within `_SELECT_TOL` times max(1, max|q|) at every node of the
@@ -329,17 +314,12 @@ def _select_grid(
     the K that meets the tolerance, rounded up to K times a power of two; a
     pilot that breaches the floor or goes negative doubles K.
     """
-    k = _MIN_SELECTED // 2
-    runs: dict[int, _BatchResult | None] = {}  # pilots by step count; None if one failed
-    ran = 0
+    k, ran, fine = _MIN_SELECTED // 2, 0, None
 
     def pilot(steps):
         nonlocal ran
-        if steps not in runs:
-            ran += steps
-            res = _integrate_batch(cfg, q0[None, :], horizon, steps, kappas, store_states=True)
-            runs[steps] = None if res.failed[0] else res  # a floor breach or a negative undershoot
-        return runs[steps]
+        ran += steps
+        return _integrate_batch(cfg, q0[None, :], horizon, steps, kappas, store_states=True)
 
     for _ in range(_MAX_PASSES):
         if not 2 * k < _MAX_GRID:
@@ -347,19 +327,18 @@ def _select_grid(
                 f"no uniform step meets the tolerance {_SELECT_TOL:g} "
                 f"in fewer than {_MAX_GRID} steps"
             )
-        coarse, fine = pilot(k), pilot(2 * k)
+        # K grows by a power of two >= 2, so the last fine pilot is the only
+        # one a later pass can reuse.
+        coarse = fine if fine is not None and fine.steps == k else pilot(k)
+        fine = pilot(2 * k)
         grow = 2
-        if coarse is not None and fine is not None:
-            states = fine.states[:, 0]
-            gap = float(np.max(np.abs(coarse.states[:, 0] - states[::2])))
-            tol = _SELECT_TOL * max(1.0, float(np.max(np.abs(states))))
+        if not (coarse.failed[0] or fine.failed[0]):  # a failed pilot doubles K
+            gap, tol, _ = _doubling_gap(coarse, fine)
             if gap <= tol:
-                return fine, ran - 2 * k
-            if gap / tol < math.inf:  # a non-finite gap doubles K like a failed pilot
+                return fine, ran - 2 * k, gap
+            if gap / tol < math.inf:  # so does a non-finite gap
                 grow = 2 ** max(1, math.ceil(math.log2(gap / tol) / 4))
         k *= grow
-        for stale in [steps for steps in runs if steps < k]:
-            del runs[stale]
     raise IntegrationError(
         f"no uniform step meets the tolerance {_SELECT_TOL:g} within {_MAX_PASSES} passes"
     )
@@ -375,35 +354,44 @@ def integrate(
 ) -> FluidTrajectory:
     """Integrate the fluid system from q0 over [0, horizon].
 
-    `dt` fixes the uniform step: the horizon is divided into the fewest
-    steps no longer than it.  Without it the step is picked by step doubling
-    (`_select_grid`), at least 200 steps.  With `refine` the step that runs
-    is checked against two half-steps.
+    Without `dt` the step is picked by step doubling (`_select_grid`), at
+    least 200 steps; the run already agrees with the run at half its step
+    count, so `refine` adds nothing.  `dt` fixes the uniform step: the
+    horizon is divided into the fewest steps no longer than it.  With
+    `refine` that run is checked the same way, against a run at twice its
+    step count, and returned unchanged.
 
     Raises SingularityError if the workload drops below half of kappa,
-    StepInstabilityError if the optional half-step verification disagrees
-    with an accepted step, and IntegrationError on negative component
-    undershoot beyond roundoff or when no step meets the tolerance.
+    StepInstabilityError if a checked run is off its doubled run by more
+    than `_SELECT_TOL` times max(1, max|q|), and IntegrationError on
+    negative component undershoot beyond roundoff or when no step meets the
+    tolerance.
     """
     q0, w0 = _initial_state(cfg, q0)
     if not 0 < horizon < math.inf:
         raise ParameterError("horizon: must be positive and finite")
     n_steps = None if dt is None else _step_count(horizon, dt)
+    if n_steps is not None and refine and not 2 * n_steps < _MAX_GRID:
+        raise ParameterError(f"dt: the refine check would take {_MAX_GRID} steps or more")
 
     kappa = compute_kappa(cfg, w0, solve_workload_star(cfg))
     kappas = np.array([kappa])
-    pilot_steps = 0
+
+    def run(steps):
+        res = _integrate_batch(cfg, q0[None, :], horizon, steps, kappas, store_states=True)
+        if res.failed[0]:
+            raise _failure(res, 0)
+        return res
+
+    pilot_steps, gap = 0, 0.0
     if n_steps is None:
-        res, pilot_steps = _select_grid(cfg, q0, horizon, kappas)
-        n_steps = res.steps
-    # The half-step check leaves the accepted steps as they are, so a
-    # selected grid runs again with it and gives the same states.
-    if dt is not None or refine:
-        res = _integrate_batch(
-            cfg, q0[None, :], horizon, n_steps, kappas, refine=refine, store_states=True
-        )
-    if res.failed[0]:
-        raise _failure(res, 0)
+        res, pilot_steps, gap = _select_grid(cfg, q0, horizon, kappas)
+    else:
+        res = run(n_steps)
+        if refine:
+            gap, _, unstable_at = _doubling_gap(res, run(2 * n_steps))
+            if unstable_at is not None:
+                raise StepInstabilityError(f"trajectory 0: unstable at t={unstable_at:.6g}")
     return FluidTrajectory(
         times=res.times,
         states=res.states[:, 0, :],
@@ -414,6 +402,5 @@ def integrate(
         steps=res.steps,
         dt=horizon / res.steps,
         pilot_steps=pilot_steps,
-        max_refine_error=res.max_refine_error,
+        max_refine_error=gap,
     )
-

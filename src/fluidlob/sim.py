@@ -480,13 +480,17 @@ def replicate(cfg: ModelConfig, sim_template: SimConfig, n_values, reps: int) ->
     fluid limit, integrated once at the step `integrate` picks.
 
     Replicate r uses seed `sim_template.seed + r`; the same seed set is reused
-    across scaling levels, which keeps rows comparable and regenerable.
+    across scaling levels, which keeps rows comparable and regenerable.  The
+    levels must increase strictly, so that the medians of the summary fall
+    with n when the paths converge.
     """
     if reps < 1:
         raise ParameterError("reps: must be at least 1")
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < 1:
         raise ParameterError("n: scaling levels must be positive integers")
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise ParameterError("n: scaling levels must increase strictly")
     traj = integrate(cfg, sim_template.q0_scaled, sim_template.horizon)
 
     rows = []

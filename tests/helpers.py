@@ -25,8 +25,8 @@ from fluidlob import (
     jacobian,
     solve_workload_star,
 )
-from fluidlob.errors import IntegrationError, SingularityError, StepInstabilityError
-from fluidlob.fluid import _CLIP_TOL, _FLOOR_FACTOR, _REFINE_TOL, _BatchResult
+from fluidlob.errors import IntegrationError, SingularityError
+from fluidlob.fluid import _CLIP_TOL, _FLOOR_FACTOR, _BatchResult
 from fluidlob.routing import _band_chi, _router
 from fluidlob.sim import _sample_grid, _stream_generator
 from fluidlob.stability import (
@@ -144,7 +144,7 @@ def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray, bands=None) -> np.ndarray:
 
 
 def oracle_integrate_batch(
-    cfg, q0s, horizon, dt, kappas, *, refine=False, store_states=False, on_error="raise"
+    cfg, q0s, horizon, dt, kappas, *, store_states=False, on_error="raise"
 ):
     """Classical RK4 over a batch, step for step as `_integrate_batch` ran it
     before its lean kernel: a fresh `q @ beta` for every k1, per-trajectory
@@ -180,24 +180,19 @@ def oracle_integrate_batch(
     if store_states:
         q_hist = np.empty((n_steps + 1, n_traj, q.shape[1]))
         q_hist[0] = q
-    max_refine = 0.0
 
-    def rk4(qc, h):
+    def rk4(qc):
         k1 = rhs(qc)
-        k2 = rhs(qc + 0.5 * h * k1)
-        k3 = rhs(qc + 0.5 * h * k2)
-        k4 = rhs(qc + h * k3)
-        return qc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(qc + 0.5 * dt * k1)
+        k3 = rhs(qc + 0.5 * dt * k2)
+        k4 = rhs(qc + dt * k3)
+        return qc + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def fail(mask, message):
         nonlocal alive, all_alive
         if on_error == "raise":
             idx = int(np.flatnonzero(mask)[0])
-            raise_map = {
-                "floor": SingularityError,
-                "negative": IntegrationError,
-                "unstable": StepInstabilityError,
-            }
+            raise_map = {"floor": SingularityError, "negative": IntegrationError}
             raise raise_map[message](f"trajectory {idx}: {message} at t={times[step]:.6g}")
         for idx in np.flatnonzero(mask):
             reasons[idx] = message
@@ -207,19 +202,7 @@ def oracle_integrate_batch(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
-            q_new = rk4(q, dt)
-            if refine:
-                q_half = rk4(rk4(q, 0.5 * dt), 0.5 * dt)
-                disc = np.max(np.abs(q_new - q_half), axis=1)
-                scale = np.maximum(1.0, np.max(np.abs(q_new), axis=1))
-                bad = alive & ~np.isnan(disc) & (disc > _REFINE_TOL * scale)
-                bad |= alive & np.isnan(disc)
-                if bad.any():
-                    fail(bad, "unstable")
-                live_disc = disc[alive]
-                if live_disc.size:
-                    max_refine = max(max_refine, float(np.nanmax(live_disc)))
-
+            q_new = rk4(q)
             low = np.min(q_new, axis=1)
             bad = alive & ~(low >= -_CLIP_TOL)
             if bad.any():
@@ -252,7 +235,6 @@ def oracle_integrate_batch(
         fail_reason=reasons,
         fail_time=fail_time,
         steps=n_steps,
-        max_refine_error=max_refine,
     )
 
 

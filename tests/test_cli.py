@@ -75,7 +75,7 @@ def test_fluid_command_csv(tmp_path):
 
 def test_refine_rejects_a_fixed_step_too_coarse_near_the_origin(tmp_path, capsys):
     # At a workload of 1.5e-3 the venue split relaxes at a rate of about 1.3e3,
-    # so the step 1e-3 fails the half-step check; unchecked, it runs.
+    # so the step 1e-3 is off the run at twice its step count; unchecked, it runs.
     argv = ["fluid", REF1, "--q0", "5e-4,5e-4", "--T", "1", "--dt", "0.001", "-o", str(tmp_path)]
     assert main(argv) == 0
     assert main(argv + ["--refine"]) == 2
@@ -89,6 +89,15 @@ def test_selected_step_near_the_origin_passes_refine(tmp_path, capsys):
     assert main(argv + ["--refine"]) == 0
     out = capsys.readouterr().out
     assert out.count("dt=3.125e-05 steps=3200 pilot_steps=") == 2
+
+
+def test_fluid_line_stays_short_for_a_huge_start(tmp_path, capsys):
+    # min_W and kappa print with six significant digits, however large.
+    argv = ["fluid", REF1, "--q0", "1e300,1", "--T", "1", "-o", str(tmp_path)]
+    assert main(argv) == 0
+    line = capsys.readouterr().out
+    assert "min_W=2e+300 (kappa=1.38629) " in line and " err=" in line
+    assert len(line) < 200
 
 
 def test_hopeless_start_names_the_tolerance(tmp_path, capsys):
@@ -341,6 +350,9 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "inf,1"], "q0_scaled"),
         (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "1e300,1"], "q0_scaled"),
         (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "nan,1"], "q0_scaled"),
+        (["converge", REF1, "--n", "2000,200", "--reps", "2", "--T", "1"], "n"),
+        (["converge", REF1, "--n", "200,200", "--reps", "2", "--T", "1"], "n"),
+        (["fluid", REF1, "--T", "1", "--dt", "1.5e-7", "--refine"], "dt"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):

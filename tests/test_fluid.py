@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluidlob import (
     IntegrationError,
@@ -156,18 +157,23 @@ def test_trajectory_at_is_fourth_order(fine_reference, name):
     assert np.all((11.0 < ratios) & (ratios < 19.0)), ratios
 
 
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_floor_never_breached_on_random_stable_configs(seed):
+    # Inside the assumptions the workload stays above kappa, and the
+    # selected step meets the step-doubling tolerance.
+    rng = np.random.default_rng(seed)
+    cfg = random_stable_config(rng, n_max=6)
+    traj = integrate(cfg, random_positive_state(rng, cfg), 2.0)
+    assert traj.min_workload >= traj.kappa * (1 - 1e-12)
+    assert traj.max_refine_error <= 1e-10 * max(1.0, np.abs(traj.states).max())
+
+
 def test_selected_step_semigroup(ref1):
     once = integrate(ref1, [1.0, 1.0], 8.0)
     first = integrate(ref1, [1.0, 1.0], 4.0)
     second = integrate(ref1, first.states[-1], 4.0)
     assert np.abs(second.states[-1] - once.states[-1]).max() < 1e-9
-
-
-def test_refine_checks_the_selected_step(ref1):
-    plain = integrate(ref1, [1.0, 1.0], 2.0)
-    checked = integrate(ref1, [1.0, 1.0], 2.0, refine=True)
-    assert np.array_equal(plain.states, checked.states) and checked.steps == plain.steps
-    assert 0 < checked.max_refine_error < 1e-6 and plain.max_refine_error == 0
 
 
 def _count_batches(monkeypatch) -> list:
@@ -180,6 +186,20 @@ def _count_batches(monkeypatch) -> list:
 
     monkeypatch.setattr(fluid, "_integrate_batch", counted)
     return grids
+
+
+def test_refine_checks_the_selected_step(ref1, monkeypatch):
+    # The selector has checked the grid against half its step count, so
+    # refine runs nothing more and reports the gap that accepted it.
+    grids = _count_batches(monkeypatch)
+    plain = integrate(ref1, [1.0, 1.0], 2.0)
+    pilots = list(grids)
+    checked = integrate(ref1, [1.0, 1.0], 2.0, refine=True)
+    assert grids == pilots + pilots
+    assert np.array_equal(plain.states, checked.states) and checked.steps == plain.steps
+    scale = max(1.0, np.abs(plain.states).max())
+    assert checked.max_refine_error == plain.max_refine_error
+    assert 0 < plain.max_refine_error <= _SELECT_TOL * scale
 
 
 def test_hopeless_start_stops_after_a_bounded_number_of_passes(ref1, monkeypatch):
@@ -201,9 +221,16 @@ def test_selector_refuses_a_grid_beyond_the_cap(ref1, monkeypatch):
     assert grids == [100, 200]
 
 
-def test_integrate_refine_check(ref1):
+def test_integrate_refine_check(ref1, monkeypatch):
+    # A fixed step is checked against twice its step count; the run that
+    # comes back is the unchecked one.
+    grids = _count_batches(monkeypatch)
+    plain = integrate(ref1, [1.0, 1.0], 2.0, dt=0.01)
     traj = integrate(ref1, [1.0, 1.0], 2.0, dt=0.01, refine=True)
-    assert traj.max_refine_error < 1e-6
+    assert grids == [200, 200, 400]
+    assert_bitwise(traj.states, plain.states)
+    assert plain.max_refine_error == 0.0
+    assert 0 < traj.max_refine_error <= _SELECT_TOL * max(1.0, np.abs(traj.states).max())
 
 
 def test_semigroup_property(ref1):
@@ -256,6 +283,9 @@ def test_integrate_input_validation(ref1):
             integrate(ref1, [1.0, 1.0], 1.0, dt=dt)
     with pytest.raises(ValueError, match="^dt: the horizon would take more than"):
         integrate(ref1, [1.0, 1.0], 1.0, dt=1e-8)
+    # The check at twice the step count would pass the cap; nothing runs.
+    with pytest.raises(ValueError, match="^dt: the refine check would take"):
+        integrate(ref1, [1.0, 1.0], 1.0, dt=1.5e-7, refine=True)
     assert _step_count(1.0, 1.0) == 1 and _step_count(1.0, 2.0) == 1
     assert _step_count(2.0, 0.01) == 200 and _step_count(1.0, 0.3) == 4
 
@@ -316,14 +346,12 @@ def _assert_same_batch(res, ref) -> None:
         assert_bitwise(getattr(res, name), getattr(ref, name))
     assert res.fail_reason == ref.fail_reason
     assert res.steps == ref.steps
-    assert_bitwise(np.float64(res.max_refine_error), np.float64(ref.max_refine_error))
 
 
 def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
-    # Single and batched runs, with and without the half-step check; in the
-    # "breach" runs the last row starts high and gets a floor that its
-    # workload crosses mid-run, so it is recorded and frozen there.  At this
-    # dt the stiffest draws also fail the half-step check.
+    # Single and batched runs; in the "breach" runs the last row starts high
+    # and gets a floor that its workload crosses mid-run, so it is recorded
+    # and frozen there.
     cfgs = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(12)]
     horizon, dt = 1.5, 0.01
     steps, kw = _step_count(horizon, dt), dict(store_states=True)
@@ -344,30 +372,27 @@ def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
             kappas = np.array([compute_kappa(cfg, float(q @ cfg.beta), w_star) for q in q0s])
             if breach:
                 q0s[-1], kappas[-1] = high, breach_kappa
-            for refine in (False, True):
-                ref = oracle_integrate_batch(
-                    cfg, q0s, horizon, dt, kappas, refine=refine, on_error="record", **kw
-                )
-                if not refine:
-                    assert ref.fail_reason[-1] == ("floor" if breach else None)
-                seen.update(ref.fail_reason)
-                res = _integrate_batch(cfg, q0s, horizon, steps, kappas, refine=refine, **kw)
-                _assert_same_batch(res, ref)
-    assert seen == {None, "floor", "unstable"}
+            ref = oracle_integrate_batch(
+                cfg, q0s, horizon, dt, kappas, on_error="record", **kw
+            )
+            assert ref.fail_reason[-1] == ("floor" if breach else None)
+            seen.update(ref.fail_reason)
+            res = _integrate_batch(cfg, q0s, horizon, steps, kappas, **kw)
+            _assert_same_batch(res, ref)
+    assert seen == {None, "floor"}
 
 
 @pytest.mark.parametrize(
-    "lam, q0, dt, refine, kappas",
+    "lam, q0, dt, kappas",
     [
-        ([0.0, 0.0], [1.0, 1.0], 0.01, False, [1.0, 1e-12]),
-        ([0.0, 0.0], [1.0, 1.0], 0.5, False, [1e-9, 1e-12]),
-        ([0.5, 0.0], [0.01, 1.0], 0.5, False, [1e-12, 1e-12]),
-        ([0.0, 0.0], [1.0, 1.0], 0.5, True, [1e-12, 1e-12]),
-        ([0.0, 0.0], [1.0, 1.0], 0.01, False, [3.0, 2.0]),
+        ([0.0, 0.0], [1.0, 1.0], 0.01, [1.0, 1e-12]),
+        ([0.0, 0.0], [1.0, 1.0], 0.5, [1e-9, 1e-12]),
+        ([0.5, 0.0], [0.01, 1.0], 0.5, [1e-12, 1e-12]),
+        ([0.0, 0.0], [1.0, 1.0], 0.01, [3.0, 2.0]),
     ],
-    ids=["floor", "nan-state", "negative", "unstable", "all-floor"],
+    ids=["floor", "nan-state", "negative", "all-floor"],
 )
-def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, refine, kappas):
+def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, kappas):
     # A draining field (the pure drain of the failure tests below, or one
     # fed only at venue 1) with a second row that stays healthy, except in
     # "all-floor": the same record as the oracle, and for each failing row
@@ -378,18 +403,14 @@ def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, refine, kappas):
     cfg = make_config(**{"lambda": lam}, big_lambda=0.0, beta=[1.0, 1.0])
     steps = _step_count(3.0, dt)
     q0s, kappas = np.array([q0, [2.0, 0.5]]), np.array(kappas)
-    ref = oracle_integrate_batch(
-        cfg, q0s, 3.0, dt, kappas, refine=refine, store_states=True, on_error="record"
-    )
+    ref = oracle_integrate_batch(cfg, q0s, 3.0, dt, kappas, store_states=True, on_error="record")
     assert ref.failed[0]
-    _assert_same_batch(
-        _integrate_batch(cfg, q0s, 3.0, steps, kappas, refine=refine, store_states=True), ref
-    )
+    _assert_same_batch(_integrate_batch(cfg, q0s, 3.0, steps, kappas, store_states=True), ref)
     for row in np.flatnonzero(ref.failed):
         alone = slice(row, row + 1)
         with pytest.raises(IntegrationError) as want:
-            oracle_integrate_batch(cfg, q0s[alone], 3.0, dt, kappas[alone], refine=refine)
-        got = _failure(_integrate_batch(cfg, q0s[alone], 3.0, steps, kappas[alone], refine=refine), 0)
+            oracle_integrate_batch(cfg, q0s[alone], 3.0, dt, kappas[alone])
+        got = _failure(_integrate_batch(cfg, q0s[alone], 3.0, steps, kappas[alone]), 0)
         assert type(got) is want.type and str(got) == str(want.value)
 
 
@@ -408,13 +429,13 @@ def test_negative_undershoot_is_an_error():
         raise _failure(res, 0)
 
 
-def test_step_instability_detected():
-    cfg = make_config(**{"lambda": [0.0, 0.0]}, big_lambda=0.0, beta=[1.0, 1.0])
-    res = _integrate_batch(
-        cfg, np.array([[1.0, 1.0]]), 3.0, _step_count(3.0, 0.5), np.array([1e-12]), refine=True
-    )
-    with pytest.raises(StepInstabilityError):
-        raise _failure(res, 0)
+def test_step_instability_detected(ref1):
+    # Near the origin the venue split relaxes at a rate of about 1.3e3, so
+    # the step 1e-3 runs but is off the run at twice its step count.
+    q0 = [5e-4, 5e-4]
+    integrate(ref1, q0, 1.0, dt=0.001)
+    with pytest.raises(StepInstabilityError, match="^trajectory 0: unstable at t=0.001$"):
+        integrate(ref1, q0, 1.0, dt=0.001, refine=True)
 
 
 # ---------------------------------------------------------------------------

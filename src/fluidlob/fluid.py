@@ -62,7 +62,9 @@ class FluidTrajectory:
     """A fluid solution sampled on the integrator grid.
 
     `dt` is the uniform step that ran and `steps` its count; `pilot_steps`
-    counts the steps of the selector's pilot grids (0 for an explicit step).
+    counts the steps of the other grids that ran: the selector's pilot
+    grids, the 2K steps of the check run of an explicit step with `refine`,
+    and 0 for an unchecked one.
     `max_refine_error` is the step-doubling gap that accepted the run: to the
     run at half its step count for a selected step, to the run at twice it
     for an explicit step with `refine`, and 0.0 for an unchecked one.
@@ -102,32 +104,46 @@ def fluid_rhs(cfg: ModelConfig, state: QueueState) -> np.ndarray:
     return _rhs_batch(cfg)(state.q[None, :])[0]
 
 
-def _rhs_batch(cfg: ModelConfig):
+def _rhs_batch(cfg: ModelConfig, rows: int | None = None):
     """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W for
     a (B, N) matrix of states with positive workloads; constants hoisted.
 
-    `rhs(q, w)` takes the workloads `w = q @ beta` when the caller has them.
-    The field is built in place in the array `_band_chi` returns, in the
-    operation order of the expression above.
+    `rhs(q, w, out)` takes the workloads `w = q @ beta` when the caller has
+    them.  The field is built in place in the array `_band_chi` returns, in
+    the operation order of the expression above.
+
+    Buffers: without `rows`, each call allocates its result and scratch, and
+    the constants are (1, N) rows that broadcast over any B.  With `rows`,
+    the constants are tiled to (rows, N) (`bands.edges` to (rows, 2N)) and
+    the scratch arrays, the edge products and the service term, are made
+    here once and overwritten by every call; each call then takes a
+    (rows, N) `out` that receives the field, and writes into no other
+    array.  Both give the same bits.
     """
     beta, tdist, bands = cfg.beta, cfg.type_dist, cfg.bands
-    # (1, N) rows and 0-d arrays give the same bits as (N,) vectors and
-    # Python floats, and numpy dispatches them faster on small batches.
-    beta_row = beta[None, :]
-    inflow = (cfg.b_dedicated * cfg.lam)[None, :]
+    # Arrays of the batch's shape, and 0-d arrays in place of Python floats,
+    # give the same bits as broadcasting (N,) vectors and floats, and numpy
+    # dispatches them faster on small batches.
+    shape = (1 if rows is None else rows, 1)
+    beta_rows = np.tile(beta, shape)
+    inflow = np.tile(cfg.b_dedicated * cfg.lam, shape)
+    edges = np.tile(bands.edges, shape)
     lam_o = np.array(cfg.b_optimized * cfg.big_lambda)
     v_mu = np.array(cfg.v * cfg.mu)
+    products = service = None
+    if rows is not None:
+        products, service = np.empty_like(edges), np.empty_like(beta_rows)
 
-    def rhs(q: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    def rhs(q: np.ndarray, w: np.ndarray | None = None, out: np.ndarray | None = None):
         if w is None:
             w = q @ beta
-        drift = _band_chi(bands, tdist, w)
+        drift = _band_chi(bands, tdist, w, out, edges=edges, products=products)
         drift *= lam_o
         drift += inflow
-        service = beta_row * q
-        service *= v_mu
-        service /= w[:, None]
-        drift -= service
+        term = np.multiply(beta_rows, q, out=service)
+        term *= v_mu
+        term /= w[:, None]
+        drift -= term
         return drift
 
     return rhs
@@ -161,11 +177,21 @@ def _integrate_batch(
     A trajectory that fails (floor breach or negative undershoot) is frozen
     at its last good state, and the result records the reason and the time;
     once every trajectory has failed, the frozen states fill the rest of the
-    history.
+    history.  Failed rows stay in the batch: a matmul over a subset of rows
+    can differ from the full product in its last bits.
+
+    Buffers: everything batch-shaped is made once per call, and the steps
+    compute in place.  k1-k4, the stage and its workload, and the field's
+    scratch (`_rhs_batch` with `rows`) are overwritten by every stage.  The
+    state and its workload live in two pairs of arrays that swap roles each
+    step: the step writes the new pair, and the old one becomes the next
+    step's output.  Nothing returned aliases them except `terminal`, the
+    last state, taken when the steps end; the histories and `min_workload`
+    are fresh arrays, each row a copy.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
-    rhs = _rhs_batch(cfg)
+    rhs = _rhs_batch(cfg, n_traj)
     dt = horizon / n_steps
     floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
     floor_max = floor.max()
@@ -189,28 +215,25 @@ def _integrate_batch(
         q_hist = np.empty((n_steps + 1, n_traj, q.shape[1]))
         q_hist[0] = q
     half, full, sixth, two = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0), np.array(2.0)
+    k1, k2, k3, k4, stage, q_new = (np.empty_like(q) for _ in range(6))
+    w_stage, w_new = np.empty_like(w), np.empty_like(w)
+    add, multiply, matmul, minimum = np.add, np.multiply, np.matmul, np.minimum.reduce
 
-    def rk4(qc, wc):
-        # One step qc + (dt/6) (k1 + 2 k2 + 2 k3 + k4), every stage and the
-        # sum formed in place, in the operation order of that expression.
-        k1 = rhs(qc, wc)
-        stage = k1 * half
-        stage += qc
-        k2 = rhs(stage)
-        np.multiply(k2, half, out=stage)
-        stage += qc
-        k3 = rhs(stage)
-        np.multiply(k3, full, out=stage)
-        stage += qc
-        k4 = rhs(stage)
-        k2 *= two
-        k2 += k1
-        k3 *= two
-        k2 += k3
-        k2 += k4
-        k2 *= sixth
-        k2 += qc
-        return k2
+    def rk4(qc, wc, out):
+        # One step qc + (dt/6) (k1 + 2 k2 + 2 k3 + k4) into `out`, every stage
+        # and the sum formed in place, in the operation order of that
+        # expression.
+        rhs(qc, wc, k1)
+        add(multiply(k1, half, out=stage), qc, out=stage)
+        rhs(stage, matmul(stage, beta, out=w_stage), k2)
+        add(multiply(k2, half, out=stage), qc, out=stage)
+        rhs(stage, matmul(stage, beta, out=w_stage), k3)
+        add(multiply(k3, full, out=stage), qc, out=stage)
+        rhs(stage, matmul(stage, beta, out=w_stage), k4)
+        add(multiply(k2, two, out=k2), k1, out=k2)
+        add(k2, multiply(k3, two, out=k3), out=k2)
+        add(k2, k4, out=k2)
+        add(multiply(k2, sixth, out=k2), qc, out=out)
 
     def fail(mask, message):
         nonlocal alive, all_alive
@@ -223,11 +246,11 @@ def _integrate_batch(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
             # w is q @ beta from the end of the previous step (or the start)
-            q_new = rk4(q, w)
+            rk4(q, w, q_new)
             # Each check is one reduction over the batch; the per-trajectory
             # masks run only when it finds an entry that may fail (NaN too).
             # A strictly positive state is its own floor at 0.
-            low = q_new.min()
+            low = minimum(q_new, axis=None)
             if not low > 0.0:
                 if not low >= -_CLIP_TOL:
                     bad = alive & ~(np.min(q_new, axis=1) >= -_CLIP_TOL)
@@ -235,17 +258,18 @@ def _integrate_batch(
                         fail(bad, "negative")
                 np.maximum(q_new, 0.0, out=q_new)  # what np.clip(q_new, 0.0, None) runs
 
-            w_new = q_new @ beta
-            if not w_new.min() >= floor_max:
+            matmul(q_new, beta, out=w_new)
+            if not minimum(w_new) >= floor_max:
                 bad = alive & ~(w_new >= floor)
                 if bad.any():
                     fail(bad, "floor")
 
-            if all_alive:
-                q, w = q_new, w_new
-            else:
-                q = np.where(alive[:, None], q_new, q)
-                w = np.where(alive, w_new, w)
+            if not all_alive:  # failed rows keep their last good state
+                frozen = ~alive
+                np.copyto(q_new, q, where=frozen[:, None])
+                np.copyto(w_new, w, where=frozen)
+            q, q_new = q_new, q
+            w, w_new = w_new, w
             w_hist[step] = w
             if store_states:
                 q_hist[step] = q
@@ -389,7 +413,8 @@ def integrate(
     else:
         res = run(n_steps)
         if refine:
-            gap, _, unstable_at = _doubling_gap(res, run(2 * n_steps))
+            pilot_steps = 2 * n_steps
+            gap, _, unstable_at = _doubling_gap(res, run(pilot_steps))
             if unstable_at is not None:
                 raise StepInstabilityError(f"trajectory 0: unstable at t={unstable_at:.6g}")
     return FluidTrajectory(

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# A 0-d operand gives the bits of the Python float, and numpy dispatches it
+# faster on small arrays.
+_ZERO = np.array(0.0)
 
 
 def _positive_int(x) -> bool:
@@ -74,9 +77,11 @@ class ExponentialType:
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
             raise ConfigError("type_dist.rate: must be positive and finite")
+        object.__setattr__(self, "_minus_rate", np.array(-self.rate))
 
-    def cdf(self, x):
-        return -np.expm1(-self.rate * np.maximum(np.asarray(x, dtype=float), 0.0))
+    def cdf(self, x, out=None):
+        f = np.maximum(np.asarray(x, dtype=float), _ZERO, out=out)
+        return np.negative(np.expm1(np.multiply(f, self._minus_rate, out=out), out=out), out=out)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -98,9 +103,11 @@ class HalfNormalType:
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ConfigError("type_dist.sigma: must be positive and finite")
+        object.__setattr__(self, "_scale", np.array(self.sigma * _SQRT2))
 
-    def cdf(self, x):
-        return erf(np.maximum(np.asarray(x, dtype=float), 0.0) / (self.sigma * _SQRT2))
+    def cdf(self, x, out=None):
+        f = np.maximum(np.asarray(x, dtype=float), _ZERO, out=out)
+        return erf(np.divide(f, self._scale, out=out), out=out)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -147,8 +154,12 @@ class TabulatedType:
         object.__setattr__(self, "cdf_values", _frozen(c))
         object.__setattr__(self, "_slopes", _frozen(np.diff(c) / np.diff(g)))
 
-    def cdf(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.gammas, self.cdf_values)
+    def cdf(self, x, out=None):
+        f = np.interp(np.asarray(x, dtype=float), self.gammas, self.cdf_values)
+        if out is None:
+            return f
+        out[...] = f
+        return out
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -166,7 +177,9 @@ class TabulatedType:
 # Distribution of the investor type: atomless CDF F on (0, inf) with density
 # f, F nondecreasing with F(0) = 0 and F(inf) = 1.  Each kind has `cdf` and
 # `pdf`, which take scalars or arrays (inf included) and broadcast like numpy
-# ufuncs, `sample(gen, size)` and `to_dict()`.
+# ufuncs, `sample(gen, size)` and `to_dict()`.  `cdf(x, out=)` writes F(x)
+# into the float array `out` of x's shape, which may be x itself, and
+# returns it; the bits are those of the allocating call.
 TypeDistribution = ExponentialType | HalfNormalType | TabulatedType
 
 
@@ -390,24 +403,28 @@ def compute_bands(cfg: ModelConfig) -> RoutingBands:
     The lower edge pits venue i against the immediate-execution option and all
     venues with smaller rebates; the upper edge against all venues with larger
     rebates (empty set giving +inf).  Raw upper edges below zero are clamped to
-    0; the band is empty either way.  Every call warns about empty bands;
-    `ModelConfig.bands` calls this once per config.
+    0; the band is empty either way.  Two rebates so close that an edge
+    overflows give it the limit +-inf: the venue with the larger delay never
+    wins the pair.  Every call warns about empty bands; `ModelConfig.bands`
+    calls this once per config.
     """
     n = cfg.n_exchanges
     inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
     a_plus = np.full(n, np.inf)
     a_minus = np.empty(n)
-    for i in range(n):
-        above = cfg.rebates > cfg.rebates[i]
-        if above.any():
-            a_plus[i] = max(
-                0.0, np.min((inv[above] - inv[i]) / (cfg.rebates[above] - cfg.rebates[i]))
-            )
-        below = cfg.rebates < cfg.rebates[i]
-        lo = inv[i] / (cfg.rebates[i] - cfg.rebate0)
-        if below.any():
-            lo = max(lo, np.max((inv[i] - inv[below]) / (cfg.rebates[i] - cfg.rebates[below])))
-        a_minus[i] = lo
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            above = cfg.rebates > cfg.rebates[i]
+            if above.any():
+                a_plus[i] = max(
+                    0.0, np.min((inv[above] - inv[i]) / (cfg.rebates[above] - cfg.rebates[i]))
+                )
+            below = cfg.rebates < cfg.rebates[i]
+            lo = inv[i] / (cfg.rebates[i] - cfg.rebate0)
+            if below.any():
+                diff = (inv[i] - inv[below]) / (cfg.rebates[i] - cfg.rebates[below])
+                lo = max(lo, np.max(diff))
+            a_minus[i] = lo
     empty = a_plus < a_minus
     if empty.any():
         warnings.warn(

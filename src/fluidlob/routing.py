@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, BracketError
-from .model import ModelConfig, RoutingBands, TypeDistribution
+from .model import _ZERO, ModelConfig, RoutingBands, TypeDistribution
 
 __all__ = [
     "QueueState",
@@ -85,10 +85,9 @@ def route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
     return _router(cfg)(gamma, state.q.tolist(), state.workload)
 
 
-_ZERO = np.array(0.0)  # a 0-d operand: numpy dispatches it faster than 0.0
-
-
-def _band_chi(bands: RoutingBands, tdist: TypeDistribution, w) -> np.ndarray:
+def _band_chi(
+    bands: RoutingBands, tdist: TypeDistribution, w, out=None, *, edges=None, products=None
+) -> np.ndarray:
     """Venue routing fractions max(F(w a_plus) - F(w a_minus), 0).
 
     `w` may be a scalar or an array of workloads; the result has one row of
@@ -96,12 +95,20 @@ def _band_chi(bands: RoutingBands, tdist: TypeDistribution, w) -> np.ndarray:
     (`bands.edges`); the infinite upper edge contributes F = 1, written into
     its slot, and empty bands collapse to 0 via the max.  No fraction
     exceeds 1, as F takes values in [0, 1].
+
+    Buffers: by default a call allocates its edge products and its result.
+    A caller that evaluates many batches of B workloads passes `edges`,
+    `bands.edges` tiled to (B, 2N), which it keeps; `products`, a (B, 2N)
+    scratch array that each call overwrites with the products and then their
+    `cdf`; and `out`, the (B, N) array that receives the fractions and is
+    returned.  The bits are those of the allocating call.
     """
     w = np.asarray(w, dtype=float)
-    f = tdist.cdf(w[..., None] * bands.edges)
+    f = np.multiply(w[..., None], bands.edges if edges is None else edges, out=products)
+    tdist.cdf(f, out=f)
     f[..., bands.top] = 1.0
     n = len(bands.a_minus)
-    chi = f[..., n:] - f[..., :n]
+    chi = np.subtract(f[..., n:], f[..., :n], out=out)
     return np.maximum(chi, _ZERO, out=chi)
 
 

@@ -74,29 +74,39 @@ __all__ = [
 _BLOCK = 4096
 
 
+def _first_block(mean: float) -> int:
+    """Draws in a stream's first block when it expects `mean` draws over the
+    run: the mean plus six Poisson standard deviations and 16, at most
+    `_BLOCK`.  Later blocks hold `_BLOCK`.  Samplers give the same values
+    whatever the block split, so the size changes only the cost."""
+    return int(min(_BLOCK, mean + 6.0 * math.sqrt(mean) + 16.0))
+
+
 def _stream_generator(seed: int, name: str) -> np.random.Generator:
     key = int.from_bytes(hashlib.sha256(name.encode("ascii")).digest()[:8], "little")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed & (2**64 - 1), key))))
 
 
 class _Draws:
-    """Draws from one named substream, fetched `_BLOCK` at a time; `count`
-    is the number consumed."""
+    """Draws from one named substream, fetched a block at a time, `first`
+    values first and `_BLOCK` after; `count` is the number consumed."""
 
-    __slots__ = ("name", "_gen", "_draw", "_buf", "count")
+    __slots__ = ("name", "_gen", "_draw", "_buf", "_block", "count")
 
-    def __init__(self, seed: int, name: str, draw):
+    def __init__(self, seed: int, name: str, draw, first: int):
         self.name = name
         self._gen = _stream_generator(seed, name)
         self._draw = draw
         self._buf = np.empty(0)
+        self._block = first
         self.count = 0
 
     def peek(self, m: int) -> np.ndarray:
         """The next `m` draws, not consumed."""
         buf = self._buf
         while len(buf) < m:
-            block = self._draw(self._gen, _BLOCK)
+            block = self._draw(self._gen, self._block)
+            self._block = _BLOCK
             buf = np.concatenate((buf, block)) if len(buf) else block
         self._buf = buf
         return buf[:m]
@@ -118,16 +128,17 @@ def _uniform(gen, size):
 class _Clock:
     """The event times of one Poisson stream and the marks drawn with them.
 
-    The times are running sums of exponential draws, a block at a time:
-    `pending` holds the drawn times not yet scheduled and `last` the latest
-    drawn.  `code` is the stream's place in the tie order and `marks(m)` the
-    float and integer marks of its next m events.  A stream at rate 0 is
-    absent: it never draws and `last` is inf.
+    The times are running sums of exponential draws, a block at a time
+    (`first` draws first and `_BLOCK` after): `pending` holds the drawn times
+    not yet scheduled and `last` the latest drawn.  `code` is the stream's
+    place in the tie order and `marks(m)` the float and integer marks of its
+    next m events.  A stream at rate 0 is absent: it never draws and `last`
+    is inf.
     """
 
-    __slots__ = ("name", "code", "marks", "_gen", "_scale", "pending", "last", "events")
+    __slots__ = ("name", "code", "marks", "_gen", "_scale", "_block", "pending", "last", "events")
 
-    def __init__(self, seed: int, name: str, rate: float, code: int, marks):
+    def __init__(self, seed: int, name: str, rate: float, code: int, marks, first: int):
         self.name = name
         self.code = code
         self.marks = marks
@@ -135,6 +146,7 @@ class _Clock:
         # Python float division: a subnormal rate gives an infinite scale, and
         # so no events, without numpy's overflow warning.
         self._scale = 1.0 / float(rate) if rate > 0 else None
+        self._block = first
         self.pending = np.empty(0)
         self.last = 0.0 if rate > 0 else math.inf
         self.events = 0
@@ -144,7 +156,8 @@ class _Clock:
         return self._gen is not None
 
     def refill(self) -> None:
-        draws = self._gen.exponential(self._scale, _BLOCK)
+        draws = self._gen.exponential(self._scale, self._block)
+        self._block = _BLOCK
         draws[0] += self.last
         self.pending = np.cumsum(draws)
         self.last = float(self.pending[-1])
@@ -304,12 +317,24 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
     eps = float(sim.epsilon)
     seed = sim.seed
 
-    ded_sizes = [_Draws(seed, f"ded-sizes-{i}", cfg.dedicated_sizes[i].sample) for i in range(n_venues)]
-    opt_types = _Draws(seed, "opt-types", cfg.type_dist.sample)
-    opt_sizes = _Draws(seed, "opt-sizes", cfg.optimized_size.sample)
-    mkt_accept = _Draws(seed, "mkt-accept", _uniform)
-    mkt_venue = _Draws(seed, "mkt-venue", _uniform)
-    mkt_sizes = [_Draws(seed, f"mkt-sizes-{i}", cfg.market_sizes[i].sample) for i in range(n_venues)]
+    # First blocks sized from the events expected by the horizon; every
+    # market stream draws at most one value per market candidate.
+    mkt_rate, opt_rate = n * cfg.mu, n * cfg.big_lambda
+    ded_rates = [n * lam for lam in cfg.lam]
+    mkt_first, opt_first = _first_block(mkt_rate * horizon), _first_block(opt_rate * horizon)
+    ded_first = [_first_block(rate * horizon) for rate in ded_rates]
+    ded_sizes = [
+        _Draws(seed, f"ded-sizes-{i}", cfg.dedicated_sizes[i].sample, ded_first[i])
+        for i in range(n_venues)
+    ]
+    opt_types = _Draws(seed, "opt-types", cfg.type_dist.sample, opt_first)
+    opt_sizes = _Draws(seed, "opt-sizes", cfg.optimized_size.sample, opt_first)
+    mkt_accept = _Draws(seed, "mkt-accept", _uniform, mkt_first)
+    mkt_venue = _Draws(seed, "mkt-venue", _uniform, mkt_first)
+    mkt_sizes = [
+        _Draws(seed, f"mkt-sizes-{i}", cfg.market_sizes[i].sample, mkt_first)
+        for i in range(n_venues)
+    ]
 
     def market_marks(m):
         return mkt_accept.take(m), np.zeros(m, dtype=np.int64)
@@ -325,12 +350,12 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
     # Codes in tie order: market 0, dedicated at venue i+1 is i+1, optimized N+1.
     opt_code = n_venues + 1
     clocks = [
-        _Clock(seed, "mkt-times", n * cfg.mu, 0, market_marks),
+        _Clock(seed, "mkt-times", mkt_rate, 0, market_marks, mkt_first),
         *(
-            _Clock(seed, f"ded-times-{i}", n * cfg.lam[i], i + 1, dedicated_marks(ded_sizes[i]))
-            for i in range(n_venues)
+            _Clock(seed, f"ded-times-{i}", rate, i + 1, dedicated_marks(sizes), first)
+            for i, (rate, sizes, first) in enumerate(zip(ded_rates, ded_sizes, ded_first))
         ),
-        _Clock(seed, "opt-times", n * cfg.big_lambda, opt_code, optimized_marks),
+        _Clock(seed, "opt-times", opt_rate, opt_code, optimized_marks, opt_first),
     ]
     pick_venue = _router(cfg)
 

@@ -230,6 +230,7 @@ def test_integrate_refine_check(ref1, monkeypatch):
     assert grids == [200, 200, 400]
     assert_bitwise(traj.states, plain.states)
     assert plain.max_refine_error == 0.0
+    assert (plain.pilot_steps, traj.pilot_steps) == (0, 400)
     assert 0 < traj.max_refine_error <= _SELECT_TOL * max(1.0, np.abs(traj.states).max())
 
 
@@ -341,8 +342,11 @@ def test_recorded_floor_breach_freezes_only_that_trajectory(ref1):
     assert res.fail_time[2] == res.times[breach] and np.isnan(res.fail_time[keep]).all()
 
 
-def _assert_same_batch(res, ref) -> None:
-    for name in ("times", "workload", "states", "terminal", "min_workload", "failed", "fail_time"):
+_NO_STATES = ("times", "workload", "terminal", "min_workload", "failed", "fail_time")
+
+
+def _assert_same_batch(res, ref, fields=_NO_STATES + ("states",)) -> None:
+    for name in fields:
         assert_bitwise(getattr(res, name), getattr(ref, name))
     assert res.fail_reason == ref.fail_reason
     assert res.steps == ref.steps
@@ -351,8 +355,14 @@ def _assert_same_batch(res, ref) -> None:
 def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
     # Single and batched runs; in the "breach" runs the last row starts high
     # and gets a floor that its workload crosses mid-run, so it is recorded
-    # and frozen there.
-    cfgs = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(12)]
+    # and frozen there.  Each run is made with and without stored states:
+    # the kernel reuses its buffers from step to step, and no returned array
+    # may share them.  One config has a tabulated type, whose `cdf` writes
+    # into the kernel's buffer by a copy.
+    tabulated = make_config(
+        type_dist={"kind": "tabulated", "gamma": [0.0, 1.0, 3.0], "cdf": [0.0, 0.6, 1.0]}
+    )
+    cfgs = [ref1, ref2, tabulated] + [random_stable_config(rng, n_max=12) for _ in range(12)]
     horizon, dt = 1.5, 0.01
     steps, kw = _step_count(horizon, dt), dict(store_states=True)
     seen = set()
@@ -379,6 +389,9 @@ def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
             seen.update(ref.fail_reason)
             res = _integrate_batch(cfg, q0s, horizon, steps, kappas, **kw)
             _assert_same_batch(res, ref)
+            lean = _integrate_batch(cfg, q0s, horizon, steps, kappas)
+            assert lean.states is None
+            _assert_same_batch(lean, ref, _NO_STATES)
     assert seen == {None, "floor"}
 
 

@@ -111,6 +111,20 @@ def test_empty_band_warns_once_per_config():
     assert sum("empty routing bands" in str(w.message) for w in caught) == 1
 
 
+def test_overflowing_band_edge_takes_its_limit():
+    # Rebates 0 and 5e-324 with the larger delay at the larger rebate: the
+    # pair's indifference type overflows, and the band edges take its limit
+    # without an overflow warning.  The venue at 5e-324 never beats the one
+    # at 0, so its band is empty.
+    d = json.loads((FIXTURES / "ref2.json").read_text())
+    cfg = config_from_dict({**d, "beta": [2.0, 1.0, 1.0], "rebates": [0.0, 5e-324, 1.0]})
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "venues .* have empty routing bands", UserWarning)
+        bands = compute_bands(cfg)
+    assert bands.a_minus[1] == math.inf and bands.empty_band.tolist() == [False, True, False]
+    assert np.isfinite(bands.a_plus[:2]).all() and chi(cfg, 1.0)[2] == 0.0
+
+
 def test_empty_band_gets_no_flow(ref2):
     for w in np.geomspace(0.1, 50, 40):
         fractions = chi(ref2, float(w))

@@ -378,10 +378,7 @@ def _oracle_run(case, seed):
     return cfg, run, simulate(cfg, run), oracle_simulate(cfg, run)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("case", list(ORACLE_CASES))
-def test_simulate_is_bitwise_the_event_loop_oracle(case, seed):
-    _, _, path, want = _oracle_run(case, seed)
+def _assert_is_the_oracle(path, want) -> None:
     for key, value in want.items():
         if key == "counts":
             continue
@@ -391,6 +388,30 @@ def test_simulate_is_bitwise_the_event_loop_oracle(case, seed):
             assert got.tobytes() == value.tobytes(), key
         else:
             assert got == value, key
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_simulate_is_bitwise_the_event_loop_oracle(case, seed):
+    _, _, path, want = _oracle_run(case, seed)
+    _assert_is_the_oracle(path, want)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ref2", "tabulated types, geometric and tabulated sizes", "half-normal types",
+     "epsilon truncation", "queues that empty"],
+)
+def test_first_block_size_changes_no_draw(case, monkeypatch):
+    # A stream's first block is sized from its expected draws; the samplers
+    # give the same values whatever the block split.  With first blocks of 5
+    # the busier streams refill mid-run, and path and fingerprint are still
+    # the oracle's (whose blocks all hold 4096).
+    assert sim._first_block(0.0) == 16 and sim._first_block(1e9) == sim._BLOCK
+    monkeypatch.setattr(sim, "_first_block", lambda mean: 5)
+    _, _, path, want = _oracle_run(case, 3)
+    assert sum(count > 5 for count in want["counts"].values()) >= 3
+    _assert_is_the_oracle(path, want)
 
 
 def test_oracle_cases_reach_their_edge(ref1):
@@ -448,7 +469,7 @@ class _HandClock(sim._Clock):
     mark is its index in the stream."""
 
     def __init__(self, code, blocks):
-        super().__init__(0, f"hand-{code}", 1.0, code, self._marks)
+        super().__init__(0, f"hand-{code}", 1.0, code, self._marks, sim._BLOCK)
         self._blocks = [np.array(b, dtype=float) for b in blocks]
 
     def _marks(self, m):
@@ -496,7 +517,9 @@ def test_schedule_windows_stay_within_a_block_per_stream(ref1):
     c = path.counters
     total = sum(c.dedicated) + c.optimized + c.candidates
     clocks = [
-        sim._Clock(1, name, rate, code, lambda m: (np.zeros(m), np.zeros(m, dtype=np.int64)))
+        sim._Clock(
+            1, name, rate, code, lambda m: (np.zeros(m), np.zeros(m, dtype=np.int64)), sim._BLOCK
+        )
         for code, (name, rate) in enumerate(
             [("mkt-times", 20000 * ref1.mu), ("ded-times-0", 20000 * ref1.lam[0]),
              ("ded-times-1", 20000 * ref1.lam[1]), ("opt-times", 20000 * ref1.big_lambda)]

@@ -6,7 +6,6 @@ local/global stability certification.
 
 from .errors import (
     AssumptionError,
-    BracketError,
     ConfigError,
     IntegrationError,
     ParameterError,

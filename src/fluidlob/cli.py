@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AssumptionError, BracketError, ConfigError, IntegrationError, ParameterError
+from .errors import AssumptionError, ConfigError, IntegrationError, ParameterError
 from .fluid import FluidTrajectory, integrate
 from .model import ModelConfig, load_config
 from .sim import ConvergenceTable, SimConfig, SimPath, replicate, simulate
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AssumptionError, BracketError, IntegrationError, ValueError) as exc:
+    except (AssumptionError, IntegrationError, ValueError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 2
 

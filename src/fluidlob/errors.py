@@ -13,10 +13,6 @@ class AssumptionError(RuntimeError):
     """A standing assumption on the model parameters does not hold."""
 
 
-class BracketError(RuntimeError):
-    """Root bracketing failed: no sign change found on the scan grid."""
-
-
 class IntegrationError(RuntimeError):
     """Fluid integration produced an invalid state."""
 

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, erfcinv
 
 from .errors import ConfigError
 
@@ -87,6 +87,13 @@ class ExponentialType:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
 
+    def isf(self, s):
+        return -math.log(s) / self.rate
+
+    @property
+    def gamma_f_mode(self):
+        return 1.0 / self.rate
+
     def sample(self, gen, size):
         return gen.exponential(1.0 / self.rate, size)
 
@@ -113,6 +120,13 @@ class HalfNormalType:
         x = np.asarray(x, dtype=float)
         c = math.sqrt(2.0 / math.pi) / self.sigma
         return np.where(x >= 0, c * np.exp(-np.square(np.maximum(x, 0.0)) / (2.0 * self.sigma**2)), 0.0)
+
+    def isf(self, s):
+        return self.sigma * _SQRT2 * float(erfcinv(s))
+
+    @property
+    def gamma_f_mode(self):
+        return self.sigma
 
     def sample(self, gen, size):
         return np.abs(gen.normal(0.0, self.sigma, size))
@@ -167,6 +181,21 @@ class TabulatedType:
         inside = (idx >= 0) & (idx < len(self._slopes)) & np.isfinite(x)
         return np.where(inside, self._slopes[np.clip(idx, 0, len(self._slopes) - 1)], 0.0)
 
+    def isf(self, s):
+        # The smallest gamma with F(gamma) = 1 - s: the knot that reaches it
+        # exactly, or the point inside the rising segment that ends past it.
+        p = 1.0 - s
+        k = int(np.searchsorted(self.cdf_values, p))
+        if self.cdf_values[k] == p:
+            return float(self.gammas[k])
+        return float(self.gammas[k - 1] + (p - self.cdf_values[k - 1]) / self._slopes[k - 1])
+
+    @property
+    def gamma_f_mode(self):
+        # gamma f(gamma) = slope * gamma rises on every segment of positive
+        # slope, so it falls (or stays 0) only past the last of them.
+        return float(self.gammas[np.flatnonzero(self._slopes > 0)[-1] + 1])
+
     def sample(self, gen, size):
         return np.interp(gen.random(size), self.cdf_values, self.gammas)
 
@@ -179,7 +208,12 @@ class TabulatedType:
 # `pdf`, which take scalars or arrays (inf included) and broadcast like numpy
 # ufuncs, `sample(gen, size)` and `to_dict()`.  `cdf(x, out=)` writes F(x)
 # into the float array `out` of x's shape, which may be x itself, and
-# returns it; the bits are those of the allocating call.
+# returns it; the bits are those of the allocating call.  `isf(s)` is the
+# upper-tail quantile, the smallest gamma with 1 - F(gamma) = s for s in
+# (0, 1), formed from s itself so that a small s loses no digits to 1 - s
+# (the tabulated kind, whose grid holds F, excepted).  `gamma_f_mode` is the
+# point from which gamma f(gamma) no longer rises: condition (i) holds on
+# [a, inf) exactly when a is at or past it.
 TypeDistribution = ExponentialType | HalfNormalType | TabulatedType
 
 
@@ -372,11 +406,13 @@ class RoutingBands:
     A type gamma is routed to venue i exactly when gamma lies in
     W * [a_minus[i], a_plus[i]] for the current workload W.  `a_plus` is +inf
     for the venue with the top rebate; `empty_band[i]` marks venues that are
-    never chosen (a_plus < a_minus).  `edges` is [a_minus, a_plus with
-    infinite entries set to 0], the points at which the routing fractions
-    evaluate the type CDF.  Rebates are
-    distinct, so exactly one upper edge is infinite: `top` is its position in
-    `edges`, where the routing fractions take F(inf) = 1 instead.
+    never chosen (a_plus < a_minus, or a band [inf, inf] left by an edge that
+    overflowed).  `edges` is [a_minus, a_plus], the points at which the
+    routing fractions evaluate the type CDF, with infinite upper edges and
+    both edges of an empty band set to 0, so an empty band's fraction and
+    its derivative are exactly 0.  Exactly one nonempty band reaches +inf:
+    `top` is the position of its upper edge in `edges`, where the routing
+    fractions take F(inf) = 1 instead.
     """
 
     a_minus: np.ndarray
@@ -390,11 +426,12 @@ class RoutingBands:
         object.__setattr__(self, "a_minus", _frozen(self.a_minus))
         object.__setattr__(self, "a_plus", _frozen(self.a_plus))
         object.__setattr__(self, "empty_band", _frozen(self.empty_band, dtype=bool))
-        finite = np.isfinite(self.a_plus)
-        edges = np.concatenate((self.a_minus, np.where(finite, self.a_plus, 0.0)))
+        live = ~self.empty_band
+        edges = np.concatenate((self.a_minus, self.a_plus))
+        edges = np.where(np.tile(live, 2) & np.isfinite(edges), edges, 0.0)
         object.__setattr__(self, "edges", _frozen(edges))
-        (top,) = np.flatnonzero(~finite)
-        object.__setattr__(self, "top", len(finite) + int(top))
+        (top,) = np.flatnonzero(live & np.isinf(self.a_plus))
+        object.__setattr__(self, "top", len(live) + int(top))
 
 
 def compute_bands(cfg: ModelConfig) -> RoutingBands:
@@ -405,8 +442,8 @@ def compute_bands(cfg: ModelConfig) -> RoutingBands:
     rebates (empty set giving +inf).  Raw upper edges below zero are clamped to
     0; the band is empty either way.  Two rebates so close that an edge
     overflows give it the limit +-inf: the venue with the larger delay never
-    wins the pair.  Every call warns about empty bands; `ModelConfig.bands`
-    calls this once per config.
+    wins the pair, and a band [inf, inf] counts as empty.  Every call warns
+    about empty bands; `ModelConfig.bands` calls this once per config.
     """
     n = cfg.n_exchanges
     inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
@@ -425,7 +462,7 @@ def compute_bands(cfg: ModelConfig) -> RoutingBands:
                 diff = (inv[i] - inv[below]) / (cfg.rebates[i] - cfg.rebates[below])
                 lo = max(lo, np.max(diff))
             a_minus[i] = lo
-    empty = a_plus < a_minus
+    empty = (a_plus < a_minus) | (a_minus == np.inf)
     if empty.any():
         warnings.warn(
             f"venues {np.flatnonzero(empty).tolist()} have empty routing bands and will never "

@@ -1,18 +1,18 @@
 """Pure functions of the queue state and the workload: the routing argmax,
-the routing fractions chi and their derivative, and the stationary workload
-(the root of the stationarity gap built from chi).
+the routing fractions chi and their derivative, and the stationary workload.
 
-Everything here is stateless.
+The venue bands tile [W a_min, inf), so the venue fractions sum to
+1 - F(W a_min) and the stationary workload has a closed form in the type's
+upper-tail quantile (`solve_workload_star`).  Everything here is stateless.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, BracketError
+from .errors import AssumptionError
 from .model import _ZERO, ModelConfig, RoutingBands, TypeDistribution
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "route",
     "chi",
     "chi_derivative",
-    "workload_roots",
     "solve_workload_star",
 ]
 
@@ -127,33 +126,14 @@ def chi_derivative(cfg: ModelConfig, w: float) -> np.ndarray:
     """d chi_i / dW at workload w: a_plus f(w a_plus) - a_minus f(w a_minus).
 
     Infinite upper edges contribute 0 (the density vanishes at infinity for
-    any finite-mean type distribution): their slot of `bands.edges` holds 0,
-    so a_plus f(w a_plus) is 0 there.  Empty bands contribute 0 outright.
+    any finite-mean type distribution), and so do both edges of an empty
+    band: their slots of `bands.edges` hold 0.
     """
     if not w > 0:
         raise ValueError("w must be positive")
-    bands = cfg.bands
-    f = cfg.type_dist.pdf
-    lo = bands.a_minus * np.asarray(f(w * bands.a_minus), dtype=float)
-    ap = bands.edges[cfg.n_exchanges:]
-    out = ap * np.asarray(f(w * ap), dtype=float) - lo
-    out[bands.empty_band] = 0.0
-    return out
-
-
-def _stationarity_gap(cfg: ModelConfig, w):
-    """Inflow minus service at workload w; the equilibrium workload is its root.
-
-    `w` may be a scalar (returns a float) or a 1-d array of workloads (returns
-    one gap per workload, bit-identical to the scalar values).
-    """
-    total_chi = _band_chi(cfg.bands, cfg.type_dist, w).sum(axis=-1)
-    gap = (
-        cfg.b_dedicated @ cfg.lam
-        + cfg.b_optimized * cfg.big_lambda * total_chi
-        - cfg.v * cfg.mu
-    )
-    return float(gap) if np.ndim(w) == 0 else gap
+    edges = cfg.bands.edges
+    g = edges * np.asarray(cfg.type_dist.pdf(w * edges), dtype=float)
+    return g[cfg.n_exchanges:] - g[: cfg.n_exchanges]
 
 
 def _throughput_sides(cfg: ModelConfig) -> tuple[float, float, float]:
@@ -162,7 +142,7 @@ def _throughput_sides(cfg: ModelConfig) -> tuple[float, float, float]:
     return lam_eff, cfg.v * cfg.mu, lam_eff + cfg.b_optimized * cfg.big_lambda
 
 
-def _require_throughput(cfg: ModelConfig) -> None:
+def _require_throughput(cfg: ModelConfig) -> tuple[float, float, float]:
     lam_eff, v_mu, total = _throughput_sides(cfg)
     if not lam_eff < v_mu:
         raise AssumptionError(
@@ -170,58 +150,19 @@ def _require_throughput(cfg: ModelConfig) -> None:
         )
     if not v_mu < total:
         raise AssumptionError(f"service capacity must stay below the total inflow {total}")
-
-
-def workload_roots(cfg: ModelConfig) -> list[float]:
-    """All roots of the stationarity gap found by geometric scan plus bisection.
-
-    Scans [1e-6, 1e6] * (v mu / Lambda); each sign change is bisected to
-    relative width 1e-13.  Raises BracketError when no sign change exists and
-    warns when more than one root is found (multiplicity is surfaced, never
-    silently resolved).
-    """
-    _require_throughput(cfg)
-    anchor = cfg.v * cfg.mu / cfg.big_lambda
-    grid = np.geomspace(1e-6 * anchor, 1e6 * anchor, 301)
-    vals = _stationarity_gap(cfg, grid).tolist()
-
-    roots: list[float] = []
-    for k in range(len(grid) - 1):
-        lo, hi = grid[k], grid[k + 1]
-        flo, fhi = vals[k], vals[k + 1]
-        if flo == 0.0:
-            if not roots or abs(roots[-1] - lo) > 1e-12 * lo:
-                roots.append(float(lo))
-            continue
-        if flo * fhi < 0:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if hi - lo <= 1e-13 * mid:
-                    break
-                fm = _stationarity_gap(cfg, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
-        raise BracketError(
-            "no sign change of the stationarity gap on the scan grid; "
-            "the configuration violates the existence conditions"
-        )
-    if len(roots) > 1:
-        warnings.warn(
-            f"multiple stationary workload roots found: {roots}; returning the smallest",
-            stacklevel=2,
-        )
-    return roots
+    return lam_eff, v_mu, total
 
 
 def solve_workload_star(cfg: ModelConfig) -> float:
-    """Equilibrium workload (the smallest root when several exist)."""
-    return min(workload_roots(cfg))
+    """Equilibrium workload W*: the root of the stationarity gap
+    lam_eff + b_o Lambda sum_i chi_i(W) - v mu.
+
+    The bands tile [W a_min, inf), so sum_i chi_i(W) = 1 - F(W a_min), the
+    gap is monotone in W, and W* = isf(s) / a_min with
+    s = (v mu - lam_eff) / (b_o Lambda).  The throughput condition puts s in
+    (0, 1), so W* exists; it is unique wherever F strictly increases, and
+    otherwise the smallest root.
+    """
+    lam_eff, v_mu, _ = _require_throughput(cfg)
+    tail = (v_mu - lam_eff) / (cfg.b_optimized * cfg.big_lambda)
+    return cfg.type_dist.isf(tail) / cfg.bands.a_min_global

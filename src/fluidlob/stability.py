@@ -1,10 +1,12 @@
 """Checks of the standing assumptions, stationary equilibrium, Jacobian
 spectrum, and trajectory-based stability experiments.
 
-The equilibrium reduces to a scalar root problem in the workload W (solved
-in `routing.workload_roots`): total limit-order inflow matches total service
-exactly when sum_i b_d_i lam_i + b_o Lambda sum_i chi_i(W) = v mu.  The venue
-composition then follows from the per-venue balance.  Local stability is certified by the
+The equilibrium reduces to a scalar equation in the workload W: total
+limit-order inflow matches total service exactly when
+sum_i b_d_i lam_i + b_o Lambda sum_i chi_i(W) = v mu, and since
+sum_i chi_i(W) = 1 - F(W a_min) its root is the closed form of
+`routing.solve_workload_star`.  The venue composition then follows from the
+per-venue balance.  Local stability is certified by the
 eigenvalues of the drift Jacobian, cross-checked against a closed-form
 determinant built from its rank-1-plus-diagonal structure.  The trajectory
 experiments integrate all their trials as one batch on a uniform grid, `dt`
@@ -18,17 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, BracketError, ParameterError
+from .errors import AssumptionError, ParameterError
 from .fluid import _initial_state, _integrate_batch, _step_count, fluid_rhs
 from .model import ModelConfig, compute_kappa
-from .routing import (
-    QueueState,
-    _throughput_sides,
-    chi,
-    chi_derivative,
-    solve_workload_star,
-    workload_roots,
-)
+from .routing import QueueState, _throughput_sides, chi, chi_derivative, solve_workload_star
 
 __all__ = [
     "AssumptionReport",
@@ -49,9 +44,6 @@ __all__ = [
 
 # Verdict thresholds on the largest eigenvalue real part.
 STABILITY_TOL = 1e-10
-# Condition (i) is checked on this many geometric points over this span.
-_GAMMA_F_POINTS = 1000
-_GAMMA_F_SPAN = 1e4
 # Pass thresholds on the terminal distance to the stationary point, and the
 # roundoff allowed in the monotone workload gap.
 _LOCAL_THRESHOLD = 1e-6
@@ -67,15 +59,17 @@ _MONOTONE_TOL = 1e-9
 class AssumptionReport:
     """Outcome of the standing-assumption checks for one configuration.
 
-    `cond_i_holds` reports whether gamma * f(gamma) decreases strictly on the
-    geometric grid recorded in `gamma_f_grid` (lo, hi, points); it is None when
-    the equilibrium workload could not be solved.  `cond_ii_sides` holds the
-    three terms of the throughput inequality lhs < v*mu < rhs.  Condition (iii)
-    concerns how simulations are initialised and is enforced by construction.
+    `cond_i_holds` reports whether gamma * f(gamma) is nonincreasing on
+    [a_min kappa, inf), that is whether a_min kappa is at or past
+    `gamma_f_mode`, the point from which gamma * f(gamma) falls; it is None
+    when the equilibrium workload could not be solved.  `cond_ii_sides` holds
+    the three terms of the throughput inequality lhs < v*mu < rhs.  Condition
+    (iii) concerns how simulations are initialised and is enforced by
+    construction.
     """
 
     cond_i_holds: bool | None
-    gamma_f_grid: tuple[float, float, int] | None
+    gamma_f_mode: float
     cond_ii_holds: bool
     cond_ii_sides: tuple[float, float, float]
     cond_iii_note: str
@@ -88,37 +82,29 @@ class AssumptionReport:
 def check_assumptions(cfg: ModelConfig, q0) -> AssumptionReport:
     """Evaluate the standing assumptions for `cfg` started from queue vector `q0`.
 
-    The tail-monotonicity condition (i) is checked numerically on a geometric
-    grid of 1000 points spanning [a_min*kappa, a_min*kappa*1e4]; the
-    throughput condition (ii) is checked exactly; (iv) via the routing
-    bands.  kappa combines the initial workload with the solved equilibrium
-    workload; if that solve fails the report is marked incomplete.  `q0` is
-    validated as `fluid.integrate` validates it.
+    The tail-monotonicity condition (i) and the throughput condition (ii)
+    are checked exactly, (i) against the type's `gamma_f_mode`; (iv) via the
+    routing bands.  kappa combines the initial workload with the solved
+    equilibrium workload; if that solve fails the report is marked
+    incomplete.  `q0` is validated as `fluid.integrate` validates it.
     """
     _, w0 = _initial_state(cfg, q0)
     sides = _throughput_sides(cfg)
     empty = tuple(int(i) for i in np.flatnonzero(cfg.bands.empty_band))
-    kappa = cond_i = grid_info = None
+    mode = cfg.type_dist.gamma_f_mode
+    kappa = cond_i = None
     complete = True
     try:
         w_star = solve_workload_star(cfg)
-    except (AssumptionError, BracketError):
+    except AssumptionError:
         complete = False
     else:
         kappa = compute_kappa(cfg, w0, w_star)
-        lo = cfg.bands.a_min_global * kappa
-        hi = lo * _GAMMA_F_SPAN
-        grid = np.geomspace(lo, hi, _GAMMA_F_POINTS)
-        gf = grid * np.asarray(cfg.type_dist.pdf(grid), dtype=float)
-        # Strict decrease between consecutive points, allowing the far tail to
-        # sit at exactly 0 once gamma*f(gamma) underflows.
-        diffs = np.diff(gf)
-        cond_i = bool(np.all((diffs < 0) | ((gf[:-1] == 0.0) & (gf[1:] == 0.0))))
-        grid_info = (lo, hi, _GAMMA_F_POINTS)
+        cond_i = cfg.bands.a_min_global * kappa >= mode
 
     return AssumptionReport(
         cond_i_holds=cond_i,
-        gamma_f_grid=grid_info,
+        gamma_f_mode=mode,
         cond_ii_holds=sides[0] < sides[1] < sides[2],
         cond_ii_sides=sides,
         cond_iii_note="initial queue lengths are set to round(n * q0_scaled) by the simulator",
@@ -139,14 +125,11 @@ class Equilibrium:
     q_star: np.ndarray
     chi_at_star: np.ndarray      # (N+1,), index 0 first
     residual: float              # max-norm of the drift at q_star
-    all_roots: tuple[float, ...]
-    unique: bool
 
 
 def solve_equilibrium(cfg: ModelConfig) -> Equilibrium:
     """Solve for the stationary point: workload root, then per-venue balance."""
-    roots = workload_roots(cfg)
-    w_star = min(roots)
+    w_star = solve_workload_star(cfg)
     chi_star = chi(cfg, w_star)
     q_star = (
         w_star
@@ -159,8 +142,6 @@ def solve_equilibrium(cfg: ModelConfig) -> Equilibrium:
         q_star=q_star,
         chi_at_star=chi_star,
         residual=residual,
-        all_roots=tuple(float(r) for r in roots),
-        unique=len(roots) == 1,
     )
 
 

@@ -61,6 +61,24 @@ def test_spectrum_command(tmp_path):
     assert payload["max_real_part"] < 0
 
 
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("ref1", {"rebates": [0.0, 5e-324]}),
+        ("ref2", {"beta": [2.0, 1.0, 1.0], "rebates": [0.0, 5e-324, 1.0]}),
+    ],
+)
+def test_certify_commands_take_a_band_at_infinity(tmp_path, name, overrides):
+    # Rebates a subnormal apart: the venue at 5e-324 never wins and its
+    # lower edge overflows to +inf.  Every numpy warning is an error here.
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({**json.loads((FIXTURES / f"{name}.json").read_text()), **overrides}))
+    for command in ("check", "equilibrium", "spectrum"):
+        assert main([command, str(config), "-o", str(tmp_path)]) == 0
+    check = json.loads((tmp_path / f"check_{name}.json").read_text())
+    assert check["complete"] and 1 in check["empty_band_exchanges"]
+
+
 def test_fluid_command_csv(tmp_path):
     assert main(["fluid", REF1, "--q0", "1,1", "--T", "5", "--dt", "0.01", "-o", str(tmp_path)]) == 0
     out = tmp_path / "fluid_ref1.csv"

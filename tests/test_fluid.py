@@ -16,10 +16,10 @@ from fluidlob import (
 from fluidlob import compute_kappa, solve_workload_star
 from fluidlob import fluid
 from fluidlob.fluid import _SELECT_TOL, _failure, _integrate_batch, _rhs_batch, _step_count
-from fluidlob.routing import _stationarity_gap
 
 from helpers import (
     assert_bitwise,
+    loop_stationarity_gap,
     make_config,
     oracle_integrate_batch,
     random_positive_state,
@@ -260,10 +260,10 @@ def test_equal_beta_reduction(ref2):
     scalar = [w]
     beta1 = float(ref2.beta[0])
     for _ in range(traj.steps):
-        k1 = beta1 * _stationarity_gap(ref2, w)
-        k2 = beta1 * _stationarity_gap(ref2, w + 0.5 * dt * k1)
-        k3 = beta1 * _stationarity_gap(ref2, w + 0.5 * dt * k2)
-        k4 = beta1 * _stationarity_gap(ref2, w + dt * k3)
+        k1 = beta1 * loop_stationarity_gap(ref2, ref2.bands, w)
+        k2 = beta1 * loop_stationarity_gap(ref2, ref2.bands, w + 0.5 * dt * k1)
+        k3 = beta1 * loop_stationarity_gap(ref2, ref2.bands, w + 0.5 * dt * k2)
+        k4 = beta1 * loop_stationarity_gap(ref2, ref2.bands, w + dt * k3)
         w = w + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         scalar.append(w)
     assert np.abs(traj.workload - np.array(scalar)).max() < 1e-8
@@ -457,13 +457,13 @@ def test_step_instability_detected(ref1):
 
 def test_workload_rhs_root_at_w_star(ref2):
     w_star = 4 * math.log(2.5)
-    assert _stationarity_gap(ref2, w_star) == pytest.approx(0.0, abs=1e-12)
+    assert loop_stationarity_gap(ref2, ref2.bands, w_star) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_workload_rhs_signs(ref2):
     w_star = 4 * math.log(2.5)
-    assert _stationarity_gap(ref2, 0.5 * w_star) > 0
-    assert _stationarity_gap(ref2, 2.0 * w_star) < 0
+    assert loop_stationarity_gap(ref2, ref2.bands, 0.5 * w_star) > 0
+    assert loop_stationarity_gap(ref2, ref2.bands, 2.0 * w_star) < 0
 
 
 def test_workload_rhs_degenerate_lambda0(ref2):
@@ -475,5 +475,5 @@ def test_workload_rhs_degenerate_lambda0(ref2):
         rebates=[1.0, 2.0, 3.0],
         b_dedicated=[1.0, 1.0, 1.0],
     )
-    values = [_stationarity_gap(cfg, w) for w in (0.5, 2.0, 9.0)]
+    values = [loop_stationarity_gap(cfg, cfg.bands, w) for w in (0.5, 2.0, 9.0)]
     assert values == pytest.approx([-0.4, -0.4, -0.4])

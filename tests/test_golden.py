@@ -35,27 +35,27 @@ STABILITY_RUNS = {
         ["stability-local", "ref1", "--deltas", "0.01,0.1", "--T", "100", "--dt", "0.1"],
         "stability_local_ref1",
         {
-            "json": "44fefba140c526b73b7b82474184a5478b792f1ee7b463ffdf556a0e59ebf32c",
-            "csv": "7821ba7526714b4bb05907d062248ce65b81408e2839283b9ba9838937afd2dc",
+            "json": "062dd893c904aca4b8c14e54eb0f92162584305546b3087ff31353cdda8b25ef",
+            "csv": "dc39836646829b6ef15b5242241078c28a6eaa8c7785a4ce5f61b7e34a66f46a",
         },
     ),
     "global": (
         ["stability-global", "ref2", "--inits", "50", "--T", "150", "--dt", "0.1"],
         "stability_global_ref2",
         {
-            "json": "1a7eca2b2acc37f797a4054037fceda5c7ed164c45f57099f3c5f9ff5773971b",
-            "csv": "d1803d7e242e561a3b9fde6b61ec0ce5e3a1aada2eb293fb2874bf1859728cf1",
+            "json": "1b29c02e8823f25a222f284df1e8eaa8e984a1e4dbee9d404079e9006ec7d843",
+            "csv": "4731e07f26f46917b48b545f9dc15ecfcba734070504c8e11cc89f36a5dd5159",
         },
     ),
 }
 # The JSON reports of the commands that run no integration.
 REPORT_JSON_SHA256 = {
-    ("check", "ref1"): "615f2a2c7bc0f5c2df98f7dd5e1b0ceab41bd71c768328dddeba653634bfe727",
-    ("check", "ref2"): "12492c8f91b5a947078567557f471d09a4896e2e07b6e0817e44272c182fc521",
-    ("equilibrium", "ref1"): "d57f6182b6346626b81988dd1754c812f6970da98110d5eceaff3c98f9a07f7d",
-    ("equilibrium", "ref2"): "540bc3f7e41e9189f3a724e26d652578c1b33dd206ed6400bc8528248eadd81b",
-    ("spectrum", "ref1"): "00031ab010369684f4bd7def217f8b267a49176833af473980aa716c3230c720",
-    ("spectrum", "ref2"): "af734a30890ca62d229d7f3407b54a2befb00c12262b8759598000bf8765f4e7",
+    ("check", "ref1"): "90c098580e6e4105e2cbad9976864591061715946d6f60d76b92192daa01edb0",
+    ("check", "ref2"): "62a17881692003a2fddf20255f3a7d8422a4f285322101e8edddce777c9f8405",
+    ("equilibrium", "ref1"): "b5c2e21873151579ee25d388653f028d9c48637af482421354aa42e1872b8802",
+    ("equilibrium", "ref2"): "2c6cb773d67e88594bad26fa402e8c7565419e7c27427f0c0266be1721054601",
+    ("spectrum", "ref1"): "8501dba59082f919d9ecb9a24b241cbed61b82f4fded48bf05b783f3b3f441c6",
+    ("spectrum", "ref2"): "8f6ea765d988d80fb30de7216869cb2f1ed6a29af191e9998a9cdacccb8870af",
 }
 
 

@@ -17,6 +17,7 @@ from fluidlob import (
     TabulatedType,
     check_assumptions,
     chi,
+    chi_derivative,
     compute_bands,
     compute_kappa,
     config_from_dict,
@@ -28,7 +29,14 @@ from fluidlob import (
     spectrum,
 )
 
-from helpers import FIXTURES, brute_force_route, config_dicts, make_config, random_valid_config
+from helpers import (
+    FIXTURES,
+    _gamma_f_mode,
+    brute_force_route,
+    config_dicts,
+    make_config,
+    random_valid_config,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +131,22 @@ def test_overflowing_band_edge_takes_its_limit():
         bands = compute_bands(cfg)
     assert bands.a_minus[1] == math.inf and bands.empty_band.tolist() == [False, True, False]
     assert np.isfinite(bands.a_plus[:2]).all() and chi(cfg, 1.0)[2] == 0.0
+    assert chi_derivative(cfg, 1.0)[1] == 0.0  # no inf * 0 at the infinite lower edge
+
+
+def test_a_band_at_infinity_counts_as_empty():
+    # Rebates 0 and 5e-324 on ref1: the venue at 5e-324 never wins, and both
+    # its edges overflow to +inf, a second infinite upper edge.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "venues .* have empty routing bands", UserWarning)
+        cfg = make_config(rebates=[0.0, 5e-324])
+        bands = cfg.bands
+    assert bands.a_minus.tolist() == [0.5, math.inf] and np.isinf(bands.a_plus).all()
+    assert bands.empty_band.tolist() == [False, True] and bands.top == 2
+    for w in (0.3, 1.0, 7.0):
+        tail = math.exp(-0.5 * w)
+        assert chi(cfg, w) == pytest.approx([1.0 - tail, tail, 0.0], abs=1e-15)
+        assert chi_derivative(cfg, w) == pytest.approx([-0.5 * tail, 0.0], abs=1e-15)
 
 
 def test_empty_band_gets_no_flow(ref2):
@@ -186,13 +210,30 @@ def test_check_assumptions_ref2(ref2):
 
 def test_check_assumptions_strict(strict):
     # big_lambda = 5 pushes W* to 4 ln 10, putting a_min*kappa past the mode
-    # of gamma*f(gamma); condition (i) genuinely holds on the grid.
+    # of gamma*f(gamma); condition (i) genuinely holds.
     report = check_assumptions(strict, [3.0, 4.0])
     assert report.cond_i_holds is True
-    lo, hi, pts = report.gamma_f_grid
-    assert lo == pytest.approx(0.25 * 0.5 * 4 * math.log(10), rel=1e-9)
-    assert hi == pytest.approx(lo * 1e4)
-    assert pts >= 1000
+    assert report.gamma_f_mode == 1.0
+    assert 0.25 * report.kappa == pytest.approx(0.25 * 0.5 * 4 * math.log(10), rel=1e-9)
+
+
+def test_condition_i_follows_the_mode_rule():
+    # Four of these draws put a_min*kappa at 0.996-0.999 of the mode of
+    # gamma*f(gamma), where a geometric grid from a_min*kappa steps past the
+    # rise and reads a strict decrease.
+    rng = np.random.default_rng(5)
+    near = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for draw in range(2832):
+            cfg = random_valid_config(rng, n_max=6)
+            report = check_assumptions(cfg, rng.uniform(0.01, 3, cfg.n_exchanges))
+            ratio = cfg.bands.a_min_global * report.kappa / _gamma_f_mode(cfg)
+            assert report.gamma_f_mode == _gamma_f_mode(cfg)
+            assert report.cond_i_holds is (ratio >= 1.0)
+            if 0.99 < ratio < 1.0:
+                near[draw] = ratio
+    assert {1185, 2174, 2621, 2831} <= set(near)
 
 
 def test_check_assumptions_overloaded():
@@ -231,6 +272,27 @@ def test_tabulated_type_consistency():
         assert total == pytest.approx(float(dist.cdf(g)), abs=1e-12)
     assert float(dist.cdf(np.inf)) == 1.0
     assert float(dist.pdf(5.0)) == 0.0
+
+
+def test_tabulated_gamma_f_mode_ends_the_last_rising_segment():
+    dist = TabulatedType(gammas=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], cdf_values=[0.0, 0.2, 0.2, 0.9, 1.0, 1.0])
+    assert dist.gamma_f_mode == 4.0
+    grid = np.linspace(0.0, 6.0, 601)
+    steps = np.diff(grid * dist.pdf(grid))
+    assert np.all(steps[grid[:-1] >= 4.0] <= 0) and steps[grid[:-1] < 4.0].max() > 0
+
+
+def test_isf_is_the_upper_tail_quantile():
+    # Taken from s itself: a tail of 1e-20 is far below the spacing of the
+    # floats near 1, where 1 - s would be 1.
+    for s in (1e-300, 1e-20, 0.01, 0.5, 0.99):
+        g = ExponentialType(rate=1.3).isf(s)
+        assert math.exp(-1.3 * g) == pytest.approx(s, rel=1e-13)
+        g = HalfNormalType(sigma=0.8).isf(s)
+        assert math.erfc(g / (0.8 * math.sqrt(2.0))) == pytest.approx(s, rel=1e-13)
+    # On a flat part the smallest type reaching 1 - s.
+    dist = TabulatedType(gammas=[0.0, 0.5, 1.0, 2.0, 4.0], cdf_values=[0.0, 0.25, 0.25, 0.75, 1.0])
+    assert [dist.isf(s) for s in (0.75, 0.5, 0.125)] == [0.5, 1.5, 3.0]
 
 
 def test_type_distribution_edge_values():

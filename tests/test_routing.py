@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from fluidlob import (
 from fluidlob.routing import _band_chi, _router
 
 from helpers import (
+    FIXTURES,
     assert_bitwise,
     brute_force_route,
     config_dicts,
@@ -121,7 +123,18 @@ def _routing_cases(draw):
     return d, q, gammas
 
 
+# Rebates a subnormal apart, where one venue's band overflows to [inf, inf].
+_REF1_AT_INF = {**ref1_dict(), "rebates": [0.0, 5e-324]}
+_REF2_AT_INF = {
+    **json.loads((FIXTURES / "ref2.json").read_text()),
+    "beta": [2.0, 1.0, 1.0],
+    "rebates": [0.0, 5e-324, 1.0],
+}
+
+
 @example((ref1_dict(), [1.0, 0.0], [0.3, 0.9, 1.6, 3.5]))
+@example((_REF1_AT_INF, [1.0, 1.0], [0.2, 0.7, 3.0]))
+@example((_REF2_AT_INF, [1.0, 0.5, 1.0], [0.2, 0.7, 3.0]))
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(_routing_cases())
 def test_route_band_consistency(case):
@@ -146,6 +159,17 @@ def test_route_band_consistency(case):
 # ---------------------------------------------------------------------------
 # chi
 # ---------------------------------------------------------------------------
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(config_dicts(n_max=6), st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+def test_venue_fractions_sum_to_the_tail_past_a_min(d, workloads):
+    # The bands tile [W a_min, inf): the identity behind the closed-form
+    # equilibrium workload.
+    cfg = config_from_dict(d)
+    for w in workloads:
+        tail = 1.0 - float(cfg.type_dist.cdf(w * cfg.bands.a_min_global))
+        assert abs(chi(cfg, w)[1:].sum() - tail) <= 1e-15
+
 
 def test_chi_ref1_closed_form(ref1):
     got = chi(ref1, 2.0)

@@ -13,20 +13,18 @@ from fluidlob import (
     jacobian,
     local_stability_experiment,
     solve_equilibrium,
+    solve_workload_star,
     spectrum,
 )
 
-from fluidlob.routing import _stationarity_gap, workload_roots
-
 from helpers import (
     fd_jacobian,
-    loop_scan,
     loop_secular_real_roots,
+    loop_stationarity_gap,
     loop_workload_roots,
     make_config,
     random_stable_config,
     random_valid_config,
-    scan_grid,
 )
 
 
@@ -40,13 +38,13 @@ def test_equilibrium_ref1(ref1):
     assert eq.q_star == pytest.approx([0.76246, 1.24767], abs=1e-5)
     assert eq.chi_at_star == pytest.approx([0.5, 0.25, 0.25], abs=1e-12)
     assert eq.residual < 1e-10
-    assert eq.unique
+    assert eq.w_star == 2 * math.log(4)
     assert float(ref1.beta @ eq.q_star) == pytest.approx(eq.w_star, abs=1e-10)
 
 
 def test_equilibrium_ref2(ref2):
     eq = solve_equilibrium(ref2)
-    assert eq.w_star == pytest.approx(4 * math.log(2.5), rel=1e-9)
+    assert abs(eq.w_star - 4 * math.log(2.5)) <= 2 * math.ulp(4 * math.log(2.5))
     assert eq.q_star == pytest.approx([0.73303, 0.73303, 2.19910], abs=1e-5)
     assert eq.residual < 1e-10
 
@@ -82,7 +80,26 @@ def test_equilibrium_requires_throughput_condition():
 
 def test_workload_fixed_point(ref2):
     eq = solve_equilibrium(ref2)
-    assert _stationarity_gap(ref2, eq.w_star) == pytest.approx(0.0, abs=1e-12)
+    assert loop_stationarity_gap(ref2, ref2.bands, eq.w_star) == pytest.approx(0.0, abs=1e-12)
+
+
+def _assert_is_the_oracle_root(cfg):
+    (root,) = loop_workload_roots(cfg)
+    assert abs(solve_workload_star(cfg) - root) <= 1e-13 * root
+
+
+def test_closed_form_workload_is_the_bisection_root(ref1, ref2, rng):
+    # Both fixtures, and random configs of each type kind; tabulated laws
+    # with flat segments included.
+    kinds = ("exponential", "half-normal", "tabulated")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cases = [ref1, ref2] + [random_valid_config(rng, kinds=kinds) for _ in range(90)]
+        for cfg in cases:
+            _assert_is_the_oracle_root(cfg)
+    tabulated = [cfg.type_dist for cfg in cases if cfg.type_dist.kind == "tabulated"]
+    assert sum(np.any(t.cdf_values[1:] == t.cdf_values[:-1]) for t in tabulated) >= 5
+    assert {cfg.type_dist.kind for cfg in cases} == set(kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +229,7 @@ def test_vectorised_solvers_match_loop_versions(ref1, ref2, rng):
         cases = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(24)]
         checked = 0
         for cfg in cases:
-            scan = _stationarity_gap(cfg, scan_grid(cfg))
-            assert scan.tobytes() == loop_scan(cfg).tobytes()
-            assert workload_roots(cfg) == loop_workload_roots(cfg)
+            _assert_is_the_oracle_root(cfg)
             q_star = solve_equilibrium(cfg).q_star
             rep = spectrum(cfg, q_star)
             if rep.secular_checked:

@@ -1,15 +1,24 @@
-"""Fluid vector field and uniform-step RK4 integration of the coupled ODE system.
+"""Fluid vector field and RK4 integration of the coupled ODE system.
 
-The field is singular where the workload vanishes; integration therefore runs
-with a safety floor at a fraction of the proven workload lower bound kappa and
-aborts if the floor is ever breached (which signals a bug or a violated
-assumption, not physics).  A failed trajectory is recorded with its reason
-and time, and only `integrate` turns it into an exception.  Its one error
-estimate is step doubling (Richardson; Hairer, Norsett & Wanner, *Solving
-ODEs I*, section II.4): it picks the uniform step unless one is given, and
-checks a given step on request.  Routing fractions use the workload-only band form
-throughout, which is what removes the ambiguity of the per-venue delay at
-empty queues.
+The field f(q) = b_d lam + b_o Lambda chi(W) - v mu beta q / W is singular
+where the workload W vanishes.  Without a given step, `integrate` therefore
+runs RK4 in uniform steps of the time s with dt/ds = W (Sundman, *Acta
+Math.* 1912; Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
+section VIII.2), where the field W f has no singularity: the term that
+relaxes the venue split at rate v mu beta_i / W becomes a linear decay.
+Its nodes are non-uniform in t, and the last step is cut to end at the
+horizon.  A given step `dt` runs uniform RK4 steps in t, one trajectory or
+the stability experiments' batch.
+
+Integration runs with a safety floor at a fraction of the proven workload
+lower bound kappa and aborts if the floor is ever breached (which signals a
+bug or a violated assumption, not physics).  A failed trajectory is
+recorded with its reason and time, and only `integrate` turns it into an
+exception.  The one error estimate is step doubling (Richardson; Hairer,
+Norsett & Wanner, *Solving ODEs I*, section II.4): it picks the s step
+unless a t step is given, and checks a given step on request.  Routing
+fractions use the workload-only band form throughout, which is what removes
+the ambiguity of the per-venue delay at empty queues.
 """
 
 from __future__ import annotations
@@ -34,14 +43,15 @@ _CLIP_TOL = 1e-12
 # The abort floor as a fraction of kappa.  kappa is a strict lower bound for
 # the exact flow, so a workload below half of it signals malfunction.
 _FLOOR_FACTOR = 0.5
-# Most points of a time grid, checked before it is allocated: the RK4 grid
-# here and the simulator's sample grid.
+# Most points of a time grid: a uniform RK4 grid here, checked before it is
+# allocated, an s grid, checked as it grows, and the simulator's sample grid.
 _MAX_GRID = 10**7
 # Step doubling accepts a run once it agrees with the run at twice its step
 # count within this factor times max(1, max|q|) at every node it has.
 _SELECT_TOL = 1e-10
-# The fewest steps of a selected grid; its first pilot has half as many.
-_MIN_SELECTED = 200
+# The selector's first pilot takes s steps of 1/8 of horizon / w_ref (see
+# `_integrate_s`).
+_FIRST_PILOT = 8
 # Most pilot pairs the selector runs before it gives up.
 _MAX_PASSES = 10
 # The exception `integrate` raises for each recorded failure reason.
@@ -61,13 +71,16 @@ def _step_count(horizon: float, dt: float) -> int:
 class FluidTrajectory:
     """A fluid solution sampled on the integrator grid.
 
-    `dt` is the uniform step that ran and `steps` its count; `pilot_steps`
-    counts the steps of the other grids that ran: the selector's pilot
-    grids, the 2K steps of the check run of an explicit step with `refine`,
+    `steps` counts the steps that ran and `dt` is their mean t step,
+    horizon / steps: the uniform step of an explicit `dt`, and for a
+    selected step, whose nodes are uniform in s and not in t, a summary.
+    `pilot_steps` counts the steps of the other runs: the selector's
+    pilots, the 2K steps of the check run of an explicit step with `refine`,
     and 0 for an unchecked one.
     `max_refine_error` is the step-doubling gap that accepted the run: to the
-    run at half its step count for a selected step, to the run at twice it
-    for an explicit step with `refine`, and 0.0 for an unchecked one.
+    run at twice its step for a selected step, to the run at half it for an
+    explicit step with `refine`, and 0.0 for an unchecked one.
+    `drift` is dq/dt at each node.
     """
 
     times: np.ndarray      # (K+1,)
@@ -314,57 +327,158 @@ def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
     return q0, w0
 
 
-def _doubling_gap(coarse: _BatchResult, fine: _BatchResult) -> tuple[float, float, float | None]:
-    """Step doubling's error estimate for trajectory 0 of a K-step run from
-    the run at 2K steps: the max-norm gap between them at the K run's nodes,
-    the tolerance `_SELECT_TOL` times max(1, max|q|), and the first node time
-    where the gap exceeds it (None if there is none)."""
-    states = fine.states[:, 0]
-    gaps = np.max(np.abs(coarse.states[:, 0] - states[::2]), axis=1)
-    tol = _SELECT_TOL * max(1.0, float(np.max(np.abs(states))))
-    bad = np.flatnonzero(~(gaps <= tol))  # a NaN gap is bad too
-    return float(np.max(gaps)), tol, float(coarse.times[bad[0]]) if bad.size else None
+def _integrate_s(
+    cfg: ModelConfig, q0: np.ndarray, horizon: float, w_ref: float, k: int, floor: float
+) -> _BatchResult:
+    """Classical RK4 for one trajectory in uniform steps of s, with
+    dq/ds = W f(q) and dt/ds = W, f the fluid field `_rhs_batch`, up to
+    t = horizon.
 
+    The step is ds = horizon / (w_ref k), so a run that keeps W near w_ref
+    takes about k steps.  t is carried as tau = t / horizon, which each step
+    advances by its RK4 mean of W over w_ref k, so that neither a tiny
+    horizon nor a tiny ds loses it.  The step that would reach the horizon is
+    replaced by one RK4 step in t from the last node to it, so the run ends
+    at `times[-1] == horizon`.
 
-def _select_grid(
-    cfg: ModelConfig, q0: np.ndarray, horizon: float, kappas: np.ndarray
-) -> tuple[_BatchResult, int, float]:
-    """Pick a uniform RK4 grid by step doubling; return its run, the steps of
-    the pilot grids and the gap that accepted it.
-
-    Each pass runs pilots at K and 2K steps and returns the 2K run once the
-    two agree within `_SELECT_TOL` times max(1, max|q|) at every node of the
-    K run.  Otherwise the fourth-order error rule, gap(K) ~ K^-4, predicts
-    the K that meets the tolerance, rounded up to K times a power of two; a
-    pilot that breaches the floor or goes negative doubles K.
+    The result is a one-row `_BatchResult` whose nodes are non-uniform in t.
+    A failure (floor breach, negative undershoot, or a step that does not
+    advance t) ends the run at the last good state.  A run that needs more
+    than `_MAX_GRID` steps raises IntegrationError.
     """
-    k, ran, fine = _MIN_SELECTED // 2, 0, None
+    rhs, beta = _rhs_batch(cfg, 1), cfg.beta
+    k1, k2, k3, k4, mid, q, q_new = (np.empty((1, len(q0))) for _ in range(7))
+    # The stages' workloads, w1 that of the step's start state, and their
+    # RK4 weights.
+    w = np.empty(4)
+    w1, w2, w3, w4 = (w[i : i + 1] for i in range(4))
+    weights, two = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0, np.array(2.0)
+    add, multiply, matmul, minimum = np.add, np.multiply, np.matmul, np.minimum.reduce
 
-    def pilot(steps):
+    def field(qs, wi, out, in_s):
+        # dq/ds = W f into `out` in s, dq/dt = f in t.
+        rhs(qs, wi, out)
+        if in_s:
+            out *= wi
+
+    def rk4(qc, step, in_s, out):
+        # One step from qc, whose workload is in w1, into `out`, in place as
+        # in `_integrate_batch`.
+        half, full, sixth = step
+        field(qc, w1, k1, in_s)
+        field(add(multiply(k1, half, out=mid), qc, out=mid), matmul(mid, beta, out=w2), k2, in_s)
+        field(add(multiply(k2, half, out=mid), qc, out=mid), matmul(mid, beta, out=w3), k3, in_s)
+        field(add(multiply(k3, full, out=mid), qc, out=mid), matmul(mid, beta, out=w4), k4, in_s)
+        add(multiply(k2, two, out=k2), k1, out=k2)
+        add(k2, multiply(k3, two, out=k3), out=k2)
+        add(k2, k4, out=k2)
+        add(multiply(k2, sixth, out=k2), qc, out=out)
+
+    def sizes(h):
+        return np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+
+    s_step, per_tau = sizes(horizon / (w_ref * k)), w_ref * k
+    q[0] = q0
+    matmul(q, beta, out=w1)
+    tau, reason = 0.0, None
+    taus, states, workloads = [tau], [q0], [float(w1[0])]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while tau < 1.0:
+            if not len(taus) <= _MAX_GRID:
+                raise IntegrationError(
+                    f"no step meets the tolerance {_SELECT_TOL:g} in fewer than {_MAX_GRID} steps"
+                )
+            rk4(q, s_step, True, q_new)
+            tau_new = tau + float(w @ weights) / per_tau
+            if not tau_new < 1.0:
+                rk4(q, sizes(horizon * (1.0 - tau)), False, q_new)
+                tau_new = 1.0
+            low = minimum(q_new, axis=None)
+            if not low > 0.0:
+                if not low >= -_CLIP_TOL:
+                    reason = "negative"
+                    break
+                np.maximum(q_new, 0.0, out=q_new)
+            w_new = float(matmul(q_new, beta, out=w1)[0])  # the next step's w1
+            if not (w_new >= floor and tau_new > tau):
+                reason = "floor"
+                break
+            q, q_new, tau = q_new, q, tau_new
+            taus.append(tau)
+            states.append(q[0].copy())
+            workloads.append(w_new)
+
+    return _BatchResult(
+        times=horizon * np.array(taus),
+        workload=np.array(workloads)[:, None],
+        states=np.array(states)[:, None, :],
+        terminal=q,
+        min_workload=np.array([min(workloads)]),
+        failed=np.array([reason is not None]),
+        fail_reason=[reason],
+        fail_time=np.array([np.nan if reason is None else horizon * tau_new]),
+        steps=len(taus) - 1,
+    )
+
+
+def _doubling_gap(coarse: _BatchResult, fine: _BatchResult) -> tuple[float, float, float | None]:
+    """Step doubling's error estimate for trajectory 0 of a run from the run
+    at half its step: the max-norm gap in (q, t) between them at the coarse
+    run's nodes, the tolerance `_SELECT_TOL` times max(1, max|q|), and the
+    first node time where the gap exceeds it (None if there is none).
+
+    Node j of the coarse run meets node 2j of the fine one, the last node
+    the last; on a uniform t grid that is every node and the times agree.
+    """
+    last, fine_last = len(coarse.times) - 1, len(fine.times) - 1
+    rows = np.append(np.arange(min(last, (fine_last + 1) // 2)), last)
+    fine_rows = np.append(2 * rows[:-1], fine_last)
+
+    def nodes(run, at):
+        return np.column_stack([run.states[at, 0], run.times[at]])
+
+    gaps = np.max(np.abs(nodes(coarse, rows) - nodes(fine, fine_rows)), axis=1)
+    tol = _SELECT_TOL * max(1.0, float(np.max(np.abs(fine.states))))
+    bad = np.flatnonzero(~(gaps <= tol))  # a NaN gap is bad too
+    return float(np.max(gaps)), tol, float(coarse.times[rows[bad[0]]]) if bad.size else None
+
+
+def _select_s(
+    cfg: ModelConfig, q0: np.ndarray, horizon: float, w_ref: float, floor: float
+) -> tuple[_BatchResult, int, float]:
+    """Pick the s step of `_integrate_s` by step doubling; return its run,
+    the steps of the pilot runs and the gap that accepted it.
+
+    Each pass runs pilots at k and 2k steps per horizon / w_ref and returns
+    the finer run once the two agree within `_SELECT_TOL` times
+    max(1, max|q|) at every node of the coarser.  Otherwise the
+    fourth-order error rule, gap ~ k^-4, predicts the k that meets the
+    tolerance, rounded up to k times a power of two; a pilot that fails
+    doubles k.
+    """
+    k, ran, fine, fine_k = _FIRST_PILOT, 0, None, 0
+
+    def pilot(j):
         nonlocal ran
-        ran += steps
-        return _integrate_batch(cfg, q0[None, :], horizon, steps, kappas, store_states=True)
+        run = _integrate_s(cfg, q0, horizon, w_ref, j, floor)
+        ran += run.steps
+        return run
 
     for _ in range(_MAX_PASSES):
-        if not 2 * k < _MAX_GRID:
-            raise IntegrationError(
-                f"no uniform step meets the tolerance {_SELECT_TOL:g} "
-                f"in fewer than {_MAX_GRID} steps"
-            )
-        # K grows by a power of two >= 2, so the last fine pilot is the only
+        # k grows by a power of two >= 2, so the last fine pilot is the only
         # one a later pass can reuse.
-        coarse = fine if fine is not None and fine.steps == k else pilot(k)
-        fine = pilot(2 * k)
+        coarse = fine if fine_k == k else pilot(k)
+        fine, fine_k = pilot(2 * k), 2 * k
         grow = 2
-        if not (coarse.failed[0] or fine.failed[0]):  # a failed pilot doubles K
+        if not (coarse.failed[0] or fine.failed[0]):  # a failed pilot doubles k
             gap, tol, _ = _doubling_gap(coarse, fine)
             if gap <= tol:
-                return fine, ran - 2 * k, gap
+                return fine, ran - fine.steps, gap
             if gap / tol < math.inf:  # so does a non-finite gap
                 grow = 2 ** max(1, math.ceil(math.log2(gap / tol) / 4))
         k *= grow
     raise IntegrationError(
-        f"no uniform step meets the tolerance {_SELECT_TOL:g} within {_MAX_PASSES} passes"
+        f"no step meets the tolerance {_SELECT_TOL:g} within {_MAX_PASSES} passes"
     )
 
 
@@ -378,12 +492,12 @@ def integrate(
 ) -> FluidTrajectory:
     """Integrate the fluid system from q0 over [0, horizon].
 
-    Without `dt` the step is picked by step doubling (`_select_grid`), at
-    least 200 steps; the run already agrees with the run at half its step
-    count, so `refine` adds nothing.  `dt` fixes the uniform step: the
-    horizon is divided into the fewest steps no longer than it.  With
-    `refine` that run is checked the same way, against a run at twice its
-    step count, and returned unchanged.
+    Without `dt` the run steps uniformly in s, dt/ds = W, and the step is
+    picked by step doubling (`_select_s`); the run already agrees with the
+    run at twice its step, so `refine` adds nothing.  `dt` fixes a uniform
+    step in t: the horizon is divided into the fewest steps no longer than
+    it.  With `refine` that run is checked the same way, against a run at
+    twice its step count, and returned unchanged.
 
     Raises SingularityError if the workload drops below half of kappa,
     StepInstabilityError if a checked run is off its doubled run by more
@@ -398,7 +512,8 @@ def integrate(
     if n_steps is not None and refine and not 2 * n_steps < _MAX_GRID:
         raise ParameterError(f"dt: the refine check would take {_MAX_GRID} steps or more")
 
-    kappa = compute_kappa(cfg, w0, solve_workload_star(cfg))
+    w_star = solve_workload_star(cfg)
+    kappa = compute_kappa(cfg, w0, w_star)
     kappas = np.array([kappa])
 
     def run(steps):
@@ -409,7 +524,13 @@ def integrate(
 
     pilot_steps, gap = 0, 0.0
     if n_steps is None:
-        res, pilot_steps, gap = _select_grid(cfg, q0, horizon, kappas)
+        # W relaxes toward W*, and it grows no faster than
+        # beta . b_d lam + max(beta) b_o Lambda, as chi >= 0 sums to at most 1;
+        # so W stays below about w_ref over the horizon.
+        inflow = cfg.b_dedicated * cfg.lam
+        growth = cfg.beta @ inflow + cfg.beta.max() * cfg.b_optimized * cfg.big_lambda
+        w_ref = max(w0, min(w_star, w0 + horizon * growth))
+        res, pilot_steps, gap = _select_s(cfg, q0, horizon, w_ref, _FLOOR_FACTOR * kappa)
     else:
         res = run(n_steps)
         if refine:

@@ -406,8 +406,9 @@ class RoutingBands:
     A type gamma is routed to venue i exactly when gamma lies in
     W * [a_minus[i], a_plus[i]] for the current workload W.  `a_plus` is +inf
     for the venue with the top rebate; `empty_band[i]` marks venues that are
-    never chosen (a_plus < a_minus, or a band [inf, inf] left by an edge that
-    overflowed).  `edges` is [a_minus, a_plus], the points at which the
+    never chosen (a_plus <= a_minus: a band of zero width, which holds one
+    type and so no flow, or a band [inf, inf] left by an edge that
+    overflowed, count as empty).  `edges` is [a_minus, a_plus], the points at which the
     routing fractions evaluate the type CDF, with infinite upper edges and
     both edges of an empty band set to 0, so an empty band's fraction and
     its derivative are exactly 0.  Exactly one nonempty band reaches +inf:
@@ -442,7 +443,8 @@ def compute_bands(cfg: ModelConfig) -> RoutingBands:
     rebates (empty set giving +inf).  Raw upper edges below zero are clamped to
     0; the band is empty either way.  Two rebates so close that an edge
     overflows give it the limit +-inf: the venue with the larger delay never
-    wins the pair, and a band [inf, inf] counts as empty.  Every call warns
+    wins the pair.  A band of zero width, [inf, inf] included, counts as
+    empty.  Every call warns
     about empty bands; `ModelConfig.bands` calls this once per config.
     """
     n = cfg.n_exchanges
@@ -462,7 +464,7 @@ def compute_bands(cfg: ModelConfig) -> RoutingBands:
                 diff = (inv[i] - inv[below]) / (cfg.rebates[i] - cfg.rebates[below])
                 lo = max(lo, np.max(diff))
             a_minus[i] = lo
-    empty = (a_plus < a_minus) | (a_minus == np.inf)
+    empty = a_plus <= a_minus
     if empty.any():
         warnings.warn(
             f"venues {np.flatnonzero(empty).tolist()} have empty routing bands and will never "

@@ -81,8 +81,8 @@ def fixture_trajectories(ref1, ref2):
 def test_criterion_1_fluid_scaling_convergence(ref1):
     start = time.perf_counter()
     template = SimConfig(n=20, horizon=10.0, sample_dt=0.05, seed=SEED, q0_scaled=Q0_REF1)
-    # The reference is integrated at the selected step: 800 steps of 0.0125
-    # here, a grid that holds every sample time.
+    # The reference is integrated at the selected step, uniform in s, and
+    # read at the sample times by its cubic Hermite interpolant.
     table = replicate(ref1, template, [20, 200, 2000], 20)
     elapsed = time.perf_counter() - start
     medians = [med for (_, med, _) in table.summary]

@@ -101,12 +101,13 @@ def test_refine_rejects_a_fixed_step_too_coarse_near_the_origin(tmp_path, capsys
 
 
 def test_selected_step_near_the_origin_passes_refine(tmp_path, capsys):
-    # Without --dt the step shrinks until it resolves the fast relaxation.
+    # Without --dt the run steps uniformly in s, where the fast relaxation
+    # is a linear decay; dt is the mean t step of its 615 steps.
     argv = ["fluid", REF1, "--q0", "5e-4,5e-4", "--T", "0.1", "-o", str(tmp_path)]
     assert main(argv) == 0
     assert main(argv + ["--refine"]) == 0
     out = capsys.readouterr().out
-    assert out.count("dt=3.125e-05 steps=3200 pilot_steps=") == 2
+    assert out.count("dt=0.000162602 steps=615 pilot_steps=462 ") == 2
 
 
 def test_fluid_line_stays_short_for_a_huge_start(tmp_path, capsys):
@@ -119,9 +120,10 @@ def test_fluid_line_stays_short_for_a_huge_start(tmp_path, capsys):
 
 
 def test_hopeless_start_names_the_tolerance(tmp_path, capsys):
-    argv = ["fluid", REF1, "--q0", "1e-300,0", "--T", "1", "-o", str(tmp_path)]
+    # At W0 = 1e-323 no step advances t (see test_fluid).
+    argv = ["fluid", REF1, "--q0", "5e-324,0", "--T", "1", "-o", str(tmp_path)]
     assert main(argv) == 2
-    assert "no uniform step meets the tolerance 1e-10" in capsys.readouterr().err
+    assert "no step meets the tolerance 1e-10 within 10 passes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon", ["1e-300", "1e-12", "5e-324", "0"])

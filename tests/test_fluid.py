@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -88,25 +89,33 @@ def test_integrate_workload_stays_above_kappa(ref1, ref2):
 @pytest.mark.parametrize("horizon", [1.0, 2.0, 10.0])
 @pytest.mark.parametrize("name", ["ref1", "ref2"])
 def test_selected_step_meets_its_tolerance(request, name, horizon):
-    # The selector's contract: the default run agrees with an explicit run at
-    # half its step within _SELECT_TOL at every common node.
+    # The selector's contract: the default run, whose nodes are uniform in s
+    # and not in t, is within _SELECT_TOL of a fine uniform run at every node
+    # (measured 6.0e-13 to 3.8e-12 against horizon/4000).
     cfg = request.getfixturevalue(name)
     q0 = np.ones(cfg.n_exchanges)
     traj = integrate(cfg, q0, horizon)
     assert traj.times[-1] == horizon and traj.steps == len(traj.times) - 1
+    assert np.all(np.diff(traj.times) > 0) and np.ptp(np.diff(traj.times)) > 0
     assert traj.dt == horizon / traj.steps and traj.pilot_steps >= traj.steps // 2
-    half = integrate(cfg, q0, horizon, dt=traj.dt / 2)
-    assert half.steps == 2 * traj.steps and half.pilot_steps == 0
-    assert np.abs(traj.states - half.states[::2]).max() <= _SELECT_TOL
+    fine = integrate(cfg, q0, horizon, dt=horizon / 4000)
+    assert np.abs(traj.states - fine.at(traj.times)).max() <= _SELECT_TOL
 
 
-def test_selected_grid_counts(ref1):
-    # ref1 at T=2: pilots at 100 and 200 steps agree, and the 200-step run is
-    # returned; T=10 needs the fourth-order rule's jump to 400 and 800.
+def test_selected_grid_counts(ref1, monkeypatch):
+    # ref1 from (1, 1): the pilots at k = 8 and 16 steps per s-length
+    # horizon / w_ref (w_ref = W0 = 3 here) disagree; the fourth-order rule
+    # then asks for k = 64 at T=2 and k = 256 at T=10, and the runs at k
+    # and 2k agree.
+    # Each count includes the run's last, shortened step.
+    grids = _count_runs(monkeypatch, "_integrate_s")
     short = integrate(ref1, [1.0, 1.0], 2.0)
-    assert (short.steps, short.pilot_steps, short.dt) == (200, 100, 0.01)
+    assert grids == [8, 16, 64, 128]
+    assert (short.steps, short.pilot_steps, short.dt) == (133, 9 + 17 + 67, 2.0 / 133)
+    grids.clear()
     long = integrate(ref1, [1.0, 1.0], 10.0)
-    assert (long.steps, long.pilot_steps) == (800, 100 + 200 + 400)
+    assert grids == [8, 16, 256, 512]
+    assert (long.steps, long.pilot_steps) == (554, 9 + 18 + 277)
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +144,12 @@ def test_trajectory_at_returns_the_nodes_as_stored(request, name):
 
 @pytest.mark.parametrize("name", ["ref1", "ref2"])
 def test_trajectory_at_meets_the_selector_tolerance_between_nodes(fine_reference, name):
-    # The selected 200-step grid read off its nodes: linear interpolation
-    # misses the reference by 5.8e-7 (ref1) and 1.4e-6 (ref2); the cubic
-    # Hermite reading by 3.0e-13 and 4.7e-13.
+    # The selected grid (133 steps on ref1, 153 on ref2) read off its nodes:
+    # linear interpolation misses the reference by 1.4e-6 (ref1) and 2.3e-6
+    # (ref2); the cubic Hermite reading by 1.5e-12 and 1.3e-12.
     cfg, times, states = fine_reference[name]
     traj = integrate(cfg, np.ones(cfg.n_exchanges), 2.0)
-    assert traj.steps == 200 and not np.isin(times, traj.times).all()
+    assert not np.isin(times, traj.times).all()
     assert np.abs(traj.at(times) - states).max() <= _SELECT_TOL
 
 
@@ -169,6 +178,81 @@ def test_floor_never_breached_on_random_stable_configs(seed):
     assert traj.max_refine_error <= 1e-10 * max(1.0, np.abs(traj.states).max())
 
 
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_floor_never_breached_from_near_the_origin(seed):
+    # The same configs started at W0 = 1e-3 W*, where the venue split
+    # relaxes at a rate of order 1e3 * v mu beta_i / W*: the floor holds and
+    # the tolerance is met in a bounded number of steps (at most 20 223 with
+    # the pilots on 30 such starts).
+    rng = np.random.default_rng(seed)
+    cfg = random_stable_config(rng, n_max=6)
+    q0 = random_positive_state(rng, cfg)
+    q0 *= 1e-3 * solve_workload_star(cfg) / (q0 @ cfg.beta)
+    traj = integrate(cfg, q0, 2.0)
+    assert traj.min_workload >= traj.kappa * (1 - 1e-12)
+    assert traj.max_refine_error <= 1e-10 * max(1.0, np.abs(traj.states).max())
+    assert traj.steps + traj.pilot_steps < 50_000
+
+
+@pytest.mark.parametrize("name", ["ref1", "ref2"])
+def test_s_steps_are_fourth_order(request, name):
+    # Runs at k, 2k, 4k and 8k steps per s-length horizon / w_ref share the
+    # nodes of the k run but its last; against the run at 4096, the error in
+    # (q, t) at those nodes falls by about 16 per halving (measured 16.1 to
+    # 16.7).
+    cfg = request.getfixturevalue(name)
+    q0 = np.ones(cfg.n_exchanges)
+    w_ref = max(float(q0 @ cfg.beta), solve_workload_star(cfg))
+    ref = fluid._integrate_s(cfg, q0, 2.0, w_ref, 4096, 0.0)
+    errors = []
+    for k in (8, 16, 32, 64):
+        run = fluid._integrate_s(cfg, q0, 2.0, w_ref, k, 0.0)
+        nodes = np.arange(run.steps)
+        same = nodes * (4096 // k)
+        errors.append(max(
+            np.abs(run.states[nodes, 0] - ref.states[same, 0]).max(),
+            np.abs(run.times[nodes] - ref.times[same]).max(),
+        ))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((11.0 < ratios) & (ratios < 19.0)), ratios
+
+
+@pytest.mark.parametrize(
+    "q0, most",
+    [([5e-4, 5e-4], (1953, 1711)), ([1e-4, 1e-4], (2457, 2152))],
+)
+def test_near_origin_start_takes_few_steps(ref1, q0, most):
+    # In s the venue split decays at the rates v mu beta_i whatever W is, so
+    # the step need not resolve v mu beta_i / W, which is about 1e3 here; the
+    # bounds are the measured counts.
+    traj = integrate(ref1, q0, 1.0)
+    assert traj.steps <= most[0] and traj.pilot_steps <= most[1]
+    assert traj.min_workload >= traj.kappa
+    assert traj.max_refine_error <= _SELECT_TOL
+
+
+def test_near_origin_start_meets_a_fine_uniform_reference(ref1):
+    # Over the fast start from (5e-4, 5e-4), where the venue split relaxes in
+    # about 1e-3, the selected run read at 201 sample times agrees with a
+    # run of 10 000 uniform steps (measured 1.4e-13 apart).
+    traj = integrate(ref1, [5e-4, 5e-4], 0.02)
+    fine = integrate(ref1, [5e-4, 5e-4], 0.02, dt=2e-6)
+    assert fine.steps == 10_000
+    assert np.abs(traj.at(fine.times[::50]) - fine.states[::50]).max() <= _SELECT_TOL
+
+
+def test_doubling_gap_counts_the_time_gap(ref1):
+    # The s runs meet at equal s, so the gap takes t with q: moving the fine
+    # run's nodes (all but the horizon) by 1e-3 in t moves the gap to 1e-3.
+    coarse, fine = (fluid._integrate_s(ref1, np.ones(2), 2.0, 3.0, k, 0.0) for k in (8, 16))
+    gap, tol, _ = fluid._doubling_gap(coarse, fine)
+    assert gap < 1e-6
+    shifted = dataclasses.replace(fine, times=fine.times + 1e-3 * (fine.times < 2.0))
+    moved, _, first = fluid._doubling_gap(coarse, shifted)
+    assert abs(moved - 1e-3) < 1e-6 and first == 0.0
+
+
 def test_selected_step_semigroup(ref1):
     once = integrate(ref1, [1.0, 1.0], 8.0)
     first = integrate(ref1, [1.0, 1.0], 4.0)
@@ -176,26 +260,29 @@ def test_selected_step_semigroup(ref1):
     assert np.abs(second.states[-1] - once.states[-1]).max() < 1e-9
 
 
-def _count_batches(monkeypatch) -> list:
+def _count_runs(monkeypatch, name: str) -> list:
+    """Record the grid of every call of the kernel `name`: the step count
+    of `_integrate_batch`, the k of `_integrate_s`."""
     grids = []
-    batch = fluid._integrate_batch
+    kernel, arg = getattr(fluid, name), {"_integrate_batch": 3, "_integrate_s": 4}[name]
 
     def counted(*args, **kwargs):
-        grids.append(args[3])  # n_steps
-        return batch(*args, **kwargs)
+        grids.append(args[arg])
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(fluid, "_integrate_batch", counted)
+    monkeypatch.setattr(fluid, name, counted)
     return grids
 
 
 def test_refine_checks_the_selected_step(ref1, monkeypatch):
-    # The selector has checked the grid against half its step count, so
+    # The selector has checked the run against one at twice its step, so
     # refine runs nothing more and reports the gap that accepted it.
-    grids = _count_batches(monkeypatch)
+    grids = _count_runs(monkeypatch, "_integrate_s")
+    batches = _count_runs(monkeypatch, "_integrate_batch")
     plain = integrate(ref1, [1.0, 1.0], 2.0)
     pilots = list(grids)
     checked = integrate(ref1, [1.0, 1.0], 2.0, refine=True)
-    assert grids == pilots + pilots
+    assert grids == pilots + pilots and pilots and batches == []
     assert np.array_equal(plain.states, checked.states) and checked.steps == plain.steps
     scale = max(1.0, np.abs(plain.states).max())
     assert checked.max_refine_error == plain.max_refine_error
@@ -203,28 +290,30 @@ def test_refine_checks_the_selected_step(ref1, monkeypatch):
 
 
 def test_hopeless_start_stops_after_a_bounded_number_of_passes(ref1, monkeypatch):
-    # Every pilot from W0 = 2e-300 fails; each pass at most doubles the grid
-    # and runs one new pilot, so the selector gives up after _MAX_PASSES.
-    grids = _count_batches(monkeypatch)
-    with pytest.raises(IntegrationError, match=f"tolerance {_SELECT_TOL:g} within"):
-        integrate(ref1, [1e-300, 0.0], 1.0)
-    assert grids == [100 * 2**j for j in range(fluid._MAX_PASSES + 1)]
+    # From W0 = 1e-323 every step advances t by W ds / horizon, which rounds
+    # to 0, so every pilot fails at its first step; each pass doubles k and
+    # runs one new pilot, and the selector gives up after _MAX_PASSES.
+    grids = _count_runs(monkeypatch, "_integrate_s")
+    message = f"^no step meets the tolerance {_SELECT_TOL:g} within"
+    with pytest.raises(IntegrationError, match=message):
+        integrate(ref1, [5e-324, 0.0], 1.0)
+    assert grids == [8 * 2**j for j in range(fluid._MAX_PASSES + 1)]
 
 
 def test_selector_refuses_a_grid_beyond_the_cap(ref1, monkeypatch):
-    # The rule asks for 800 steps at T=10; with the cap below that, the
-    # selector fails at once and never runs the grid.
-    grids = _count_batches(monkeypatch)
-    monkeypatch.setattr(fluid, "_MAX_GRID", 500)
-    with pytest.raises(IntegrationError, match=f"tolerance {_SELECT_TOL:g} in fewer than 500"):
+    # At T=10 the second pilot needs 18 steps; with the cap below that, the
+    # run stops at the cap and the selector fails.
+    grids = _count_runs(monkeypatch, "_integrate_s")
+    monkeypatch.setattr(fluid, "_MAX_GRID", 12)
+    with pytest.raises(IntegrationError, match=f"tolerance {_SELECT_TOL:g} in fewer than 12"):
         integrate(ref1, [1.0, 1.0], 10.0)
-    assert grids == [100, 200]
+    assert grids == [8, 16]
 
 
 def test_integrate_refine_check(ref1, monkeypatch):
     # A fixed step is checked against twice its step count; the run that
     # comes back is the unchecked one.
-    grids = _count_batches(monkeypatch)
+    grids = _count_runs(monkeypatch, "_integrate_batch")
     plain = integrate(ref1, [1.0, 1.0], 2.0, dt=0.01)
     traj = integrate(ref1, [1.0, 1.0], 2.0, dt=0.01, refine=True)
     assert grids == [200, 200, 400]

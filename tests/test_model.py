@@ -29,9 +29,12 @@ from fluidlob import (
     spectrum,
 )
 
+from fluidlob.model import RoutingBands
+
 from helpers import (
     FIXTURES,
     _gamma_f_mode,
+    assert_bitwise,
     brute_force_route,
     config_dicts,
     make_config,
@@ -129,9 +132,36 @@ def test_overflowing_band_edge_takes_its_limit():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "venues .* have empty routing bands", UserWarning)
         bands = compute_bands(cfg)
-    assert bands.a_minus[1] == math.inf and bands.empty_band.tolist() == [False, True, False]
+    assert bands.a_minus[1] == math.inf and bands.empty_band.tolist() == [True, True, False]
     assert np.isfinite(bands.a_plus[:2]).all() and chi(cfg, 1.0)[2] == 0.0
     assert chi_derivative(cfg, 1.0)[1] == 0.0  # no inf * 0 at the infinite lower edge
+
+
+def test_zero_width_band_counts_as_empty():
+    # The config above: venue 0's band is [0.5, 0.5], a single type, so it
+    # never receives flow and `check` lists it with venue 1.  Its fraction
+    # and derivative keep their bits: F(0.5 W) - F(0.5 W) was already 0.
+    d = json.loads((FIXTURES / "ref2.json").read_text())
+    d = {**d, "beta": [2.0, 1.0, 1.0], "rebates": [0.0, 5e-324, 1.0]}
+    cfg, legacy = config_from_dict(d), config_from_dict(d)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "venues .* have empty routing bands", UserWarning)
+        bands = cfg.bands
+        report = check_assumptions(cfg, np.ones(3))
+    assert bands.a_minus[0] == bands.a_plus[0] == 0.5
+    assert report.empty_band_exchanges == (0, 1)
+    # The same bands with the zero-width one counted as nonempty: empty only
+    # where a_plus < a_minus or a_minus = inf.
+    legacy.__dict__["bands"] = RoutingBands(
+        a_minus=bands.a_minus,
+        a_plus=bands.a_plus,
+        a_min_global=bands.a_min_global,
+        empty_band=(bands.a_plus < bands.a_minus) | (bands.a_minus == math.inf),
+    )
+    assert legacy.bands.empty_band.tolist() == [False, True, False]
+    for w in (0.3, 1.0, 7.0, 50.0):
+        assert_bitwise(chi(cfg, w), chi(legacy, w))
+        assert_bitwise(chi_derivative(cfg, w), chi_derivative(legacy, w))
 
 
 def test_a_band_at_infinity_counts_as_empty():

@@ -313,7 +313,7 @@ def _failure(res: _BatchResult, row: int) -> IntegrationError:
 
 def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
     """`q0` as a float vector and its workload; a ParameterError names `q0:`
-    unless it holds N nonnegative queue lengths with positive workload."""
+    unless it holds N nonnegative queue lengths with positive, finite workload."""
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (cfg.n_exchanges,):
         raise ParameterError(f"q0: expected {cfg.n_exchanges} initial queue lengths")
@@ -321,9 +321,10 @@ def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
         raise ParameterError("q0: initial queue lengths must be finite")
     if np.any(q0 < 0):
         raise ParameterError("q0: initial queue lengths must be nonnegative")
-    w0 = float(cfg.beta @ q0)
-    if not w0 > 0:
-        raise ParameterError("q0: initial workload must be positive")
+    with np.errstate(over="ignore"):  # an overflowing workload is refused below
+        w0 = float(cfg.beta @ q0)
+    if not 0 < w0 < math.inf:
+        raise ParameterError("q0: initial workload must be positive and finite")
     return q0, w0
 
 

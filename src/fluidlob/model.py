@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, erfcinv
+import scipy  # loads scipy.special on first access: only half-normal types pay for it
 
 from .errors import ConfigError
 
@@ -114,7 +114,7 @@ class HalfNormalType:
 
     def cdf(self, x, out=None):
         f = np.maximum(np.asarray(x, dtype=float), _ZERO, out=out)
-        return erf(np.divide(f, self._scale, out=out), out=out)
+        return scipy.special.erf(np.divide(f, self._scale, out=out), out=out)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -122,7 +122,7 @@ class HalfNormalType:
         return np.where(x >= 0, c * np.exp(-np.square(np.maximum(x, 0.0)) / (2.0 * self.sigma**2)), 0.0)
 
     def isf(self, s):
-        return self.sigma * _SQRT2 * float(erfcinv(s))
+        return self.sigma * _SQRT2 * float(scipy.special.erfcinv(s))
 
     @property
     def gamma_f_mode(self):

@@ -235,8 +235,9 @@ class SimConfig:
             raise ParameterError("q0_scaled: entries must be nonnegative")
         if not np.any(q0 > 0):
             raise ParameterError("q0_scaled: needs a positive entry (positive initial workload)")
-        if np.any(q0 * float(self.n) >= 2.0**53):
-            raise ParameterError("q0_scaled: n * q0_scaled must be below 2**53 to count exactly")
+        with np.errstate(over="ignore"):  # an overflow is inf, past the bound
+            if np.any(q0 * float(self.n) >= 2.0**53):
+                raise ParameterError("q0_scaled: n * q0_scaled must be below 2**53 to count exactly")
         q0.setflags(write=False)
         object.__setattr__(self, "q0_scaled", q0)
 

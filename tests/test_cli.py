@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from fluidlob import cli
 from fluidlob.cli import emit_plotdata, main, run
 from fluidlob.errors import ConfigError
 
-from helpers import FIXTURES, oracle_report_dict, random_stable_config
+from helpers import FIXTURES, REPO, oracle_report_dict, random_stable_config, ref1_dict
 
 REF1 = str(FIXTURES / "ref1.json")
 REF2 = str(FIXTURES / "ref2.json")
@@ -77,6 +80,81 @@ def test_certify_commands_take_a_band_at_infinity(tmp_path, name, overrides):
         assert main([command, str(config), "-o", str(tmp_path)]) == 0
     check = json.loads((tmp_path / f"check_{name}.json").read_text())
     assert check["complete"] and 1 in check["empty_band_exchanges"]
+
+
+TYPE_LAWS = {
+    "exponential": {"kind": "exponential", "rate": 1.0},
+    "half-normal": {"kind": "half-normal", "sigma": 1.0},
+    "tabulated": {"kind": "tabulated", "gamma": [0.0, 1.0, 3.0], "cdf": [0.0, 0.6, 1.0]},
+}
+# Each size kind with mean 2.
+SIZE_LAWS = {
+    "deterministic": {"kind": "deterministic", "value": 2},
+    "geometric": {"kind": "geometric", "p": 0.5},
+    "tabulated": {"kind": "tabulated", "values": [1, 3], "probs": [0.5, 0.5]},
+}
+
+
+def _write_config(path, type_law, size_law):
+    """REF1 with the given type law, every order size drawn from `size_law`
+    (mean 2), and v and b_dedicated, b_optimized doubled to match."""
+    config = {
+        **ref1_dict(),
+        "v": 2.0,
+        "b_dedicated": [2.0, 2.0],
+        "b_optimized": 2.0,
+        "type_dist": TYPE_LAWS[type_law],
+        "size_dists": {"market": size_law, "dedicated": size_law, "optimized": size_law},
+    }
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("size_kind", sorted(SIZE_LAWS))
+@pytest.mark.parametrize("type_kind", sorted(TYPE_LAWS))
+def test_commands_run_on_every_type_and_size_kind(tmp_path, type_kind, size_kind):
+    config = _write_config(tmp_path / "cfg.json", type_kind, SIZE_LAWS[size_kind])
+    out = ["-o", str(tmp_path)]
+    assert main(["check", config] + out) == 0
+    assert main(["equilibrium", config] + out) == 0
+    assert main(["simulate", config, "--n", "200", "--T", "1"] + out) == 0
+    assert json.loads((tmp_path / "check_cfg.json").read_text())["complete"]
+    assert json.loads((tmp_path / "equilibrium_cfg.json").read_text())["residual"] < 1e-10
+    _, header, rows = _read_csv(tmp_path / "sim_cfg_n200_seed0.csv")
+    assert header[0] == "t" and len(rows) == 201
+
+
+def test_only_a_half_normal_type_loads_scipy_special(tmp_path):
+    # A fresh interpreter: this one has loaded scipy.special already.
+    half_normal = _write_config(tmp_path / "hn.json", "half-normal", SIZE_LAWS["deterministic"])
+    out = ["-o", str(tmp_path)]
+    fixture_runs = [
+        argv + out
+        for config in (REF1, REF2)
+        for argv in (
+            ["check", config],
+            ["fluid", config, "--T", "1"],
+            ["stability-global", config, "--inits", "2", "--T", "5", "--dt", "0.1"],
+        )
+    ]
+    script = f"""
+import json, sys
+import fluidlob
+from fluidlob import cli
+for argv in {fixture_runs!r}:
+    cli.main(argv)
+before = "scipy.special" in sys.modules
+status = cli.main({["equilibrium", half_normal] + out!r})
+print(json.dumps([before, status, "scipy.special" in sys.modules]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    before, status, after = json.loads(done.stdout.splitlines()[-1])
+    assert not before, "scipy.special was loaded by an exponential config"
+    assert status == 0 and after
 
 
 def test_fluid_command_csv(tmp_path):
@@ -373,6 +451,10 @@ def test_parameter_range_is_validation_error(tmp_path, capsys):
         (["converge", REF1, "--n", "2000,200", "--reps", "2", "--T", "1"], "n"),
         (["converge", REF1, "--n", "200,200", "--reps", "2", "--T", "1"], "n"),
         (["fluid", REF1, "--T", "1", "--dt", "1.5e-7", "--refine"], "dt"),
+        # beta . q0 and n * q0 overflow to inf, without a numpy warning.
+        (["fluid", REF1, "--q0", "1e308,1e308", "--T", "1"], "q0"),
+        (["check", REF1, "--q0", "1e308,1e308"], "q0"),
+        (["simulate", REF1, "--n", "10", "--T", "1", "--q0", "1e308,1"], "q0_scaled"),
     ],
 )
 def test_library_parameter_error_is_validation_error(tmp_path, capsys, argv, named):

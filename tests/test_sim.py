@@ -310,8 +310,9 @@ def test_sim_config_validation():
     for q0 in ([math.inf, 1.0], [math.nan, 1.0], [1.0, -math.inf]):
         with pytest.raises(ParameterError, match="^q0_scaled: entries must be finite$"):
             SimConfig(n=10, horizon=1.0, sample_dt=0.1, seed=1, q0_scaled=np.array(q0))
-    # Counts n * q0_scaled must stay below 2**53, where float64 is still exact.
-    for n, q0 in ((10, [1e300, 1.0]), (2, [2.0**52, 1.0]), (2**53, [1.0, 0.0])):
+    # Counts n * q0_scaled must stay below 2**53, where float64 is still exact;
+    # one that overflows is past the bound, without a numpy warning.
+    for n, q0 in ((10, [1e300, 1.0]), (10, [1e308, 1.0]), (2, [2.0**52, 1.0]), (2**53, [1.0, 0.0])):
         with pytest.raises(ParameterError, match=r"^q0_scaled: n \* q0_scaled must be below 2\*\*53"):
             SimConfig(n=n, horizon=1.0, sample_dt=0.1, seed=1, q0_scaled=np.array(q0))
     SimConfig(n=2, horizon=1.0, sample_dt=0.1, seed=1, q0_scaled=np.array([2.0**52 - 1, 1.0]))

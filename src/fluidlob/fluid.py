@@ -8,7 +8,8 @@ section VIII.2), where the field W f has no singularity: the term that
 relaxes the venue split at rate v mu beta_i / W becomes a linear decay.
 Its nodes are non-uniform in t, and the last step is cut to end at the
 horizon.  A given step `dt` runs uniform RK4 steps in t, one trajectory or
-the stability experiments' batch.
+the stability experiments' batch.  Both take the same in-place RK4 step
+(`_rk4`), which in s multiplies each stage's field by its workload.
 
 Integration runs with a safety floor at a fraction of the proven workload
 lower bound kappa and aborts if the floor is ever breached (which signals a
@@ -162,6 +163,41 @@ def _rhs_batch(cfg: ModelConfig, rows: int | None = None):
     return rhs
 
 
+def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False):
+    """Classical RK4 steps of size h for a (rows, N) batch of states, every
+    stage computed in place in buffers made here once.
+
+    `step(qc, wc, out)` writes qc + (h/6) (k1 + 2 k2 + 2 k3 + k4) into `out`,
+    in the operation order of that expression, for states qc with workloads
+    wc.  With `in_s` each stage takes W times the field, dq/ds for
+    dt/ds = W.  Also returned is `stage_w`, whose rows 1-3 receive the
+    stages' workloads; row 0 is the caller's, to hold wc.
+    """
+    rhs, beta = _rhs_batch(cfg, rows), cfg.beta
+    k1, k2, k3, k4, stage = (np.empty((rows, len(beta))) for _ in range(5))
+    stage_w = np.empty((4, rows))
+    _, w2, w3, w4 = stage_w
+    half, full, sixth, two = np.array(0.5 * h), np.array(h), np.array(h / 6.0), np.array(2.0)
+    add, multiply, matmul = np.add, np.multiply, np.matmul
+
+    def field(qs, ws, out):
+        rhs(qs, ws, out)
+        if in_s:
+            out *= ws[:, None]
+
+    def step(qc, wc, out):
+        field(qc, wc, k1)
+        field(add(multiply(k1, half, out=stage), qc, out=stage), matmul(stage, beta, out=w2), k2)
+        field(add(multiply(k2, half, out=stage), qc, out=stage), matmul(stage, beta, out=w3), k3)
+        field(add(multiply(k3, full, out=stage), qc, out=stage), matmul(stage, beta, out=w4), k4)
+        add(multiply(k2, two, out=k2), k1, out=k2)
+        add(k2, multiply(k3, two, out=k3), out=k2)
+        add(k2, k4, out=k2)
+        add(multiply(k2, sixth, out=k2), qc, out=out)
+
+    return step, stage_w
+
+
 @dataclass
 class _BatchResult:
     times: np.ndarray             # (K+1,)
@@ -204,7 +240,6 @@ def _integrate_batch(
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
-    rhs = _rhs_batch(cfg, n_traj)
     dt = horizon / n_steps
     floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
     floor_max = floor.max()
@@ -227,26 +262,9 @@ def _integrate_batch(
     if store_states:
         q_hist = np.empty((n_steps + 1, n_traj, q.shape[1]))
         q_hist[0] = q
-    half, full, sixth, two = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0), np.array(2.0)
-    k1, k2, k3, k4, stage, q_new = (np.empty_like(q) for _ in range(6))
-    w_stage, w_new = np.empty_like(w), np.empty_like(w)
-    add, multiply, matmul, minimum = np.add, np.multiply, np.matmul, np.minimum.reduce
-
-    def rk4(qc, wc, out):
-        # One step qc + (dt/6) (k1 + 2 k2 + 2 k3 + k4) into `out`, every stage
-        # and the sum formed in place, in the operation order of that
-        # expression.
-        rhs(qc, wc, k1)
-        add(multiply(k1, half, out=stage), qc, out=stage)
-        rhs(stage, matmul(stage, beta, out=w_stage), k2)
-        add(multiply(k2, half, out=stage), qc, out=stage)
-        rhs(stage, matmul(stage, beta, out=w_stage), k3)
-        add(multiply(k3, full, out=stage), qc, out=stage)
-        rhs(stage, matmul(stage, beta, out=w_stage), k4)
-        add(multiply(k2, two, out=k2), k1, out=k2)
-        add(k2, multiply(k3, two, out=k3), out=k2)
-        add(k2, k4, out=k2)
-        add(multiply(k2, sixth, out=k2), qc, out=out)
+    rk4, _ = _rk4(cfg, n_traj, dt)
+    q_new, w_new = np.empty_like(q), np.empty_like(w)
+    matmul, minimum = np.matmul, np.minimum.reduce
 
     def fail(mask, message):
         nonlocal alive, all_alive
@@ -347,38 +365,12 @@ def _integrate_s(
     advance t) ends the run at the last good state.  A run that needs more
     than `_MAX_GRID` steps raises IntegrationError.
     """
-    rhs, beta = _rhs_batch(cfg, 1), cfg.beta
-    k1, k2, k3, k4, mid, q, q_new = (np.empty((1, len(q0))) for _ in range(7))
-    # The stages' workloads, w1 that of the step's start state, and their
-    # RK4 weights.
-    w = np.empty(4)
-    w1, w2, w3, w4 = (w[i : i + 1] for i in range(4))
-    weights, two = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0, np.array(2.0)
-    add, multiply, matmul, minimum = np.add, np.multiply, np.matmul, np.minimum.reduce
-
-    def field(qs, wi, out, in_s):
-        # dq/ds = W f into `out` in s, dq/dt = f in t.
-        rhs(qs, wi, out)
-        if in_s:
-            out *= wi
-
-    def rk4(qc, step, in_s, out):
-        # One step from qc, whose workload is in w1, into `out`, in place as
-        # in `_integrate_batch`.
-        half, full, sixth = step
-        field(qc, w1, k1, in_s)
-        field(add(multiply(k1, half, out=mid), qc, out=mid), matmul(mid, beta, out=w2), k2, in_s)
-        field(add(multiply(k2, half, out=mid), qc, out=mid), matmul(mid, beta, out=w3), k3, in_s)
-        field(add(multiply(k3, full, out=mid), qc, out=mid), matmul(mid, beta, out=w4), k4, in_s)
-        add(multiply(k2, two, out=k2), k1, out=k2)
-        add(k2, multiply(k3, two, out=k3), out=k2)
-        add(k2, k4, out=k2)
-        add(multiply(k2, sixth, out=k2), qc, out=out)
-
-    def sizes(h):
-        return np.array(0.5 * h), np.array(h), np.array(h / 6.0)
-
-    s_step, per_tau = sizes(horizon / (w_ref * k)), w_ref * k
+    beta, per_tau = cfg.beta, w_ref * k
+    rk4, w = _rk4(cfg, 1, horizon / per_tau, in_s=True)
+    w1 = w[0]  # the workload of the step's start state
+    q, q_new = np.empty((1, len(q0))), np.empty((1, len(q0)))
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+    matmul, minimum = np.matmul, np.minimum.reduce
     q[0] = q0
     matmul(q, beta, out=w1)
     tau, reason = 0.0, None
@@ -389,10 +381,10 @@ def _integrate_s(
                 raise IntegrationError(
                     f"no step meets the tolerance {_SELECT_TOL:g} in fewer than {_MAX_GRID} steps"
                 )
-            rk4(q, s_step, True, q_new)
-            tau_new = tau + float(w @ weights) / per_tau
+            rk4(q, w1, q_new)
+            tau_new = tau + float(w[:, 0] @ weights) / per_tau
             if not tau_new < 1.0:
-                rk4(q, sizes(horizon * (1.0 - tau)), False, q_new)
+                _rk4(cfg, 1, horizon * (1.0 - tau))[0](q, w1, q_new)
                 tau_new = 1.0
             low = minimum(q_new, axis=None)
             if not low > 0.0:

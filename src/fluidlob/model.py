@@ -44,9 +44,10 @@ _SQRT2 = math.sqrt(2.0)
 _ZERO = np.array(0.0)
 
 
-def _positive_int(x) -> bool:
+def _positive_int(x, low=1) -> bool:
+    """Whether x equals an integer of at least `low` (1 by default)."""
     try:
-        return int(x) == x and x >= 1
+        return int(x) == x and x >= low
     except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
         return False
 
@@ -408,12 +409,10 @@ class RoutingBands:
     for the venue with the top rebate; `empty_band[i]` marks venues that are
     never chosen (a_plus <= a_minus: a band of zero width, which holds one
     type and so no flow, or a band [inf, inf] left by an edge that
-    overflowed, count as empty).  `edges` is [a_minus, a_plus], the points at which the
-    routing fractions evaluate the type CDF, with infinite upper edges and
-    both edges of an empty band set to 0, so an empty band's fraction and
-    its derivative are exactly 0.  Exactly one nonempty band reaches +inf:
-    `top` is the position of its upper edge in `edges`, where the routing
-    fractions take F(inf) = 1 instead.
+    overflowed, count as empty).  `edges` is [a_minus, a_plus], the points at
+    which the routing fractions evaluate the type CDF, with both edges of an
+    empty band set to +inf: as F(inf) = 1, the top band's fraction is
+    1 - F(W a_minus) and an empty band's is exactly 0 at every W > 0.
     """
 
     a_minus: np.ndarray
@@ -421,18 +420,14 @@ class RoutingBands:
     a_min_global: float
     empty_band: np.ndarray
     edges: np.ndarray = field(init=False)
-    top: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_minus", _frozen(self.a_minus))
         object.__setattr__(self, "a_plus", _frozen(self.a_plus))
         object.__setattr__(self, "empty_band", _frozen(self.empty_band, dtype=bool))
-        live = ~self.empty_band
         edges = np.concatenate((self.a_minus, self.a_plus))
-        edges = np.where(np.tile(live, 2) & np.isfinite(edges), edges, 0.0)
+        edges[np.tile(self.empty_band, 2)] = math.inf
         object.__setattr__(self, "edges", _frozen(edges))
-        (top,) = np.flatnonzero(live & np.isinf(self.a_plus))
-        object.__setattr__(self, "top", len(live) + int(top))
 
 
 def compute_bands(cfg: ModelConfig) -> RoutingBands:

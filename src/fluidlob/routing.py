@@ -8,12 +8,13 @@ upper-tail quantile (`solve_workload_star`).  Everything here is stateless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionError
-from .model import _ZERO, ModelConfig, RoutingBands, TypeDistribution
+from .model import ModelConfig, RoutingBands, TypeDistribution
 
 __all__ = [
     "QueueState",
@@ -36,6 +37,8 @@ class QueueState:
         q = np.asarray(q, dtype=float)
         if q.shape != (cfg.n_exchanges,):
             raise ValueError(f"expected {cfg.n_exchanges} queue lengths")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("queue lengths must be finite")
         if np.any(q < 0):
             raise ValueError("queue lengths must be nonnegative")
         q = q.copy()
@@ -87,13 +90,14 @@ def route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
 def _band_chi(
     bands: RoutingBands, tdist: TypeDistribution, w, out=None, *, edges=None, products=None
 ) -> np.ndarray:
-    """Venue routing fractions max(F(w a_plus) - F(w a_minus), 0).
+    """Venue routing fractions F(w a_plus) - F(w a_minus) at workloads w > 0.
 
     `w` may be a scalar or an array of workloads; the result has one row of
     N venue fractions per workload.  One `cdf` call covers both edges
-    (`bands.edges`); the infinite upper edge contributes F = 1, written into
-    its slot, and empty bands collapse to 0 via the max.  No fraction
-    exceeds 1, as F takes values in [0, 1].
+    (`bands.edges`): an infinite edge gives F(inf) = 1, so the top band takes
+    1 - F(w a_minus) and an empty band, both of whose edges are infinite,
+    exactly 0.  Not defined at w <= 0, where the top fraction is not
+    1 - F(w a_minus) (it is 0 * inf, NaN, at w = 0).
 
     Buffers: by default a call allocates its edge products and its result.
     A caller that evaluates many batches of B workloads passes `edges`,
@@ -105,33 +109,32 @@ def _band_chi(
     w = np.asarray(w, dtype=float)
     f = np.multiply(w[..., None], bands.edges if edges is None else edges, out=products)
     tdist.cdf(f, out=f)
-    f[..., bands.top] = 1.0
     n = len(bands.a_minus)
-    chi = np.subtract(f[..., n:], f[..., :n], out=out)
-    return np.maximum(chi, _ZERO, out=chi)
+    return np.subtract(f[..., n:], f[..., :n], out=out)
 
 
 def chi(cfg: ModelConfig, w: float) -> np.ndarray:
-    """Routing fractions (chi_0, chi_1, ..., chi_N) at workload w > 0, index 0
-    first.  Components lie in [0, 1] and sum to 1.
+    """Routing fractions (chi_0, chi_1, ..., chi_N) at workload w in (0, inf),
+    index 0 first.  Components lie in [0, 1] and sum to 1.
     """
-    if not w > 0:
-        raise ValueError("chi is undefined at zero workload")
+    if not 0 < w < math.inf:
+        raise ValueError("chi is defined for workloads in (0, inf)")
     venues = _band_chi(cfg.bands, cfg.type_dist, w)
     chi0 = min(max(1.0 - float(venues.sum()), 0.0), 1.0)
     return np.concatenate(([chi0], venues))
 
 
 def chi_derivative(cfg: ModelConfig, w: float) -> np.ndarray:
-    """d chi_i / dW at workload w: a_plus f(w a_plus) - a_minus f(w a_minus).
+    """d chi_i / dW at workload w in (0, inf):
+    a_plus f(w a_plus) - a_minus f(w a_minus).
 
-    Infinite upper edges contribute 0 (the density vanishes at infinity for
-    any finite-mean type distribution), and so do both edges of an empty
-    band: their slots of `bands.edges` hold 0.
+    An infinite edge, the top band's upper edge or either edge of an empty
+    band, contributes 0 (the density vanishes at infinity for any
+    finite-mean type distribution), so it is taken as 0 here.
     """
-    if not w > 0:
-        raise ValueError("w must be positive")
-    edges = cfg.bands.edges
+    if not 0 < w < math.inf:
+        raise ValueError("w must lie in (0, inf)")
+    edges = np.where(np.isinf(cfg.bands.edges), 0.0, cfg.bands.edges)
     g = edges * np.asarray(cfg.type_dist.pdf(w * edges), dtype=float)
     return g[cfg.n_exchanges:] - g[: cfg.n_exchanges]
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fluid import _MAX_GRID, FluidTrajectory, integrate
-from .model import ModelConfig
+from .model import ModelConfig, _positive_int
 from .routing import _router
 
 __all__ = [
@@ -215,9 +215,12 @@ class SimConfig:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if not _positive_int(self.n):
             raise ParameterError("n: must be a positive integer")
+        if not _positive_int(self.seed, low=-math.inf):
+            raise ParameterError("seed: must be an integer")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.horizon < math.inf:
             raise ParameterError("horizon: must be nonnegative and finite")
         if not self.sample_dt > 0:
@@ -510,11 +513,12 @@ def replicate(cfg: ModelConfig, sim_template: SimConfig, n_values, reps: int) ->
     levels must increase strictly, so that the medians of the summary fall
     with n when the paths converge.
     """
-    if reps < 1:
-        raise ParameterError("reps: must be at least 1")
-    n_values = [int(n) for n in n_values]
-    if not n_values or min(n_values) < 1:
+    if not _positive_int(reps):
+        raise ParameterError("reps: must be a positive integer")
+    n_values = list(n_values)
+    if not n_values or not all(map(_positive_int, n_values)):
         raise ParameterError("n: scaling levels must be positive integers")
+    n_values, reps = [int(n) for n in n_values], int(reps)
     if any(a >= b for a, b in zip(n_values, n_values[1:])):
         raise ParameterError("n: scaling levels must increase strictly")
     traj = integrate(cfg, sim_template.q0_scaled, sim_template.horizon)

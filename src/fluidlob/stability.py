@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AssumptionError, ParameterError
 from .fluid import _initial_state, _integrate_batch, _step_count, fluid_rhs
-from .model import ModelConfig, compute_kappa
+from .model import ModelConfig, _positive_int, compute_kappa
 from .routing import QueueState, _throughput_sides, chi, chi_derivative, solve_workload_star
 
 __all__ = [
@@ -190,8 +190,8 @@ def det_shifted(cfg: ModelConfig, q, nu: float) -> float:
     valid for nu >= 0 where the shifted diagonal is invertible.
     """
     _, _, d, c = _rank1_parts(cfg, q, "determinant")
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    if not 0 <= nu < math.inf:
+        raise ValueError("nu must be nonnegative and finite")
     return _det_from_parts(d, c, nu)
 
 
@@ -308,9 +308,9 @@ def _experiment_steps(cfg: ModelConfig, horizon: float, dt: float | None) -> int
 
 
 def _experiment_rng(seed: int) -> np.random.Generator:
-    if seed < 0:
+    if not _positive_int(seed, low=0):
         raise ParameterError("seed: must be a nonnegative integer")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(int(seed))
 
 
 def _run_batch(cfg: ModelConfig, eq: Equilibrium, q0s: np.ndarray, horizon: float, n_steps: int):
@@ -364,8 +364,9 @@ def local_stability_experiment(
     deltas = [float(d) for d in deltas]
     if not all(0 <= d < math.inf for d in deltas):
         raise ParameterError("deltas: must be nonnegative and finite")
-    if directions < 1:
-        raise ParameterError("directions: must be at least 1")
+    if not _positive_int(directions):
+        raise ParameterError("directions: must be a positive integer")
+    directions = int(directions)
     n_steps = _experiment_steps(cfg, horizon, dt)
     gen = _experiment_rng(seed)
     dirs = gen.normal(size=(directions, cfg.n_exchanges))
@@ -408,7 +409,7 @@ def local_stability_experiment(
         passed=passed,
         threshold=_LOCAL_THRESHOLD,
         horizon=horizon,
-        seed=seed,
+        seed=int(seed),
     )
 
 
@@ -452,8 +453,9 @@ def global_stability_experiment(
     """
     if np.any(cfg.beta != cfg.beta[0]):
         raise ParameterError("beta: the global stability experiment requires equal beta weights")
-    if n_inits < 1:
-        raise ParameterError("n_inits: must be at least 1")
+    if not _positive_int(n_inits):
+        raise ParameterError("n_inits: must be a positive integer")
+    n_inits = int(n_inits)
     if not 0 < box < math.inf:
         raise ParameterError("box: must be positive and finite")
     n_steps = _experiment_steps(cfg, horizon, dt)
@@ -498,5 +500,5 @@ def global_stability_experiment(
         threshold=_GLOBAL_THRESHOLD,
         tube_radius=tube,
         horizon=horizon,
-        seed=seed,
+        seed=int(seed),
     )

@@ -172,7 +172,8 @@ def test_a_band_at_infinity_counts_as_empty():
         cfg = make_config(rebates=[0.0, 5e-324])
         bands = cfg.bands
     assert bands.a_minus.tolist() == [0.5, math.inf] and np.isinf(bands.a_plus).all()
-    assert bands.empty_band.tolist() == [False, True] and bands.top == 2
+    assert bands.empty_band.tolist() == [False, True]
+    assert bands.edges.tolist() == [0.5, math.inf, math.inf, math.inf]
     for w in (0.3, 1.0, 7.0):
         tail = math.exp(-0.5 * w)
         assert chi(cfg, w) == pytest.approx([1.0 - tail, tail, 0.0], abs=1e-15)

@@ -12,6 +12,7 @@ from fluidlob import (
     compute_bands,
     compute_kappa,
     config_from_dict,
+    det_shifted,
     route,
     solve_workload_star,
 )
@@ -105,8 +106,8 @@ def test_fused_band_chi_is_bitwise_the_two_cdf_form(ref1, ref2, rng):
     assert kinds == {"ExponentialType", "HalfNormalType", "TabulatedType"}
     for cfg in cfgs:
         bands = compute_bands(cfg)
-        grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 97)))
-        workloads = [1.7, 0.0, grid, rng.uniform(0.01, 20.0, (9, cfg.n_exchanges))]
+        grid = np.geomspace(1e-6, 1e6, 97)
+        workloads = [1.7, grid, rng.uniform(0.01, 20.0, (9, cfg.n_exchanges))]
         for w in workloads:
             assert_bitwise(_band_chi(bands, cfg.type_dist, w), two_cdf_band_chi(bands, cfg.type_dist, w))
 
@@ -160,15 +161,25 @@ def test_route_band_consistency(case):
 # chi
 # ---------------------------------------------------------------------------
 
+@example(_REF1_AT_INF, [0.3, 7.0])
+@example(_REF2_AT_INF, [0.3, 7.0])
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(config_dicts(n_max=6), st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+@given(config_dicts(n_max=6), st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8))
 def test_venue_fractions_sum_to_the_tail_past_a_min(d, workloads):
-    # The bands tile [W a_min, inf): the identity behind the closed-form
-    # equilibrium workload.
+    # The bands tile [W a_min, inf): in rebate order the nonempty ones chain
+    # a_min = b_0 < ... < b_k = inf, each upper edge the next lower edge to
+    # the bit, so no fraction is negative and they sum to the tail past
+    # W a_min, the identity behind the closed-form equilibrium workload.
     cfg = config_from_dict(d)
+    bands = cfg.bands
+    live = [i for i in np.argsort(cfg.rebates) if not bands.empty_band[i]]
+    lower, upper = bands.a_minus[live], bands.a_plus[live]
+    assert lower[0] == bands.a_min_global and upper[-1] == math.inf
+    assert_bitwise(upper[:-1], lower[1:])
     for w in workloads:
-        tail = 1.0 - float(cfg.type_dist.cdf(w * cfg.bands.a_min_global))
-        assert abs(chi(cfg, w)[1:].sum() - tail) <= 1e-15
+        venues = chi(cfg, w)[1:]
+        tail = 1.0 - float(cfg.type_dist.cdf(w * bands.a_min_global))
+        assert np.all(venues >= 0.0) and abs(venues.sum() - tail) <= 4 * np.finfo(float).eps
 
 
 def test_chi_ref1_closed_form(ref1):
@@ -200,9 +211,24 @@ def test_chi_normalization(ref1, ref2, strict):
 
 
 def test_chi_rejects_nonpositive_workload(ref1):
-    for w in (0.0, -1.0, float("nan")):
+    for w in (0.0, -1.0, float("nan"), math.inf):
         with pytest.raises(ValueError):
             chi(ref1, w)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: chi_derivative(cfg, math.inf),
+        lambda cfg: QueueState.of(cfg, [math.nan, 1.0]),
+        lambda cfg: QueueState.of(cfg, [1.0, math.inf]),
+        lambda cfg: det_shifted(cfg, [1.0, 1.0], math.nan),
+        lambda cfg: det_shifted(cfg, [1.0, 1.0], math.inf),
+    ],
+)
+def test_non_finite_inputs_fail_early(ref1, call):
+    with pytest.raises(ValueError):
+        call(ref1)
 
 
 def test_chi_monotone_in_regime(ref2, strict):

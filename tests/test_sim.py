@@ -12,9 +12,12 @@ from fluidlob import (
     SimConfig,
     SimCounters,
     SimPath,
+    global_stability_experiment,
     integrate,
+    local_stability_experiment,
     replicate,
     simulate,
+    solve_equilibrium,
     solve_workload_star,
     sup_distance,
 )
@@ -316,6 +319,39 @@ def test_sim_config_validation():
         with pytest.raises(ParameterError, match=r"^q0_scaled: n \* q0_scaled must be below 2\*\*53"):
             SimConfig(n=n, horizon=1.0, sample_dt=0.1, seed=1, q0_scaled=np.array(q0))
     SimConfig(n=2, horizon=1.0, sample_dt=0.1, seed=1, q0_scaled=np.array([2.0**52 - 1, 1.0]))
+
+
+def _local(cfg, directions=2, seed=0):
+    return local_stability_experiment(cfg, solve_equilibrium(cfg), [0.1], 1.0, directions, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda ref1, ref2: _sim(n=math.nan), "n"),
+        (lambda ref1, ref2: _sim(n=math.inf), "n"),
+        (lambda ref1, ref2: _sim(seed=2.5), "seed"),
+        (lambda ref1, ref2: replicate(ref1, _sim(), [2.5, 20], 1), "n"),
+        (lambda ref1, ref2: replicate(ref1, _sim(), [20], 1.5), "reps"),
+        (lambda ref1, ref2: _local(ref1, directions=2.5), "directions"),
+        (lambda ref1, ref2: _local(ref1, seed=1.5), "seed"),
+        (lambda ref1, ref2: global_stability_experiment(ref2, 1.5, 5.0, 1.0, 0), "n_inits"),
+        (lambda ref1, ref2: global_stability_experiment(ref2, 2, 5.0, 1.0, 1.5), "seed"),
+    ],
+)
+def test_integer_parameters_name_their_key(ref1, ref2, call, key):
+    with pytest.raises(ParameterError, match=f"^{key}: "):
+        call(ref1, ref2)
+
+
+def test_integer_valued_parameters_become_ints(ref1, ref2):
+    run = _sim(n=50.0, seed=-3.0)
+    assert (run.n, run.seed) == (50, -3) and type(run.n) is type(run.seed) is int
+    table = replicate(ref1, _sim(n=20, horizon=1.0, sample_dt=0.5), [20.0], 2.0)
+    assert [row[:2] for row in table.rows] == [(20, 0), (20, 1)]
+    assert _local(ref1, directions=2.0, seed=3.0).seed == 3
+    report = global_stability_experiment(ref2, 2.0, 5.0, 1.0, 4.0, dt=0.1)
+    assert len(report.trials) == 2 and report.seed == 4
 
 
 @pytest.mark.parametrize("entries", [2, 5])

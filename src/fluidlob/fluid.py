@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import IntegrationError, ParameterError, SingularityError, StepInstabilityError
 from .model import ModelConfig, compute_kappa
-from .routing import QueueState, _band_chi, solve_workload_star
+from .routing import QueueState, _band_kernel, solve_workload_star
 
 __all__ = [
     "FluidTrajectory",
@@ -118,47 +118,54 @@ def fluid_rhs(cfg: ModelConfig, state: QueueState) -> np.ndarray:
     return _rhs_batch(cfg)(state.q[None, :])[0]
 
 
-def _rhs_batch(cfg: ModelConfig, rows: int | None = None):
+def _rhs_batch(cfg: ModelConfig, rows: int | None = None, in_s: bool = False):
     """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W for
-    a (B, N) matrix of states with positive workloads; constants hoisted.
+    a (B, N) matrix of states with positive workloads W = q @ beta; constants
+    hoisted.  With `in_s` the field is multiplied by W: dq/ds for dt/ds = W.
 
-    `rhs(q, w, out)` takes the workloads `w = q @ beta` when the caller has
-    them.  The field is built in place in the array `_band_chi` returns, in
-    the operation order of the expression above.
+    With `rows`, `rhs(q, w_col, out)` is prepared for batches of B = rows: it
+    takes the workloads as a (rows, 1) column, writes the field into the
+    (rows, N) `out` and returns it.  The constants are tiled to (rows, N),
+    and the scratch arrays, the band fractions' (`_band_kernel`) and the
+    service term, are made here once and overwritten by every call, which
+    writes into no other array.  The field is built in `out`, in the
+    operation order of the expression above.
 
-    Buffers: without `rows`, each call allocates its result and scratch, and
-    the constants are (1, N) rows that broadcast over any B.  With `rows`,
-    the constants are tiled to (rows, N) (`bands.edges` to (rows, 2N)) and
-    the scratch arrays, the edge products and the service term, are made
-    here once and overwritten by every call; each call then takes a
-    (rows, N) `out` that receives the field, and writes into no other
-    array.  Both give the same bits.
+    Without `rows`, `rhs(q, w=None)` takes any B and the (B,) workloads when
+    the caller has them, and returns the field in a new array, with the bits
+    of the prepared call.
     """
-    beta, tdist, bands = cfg.beta, cfg.type_dist, cfg.bands
+    beta = cfg.beta
+    if rows is None:
+        def rhs_new(q: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+            if w is None:
+                w = np.dot(q, beta)
+            return _rhs_batch(cfg, len(q), in_s)(q, w[:, None], np.empty_like(q))
+
+        return rhs_new
+
     # Arrays of the batch's shape, and 0-d arrays in place of Python floats,
     # give the same bits as broadcasting (N,) vectors and floats, and numpy
-    # dispatches them faster on small batches.
-    shape = (1 if rows is None else rows, 1)
-    beta_rows = np.tile(beta, shape)
-    inflow = np.tile(cfg.b_dedicated * cfg.lam, shape)
-    edges = np.tile(bands.edges, shape)
+    # dispatches them faster on small batches; so does a positional `out`.
+    beta_rows = beta[None].repeat(rows, 0)
+    inflow = (cfg.b_dedicated * cfg.lam)[None].repeat(rows, 0)
     lam_o = np.array(cfg.b_optimized * cfg.big_lambda)
     v_mu = np.array(cfg.v * cfg.mu)
-    products = service = None
-    if rows is not None:
-        products, service = np.empty_like(edges), np.empty_like(beta_rows)
+    service = np.empty((rows, len(beta)))
+    fractions = _band_kernel(cfg.bands, cfg.type_dist, rows)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
 
-    def rhs(q: np.ndarray, w: np.ndarray | None = None, out: np.ndarray | None = None):
-        if w is None:
-            w = q @ beta
-        drift = _band_chi(bands, tdist, w, out, edges=edges, products=products)
-        drift *= lam_o
-        drift += inflow
-        term = np.multiply(beta_rows, q, out=service)
-        term *= v_mu
-        term /= w[:, None]
-        drift -= term
-        return drift
+    def rhs(q: np.ndarray, w_col: np.ndarray, out: np.ndarray) -> np.ndarray:
+        fractions(w_col, out)
+        multiply(out, lam_o, out)
+        add(out, inflow, out)
+        multiply(beta_rows, q, service)
+        multiply(service, v_mu, service)
+        divide(service, w_col, service)
+        subtract(out, service, out)
+        if in_s:
+            multiply(out, w_col, out)
+        return out
 
     return rhs
 
@@ -167,33 +174,32 @@ def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False):
     """Classical RK4 steps of size h for a (rows, N) batch of states, every
     stage computed in place in buffers made here once.
 
-    `step(qc, wc, out)` writes qc + (h/6) (k1 + 2 k2 + 2 k3 + k4) into `out`,
-    in the operation order of that expression, for states qc with workloads
-    wc.  With `in_s` each stage takes W times the field, dq/ds for
-    dt/ds = W.  Also returned is `stage_w`, whose rows 1-3 receive the
-    stages' workloads; row 0 is the caller's, to hold wc.
+    `step(qc, out)` writes qc + (h/6) (k1 + 2 k2 + 2 k3 + k4) into `out`,
+    in the operation order of that expression, for states qc whose
+    workloads the caller has written into row 0 of `stage_w`, returned
+    with it; rows 1-3 receive the other stages' workloads.  With `in_s`
+    each stage takes W times the field, dq/ds for dt/ds = W.
     """
-    rhs, beta = _rhs_batch(cfg, rows), cfg.beta
+    rhs, beta = _rhs_batch(cfg, rows, in_s), cfg.beta
     k1, k2, k3, k4, stage = (np.empty((rows, len(beta))) for _ in range(5))
     stage_w = np.empty((4, rows))
     _, w2, w3, w4 = stage_w
+    c1, c2, c3, c4 = stage_w[:, :, None]  # the (rows, 1) columns the field takes
     half, full, sixth, two = np.array(0.5 * h), np.array(h), np.array(h / 6.0), np.array(2.0)
-    add, multiply, matmul = np.add, np.multiply, np.matmul
+    add, multiply, dot = np.add, np.multiply, np.dot
 
-    def field(qs, ws, out):
-        rhs(qs, ws, out)
-        if in_s:
-            out *= ws[:, None]
-
-    def step(qc, wc, out):
-        field(qc, wc, k1)
-        field(add(multiply(k1, half, out=stage), qc, out=stage), matmul(stage, beta, out=w2), k2)
-        field(add(multiply(k2, half, out=stage), qc, out=stage), matmul(stage, beta, out=w3), k3)
-        field(add(multiply(k3, full, out=stage), qc, out=stage), matmul(stage, beta, out=w4), k4)
-        add(multiply(k2, two, out=k2), k1, out=k2)
-        add(k2, multiply(k3, two, out=k3), out=k2)
-        add(k2, k4, out=k2)
-        add(multiply(k2, sixth, out=k2), qc, out=out)
+    def step(qc, out):
+        rhs(qc, c1, k1)
+        dot(add(multiply(k1, half, stage), qc, stage), beta, w2)
+        rhs(stage, c2, k2)
+        dot(add(multiply(k2, half, stage), qc, stage), beta, w3)
+        rhs(stage, c3, k3)
+        dot(add(multiply(k3, full, stage), qc, stage), beta, w4)
+        rhs(stage, c4, k4)
+        add(multiply(k2, two, k2), k1, k2)
+        add(k2, multiply(k3, two, k3), k2)
+        add(k2, k4, k2)
+        add(multiply(k2, sixth, k2), qc, out)
 
     return step, stage_w
 
@@ -232,11 +238,14 @@ def _integrate_batch(
     Buffers: everything batch-shaped is made once per call, and the steps
     compute in place.  k1-k4, the stage and its workload, and the field's
     scratch (`_rhs_batch` with `rows`) are overwritten by every stage.  The
-    state and its workload live in two pairs of arrays that swap roles each
-    step: the step writes the new pair, and the old one becomes the next
-    step's output.  Nothing returned aliases them except `terminal`, the
-    last state, taken when the steps end; the histories and `min_workload`
-    are fresh arrays, each row a copy.
+    state lives in two arrays that swap roles each step: the step writes
+    the new state, and the old one becomes the next step's output.  Its
+    workload lives in row 0 of the step's `stage_w`, where the step reads
+    it; each step's new workload goes to a scratch array first and is
+    copied there once the checks have frozen the failed rows.  Nothing
+    returned aliases them except `terminal`, the last state, taken when the
+    steps end; the histories and `min_workload` are fresh arrays, each row
+    a copy.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
@@ -246,7 +255,8 @@ def _integrate_batch(
     beta = cfg.beta
 
     q = q0s.copy()
-    w = q @ beta
+    rk4, stage_w = _rk4(cfg, n_traj, dt)
+    w = np.dot(q, beta, stage_w[0])  # the workload of q, where the step reads it
     if np.any(w <= 0):
         raise ValueError("every initial state needs positive workload")
 
@@ -262,9 +272,8 @@ def _integrate_batch(
     if store_states:
         q_hist = np.empty((n_steps + 1, n_traj, q.shape[1]))
         q_hist[0] = q
-    rk4, _ = _rk4(cfg, n_traj, dt)
     q_new, w_new = np.empty_like(q), np.empty_like(w)
-    matmul, minimum = np.matmul, np.minimum.reduce
+    dot, minimum, copyto = np.dot, np.minimum.reduce, np.copyto
 
     def fail(mask, message):
         nonlocal alive, all_alive
@@ -276,12 +285,11 @@ def _integrate_batch(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
-            # w is q @ beta from the end of the previous step (or the start)
-            rk4(q, w, q_new)
+            rk4(q, q_new)
             # Each check is one reduction over the batch; the per-trajectory
             # masks run only when it finds an entry that may fail (NaN too).
             # A strictly positive state is its own floor at 0.
-            low = minimum(q_new, axis=None)
+            low = minimum(q_new, None)
             if not low > 0.0:
                 if not low >= -_CLIP_TOL:
                     bad = alive & ~(np.min(q_new, axis=1) >= -_CLIP_TOL)
@@ -289,18 +297,18 @@ def _integrate_batch(
                         fail(bad, "negative")
                 np.maximum(q_new, 0.0, out=q_new)  # what np.clip(q_new, 0.0, None) runs
 
-            matmul(q_new, beta, out=w_new)
+            dot(q_new, beta, w_new)
             if not minimum(w_new) >= floor_max:
                 bad = alive & ~(w_new >= floor)
                 if bad.any():
                     fail(bad, "floor")
 
-            if not all_alive:  # failed rows keep their last good state
-                frozen = ~alive
-                np.copyto(q_new, q, where=frozen[:, None])
-                np.copyto(w_new, w, where=frozen)
+            if all_alive:
+                copyto(w, w_new)
+            else:  # failed rows keep their last good state
+                copyto(q_new, q, where=~alive[:, None])
+                copyto(w, w_new, where=alive)
             q, q_new = q_new, q
-            w, w_new = w_new, w
             w_hist[step] = w
             if store_states:
                 q_hist[step] = q
@@ -366,45 +374,47 @@ def _integrate_s(
     than `_MAX_GRID` steps raises IntegrationError.
     """
     beta, per_tau = cfg.beta, w_ref * k
-    rk4, w = _rk4(cfg, 1, horizon / per_tau, in_s=True)
-    w1 = w[0]  # the workload of the step's start state
+    rk4, stage_w = _rk4(cfg, 1, horizon / per_tau, in_s=True)
+    w1, w_stages = stage_w[0], stage_w[:, 0]  # the start state's workload; every stage's
     q, q_new = np.empty((1, len(q0))), np.empty((1, len(q0)))
     weights = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
-    matmul, minimum = np.matmul, np.minimum.reduce
+    dot, minimum = np.dot, np.minimum.reduce
     q[0] = q0
-    matmul(q, beta, out=w1)
+    dot(q, beta, w1)
     tau, reason = 0.0, None
-    taus, states, workloads = [tau], [q0], [float(w1[0])]
+    taus, states, workloads = [tau], [q.copy()], [w1.item()]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while tau < 1.0:
             if not len(taus) <= _MAX_GRID:
                 raise IntegrationError(
                     f"no step meets the tolerance {_SELECT_TOL:g} in fewer than {_MAX_GRID} steps"
                 )
-            rk4(q, w1, q_new)
-            tau_new = tau + float(w[:, 0] @ weights) / per_tau
+            rk4(q, q_new)
+            tau_new = tau + float(dot(w_stages, weights)) / per_tau
             if not tau_new < 1.0:
-                _rk4(cfg, 1, horizon * (1.0 - tau))[0](q, w1, q_new)
+                last, last_w = _rk4(cfg, 1, horizon * (1.0 - tau))
+                last_w[0] = w1
+                last(q, q_new)
                 tau_new = 1.0
-            low = minimum(q_new, axis=None)
+            low = minimum(q_new, None)
             if not low > 0.0:
                 if not low >= -_CLIP_TOL:
                     reason = "negative"
                     break
                 np.maximum(q_new, 0.0, out=q_new)
-            w_new = float(matmul(q_new, beta, out=w1)[0])  # the next step's w1
+            w_new = dot(q_new, beta, w1).item()  # the next step's w1
             if not (w_new >= floor and tau_new > tau):
                 reason = "floor"
                 break
             q, q_new, tau = q_new, q, tau_new
             taus.append(tau)
-            states.append(q[0].copy())
+            states.append(q.copy())
             workloads.append(w_new)
 
     return _BatchResult(
         times=horizon * np.array(taus),
         workload=np.array(workloads)[:, None],
-        states=np.array(states)[:, None, :],
+        states=np.array(states),
         terminal=q,
         min_workload=np.array([min(workloads)]),
         failed=np.array([reason is not None]),

@@ -74,15 +74,19 @@ class ExponentialType:
     rate: float
 
     kind = "exponential"
+    cdf_sign = -1
 
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
             raise ConfigError("type_dist.rate: must be positive and finite")
         object.__setattr__(self, "_minus_rate", np.array(-self.rate))
 
-    def cdf(self, x, out=None):
+    def signed_cdf(self, x, out=None):
         f = np.maximum(np.asarray(x, dtype=float), _ZERO, out=out)
-        return np.negative(np.expm1(np.multiply(f, self._minus_rate, out=out), out=out), out=out)
+        return np.expm1(np.multiply(f, self._minus_rate, out), out)
+
+    def cdf(self, x, out=None):
+        return np.negative(self.signed_cdf(x, out), out)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -107,6 +111,7 @@ class HalfNormalType:
     sigma: float
 
     kind = "half-normal"
+    cdf_sign = 1
 
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
@@ -115,7 +120,9 @@ class HalfNormalType:
 
     def cdf(self, x, out=None):
         f = np.maximum(np.asarray(x, dtype=float), _ZERO, out=out)
-        return scipy.special.erf(np.divide(f, self._scale, out=out), out=out)
+        return scipy.special.erf(np.divide(f, self._scale, out), out)
+
+    signed_cdf = cdf
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -148,6 +155,7 @@ class TabulatedType:
     cdf_values: np.ndarray
 
     kind = "tabulated"
+    cdf_sign = 1
 
     def __post_init__(self):
         g = np.asarray(self.gammas, dtype=float)
@@ -175,6 +183,8 @@ class TabulatedType:
             return f
         out[...] = f
         return out
+
+    signed_cdf = cdf
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -209,7 +219,10 @@ class TabulatedType:
 # `pdf`, which take scalars or arrays (inf included) and broadcast like numpy
 # ufuncs, `sample(gen, size)` and `to_dict()`.  `cdf(x, out=)` writes F(x)
 # into the float array `out` of x's shape, which may be x itself, and
-# returns it; the bits are those of the allocating call.  `isf(s)` is the
+# returns it; the bits are those of the allocating call.  `signed_cdf` does
+# the same for `cdf_sign` * F(x): the exponential kind leaves out its
+# negation, which a difference of two F values takes from the order of its
+# operands, as (-a) - (-b) and b - a round to the same bits.  `isf(s)` is the
 # upper-tail quantile, the smallest gamma with 1 - F(gamma) = s for s in
 # (0, 1), formed from s itself so that a small s loses no digits to 1 - s
 # (the tabulated kind, whose grid holds F, excepted).  `gamma_f_mode` is the

@@ -41,9 +41,13 @@ class QueueState:
             raise ValueError("queue lengths must be finite")
         if np.any(q < 0):
             raise ValueError("queue lengths must be nonnegative")
+        with np.errstate(over="ignore"):  # an overflowing workload is refused below
+            workload = float(cfg.beta @ q)
+        if not workload < math.inf:
+            raise ValueError("workload beta . q must be finite")
         q = q.copy()
         q.setflags(write=False)
-        return cls(q=q, workload=float(cfg.beta @ q))
+        return cls(q=q, workload=workload)
 
 
 def _router(cfg: ModelConfig):
@@ -87,30 +91,37 @@ def route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
     return _router(cfg)(gamma, state.q.tolist(), state.workload)
 
 
-def _band_chi(
-    bands: RoutingBands, tdist: TypeDistribution, w, out=None, *, edges=None, products=None
-) -> np.ndarray:
-    """Venue routing fractions F(w a_plus) - F(w a_minus) at workloads w > 0.
+def _band_kernel(bands: RoutingBands, tdist: TypeDistribution, rows: int):
+    """The routing fractions F(w a_plus) - F(w a_minus) prepared for batches
+    of `rows` workloads w > 0, for `chi` and the fluid field:
+    `fractions(w_col, out)` takes the workloads as a (rows, 1) column and
+    writes the (rows, N) venue fractions into `out`, which it returns.
 
-    `w` may be a scalar or an array of workloads; the result has one row of
-    N venue fractions per workload.  One `cdf` call covers both edges
-    (`bands.edges`): an infinite edge gives F(inf) = 1, so the top band takes
+    One `signed_cdf` call covers both edges (`bands.edges`), and `cdf_sign`
+    orders the difference; the bits are those of the difference of `cdf`s.
+    An infinite edge gives F(inf) = 1, so the top band takes
     1 - F(w a_minus) and an empty band, both of whose edges are infinite,
     exactly 0.  Not defined at w <= 0, where the top fraction is not
     1 - F(w a_minus) (it is 0 * inf, NaN, at w = 0).
 
-    Buffers: by default a call allocates its edge products and its result.
-    A caller that evaluates many batches of B workloads passes `edges`,
-    `bands.edges` tiled to (B, 2N), which it keeps; `products`, a (B, 2N)
-    scratch array that each call overwrites with the products and then their
-    `cdf`; and `out`, the (B, N) array that receives the fractions and is
-    returned.  The bits are those of the allocating call.
+    Buffers: `bands.edges` tiled to (rows, 2N) and a scratch array for the
+    edge products and their `signed_cdf` are made here once; a call writes
+    into no array but that scratch and `out`.
     """
-    w = np.asarray(w, dtype=float)
-    f = np.multiply(w[..., None], bands.edges if edges is None else edges, out=products)
-    tdist.cdf(f, out=f)
-    n = len(bands.a_minus)
-    return np.subtract(f[..., n:], f[..., :n], out=out)
+    n, signed_cdf = len(bands.a_minus), tdist.signed_cdf
+    edges = bands.edges[None].repeat(rows, 0)
+    products = np.empty((rows, 2 * n))
+    upper, lower = products[:, n:], products[:, :n]
+    if tdist.cdf_sign < 0:  # F(w a_plus) - F(w a_minus) = -F(w a_minus) - (-F(w a_plus))
+        upper, lower = lower, upper
+    multiply, subtract = np.multiply, np.subtract
+
+    def fractions(w_col: np.ndarray, out: np.ndarray) -> np.ndarray:
+        multiply(w_col, edges, products)
+        signed_cdf(products, products)
+        return subtract(upper, lower, out)
+
+    return fractions
 
 
 def chi(cfg: ModelConfig, w: float) -> np.ndarray:
@@ -119,9 +130,11 @@ def chi(cfg: ModelConfig, w: float) -> np.ndarray:
     """
     if not 0 < w < math.inf:
         raise ValueError("chi is defined for workloads in (0, inf)")
-    venues = _band_chi(cfg.bands, cfg.type_dist, w)
-    chi0 = min(max(1.0 - float(venues.sum()), 0.0), 1.0)
-    return np.concatenate(([chi0], venues))
+    fractions = np.empty(cfg.n_exchanges + 1)
+    venues = fractions[1:]
+    _band_kernel(cfg.bands, cfg.type_dist, 1)(np.array(w, dtype=float, ndmin=2), venues[None])
+    fractions[0] = min(max(1.0 - float(venues.sum()), 0.0), 1.0)
+    return fractions
 
 
 def chi_derivative(cfg: ModelConfig, w: float) -> np.ndarray:

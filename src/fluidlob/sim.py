@@ -159,7 +159,8 @@ class _Clock:
         draws = self._gen.exponential(self._scale, self._block)
         self._block = _BLOCK
         draws[0] += self.last
-        self.pending = np.cumsum(draws)
+        with np.errstate(over="ignore"):  # an overflowing time is past any horizon
+            self.pending = np.cumsum(draws)
         self.last = float(self.pending[-1])
 
     def take(self, limit: float, inclusive: bool) -> np.ndarray:

@@ -27,7 +27,7 @@ from fluidlob import (
 )
 from fluidlob.errors import IntegrationError, SingularityError
 from fluidlob.fluid import _CLIP_TOL, _FLOOR_FACTOR, _BatchResult
-from fluidlob.routing import _band_chi, _router
+from fluidlob.routing import _band_kernel, _router
 from fluidlob.sim import _sample_grid, _stream_generator
 from fluidlob.stability import (
     STABILITY_TOL,
@@ -123,9 +123,18 @@ def numpy_route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
     return int(ties[np.argmax(all_rebates[ties])])
 
 
+def band_chi(bands, tdist, w) -> np.ndarray:
+    """The venue fractions of `_band_kernel` at a scalar or an array of
+    workloads, one row of N fractions per workload, in a new array."""
+    w = np.asarray(w, dtype=float)
+    n = len(bands.a_minus)
+    venues = _band_kernel(bands, tdist, w.size)(w.reshape(-1, 1), np.empty((w.size, n)))
+    return venues.reshape(*w.shape, n)
+
+
 def two_cdf_band_chi(bands, tdist, w) -> np.ndarray:
-    """The band formula with one `cdf` call per edge and `np.clip`, as
-    `_band_chi` computed it before the fused edge vector."""
+    """The band formula with one `cdf` call per edge and `np.clip`, as the
+    routing fractions were computed before the fused edge vector."""
     w = np.asarray(w, dtype=float)
     lo = tdist.cdf(w[..., None] * bands.a_minus)
     finite = np.isfinite(bands.a_plus)
@@ -143,6 +152,27 @@ def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray, bands=None) -> np.ndarray:
     return cfg.b_dedicated * cfg.lam + (cfg.b_optimized * cfg.big_lambda) * chi_v - service
 
 
+def oracle_rk4_step(cfg, qc, h, bands=None, *, in_s=False):
+    """One classical RK4 step of size h from the (B, N) states qc, with the
+    field as one expression (`unhoisted_rhs`), times W in s (`in_s`), and
+    every stage formed anew; returns the new states and the (4, B) stage
+    workloads."""
+    bands = bands or compute_bands(cfg)
+    stage_w = []
+
+    def field(q):
+        w = q @ cfg.beta
+        stage_w.append(w)
+        f = unhoisted_rhs(cfg, q, bands)
+        return f * w[:, None] if in_s else f
+
+    k1 = field(qc)
+    k2 = field(qc + 0.5 * h * k1)
+    k3 = field(qc + 0.5 * h * k2)
+    k4 = field(qc + h * k3)
+    return qc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), np.array(stage_w)
+
+
 def oracle_integrate_batch(
     cfg, q0s, horizon, dt, kappas, *, store_states=False, on_error="raise"
 ):
@@ -154,9 +184,6 @@ def oracle_integrate_batch(
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
     bands = compute_bands(cfg)
-
-    def rhs(q):
-        return unhoisted_rhs(cfg, q, bands)
 
     n_steps = max(1, math.ceil(horizon / dt - 1e-12))
     dt = horizon / n_steps
@@ -181,13 +208,6 @@ def oracle_integrate_batch(
         q_hist = np.empty((n_steps + 1, n_traj, q.shape[1]))
         q_hist[0] = q
 
-    def rk4(qc):
-        k1 = rhs(qc)
-        k2 = rhs(qc + 0.5 * dt * k1)
-        k3 = rhs(qc + 0.5 * dt * k2)
-        k4 = rhs(qc + dt * k3)
-        return qc + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     def fail(mask, message):
         nonlocal alive, all_alive
         if on_error == "raise":
@@ -202,7 +222,7 @@ def oracle_integrate_batch(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
-            q_new = rk4(q)
+            q_new, _ = oracle_rk4_step(cfg, q, dt, bands)
             low = np.min(q_new, axis=1)
             bad = alive & ~(low >= -_CLIP_TOL)
             if bad.any():
@@ -456,7 +476,7 @@ def scan_grid(cfg: ModelConfig) -> np.ndarray:
 
 def loop_stationarity_gap(cfg: ModelConfig, bands, w: float) -> float:
     """Inflow minus service at one workload, from the band fractions."""
-    total_chi = float(_band_chi(bands, cfg.type_dist, w).sum())
+    total_chi = float(band_chi(bands, cfg.type_dist, w).sum())
     return float(
         cfg.b_dedicated @ cfg.lam
         + cfg.b_optimized * cfg.big_lambda * total_chi

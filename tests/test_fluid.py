@@ -23,6 +23,7 @@ from helpers import (
     loop_stationarity_gap,
     make_config,
     oracle_integrate_batch,
+    oracle_rk4_step,
     random_positive_state,
     random_stable_config,
     unhoisted_rhs,
@@ -484,6 +485,40 @@ def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
     assert seen == {None, "floor"}
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+def test_lean_s_step_is_bitwise_the_oracle_step(ref1, rng, rows):
+    # One step of the kernel in s, with its stage workloads, against one
+    # RK4 step on W times the unhoisted field, for each type kind.  The
+    # steps keep every stage's workload positive, the field's domain.
+    half_normal = make_config(type_dist={"kind": "half-normal", "sigma": 1.3})
+    tabulated = make_config(
+        type_dist={"kind": "tabulated", "gamma": [0.0, 1.0, 3.0], "cdf": [0.0, 0.6, 1.0]}
+    )
+    cfgs = [ref1, half_normal, tabulated] + [random_stable_config(rng, n_max=6) for _ in range(4)]
+    kinds = {type(cfg.type_dist).__name__ for cfg in cfgs}
+    assert kinds == {"ExponentialType", "HalfNormalType", "TabulatedType"}
+    for cfg in cfgs:
+        for h in (0.01, 0.1):
+            q = np.array([random_positive_state(rng, cfg) for _ in range(rows)])
+            step, stage_w = fluid._rk4(cfg, rows, h, in_s=True)
+            stage_w[0] = q @ cfg.beta
+            out = np.empty_like(q)
+            step(q, out)
+            want, want_w = oracle_rk4_step(cfg, q, h, in_s=True)
+            assert want_w.min() > 0
+            assert_bitwise(out, want)
+            assert_bitwise(stage_w, want_w)
+
+
+# The type laws each failure case runs with: the stages that reach W <= 0
+# (or NaN) go through each kind's clamp and NaN handling in `signed_cdf`.
+_FAILURE_TYPES = [
+    {"kind": "exponential", "rate": 1.0},
+    {"kind": "half-normal", "sigma": 1.3},
+    {"kind": "tabulated", "gamma": [0.0, 1.0, 3.0], "cdf": [0.0, 0.6, 1.0]},
+]
+
+
 @pytest.mark.parametrize(
     "lam, q0, dt, kappas",
     [
@@ -501,19 +536,23 @@ def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, kappas):
     # run alone, the error of the oracle's "raise" mode from `_failure`.
     # In "nan-state" the first row reaches W = 0 inside a step; in "negative"
     # it undershoots to a finite negative queue.  In "all-floor" the rows
-    # breach their floors at t = 0.5 and t = 1.5 of the horizon 3.
-    cfg = make_config(**{"lambda": lam}, big_lambda=0.0, beta=[1.0, 1.0])
+    # breach their floors at t = 0.5 and t = 1.5 of the horizon 3.  Each
+    # case runs with every type kind of `_FAILURE_TYPES`.
     steps = _step_count(3.0, dt)
     q0s, kappas = np.array([q0, [2.0, 0.5]]), np.array(kappas)
-    ref = oracle_integrate_batch(cfg, q0s, 3.0, dt, kappas, store_states=True, on_error="record")
-    assert ref.failed[0]
-    _assert_same_batch(_integrate_batch(cfg, q0s, 3.0, steps, kappas, store_states=True), ref)
-    for row in np.flatnonzero(ref.failed):
-        alone = slice(row, row + 1)
-        with pytest.raises(IntegrationError) as want:
-            oracle_integrate_batch(cfg, q0s[alone], 3.0, dt, kappas[alone])
-        got = _failure(_integrate_batch(cfg, q0s[alone], 3.0, steps, kappas[alone]), 0)
-        assert type(got) is want.type and str(got) == str(want.value)
+    for type_dist in _FAILURE_TYPES:
+        cfg = make_config(**{"lambda": lam}, big_lambda=0.0, beta=[1.0, 1.0], type_dist=type_dist)
+        ref = oracle_integrate_batch(
+            cfg, q0s, 3.0, dt, kappas, store_states=True, on_error="record"
+        )
+        assert ref.failed[0]
+        _assert_same_batch(_integrate_batch(cfg, q0s, 3.0, steps, kappas, store_states=True), ref)
+        for row in np.flatnonzero(ref.failed):
+            alone = slice(row, row + 1)
+            with pytest.raises(IntegrationError) as want:
+                oracle_integrate_batch(cfg, q0s[alone], 3.0, dt, kappas[alone])
+            got = _failure(_integrate_batch(cfg, q0s[alone], 3.0, steps, kappas[alone]), 0)
+            assert type(got) is want.type and str(got) == str(want.value)
 
 
 def test_maximum_is_the_clip_of_the_undershoot():

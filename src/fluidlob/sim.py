@@ -507,7 +507,8 @@ class ConvergenceTable:
 
 def replicate(cfg: ModelConfig, sim_template: SimConfig, n_values, reps: int) -> ConvergenceTable:
     """Run `reps` seeded replications per scaling level and compare each to the
-    fluid limit, integrated once at the step `integrate` picks.
+    fluid limit, integrated once by `integrate` in the s steps that step
+    doubling picks, and read at the sample times between its nodes.
 
     Replicate r uses seed `sim_template.seed + r`; the same seed set is reused
     across scaling levels, which keeps rows comparable and regenerable.  The

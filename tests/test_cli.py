@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -179,13 +180,13 @@ def test_refine_rejects_a_fixed_step_too_coarse_near_the_origin(tmp_path, capsys
 
 
 def test_selected_step_near_the_origin_passes_refine(tmp_path, capsys):
-    # Without --dt the run steps uniformly in s, where the fast relaxation
-    # is a linear decay; dt is the mean t step of its 615 steps.
+    # Without --dt the run steps in s, where the fast relaxation is a linear
+    # decay; dt is the mean t step of its 233 steps.
     argv = ["fluid", REF1, "--q0", "5e-4,5e-4", "--T", "0.1", "-o", str(tmp_path)]
     assert main(argv) == 0
     assert main(argv + ["--refine"]) == 0
     out = capsys.readouterr().out
-    assert out.count("dt=0.000162602 steps=615 pilot_steps=462 ") == 2
+    assert out.count("dt=0.000429185 steps=233 pilot_steps=125 ") == 2
 
 
 def test_fluid_line_stays_short_for_a_huge_start(tmp_path, capsys):
@@ -198,10 +199,22 @@ def test_fluid_line_stays_short_for_a_huge_start(tmp_path, capsys):
 
 
 def test_hopeless_start_names_the_tolerance(tmp_path, capsys):
-    # At W0 = 1e-323 no step advances t (see test_fluid).
+    # At W0 = 1e-323 no step advances t (see test_fluid): the first trial
+    # records a floor failure.
     argv = ["fluid", REF1, "--q0", "5e-324,0", "--T", "1", "-o", str(tmp_path)]
     assert main(argv) == 2
-    assert "no step meets the tolerance 1e-10 within 10 passes" in capsys.readouterr().err
+    assert "experiment failed: trajectory 0: floor at t=0\n" in capsys.readouterr().err
+
+
+def test_fluid_refuses_a_horizon_beyond_the_step_cap(tmp_path, capsys):
+    # Each s step advances t by at most about h_max max(W0, W*) = 1.39 on
+    # ref1, so T = 1e300 would take far more than 10^7 steps: it exits 2
+    # before any step runs.
+    argv = ["fluid", REF1, "--T", "1e300", "-o", str(tmp_path)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "horizon: the run would take 10000000 steps or more" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon", ["1e-300", "1e-12", "5e-324", "0"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -87,36 +88,49 @@ def test_integrate_workload_stays_above_kappa(ref1, ref2):
         assert np.abs(recomputed - traj.workload).max() < 1e-12
 
 
-@pytest.mark.parametrize("horizon", [1.0, 2.0, 10.0])
-@pytest.mark.parametrize("name", ["ref1", "ref2"])
-def test_selected_step_meets_its_tolerance(request, name, horizon):
-    # The selector's contract: the default run, whose nodes are uniform in s
-    # and not in t, is within _SELECT_TOL of a fine uniform run at every node
-    # (measured 6.0e-13 to 3.8e-12 against horizon/4000).
+@pytest.mark.parametrize(
+    "name, q0, horizon",
+    [
+        *(pytest.param(name, None, t, id=f"{name}-{t}") for name in ("ref1", "ref2")
+          for t in (1.0, 2.0, 10.0)),
+        pytest.param("ref1", [5e-4, 5e-4], 1.0, id="ref1-5e-4"),
+        pytest.param("ref1", [1e-4, 1e-4], 1.0, id="ref1-1e-4"),
+        pytest.param("ref1", [1e-300, 0.0], 1.0, id="ref1-1e-300"),
+    ],
+)
+def test_selected_step_meets_its_tolerance(request, monkeypatch, name, q0, horizon):
+    # The contract of the s steps: the default run, whose nodes are
+    # non-uniform in t, is within _SELECT_TOL of a fine run at every node
+    # (measured 7.3e-12 to 3.7e-11 from all ones against horizon/4000 steps
+    # in t, the same against horizon/8000, and 1.1e-11 to 1.3e-11 near the
+    # origin).  Near the origin a uniform t step fine enough takes 409 600
+    # steps, so the reference there is the run at a local tolerance 100
+    # times tighter, which is 3.3e-13 off that uniform run from (1e-4, 1e-4)
+    # and from (5e-4, 5e-4).
     cfg = request.getfixturevalue(name)
-    q0 = np.ones(cfg.n_exchanges)
+    q0 = np.ones(cfg.n_exchanges) if q0 is None else np.array(q0)
     traj = integrate(cfg, q0, horizon)
     assert traj.times[-1] == horizon and traj.steps == len(traj.times) - 1
     assert np.all(np.diff(traj.times) > 0) and np.ptp(np.diff(traj.times)) > 0
     assert traj.dt == horizon / traj.steps and traj.pilot_steps >= traj.steps // 2
-    fine = integrate(cfg, q0, horizon, dt=horizon / 4000)
+    if q0 @ cfg.beta < 1e-2:
+        monkeypatch.setattr(fluid, "_LOCAL_TOL", fluid._LOCAL_TOL / 100)
+        fine = integrate(cfg, q0, horizon)
+    else:
+        fine = integrate(cfg, q0, horizon, dt=horizon / 4000)
     assert np.abs(traj.states - fine.at(traj.times)).max() <= _SELECT_TOL
 
 
-def test_selected_grid_counts(ref1, monkeypatch):
-    # ref1 from (1, 1): the pilots at k = 8 and 16 steps per s-length
-    # horizon / w_ref (w_ref = W0 = 3 here) disagree; the fourth-order rule
-    # then asks for k = 64 at T=2 and k = 256 at T=10, and the runs at k
-    # and 2k agree.
-    # Each count includes the run's last, shortened step.
-    grids = _count_runs(monkeypatch, "_integrate_s")
+def test_selected_grid_counts(ref1):
+    # ref1 from (1, 1): 40 and 144 accepted trials, 3 rejected each.  Each
+    # accepted trial adds its two half steps to the path, except the last,
+    # whose first half would pass the horizon and gives way to one step in t.
+    # The pilot steps are each trial's full step, the three steps of each
+    # rejected trial, and the last trial's two halves.
     short = integrate(ref1, [1.0, 1.0], 2.0)
-    assert grids == [8, 16, 64, 128]
-    assert (short.steps, short.pilot_steps, short.dt) == (133, 9 + 17 + 67, 2.0 / 133)
-    grids.clear()
+    assert (short.steps, short.pilot_steps, short.dt) == (79, 40 + 3 * 3 + 2, 2.0 / 79)
     long = integrate(ref1, [1.0, 1.0], 10.0)
-    assert grids == [8, 16, 256, 512]
-    assert (long.steps, long.pilot_steps) == (554, 9 + 18 + 277)
+    assert (long.steps, long.pilot_steps) == (287, 144 + 3 * 3 + 2)
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +159,9 @@ def test_trajectory_at_returns_the_nodes_as_stored(request, name):
 
 @pytest.mark.parametrize("name", ["ref1", "ref2"])
 def test_trajectory_at_meets_the_selector_tolerance_between_nodes(fine_reference, name):
-    # The selected grid (133 steps on ref1, 153 on ref2) read off its nodes:
-    # linear interpolation misses the reference by 1.4e-6 (ref1) and 2.3e-6
-    # (ref2); the cubic Hermite reading by 1.5e-12 and 1.3e-12.
+    # The s grid (79 steps on ref1, 72 on ref2) read off its nodes: linear
+    # interpolation misses the reference by 3.3e-6 (ref1) and 8.7e-6 (ref2);
+    # the cubic Hermite reading by 1.3e-11 and 1.9e-11.
     cfg, times, states = fine_reference[name]
     traj = integrate(cfg, np.ones(cfg.n_exchanges), 2.0)
     assert not np.isin(times, traj.times).all()
@@ -184,8 +198,8 @@ def test_floor_never_breached_on_random_stable_configs(seed):
 def test_floor_never_breached_from_near_the_origin(seed):
     # The same configs started at W0 = 1e-3 W*, where the venue split
     # relaxes at a rate of order 1e3 * v mu beta_i / W*: the floor holds and
-    # the tolerance is met in a bounded number of steps (at most 20 223 with
-    # the pilots on 30 such starts).
+    # the tolerance is met in a bounded number of steps (at most 1303 with
+    # the pilot steps on 30 such starts).
     rng = np.random.default_rng(seed)
     cfg = random_stable_config(rng, n_max=6)
     q0 = random_positive_state(rng, cfg)
@@ -193,35 +207,38 @@ def test_floor_never_breached_from_near_the_origin(seed):
     traj = integrate(cfg, q0, 2.0)
     assert traj.min_workload >= traj.kappa * (1 - 1e-12)
     assert traj.max_refine_error <= 1e-10 * max(1.0, np.abs(traj.states).max())
-    assert traj.steps + traj.pilot_steps < 50_000
+    assert traj.steps + traj.pilot_steps < 5_000
+
+
+def _uniform_s_run(cfg, q0, length: float, k: int):
+    """(q, t) after k RK4 steps of `fluid._rk4` in s over the s-length `length`."""
+    h = length / k
+    step, stage_w, _ = fluid._rk4(cfg, 1, h, in_s=True)
+    q, out, t = np.array([q0], dtype=float), np.empty((1, len(q0))), 0.0
+    for _ in range(k):
+        stage_w[0] = q @ cfg.beta
+        step(q, out)
+        t += h * float(stage_w[:, 0] @ [1.0, 2.0, 2.0, 1.0]) / 6.0
+        q, out = out, q
+    return np.append(q[0], t)
 
 
 @pytest.mark.parametrize("name", ["ref1", "ref2"])
 def test_s_steps_are_fourth_order(request, name):
-    # Runs at k, 2k, 4k and 8k steps per s-length horizon / w_ref share the
-    # nodes of the k run but its last; against the run at 4096, the error in
-    # (q, t) at those nodes falls by about 16 per halving (measured 16.1 to
-    # 16.7).
+    # Over the s-length 0.5 from all ones, the error in (q, t) of k fixed s
+    # steps against 1024 falls by about 16 per halving of the step (measured
+    # 16.1 to 16.5 for k = 8 to 64).
     cfg = request.getfixturevalue(name)
     q0 = np.ones(cfg.n_exchanges)
-    w_ref = max(float(q0 @ cfg.beta), solve_workload_star(cfg))
-    ref = fluid._integrate_s(cfg, q0, 2.0, w_ref, 4096, 0.0)
-    errors = []
-    for k in (8, 16, 32, 64):
-        run = fluid._integrate_s(cfg, q0, 2.0, w_ref, k, 0.0)
-        nodes = np.arange(run.steps)
-        same = nodes * (4096 // k)
-        errors.append(max(
-            np.abs(run.states[nodes, 0] - ref.states[same, 0]).max(),
-            np.abs(run.times[nodes] - ref.times[same]).max(),
-        ))
+    ref = _uniform_s_run(cfg, q0, 0.5, 1024)
+    errors = [np.abs(_uniform_s_run(cfg, q0, 0.5, k) - ref).max() for k in (8, 16, 32, 64)]
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all((11.0 < ratios) & (ratios < 19.0)), ratios
 
 
 @pytest.mark.parametrize(
     "q0, most",
-    [([5e-4, 5e-4], (1953, 1711)), ([1e-4, 1e-4], (2457, 2152))],
+    [([5e-4, 5e-4], (468, 241)), ([1e-4, 1e-4], (510, 262))],
 )
 def test_near_origin_start_takes_few_steps(ref1, q0, most):
     # In s the venue split decays at the rates v mu beta_i whatever W is, so
@@ -230,7 +247,7 @@ def test_near_origin_start_takes_few_steps(ref1, q0, most):
     traj = integrate(ref1, q0, 1.0)
     assert traj.steps <= most[0] and traj.pilot_steps <= most[1]
     assert traj.min_workload >= traj.kappa
-    assert traj.max_refine_error <= _SELECT_TOL
+    assert traj.max_refine_error <= 15 * fluid._LOCAL_TOL
 
 
 def test_near_origin_start_meets_a_fine_uniform_reference(ref1):
@@ -243,15 +260,45 @@ def test_near_origin_start_meets_a_fine_uniform_reference(ref1):
     assert np.abs(traj.at(fine.times[::50]) - fine.states[::50]).max() <= _SELECT_TOL
 
 
-def test_doubling_gap_counts_the_time_gap(ref1):
-    # The s runs meet at equal s, so the gap takes t with q: moving the fine
-    # run's nodes (all but the horizon) by 1e-3 in t moves the gap to 1e-3.
-    coarse, fine = (fluid._integrate_s(ref1, np.ones(2), 2.0, 3.0, k, 0.0) for k in (8, 16))
-    gap, tol, _ = fluid._doubling_gap(coarse, fine)
-    assert gap < 1e-6
-    shifted = dataclasses.replace(fine, times=fine.times + 1e-3 * (fine.times < 2.0))
-    moved, _, first = fluid._doubling_gap(coarse, shifted)
-    assert abs(moved - 1e-3) < 1e-6 and first == 0.0
+@pytest.mark.parametrize("name", ["ref1", "ref2"])
+def test_run_from_the_origin_leaves_along_its_tangent(request, name):
+    # As W -> 0 all optimized flow goes to the band that reaches +inf, so a
+    # run from the origin leaves along the ray q = t v, v_i = a_i S /
+    # (S + v mu beta_i) with a the inflow and S = beta . v: on ref1 S solves
+    # 1 = 0.6 / (S + 2) + 1.2 / (S + 1), and on ref2 S = 0.6.  From 1e-300
+    # e_1 the run reads v at t = 1e-6 (measured within 2e-7 relative), in
+    # under 1 s of CPU, and ends where the run from 1e-9 v ends (measured
+    # 2.9e-10 and 3.4e-10 apart).
+    cfg = request.getfixturevalue(name)
+    s = (math.sqrt(5.44) - 1.2) / 2.0
+    v = {"ref1": [0.3 * s / (s + 2.0), 1.2 * s / (s + 1.0)], "ref2": [0.075, 0.075, 0.45]}[name]
+    q0 = np.zeros(cfg.n_exchanges)
+    q0[0] = 1e-300
+    start = time.process_time()
+    traj = integrate(cfg, q0, 1.0)
+    assert time.process_time() - start < 1.0
+    assert traj.at([1e-6])[0] / 1e-6 == pytest.approx(v, rel=1e-5)
+    along = integrate(cfg, 1e-9 * np.array(v), 1.0)
+    assert np.abs(traj.states[-1] - along.states[-1]).max() <= 1e-8
+
+
+def test_doubling_gap_pairs_node_j_with_fine_node_2j(ref1):
+    # On uniform t grids node j of the coarse run is node 2j of the fine one:
+    # moving the fine run's odd nodes changes nothing, and moving its node
+    # 2j moves the gap there, at the coarse node's time.
+    coarse, fine = (
+        _integrate_batch(ref1, np.ones((1, 2)), 2.0, k, np.array([0.0]), store_states=True)
+        for k in (200, 400)
+    )
+    gap, first = fluid._doubling_gap(coarse, fine)
+    assert 0 < gap and first is None
+    odd = fine.states.copy()
+    odd[1::2] += 1.0
+    assert fluid._doubling_gap(coarse, dataclasses.replace(fine, states=odd)) == (gap, None)
+    even = fine.states.copy()
+    even[14] += 1e-3
+    moved, first = fluid._doubling_gap(coarse, dataclasses.replace(fine, states=even))
+    assert abs(moved - 1e-3) < 1e-6 and first == coarse.times[7]
 
 
 def test_selected_step_semigroup(ref1):
@@ -262,53 +309,81 @@ def test_selected_step_semigroup(ref1):
 
 
 def _count_runs(monkeypatch, name: str) -> list:
-    """Record the grid of every call of the kernel `name`: the step count
-    of `_integrate_batch`, the k of `_integrate_s`."""
+    """Record the fourth argument of every call of the kernel `name`: the
+    step count of `_integrate_batch`, the h_max of `_integrate_s`."""
     grids = []
-    kernel, arg = getattr(fluid, name), {"_integrate_batch": 3, "_integrate_s": 4}[name]
+    kernel = getattr(fluid, name)
 
     def counted(*args, **kwargs):
-        grids.append(args[arg])
+        grids.append(args[3])
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(fluid, name, counted)
     return grids
 
 
+def _count_steps(monkeypatch) -> list:
+    """Record the RK4 steps taken by each kernel that `fluid._rk4` makes."""
+    counts = []
+    kernel = fluid._rk4
+
+    def counted(*args, **kwargs):
+        step, stage_w, resize = kernel(*args, **kwargs)
+        index = len(counts)
+        counts.append(0)
+
+        def counted_step(qc, out):
+            counts[index] += 1
+            step(qc, out)
+
+        return counted_step, stage_w, resize
+
+    monkeypatch.setattr(fluid, "_rk4", counted)
+    return counts
+
+
 def test_refine_checks_the_selected_step(ref1, monkeypatch):
-    # The selector has checked the run against one at twice its step, so
-    # refine runs nothing more and reports the gap that accepted it.
+    # Every s step has been checked against two of half its size, so refine
+    # runs nothing more and reports the largest gap that accepted a step:
+    # the gap itself, up to 15 times the local tolerance, not the error
+    # estimate, which is a 15th of it.
     grids = _count_runs(monkeypatch, "_integrate_s")
     batches = _count_runs(monkeypatch, "_integrate_batch")
     plain = integrate(ref1, [1.0, 1.0], 2.0)
-    pilots = list(grids)
     checked = integrate(ref1, [1.0, 1.0], 2.0, refine=True)
-    assert grids == pilots + pilots and pilots and batches == []
+    assert grids == [0.5, 0.5] and batches == []
     assert np.array_equal(plain.states, checked.states) and checked.steps == plain.steps
     scale = max(1.0, np.abs(plain.states).max())
     assert checked.max_refine_error == plain.max_refine_error
-    assert 0 < plain.max_refine_error <= _SELECT_TOL * scale
+    assert fluid._LOCAL_TOL * scale < plain.max_refine_error <= 15 * fluid._LOCAL_TOL * scale
 
 
 def test_hopeless_start_stops_after_a_bounded_number_of_passes(ref1, monkeypatch):
-    # From W0 = 1e-323 every step advances t by W ds / horizon, which rounds
-    # to 0, so every pilot fails at its first step; each pass doubles k and
-    # runs one new pilot, and the selector gives up after _MAX_PASSES.
-    grids = _count_runs(monkeypatch, "_integrate_s")
-    message = f"^no step meets the tolerance {_SELECT_TOL:g} within"
-    with pytest.raises(IntegrationError, match=message):
+    # From W0 = 1e-323 the first trial's half step advances t by
+    # W h_max / 4 = 2.5e-324, which rounds to 0, and a step that does not
+    # advance t is recorded as a floor failure: the run stops after that one
+    # trial, its three s steps.
+    counts = _count_steps(monkeypatch)
+    with pytest.raises(SingularityError, match="^trajectory 0: floor at t=0$"):
         integrate(ref1, [5e-324, 0.0], 1.0)
-    assert grids == [8 * 2**j for j in range(fluid._MAX_PASSES + 1)]
+    assert counts == [3]
 
 
 def test_selector_refuses_a_grid_beyond_the_cap(ref1, monkeypatch):
-    # At T=10 the second pilot needs 18 steps; with the cap below that, the
-    # run stops at the cap and the selector fails.
-    grids = _count_runs(monkeypatch, "_integrate_s")
-    monkeypatch.setattr(fluid, "_MAX_GRID", 12)
-    with pytest.raises(IntegrationError, match=f"tolerance {_SELECT_TOL:g} in fewer than 12"):
+    # At T=10 the run takes 442 RK4 steps; with the cap below that, it stops
+    # at the cap.  A horizon that steps of at most h_max max(W0, W*) in t
+    # (0.5 times 3 here) would cross only in the cap's number of steps or
+    # more is refused before any step runs.
+    counts = _count_steps(monkeypatch)
+    monkeypatch.setattr(fluid, "_MAX_GRID", 300)
+    message = f"^no s step meets the local tolerance {fluid._LOCAL_TOL:g} in fewer than 300 steps$"
+    with pytest.raises(IntegrationError, match=message):
         integrate(ref1, [1.0, 1.0], 10.0)
-    assert grids == [8, 16]
+    assert counts == [300]
+    counts.clear()
+    with pytest.raises(IntegrationError, match="^horizon: the run would take 300 steps or more$"):
+        integrate(ref1, [1.0, 1.0], 0.5 * 3.0 * 300)
+    assert counts == []
 
 
 def test_integrate_refine_check(ref1, monkeypatch):
@@ -489,7 +564,8 @@ def test_lean_kernel_is_bitwise_the_oracle_step(ref1, ref2, rng):
 def test_lean_s_step_is_bitwise_the_oracle_step(ref1, rng, rows):
     # One step of the kernel in s, with its stage workloads, against one
     # RK4 step on W times the unhoisted field, for each type kind.  The
-    # steps keep every stage's workload positive, the field's domain.
+    # steps keep every stage's workload positive, the field's domain.  The
+    # kernel is made at one step size and resized to the other.
     half_normal = make_config(type_dist={"kind": "half-normal", "sigma": 1.3})
     tabulated = make_config(
         type_dist={"kind": "tabulated", "gamma": [0.0, 1.0, 3.0], "cdf": [0.0, 0.6, 1.0]}
@@ -498,9 +574,10 @@ def test_lean_s_step_is_bitwise_the_oracle_step(ref1, rng, rows):
     kinds = {type(cfg.type_dist).__name__ for cfg in cfgs}
     assert kinds == {"ExponentialType", "HalfNormalType", "TabulatedType"}
     for cfg in cfgs:
+        step, stage_w, resize = fluid._rk4(cfg, rows, 0.01, in_s=True)
         for h in (0.01, 0.1):
             q = np.array([random_positive_state(rng, cfg) for _ in range(rows)])
-            step, stage_w = fluid._rk4(cfg, rows, h, in_s=True)
+            resize(h)
             stage_w[0] = q @ cfg.beta
             out = np.empty_like(q)
             step(q, out)

@@ -26,9 +26,9 @@ SIM_RNG_FINGERPRINT = {
     "ref2": "1164bdbb096c3b1959ff47978c0ad2ba48362e4ac6d48b74f3ec1293e32e18f4",
 }
 # `fluid ref1 --T 2` at the explicit step 1e-3 (2001 rows) and at the
-# selected step in s (134 rows, non-uniform in t).
+# steps in s (80 rows, non-uniform in t).
 FLUID_REF1_CSV_SHA256 = "c53032f59dde9f2778eb142d17683e774267a517926878c07647f6655c699892"
-FLUID_REF1_SELECTED_CSV_SHA256 = "e7696d93f79b8c8d211faf8350e5d4f7f4db88d4fef1f93d08ab44f382e3ebb5"
+FLUID_REF1_SELECTED_CSV_SHA256 = "9736c8a5c7396c5d58f1e44e64057e3e943a2a362b68f420c297f26f91de96e7"
 # Batched RK4 (B = 32 and B = 50 trajectories) behind the stability experiments.
 STABILITY_RUNS = {
     "local": (

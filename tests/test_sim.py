@@ -286,9 +286,9 @@ def test_replicate_single_rep_matches_direct_run(ref1):
 
 @pytest.mark.parametrize("horizon", [1.0, 3.0, 10.0])
 def test_replicate_reference_holds_every_sample_time(ref1, monkeypatch, horizon):
-    # The selected fluid reference steps uniformly in s, so the sample times
-    # (the CLI's default step, horizon/200) fall between its nodes; read
-    # there, it is within the selector's tolerance of a fine uniform run.
+    # The fluid reference steps in s, so the sample times (the CLI's default
+    # step, horizon/200) fall between its nodes; read there, it is within
+    # the s steps' tolerance of a fine uniform run.
     refs = []
 
     def recorded(*args, **kwargs):

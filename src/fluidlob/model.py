@@ -162,13 +162,13 @@ class TabulatedType:
         c = np.asarray(self.cdf_values, dtype=float)
         if g.ndim != 1 or g.shape != c.shape or len(g) < 2:
             raise ConfigError("type_dist.gamma/cdf: need two equal-length 1-d grids")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(g).all() and np.isfinite(c).all()):
             raise ConfigError("type_dist.gamma/cdf: values must be finite")
         if g[0] != 0.0:
             raise ConfigError("type_dist.gamma: grid must start at 0")
-        if np.any(np.diff(g) <= 0):
+        if (np.diff(g) <= 0).any():
             raise ConfigError("type_dist.gamma: grid must be strictly increasing")
-        if c[0] != 0.0 or np.any(np.diff(c) < 0):
+        if c[0] != 0.0 or (np.diff(c) < 0).any():
             raise ConfigError("type_dist.cdf: values must start at 0 and be nondecreasing")
         if abs(c[-1] - 1.0) > 1e-9:
             raise ConfigError("type_dist.cdf: last value must be 1")
@@ -293,18 +293,16 @@ class TabulatedSize:
         p = np.asarray(self.probs, dtype=float)
         if v.ndim != 1 or v.shape != p.shape or len(v) == 0:
             raise ConfigError("size.values/probs: need two equal-length 1-d arrays")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(v).all() and np.isfinite(p).all()):
             raise ConfigError("size.values/probs: must be finite")
-        if np.any(v != np.rint(v)) or np.any(v < 1):
+        if (v != np.rint(v)).any() or (v < 1).any():
             raise ConfigError("size.values: support must be positive integers")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        total = p.sum()
+        if (p < 0).any() or abs(total - 1.0) > 1e-9:
             raise ConfigError("size.probs: must be nonnegative and sum to 1")
         object.__setattr__(self, "values", _frozen(v, dtype=np.int64))
-        object.__setattr__(self, "probs", _frozen(p / p.sum()))
-
-    @property
-    def mean(self):
-        return float(self.probs @ self.values)
+        object.__setattr__(self, "probs", _frozen(p / total))
+        object.__setattr__(self, "mean", float(self.probs @ self.values))
 
     def sample(self, gen, size):
         return gen.choice(self.values, size=size, p=self.probs)
@@ -314,7 +312,8 @@ class TabulatedSize:
 
 
 # Order-size distribution on {1, 2, ...} with a finite mean.  Each kind has
-# the property `mean`, `sample(gen, size)` (int64 draws) and `to_dict()`.
+# the float `mean` (the tabulated kind computes it once, at construction),
+# `sample(gen, size)` (int64 draws) and `to_dict()`.
 SizeDistribution = DeterministicSize | GeometricSize | TabulatedSize
 
 
@@ -356,19 +355,20 @@ class ModelConfig:
         for name in ("beta", "lam", "rebates", "b_dedicated"):
             key = "lambda" if name == "lam" else name
             try:
-                arr = np.asarray(getattr(self, name), dtype=float)
+                arr = _frozen(getattr(self, name))
             except (TypeError, ValueError):
                 raise ConfigError(f"{key}: entries must be numbers") from None
             if arr.shape != (self.n_exchanges,):
                 raise ConfigError(f"{key}: expected {self.n_exchanges} entries")
-            object.__setattr__(self, name, _frozen(arr))
+            object.__setattr__(self, name, arr)
         for name in ("beta", "lam", "big_lambda", "mu", "rebate0", "rebates", "v",
                      "b_dedicated", "b_optimized"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            x = getattr(self, name)
+            if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
                 raise ConfigError(f"{'lambda' if name == 'lam' else name}: must be finite")
-        if np.any(self.beta <= 0):
+        if (self.beta <= 0).any():
             raise ConfigError("beta: entries must be positive")
-        if np.any(self.lam < 0):
+        if (self.lam < 0).any():
             raise ConfigError("lambda: entries must be nonnegative")
         if not self.big_lambda >= 0:
             raise ConfigError("big_lambda: must be nonnegative")
@@ -376,13 +376,13 @@ class ModelConfig:
             raise ConfigError("mu: must be positive")
         if not self.rebate0 < 0:
             raise ConfigError("rebate0: must be negative")
-        if np.any(self.rebates < 0):
+        if (self.rebates < 0).any():
             raise ConfigError("rebates: entries must be nonnegative")
-        if len(np.unique(self.rebates)) != self.n_exchanges:
+        if len(set(self.rebates.tolist())) != self.n_exchanges:
             raise ConfigError("rebates: entries must be pairwise distinct")
         if not self.v > 0:
             raise ConfigError("v: must be positive")
-        if np.any(self.b_dedicated <= 0):
+        if (self.b_dedicated <= 0).any():
             raise ConfigError("b_dedicated: entries must be positive")
         if not self.b_optimized > 0:
             raise ConfigError("b_optimized: must be positive")
@@ -392,8 +392,8 @@ class ModelConfig:
         for i, d in enumerate(self.market_sizes):
             if abs(d.mean - self.v) > 1e-9 * max(1.0, self.v):
                 raise ConfigError(f"size_dists.market[{i}]: mean {d.mean} does not match v={self.v}")
-        for i, d in enumerate(self.dedicated_sizes):
-            if abs(d.mean - self.b_dedicated[i]) > 1e-9 * max(1.0, self.b_dedicated[i]):
+        for i, (d, b) in enumerate(zip(self.dedicated_sizes, self.b_dedicated.tolist())):
+            if abs(d.mean - b) > 1e-9 * max(1.0, b):
                 raise ConfigError(
                     f"size_dists.dedicated[{i}]: mean {d.mean} does not match b_dedicated[{i}]"
                 )
@@ -439,39 +439,40 @@ class RoutingBands:
         object.__setattr__(self, "a_plus", _frozen(self.a_plus))
         object.__setattr__(self, "empty_band", _frozen(self.empty_band, dtype=bool))
         edges = np.concatenate((self.a_minus, self.a_plus))
-        edges[np.tile(self.empty_band, 2)] = math.inf
-        object.__setattr__(self, "edges", _frozen(edges))
+        edges[np.concatenate((self.empty_band, self.empty_band))] = math.inf
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
 
 def compute_bands(cfg: ModelConfig) -> RoutingBands:
     """Compute the routing-band edges from rebates, beta weights and mu, v.
 
-    The lower edge pits venue i against the immediate-execution option and all
-    venues with smaller rebates; the upper edge against all venues with larger
-    rebates (empty set giving +inf).  Raw upper edges below zero are clamped to
-    0; the band is empty either way.  Two rebates so close that an edge
-    overflows give it the limit +-inf: the venue with the larger delay never
-    wins the pair.  A band of zero width, [inf, inf] included, counts as
-    empty.  Every call warns
-    about empty bands; `ModelConfig.bands` calls this once per config.
+    Venues i and j pay the same to the type slope[i, j] = (inv_j - inv_i) /
+    (r_j - r_i), inv = 1 / (mu beta v), an N x N matrix whose diagonal is
+    never formed.  Venue i's upper edge is max(0, its smallest slope to a
+    larger rebate), +inf if none; its lower edge is max(floor, its largest
+    slope to a smaller rebate), floor = inv_i / (r_i - rebate0) against the
+    immediate-execution option.  Each max compares as Python's does (a NaN
+    slope loses, a NaN floor wins), and slope[j, i] has slope[i, j]'s bits
+    but for a zero's sign, which no max returns.  An edge that overflows
+    takes its limit +-inf.  A band of zero width, [inf, inf] included, is
+    empty.  Every call warns about empty bands; `ModelConfig.bands` calls
+    this once per config.
     """
-    n = cfg.n_exchanges
+    r = cfg.rebates
     inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
-    a_plus = np.full(n, np.inf)
-    a_minus = np.empty(n)
+    rise = r - r[:, None]                      # rise[i, j] = r_j - r_i
+    above, below = rise > 0.0, rise < 0.0
+    off = above | below
+    slopes = np.empty_like(rise)
     with np.errstate(over="ignore"):
-        for i in range(n):
-            above = cfg.rebates > cfg.rebates[i]
-            if above.any():
-                a_plus[i] = max(
-                    0.0, np.min((inv[above] - inv[i]) / (cfg.rebates[above] - cfg.rebates[i]))
-                )
-            below = cfg.rebates < cfg.rebates[i]
-            lo = inv[i] / (cfg.rebates[i] - cfg.rebate0)
-            if below.any():
-                diff = (inv[i] - inv[below]) / (cfg.rebates[i] - cfg.rebates[below])
-                lo = max(lo, np.max(diff))
-            a_minus[i] = lo
+        np.subtract(inv, inv[:, None], out=slopes, where=off)
+        np.divide(slopes, rise, out=slopes, where=off)
+        floor = inv / (r - cfg.rebate0)
+    upper = slopes.min(axis=1, initial=math.inf, where=above)
+    lower = slopes.max(axis=1, initial=-math.inf, where=below)
+    a_plus = np.where(upper > 0.0, upper, 0.0)
+    a_minus = np.where(lower > floor, lower, floor)
     empty = a_plus <= a_minus
     if empty.any():
         warnings.warn(
@@ -479,12 +480,7 @@ def compute_bands(cfg: ModelConfig) -> RoutingBands:
             "receive optimized orders",
             stacklevel=2,
         )
-    return RoutingBands(
-        a_minus=a_minus,
-        a_plus=a_plus,
-        a_min_global=float(a_minus.min()),
-        empty_band=empty,
-    )
+    return RoutingBands(a_minus, a_plus, float(a_minus.min()), empty)
 
 
 def compute_kappa(cfg: ModelConfig, w0: float, w_star: float) -> float:
@@ -546,9 +542,9 @@ def _size_dist_from_dict(d, key: str) -> SizeDistribution:
 
 
 def _size_dist_list(entry, key: str, n: int) -> tuple[SizeDistribution, ...]:
-    # A single tagged object is broadcast to all venues.
+    # A single tagged object is parsed once and broadcast to all venues.
     if isinstance(entry, dict):
-        return tuple(_size_dist_from_dict(entry, key) for _ in range(n))
+        return (_size_dist_from_dict(entry, key),) * n
     if isinstance(entry, list):
         if len(entry) != n:
             raise ConfigError(f"{key}: expected {n} distributions, got {len(entry)}")

@@ -176,10 +176,11 @@ def jacobian(cfg: ModelConfig, q) -> np.ndarray:
     return _rank1_parts(cfg, q, "Jacobian")[1]
 
 
-def _det_from_parts(d: np.ndarray, c: np.ndarray, nu: float) -> float:
-    dn = d + nu
+def _det_from_parts(d: np.ndarray, c: np.ndarray, nu: float | np.ndarray) -> np.ndarray:
+    """prod_i (d_i + nu) s(nu) (-1)^(N-1) = det(J - nu I) at each nu of an array."""
+    nu = np.asarray(nu)
     sign = -1.0 if len(d) % 2 == 0 else 1.0
-    return float(np.prod(dn) * (np.sum(c / dn) - 1.0) * sign)
+    return (d + nu[..., None]).prod(axis=-1) * _secular(d, c, nu) * sign
 
 
 def det_shifted(cfg: ModelConfig, q, nu: float) -> float:
@@ -192,7 +193,7 @@ def det_shifted(cfg: ModelConfig, q, nu: float) -> float:
     _, _, d, c = _rank1_parts(cfg, q, "determinant")
     if not 0 <= nu < math.inf:
         raise ValueError("nu must be nonnegative and finite")
-    return _det_from_parts(d, c, nu)
+    return float(_det_from_parts(d, c, nu))
 
 
 @dataclass(frozen=True)
@@ -216,19 +217,26 @@ class SpectrumReport:
     marginal_tolerance: float = field(default=STABILITY_TOL, init=False)
 
 
+# Elements in one block of `spectrum`'s shifted matrices or secular terms.
+_BLOCK = 1 << 16
+
+
 def _secular(d: np.ndarray, c: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    """Secular function sum_i c_i / (d_i + nu) - 1 at each nu of a 1-d array."""
-    return (c / (d + nus[:, None])).sum(axis=1) - 1.0
+    """Secular function sum_i c_i / (d_i + nu) - 1 at each nu of an array."""
+    terms = d + nus[..., None]
+    return np.divide(c, terms, out=terms).sum(axis=-1) - 1.0
 
 
 def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
     """Dense eigenvalue computation with determinant and secular cross-checks.
 
-    The eigensolver is authoritative for the verdict; the closed-form
-    determinant is compared against direct determinants on a nu grid, and for
-    configurations with distinct diagonal entries the real eigenvalues away
-    from the diagonal poles are counted against the real roots of the secular
-    function.
+    The eigensolver is authoritative for the verdict.  The closed-form
+    determinant on a 21-point nu grid is compared with the direct ones, and
+    for distinct diagonal entries the real eigenvalues away from the poles
+    are counted against the secular function's sign changes on 200 points
+    per pole interval.  Shifted copies of J and secular terms are formed in
+    blocks of about `_BLOCK` elements (one matrix or grid row at least), so
+    memory stays O(N^2 + 200 N).
     """
     w, jac, d, c = _rank1_parts(cfg, q, "spectrum")
     try:
@@ -237,53 +245,49 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
         raise AssumptionError(f"eigenvalue solver did not converge: {exc}") from exc
     max_real = float(np.max(eigs.real))
 
-    mu_eff = cfg.v * cfg.mu
-    nu_grid = np.linspace(0.0, 2.0, 21) * (mu_eff / w)
-    max_rel = 0.0
-    eye = np.eye(cfg.n_exchanges)
-    for nu in nu_grid:
-        direct = float(np.linalg.det(jac - nu * eye))
-        closed = _det_from_parts(d, c, float(nu))
-        max_rel = max(max_rel, abs(closed - direct) / max(abs(direct), 1e-300))
+    nus = np.linspace(0.0, 2.0, 21) * (cfg.v * cfg.mu / w)
+    direct = np.empty_like(nus)
+    matrices = max(1, _BLOCK // jac.size)
+    for k in range(0, len(nus), matrices):
+        block = nus[k : k + matrices]
+        shifted = np.repeat(jac[None], len(block), axis=0)
+        shifted.reshape(len(block), -1)[:, :: cfg.n_exchanges + 1] -= block[:, None]
+        direct[k : k + matrices] = np.linalg.det(shifted)
+    rel = np.abs(_det_from_parts(d, c, nus) - direct) / np.maximum(np.abs(direct), 1e-300)
+    max_rel = float(np.fmax.reduce(rel, initial=0.0))
 
-    gaps = np.diff(np.sort(d))
-    secular_checked = cfg.n_exchanges == 1 or bool(np.all(gaps > 1e-9 * d.max()))
-    sec_roots = real_off_pole = None
-    sec_res = None
+    secular_checked = cfg.n_exchanges == 1 or bool(np.all(np.diff(np.sort(d)) > 1e-9 * d.max()))
+    sec_roots = real_off_pole = sec_res = None
+    scale = max(1.0, float(np.abs(eigs).max()))
     if secular_checked:
         poles = -d
-        scale = max(1.0, float(np.abs(eigs).max()))
-        real_eigs = [z.real for z in eigs if abs(z.imag) <= 1e-9 * scale]
-        off_pole = [
-            x for x in real_eigs if np.min(np.abs(x - poles)) > 1e-7 * max(1.0, d.max())
-        ]
+        real_eigs = eigs.real[np.abs(eigs.imag) <= 1e-9 * scale]
+        near = np.abs(real_eigs[:, None] - poles).min(axis=1)
+        off_pole = real_eigs[near > 1e-7 * max(1.0, d.max())]
         real_off_pole = len(off_pole)
-        sec_res = float(np.abs(_secular(d, c, np.array(off_pole))).max()) if off_pole else 0.0
-        # Count real secular roots by sign changes between consecutive poles
-        # (plus the two outer intervals, bounded by the Gershgorin radius).
+        sec_res = float(np.abs(_secular(d, c, off_pole)).max()) if off_pole.size else 0.0
+        # Intervals between consecutive poles, plus the two outer ones
+        # bounded by the Gershgorin radius, one grid row each.
         radius = float(np.max(np.sum(np.abs(jac), axis=1))) + 1.0
         edges = np.concatenate(([-radius], np.sort(poles), [radius]))
-        count = 0
-        for a, b in zip(edges[:-1], edges[1:]):
-            pad = 1e-6 * max(1.0, b - a)
-            xs = np.linspace(a + pad, b - pad, 200)
-            vals = _secular(d, c, xs)
-            count += int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
-        sec_roots = count
+        width = np.diff(edges)
+        pad = 1e-6 * np.where(width > 1.0, width, 1.0)
+        xs = np.linspace(edges[:-1] + pad, edges[1:] - pad, 200, axis=1)
+        vals = np.empty_like(xs)
+        rows = max(1, _BLOCK // (xs.shape[1] * cfg.n_exchanges))
+        for k in range(0, len(xs), rows):
+            vals[k : k + rows] = _secular(d, c, xs[k : k + rows])
+        signs = np.sign(vals)
+        sec_roots = int(np.count_nonzero(signs[:, :-1] * signs[:, 1:] < 0))
 
-    if max_real < -STABILITY_TOL:
-        verdict = "stable"
-    elif max_real > STABILITY_TOL:
-        verdict = "unstable"
-    else:
-        verdict = "marginal"
     return SpectrumReport(
         jacobian=jac,
         eigenvalues=eigs,
         max_real_part=max_real,
         det_identity_max_rel_err=max_rel,
-        verdict=verdict,
-        has_complex_pair=bool(np.any(np.abs(eigs.imag) > 1e-9 * max(1.0, np.abs(eigs).max()))),
+        verdict=("stable" if max_real < -STABILITY_TOL
+                 else "unstable" if max_real > STABILITY_TOL else "marginal"),
+        has_complex_pair=bool(np.any(np.abs(eigs.imag) > 1e-9 * scale)),
         secular_checked=secular_checked,
         secular_real_roots=sec_roots,
         real_eigs_off_pole=real_off_pole,

@@ -18,6 +18,7 @@ from fluidlob import (
     HalfNormalType,
     ModelConfig,
     QueueState,
+    RoutingBands,
     chi_derivative,
     compute_bands,
     config_from_dict,
@@ -25,7 +26,7 @@ from fluidlob import (
     jacobian,
     solve_workload_star,
 )
-from fluidlob.errors import IntegrationError, SingularityError
+from fluidlob.errors import AssumptionError, IntegrationError, SingularityError
 from fluidlob.fluid import _CLIP_TOL, _FLOOR_FACTOR, _BatchResult
 from fluidlob.routing import _band_kernel, _router
 from fluidlob.sim import _sample_grid, _stream_generator
@@ -36,6 +37,7 @@ from fluidlob.stability import (
     GlobalStabilityReport,
     LocalStabilityReport,
     SpectrumReport,
+    _rank1_parts,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -451,6 +453,116 @@ def assert_bitwise(a, b) -> None:
     assert a.tobytes() == b.tobytes()
 
 
+def loop_compute_bands(cfg: ModelConfig) -> RoutingBands:
+    """The routing bands one venue at a time, each edge from the slopes
+    against the venues above or below it: the oracle of `compute_bands`."""
+    n = cfg.n_exchanges
+    inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
+    a_plus = np.full(n, np.inf)
+    a_minus = np.empty(n)
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            above = cfg.rebates > cfg.rebates[i]
+            if above.any():
+                a_plus[i] = max(
+                    0.0, np.min((inv[above] - inv[i]) / (cfg.rebates[above] - cfg.rebates[i]))
+                )
+            below = cfg.rebates < cfg.rebates[i]
+            lo = inv[i] / (cfg.rebates[i] - cfg.rebate0)
+            if below.any():
+                diff = (inv[i] - inv[below]) / (cfg.rebates[i] - cfg.rebates[below])
+                lo = max(lo, np.max(diff))
+            a_minus[i] = lo
+    empty = a_plus <= a_minus
+    if empty.any():
+        warnings.warn(
+            f"venues {np.flatnonzero(empty).tolist()} have empty routing bands and will never "
+            "receive optimized orders",
+            stacklevel=2,
+        )
+    return RoutingBands(
+        a_minus=a_minus, a_plus=a_plus, a_min_global=float(a_minus.min()), empty_band=empty
+    )
+
+
+def _loop_det_from_parts(d: np.ndarray, c: np.ndarray, nu: float) -> float:
+    dn = d + nu
+    sign = -1.0 if len(d) % 2 == 0 else 1.0
+    return float(np.prod(dn) * (np.sum(c / dn) - 1.0) * sign)
+
+
+def _loop_secular(d: np.ndarray, c: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    return (c / (d + nus[:, None])).sum(axis=1) - 1.0
+
+
+def loop_det_shifted(cfg: ModelConfig, q, nu: float) -> float:
+    """The closed-form det(J - nu I) at one float nu: the oracle of `det_shifted`."""
+    _, _, d, c = _rank1_parts(cfg, q, "determinant")
+    return _loop_det_from_parts(d, c, nu)
+
+
+def loop_spectrum(cfg: ModelConfig, q) -> SpectrumReport:
+    """`spectrum` with one nu, one determinant and one secular interval per
+    step: the oracle of the array form."""
+    w, jac, d, c = _rank1_parts(cfg, q, "spectrum")
+    try:
+        eigs = np.linalg.eigvals(jac).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise AssumptionError(f"eigenvalue solver did not converge: {exc}") from exc
+    max_real = float(np.max(eigs.real))
+
+    mu_eff = cfg.v * cfg.mu
+    nu_grid = np.linspace(0.0, 2.0, 21) * (mu_eff / w)
+    max_rel = 0.0
+    eye = np.eye(cfg.n_exchanges)
+    for nu in nu_grid:
+        direct = float(np.linalg.det(jac - nu * eye))
+        closed = _loop_det_from_parts(d, c, float(nu))
+        max_rel = max(max_rel, abs(closed - direct) / max(abs(direct), 1e-300))
+
+    gaps = np.diff(np.sort(d))
+    secular_checked = cfg.n_exchanges == 1 or bool(np.all(gaps > 1e-9 * d.max()))
+    sec_roots = real_off_pole = None
+    sec_res = None
+    if secular_checked:
+        poles = -d
+        scale = max(1.0, float(np.abs(eigs).max()))
+        real_eigs = [z.real for z in eigs if abs(z.imag) <= 1e-9 * scale]
+        off_pole = [
+            x for x in real_eigs if np.min(np.abs(x - poles)) > 1e-7 * max(1.0, d.max())
+        ]
+        real_off_pole = len(off_pole)
+        sec_res = float(np.abs(_loop_secular(d, c, np.array(off_pole))).max()) if off_pole else 0.0
+        radius = float(np.max(np.sum(np.abs(jac), axis=1))) + 1.0
+        edges = np.concatenate(([-radius], np.sort(poles), [radius]))
+        count = 0
+        for a, b in zip(edges[:-1], edges[1:]):
+            pad = 1e-6 * max(1.0, b - a)
+            xs = np.linspace(a + pad, b - pad, 200)
+            vals = _loop_secular(d, c, xs)
+            count += int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+        sec_roots = count
+
+    if max_real < -STABILITY_TOL:
+        verdict = "stable"
+    elif max_real > STABILITY_TOL:
+        verdict = "unstable"
+    else:
+        verdict = "marginal"
+    return SpectrumReport(
+        jacobian=jac,
+        eigenvalues=eigs,
+        max_real_part=max_real,
+        det_identity_max_rel_err=max_rel,
+        verdict=verdict,
+        has_complex_pair=bool(np.any(np.abs(eigs.imag) > 1e-9 * max(1.0, np.abs(eigs).max()))),
+        secular_checked=secular_checked,
+        secular_real_roots=sec_roots,
+        real_eigs_off_pole=real_off_pole,
+        secular_max_residual=sec_res,
+    )
+
+
 def fd_jacobian(cfg: ModelConfig, q, h: float = 1e-5) -> np.ndarray:
     """Centered finite differences of the fluid drift."""
     q = np.asarray(q, dtype=float)
@@ -568,12 +680,15 @@ def random_valid_config(
     rng: np.random.Generator,
     *,
     n_max: int = 5,
+    n: int | None = None,
     kinds=("exponential", "half-normal"),
 ) -> ModelConfig:
     """A random configuration satisfying the throughput condition, with
-    distinct rebates and mixed size distributions.  A tabulated type law has
-    2 to 8 segments on a grid up to about 3, of which some may be flat."""
-    n = int(rng.integers(1, n_max + 1))
+    distinct rebates and mixed size distributions; `n` venues, or 1 to
+    `n_max` when `n` is None.  A tabulated type law has 2 to 8 segments on a
+    grid up to about 3, of which some may be flat."""
+    if n is None:
+        n = int(rng.integers(1, n_max + 1))
     beta = rng.uniform(0.6, 1.8, n)
     rebates = np.sort(rng.uniform(0.2, 3.0, n))
     while n > 1 and np.any(np.diff(rebates) < 0.15):
@@ -638,18 +753,25 @@ def _gamma_f_mode(cfg: ModelConfig) -> float:
     raise ValueError("mode known only for the smooth built-ins")
 
 
-def random_stable_config(rng: np.random.Generator, *, n_max: int = 5) -> ModelConfig:
+def random_stable_config(
+    rng: np.random.Generator,
+    *,
+    n_max: int = 5,
+    n: int | None = None,
+    kinds=("exponential", "half-normal"),
+) -> ModelConfig:
     """A random configuration inside the hypotheses of the local-stability
     certificate: gamma*f(gamma) decreases beyond a_min*kappa.
 
     Achieved by scaling the optimized rate upward until
     a_min * (beta_min/beta_max) * W_star exceeds the mode of gamma*f(gamma)
     with margin (the ratio is invariant under rescaling the type
-    distribution, so this is a pure geometry condition).
+    distribution, so this is a pure geometry condition).  `n` and `kinds`
+    go to `random_valid_config`.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cfg = random_valid_config(rng, n_max=n_max)
+        cfg = random_valid_config(rng, n_max=n_max, n=n, kinds=kinds)
         mode = _gamma_f_mode(cfg)
         for _ in range(60):
             bands = compute_bands(cfg)

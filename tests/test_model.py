@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from fluidlob import (
@@ -37,8 +37,10 @@ from helpers import (
     assert_bitwise,
     brute_force_route,
     config_dicts,
+    loop_compute_bands,
     make_config,
     random_valid_config,
+    ref1_dict,
 )
 
 
@@ -105,6 +107,67 @@ def test_a_minus_positive_for_random_configs(rng):
         # +inf exactly for the top-rebate venue
         assert np.isinf(bands.a_plus[np.argmax(cfg.rebates)])
         assert np.isfinite(np.delete(bands.a_plus, np.argmax(cfg.rebates))).all()
+
+
+@st.composite
+def _band_configs(draw):
+    """Configs of 1 to 50 venues, about half of them ordinary and the rest
+    reaching every branch of the band edges: rebates on runs of ulps of 1
+    and of subnormals (near-ties whose edges overflow) or near the float
+    maximum (r - rebate0 overflows), beta with repeats (equal delays, zero
+    slopes) and mu down to the smallest subnormal (1 / (mu beta v)
+    overflows to inf)."""
+    n = draw(st.integers(1, 50))
+    rebate, mu, rebate0 = st.floats(0.0, 5.0), st.floats(0.1, 5.0), st.floats(-5.0, -0.01)
+    if draw(st.booleans()):
+        rebate = st.one_of(
+            rebate,
+            st.integers(0, 64).map(lambda k: k * 5e-324),
+            st.integers(1, 64).map(lambda k: 1.0 + k * 2.0**-52),
+            st.floats(1e307, 1.7e308),
+        )
+        mu = st.one_of(mu, st.floats(5e-324, 1e-300))
+        rebate0 = st.one_of(rebate0, st.floats(-1.7e308, -1e307))
+    beta = st.one_of(st.floats(0.1, 10.0), st.sampled_from([0.5, 1.0, 2.0]))
+    return {
+        **ref1_dict(),
+        "n_exchanges": n,
+        "beta": draw(st.lists(beta, min_size=n, max_size=n)),
+        "lambda": [0.1] * n,
+        "b_dedicated": [1.0] * n,
+        "mu": draw(mu),
+        "rebate0": draw(rebate0),
+        "rebates": draw(st.lists(rebate, min_size=n, max_size=n, unique=True)),
+    }
+
+
+def _bands_and_warnings(bands_of, cfg):
+    """The bands and the set of warnings raised making them; numpy words a
+    warning of a scalar operation "scalar divide" where the array one says
+    "divide"."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bands = bands_of(cfg)
+    return bands, {(w.category, str(w.message).replace("scalar ", "")) for w in caught}
+
+
+@example({**ref1_dict(), "rebates": [0.0, 5e-324]})
+@example({**ref1_dict(), "beta": [1.0, 1.0], "mu": 5e-324})
+@example({**ref1_dict(), "beta": [1e-20, 1.0], "mu": 1e-300})
+@example({**ref1_dict(), "beta": [1.0, 3.0], "mu": 5e-324, "rebates": [1e308, 0.0],
+          "rebate0": -1e308})
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_band_configs())
+def test_band_edges_are_bitwise_the_loop_form(d):
+    # The N x N slope matrix gives the per-venue loop's bits, and raises no
+    # warning (warnings are errors in this suite) that the loop does not.
+    cfg = config_from_dict(d)
+    got, got_warnings = _bands_and_warnings(compute_bands, cfg)
+    want, want_warnings = _bands_and_warnings(loop_compute_bands, cfg)
+    for name in ("a_minus", "a_plus", "empty_band", "edges"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+    assert_bitwise(got.a_min_global, want.a_min_global)
+    assert got_warnings == want_warnings
 
 
 def test_empty_band_warns(ref2):
@@ -539,3 +602,18 @@ def test_size_dist_broadcast_and_list():
     )
     assert len(cfg.market_sizes) == 2 and len(cfg.dedicated_sizes) == 2
     assert cfg.optimized_size.mean == 1.0
+
+
+def test_broadcast_size_law_is_parsed_once():
+    # One tagged object is built once and repeated, and writes back as one
+    # entry per venue, as the list form does.
+    law = {"kind": "tabulated", "values": [1, 3], "probs": [0.5, 0.5]}
+    d = {**ref1_dict(), "v": 2.0, "b_dedicated": [2.0, 2.0], "b_optimized": 2.0}
+    broadcast = config_from_dict({**d, "size_dists": {"market": law, "dedicated": law, "optimized": law}})
+    listed = config_from_dict(
+        {**d, "size_dists": {"market": [law, law], "dedicated": [law, law], "optimized": law}}
+    )
+    assert broadcast.market_sizes[0] is broadcast.market_sizes[1]
+    assert broadcast.dedicated_sizes[0] is broadcast.dedicated_sizes[1]
+    assert broadcast.market_sizes[0].mean == 2.0
+    assert config_to_dict(broadcast)["size_dists"] == config_to_dict(listed)["size_dists"]

@@ -158,6 +158,29 @@ def test_route_band_consistency(case):
             assert gamma <= state.workload * bands.a_plus[i - 1] + tol
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(config_dicts(n_max=6), st.data())
+def test_type_inside_a_band_routes_to_its_venue(d, data):
+    # The converse of the property above: with every queue positive, a type
+    # strictly inside W * [a_minus_i, a_plus_i] of a nonempty band goes to
+    # venue i, unless its payoff ties the winner's within rounding.
+    cfg = config_from_dict(d)
+    n = cfg.n_exchanges
+    state = QueueState.of(cfg, data.draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)))
+    w, bands = state.workload, cfg.bands
+    rebates = np.concatenate(([cfg.rebate0], cfg.rebates))
+    delays = np.concatenate(([0.0], w / (cfg.mu * cfg.beta * cfg.v)))
+    for i in np.flatnonzero(~bands.empty_band).tolist():
+        lo, hi = w * bands.a_minus[i], w * bands.a_plus[i]
+        inside = [lo + t * (hi - lo) for t in (0.01, 0.5, 0.99)] if hi < math.inf else [1.5 * lo]
+        for gamma in (g for g in inside if lo < g < hi):
+            got = route(cfg, gamma, state)
+            if got != i + 1:
+                pays = gamma * rebates - delays
+                scale = gamma * np.abs(rebates).max() + delays.max()
+                assert abs(pays[got] - pays[i + 1]) <= 16 * np.finfo(float).eps * scale
+
+
 # ---------------------------------------------------------------------------
 # chi
 # ---------------------------------------------------------------------------

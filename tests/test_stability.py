@@ -1,12 +1,18 @@
+import dataclasses
+import importlib.util
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import fluidlob
 from fluidlob import (
     AssumptionError,
+    SpectrumReport,
     chi_derivative,
+    config_from_dict,
     det_shifted,
     global_stability_experiment,
     integrate,
@@ -18,14 +24,27 @@ from fluidlob import (
 )
 
 from helpers import (
+    REPO,
+    assert_bitwise,
     fd_jacobian,
+    loop_det_shifted,
     loop_secular_real_roots,
+    loop_spectrum,
     loop_stationarity_gap,
     loop_workload_roots,
     make_config,
+    random_positive_state,
     random_stable_config,
     random_valid_config,
 )
+
+
+def _perfbench_gen():
+    """perfbench/gen.py, the generator of the benchmark's certify configs."""
+    spec = importlib.util.spec_from_file_location("gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +176,15 @@ def test_det_shifted_ref2_sign(ref2):
     assert closed < 0  # (-1)^3
 
 
+def test_det_shifted_is_bitwise_the_scalar_form(ref1, ref2, rng):
+    cfgs = [ref1, ref2] + [random_stable_config(rng, n_max=12) for _ in range(12)]
+    for cfg in cfgs:
+        q = random_positive_state(rng, cfg)
+        nus = [0.0, *rng.uniform(0.0, 3.0 * cfg.v * cfg.mu / float(cfg.beta @ q), 4)]
+        for nu in nus:
+            assert_bitwise(det_shifted(cfg, q, float(nu)), loop_det_shifted(cfg, q, float(nu)))
+
+
 def test_det_identity_randomized(rng):
     for _ in range(30):
         cfg = random_valid_config(rng)
@@ -217,6 +245,75 @@ def test_spectrum_randomized_stable(rng):
             eq = solve_equilibrium(cfg)
             rep = spectrum(cfg, eq.q_star)
         assert rep.max_real_part < -1e-10, f"config with N={cfg.n_exchanges} not stable"
+
+
+def _assert_same_report(got: SpectrumReport, want: SpectrumReport) -> None:
+    for f in dataclasses.fields(SpectrumReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        assert_bitwise(a, b)
+
+
+@pytest.mark.parametrize("block", [1, fluidlob.stability._BLOCK])
+def test_spectrum_is_bitwise_the_loop_form(rng, monkeypatch, block):
+    # One determinant, one closed form and one secular interval per step in
+    # the oracle; arrays over the nu grid and the intervals here, in blocks
+    # of one matrix and one grid row each or in one block up to N = 12.  Both
+    # type kinds at every N from 1 to 12, at q* and at a random positive state.
+    monkeypatch.setattr(fluidlob.stability, "_BLOCK", block)
+    for n in range(1, 13):
+        for kind in ("exponential", "half-normal"):
+            cfg = random_stable_config(rng, n=n, kinds=(kind,))
+            for q in (solve_equilibrium(cfg).q_star, random_positive_state(rng, cfg)):
+                _assert_same_report(spectrum(cfg, q), loop_spectrum(cfg, q))
+
+
+def test_spectrum_is_bitwise_the_loop_form_on_benchmark_configs():
+    # Twelve configs as the certify workload generates them for seed 1:
+    # exponential types at N = 1..6 and half-normal ones at N = 7..12.
+    gen = _perfbench_gen()
+    for k in [*range(6), *range(18, 24)]:
+        rng = np.random.default_rng([1, k])
+        n, kind = 1 + k % gen.N_MAX, ("exponential", "half-normal")[(k // gen.N_MAX) % 2]
+        cfg = config_from_dict(gen.stable_config_dict(fluidlob, rng, n, kind))
+        q_star = solve_equilibrium(cfg).q_star
+        _assert_same_report(spectrum(cfg, q_star), loop_spectrum(cfg, q_star))
+
+
+def test_secular_grid_is_bitwise_the_per_interval_grids():
+    # `spectrum` builds the 200-point grids of all pole intervals with one
+    # np.linspace call along axis 1; each row is the per-interval call's bits.
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        m = int(rng.integers(1, 14))
+        edges = np.sort(rng.uniform(-1.0, 1.0, m + 1) * 10.0 ** rng.uniform(-7.0, 3.0))
+        width = np.diff(edges)
+        pad = 1e-6 * np.where(width > 1.0, width, 1.0)
+        grid = np.linspace(edges[:-1] + pad, edges[1:] - pad, 200, axis=1)
+        for row, a, b in zip(grid, edges[:-1], edges[1:]):
+            p = 1e-6 * max(1.0, b - a)
+            assert_bitwise(row, np.linspace(a + p, b - p, 200))
+
+
+def test_spectrum_memory_stays_linear_in_the_grid():
+    # The large-N probe of the roadmap: N = 200, rebates evenly spread over
+    # [0.2, 3], at q*.  The secular scan works in blocks and the dense
+    # determinants reuse one shifted block, so the traced peak stays near a
+    # few N x N arrays (1.9 MB measured) rather than 21 of them or the whole
+    # (N+1) x 200 x N secular grid (64 MB).
+    gen = _perfbench_gen()
+    gen._distinct_rebates = lambda rng, n: np.linspace(0.2, 3.0, n)
+    n = 200
+    cfg = config_from_dict(gen.config_dict(np.random.default_rng([0, n]), n, "exponential"))
+    q_star = solve_equilibrium(cfg).q_star
+    tracemalloc.start()
+    try:
+        rep = spectrum(cfg, q_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert rep.verdict == "stable" and rep.secular_real_roots == 200
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,14 @@ so a slow start near the origin takes small steps only while it lasts; the
 nodes are non-uniform in t, and the last step is cut to end at the horizon.
 A given step `dt` runs uniform RK4 steps in t, one trajectory or the
 stability experiments' batch, and step doubling over the whole run checks
-it on request.  Both take the same in-place RK4 step (`_rk4`), which in s
-multiplies each stage's field by its workload.
+it on request.  Both take the same in-place RK4 step (`_rk4`); each stage
+evaluates the field as one matrix product (`_rhs_batch`), times W in s.
 
-Integration runs with a safety floor at a fraction of the proven workload
-lower bound kappa and aborts if the floor is ever breached (which signals a
-bug or a violated assumption, not physics).  A failed trajectory is
-recorded with its reason and time, and only `integrate` turns it into an
-exception.  Routing fractions use the workload-only band form throughout,
-which is what removes the ambiguity of the per-venue delay at empty queues.
+Integration aborts a trajectory whose workload falls below a fraction of
+the proven lower bound kappa (a bug or a violated assumption, not physics),
+recording its reason and time; only `integrate` raises it.  Routing
+fractions use the workload-only band form, which removes the ambiguity of
+the per-venue delay at empty queues.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import IntegrationError, ParameterError, SingularityError, StepInstabilityError
 from .model import ModelConfig, compute_kappa
-from .routing import QueueState, _band_kernel, solve_workload_star
+from .routing import QueueState, _fractions, solve_workload_star
 
 __all__ = [
     "FluidTrajectory",
@@ -119,53 +118,56 @@ def fluid_rhs(cfg: ModelConfig, state: QueueState) -> np.ndarray:
     return _rhs_batch(cfg)(state.q[None, :])[0]
 
 
+def _field_matrix(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The band edges e of `routing._fractions` and M, with f(q) = [S(W e),
+    S(inf), q / W] @ M: b_o Lambda D, whose constant row also takes cdf_sign
+    b_d lam, over -diag(v mu beta), zero-padded to max(N, 2) columns."""
+    edges, signs = cfg.kept(_fractions)
+    n, c = cfg.n_exchanges, len(signs)
+    matrix = np.zeros((c + max(n, 2), max(n, 2)))
+    np.multiply(signs, cfg.b_optimized * cfg.big_lambda, matrix[:c, :n])
+    matrix[c - 1, :n] += cfg.type_dist.cdf_sign * (cfg.b_dedicated * cfg.lam)
+    np.fill_diagonal(matrix[c:c + n, :n], -(cfg.v * cfg.mu) * cfg.beta)
+    return edges, matrix
+
+
 def _rhs_batch(cfg: ModelConfig, rows: int | None = None, in_s: bool = False):
-    """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W for
-    a (B, N) matrix of states with positive workloads W = q @ beta; constants
-    hoisted.  With `in_s` the field is multiplied by W: dq/ds for dt/ds = W.
+    """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W of
+    (B, N) states with workloads W = q @ beta > 0, as one product with the
+    kept `_field_matrix`; with `in_s`, times W (dq/ds for dt/ds = W).
 
-    With `rows`, `rhs(q, w_col, out)` is prepared for batches of B = rows: it
-    takes the workloads as a (rows, 1) column, writes the field into the
-    (rows, N) `out` and returns it.  The constants are tiled to (rows, N),
-    and the scratch arrays, the band fractions' (`_band_kernel`) and the
-    service term, are made here once and overwritten by every call, which
-    writes into no other array.  The field is built in `out`, in the
-    operation order of the expression above.
-
-    Without `rows`, `rhs(q, w=None)` takes any B and the (B,) workloads when
-    the caller has them, and returns the field in a new array, with the bits
-    of the prepared call.
+    Numpy hands a product with a single row or column to gemv, whose bits for
+    a row depend on the batch; gemm's do not.  So products here have at least
+    b2 = max(B, 2) rows and n2 = max(N, 2) columns, padded with finite values.
+    With `rows`, `rhs(q, w, out)` is prepared for B = rows: it writes S(W e)
+    and q / W into a scratch array made here, the product's left operand,
+    and the (b2, n2) field into `out`, for (b2, n2) states (or (B, N) ones
+    when none is padded) and (b2,) workloads.  Without, `rhs(q, w=None)`
+    returns the (B, N) field in a new array, from the (B,) workloads if given.
     """
-    beta = cfg.beta
     if rows is None:
         def rhs_new(q: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-            if w is None:
-                w = np.dot(q, beta)
-            return _rhs_batch(cfg, len(q), in_s)(q, w[:, None], np.empty_like(q))
+            rows, n = q.shape
+            states, w_row = np.ones((max(rows, 2), max(n, 2))), np.ones(max(rows, 2))
+            states[:rows, :n], w_row[:rows] = q, np.dot(q, cfg.beta) if w is None else w
+            return _rhs_batch(cfg, rows, in_s)(states, w_row, np.empty_like(states))[:rows, :n]
 
         return rhs_new
 
-    # Arrays of the batch's shape, and 0-d arrays in place of Python floats,
-    # give the same bits as broadcasting (N,) vectors and floats, and numpy
-    # dispatches them faster on small batches; so does a positional `out`.
-    beta_rows = beta[None].repeat(rows, 0)
-    inflow = (cfg.b_dedicated * cfg.lam)[None].repeat(rows, 0)
-    lam_o = np.array(cfg.b_optimized * cfg.big_lambda)
-    v_mu = np.array(cfg.v * cfg.mu)
-    service = np.empty((rows, len(beta)))
-    fractions = _band_kernel(cfg.bands, cfg.type_dist, rows)
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    edges, matrix = cfg.kept(_field_matrix)
+    edge_col, n_edges = edges[:, None], len(edges)
+    scratch = np.empty((len(matrix), max(rows, 2)))
+    scratch[n_edges] = cfg.type_dist.cdf_sign
+    head, tail, lhs = scratch[:n_edges], scratch[n_edges + 1:], scratch.T
+    multiply, divide, dot, signed_cdf = np.multiply, np.divide, np.dot, cfg.type_dist.signed_cdf
 
-    def rhs(q: np.ndarray, w_col: np.ndarray, out: np.ndarray) -> np.ndarray:
-        fractions(w_col, out)
-        multiply(out, lam_o, out)
-        add(out, inflow, out)
-        multiply(beta_rows, q, service)
-        multiply(service, v_mu, service)
-        divide(service, w_col, service)
-        subtract(out, service, out)
+    def rhs(q: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        multiply(edge_col, w, head)
+        signed_cdf(head, head)
+        divide(q.T, w, tail)
+        dot(lhs, matrix, out)
         if in_s:
-            multiply(out, w_col, out)
+            multiply(out, w[:, None], out)
         return out
 
     return rhs
@@ -175,40 +177,53 @@ def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False):
     """Classical RK4 steps of size h for a (rows, N) batch of states, every
     stage computed in place in buffers made here once.
 
-    `step(qc, out)` writes qc + (h/6) (k1 + 2 k2 + 2 k3 + k4) into `out`,
-    in the operation order of that expression, for states qc whose
-    workloads the caller has written into row 0 of `stage_w`, returned
-    with it; rows 1-3 receive the other stages' workloads.  With `in_s`
-    each stage takes W times the field, dq/ds for dt/ds = W.  `resize(h)`
-    sets the size of the steps that follow, returned third.
+    `step(qc, out)` writes qc + (h/6) (k1 + 2 k2 + 2 k3 + k4) into `out` for
+    states qc whose workloads the caller has written into row 0 of
+    `stage_w`, returned with it; rows 1-3 receive the other stages'
+    workloads.  With `in_s` each stage takes W times the field, dq/ds for
+    dt/ds = W.  `resize(h)` sets the size of the steps that follow,
+    returned third.  Stage j is qc + a k_(j-1), a = h/2, h/2, h, with its
+    workloads one product with beta, and the node qc plus one product of
+    (k1, ..., k4) with (h/6) (1, 2, 2, 1).  Padded like the field's
+    (`_rhs_batch`), the products give a row the same bits in every batch.
     """
-    rhs, beta = _rhs_batch(cfg, rows, in_s), cfg.beta
-    k1, k2, k3, k4, stage = (np.empty((rows, len(beta))) for _ in range(5))
-    stage_w = np.empty((4, rows))
-    _, w2, w3, w4 = stage_w
-    c1, c2, c3, c4 = stage_w[:, :, None]  # the (rows, 1) columns the field takes
-    half, full, sixth, two = np.empty(()), np.empty(()), np.empty(()), np.array(2.0)
-    add, multiply, dot = np.add, np.multiply, np.dot
+    rhs, n = _rhs_batch(cfg, rows, in_s), cfg.n_exchanges
+    b2, n2 = max(rows, 2), max(n, 2)
+    padded = (b2, n2) != (rows, n)
+    k, stages = np.ones((2, 4, b2, n2))
+    (k1, k2, k3, k4), (q1, q2, q3, q4) = k, stages  # q1 holds qc when padded
+    (kc1, kc2, kc3, _), (s1, s2, s3, s4) = k[:, :rows, :n], stages[:, :rows, :n]
+    beta = np.pad(cfg.beta, (0, n2 - n))[None].repeat(2, 0)
+    stage_ws = np.ones((4, 2, b2))  # row 0 of each: its stage's workloads
+    (_, o2, o3, o4), (w1, w2, w3, w4) = stage_ws, stage_ws[:, 0]
+    flat, node = k.reshape(4, -1), np.empty((2, b2 * n2))
+    node_q = node[0].reshape(b2, n2)[:rows, :n]
+    weights, half, full = np.empty((2, 4)), np.empty(()), np.empty(())
+    add, multiply, dot, copyto = np.add, np.multiply, np.dot, np.copyto
 
     def resize(h):
-        half[()], full[()], sixth[()] = 0.5 * h, h, h / 6.0
+        half[()], full[()] = 0.5 * h, h
+        weights[:] = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
 
     resize(h)
 
     def step(qc, out):
-        rhs(qc, c1, k1)
-        dot(add(multiply(k1, half, stage), qc, stage), beta, w2)
-        rhs(stage, c2, k2)
-        dot(add(multiply(k2, half, stage), qc, stage), beta, w3)
-        rhs(stage, c3, k3)
-        dot(add(multiply(k3, full, stage), qc, stage), beta, w4)
-        rhs(stage, c4, k4)
-        add(multiply(k2, two, k2), k1, k2)
-        add(k2, multiply(k3, two, k3), k2)
-        add(k2, k4, k2)
-        add(multiply(k2, sixth, k2), qc, out)
+        if padded:
+            copyto(s1, qc)
+        rhs(q1 if padded else qc, w1, k1)
+        add(multiply(kc1, half, s2), qc, s2)
+        dot(beta, q2.T, o2)
+        rhs(q2, w2, k2)
+        add(multiply(kc2, half, s3), qc, s3)
+        dot(beta, q3.T, o3)
+        rhs(q3, w3, k3)
+        add(multiply(kc3, full, s4), qc, s4)
+        dot(beta, q4.T, o4)
+        rhs(q4, w4, k4)
+        dot(weights, flat, node)
+        add(node_q, qc, out)
 
-    return step, stage_w, resize
+    return step, stage_ws[:, 0, :rows], resize
 
 
 @dataclass
@@ -242,17 +257,11 @@ def _integrate_batch(
     history.  Failed rows stay in the batch: a matmul over a subset of rows
     can differ from the full product in its last bits.
 
-    Buffers: everything batch-shaped is made once per call, and the steps
-    compute in place.  k1-k4, the stage and its workload, and the field's
-    scratch (`_rhs_batch` with `rows`) are overwritten by every stage.  The
-    state lives in two arrays that swap roles each step: the step writes
-    the new state, and the old one becomes the next step's output.  Its
-    workload lives in row 0 of the step's `stage_w`, where the step reads
-    it; each step's new workload goes to a scratch array first and is
-    copied there once the checks have frozen the failed rows.  Nothing
-    returned aliases them except `terminal`, the last state, taken when the
-    steps end; the histories and `min_workload` are fresh arrays, each row
-    a copy.
+    Buffers, made once per call: the step's (`_rk4`), and two state arrays
+    that swap roles each step, the old becoming the next step's output.  The
+    state's workload is copied into row 0 of the step's `stage_w` once the
+    checks have frozen the failed rows.  Only `terminal`, the last state,
+    aliases them; the histories and `min_workload` are fresh arrays.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
@@ -365,9 +374,9 @@ def _integrate_s(
     cfg: ModelConfig, q0: np.ndarray, horizon: float, h_max: float, floor: float
 ) -> tuple[_BatchResult, int, float]:
     """Classical RK4 for one trajectory in steps of the time s, with
-    dq/ds = W f(q) and dt/ds = W, f the fluid field `_rhs_batch`, up to
-    t = horizon; return the run, the RK4 steps that ran off its path and the
-    largest gap that accepted a step.
+    dq/ds = W f(q) and dt/ds = W, up to t = horizon; return the run (a
+    one-row `_BatchResult`, its nodes non-uniform in t), the RK4 steps that
+    ran off its path and the largest gap that accepted a step.
 
     Each trial takes one step h and two steps h/2 from the last node.  Their
     max-norm gap in (q, t), over 15, estimates the local error of the halves
@@ -378,12 +387,9 @@ def _integrate_s(
     which each step advances by its RK4 mean of W times h over the horizon,
     so that neither a tiny horizon nor a tiny h loses it.  A node that would
     reach the horizon is replaced by one RK4 step in t from the node before
-    it, so the run ends at `times[-1] == horizon`.
-
-    The result is a one-row `_BatchResult` whose nodes are non-uniform in t.
-    A failure (floor breach, negative undershoot, or a step that does not
-    advance t) ends the run at the last good state.  A run that takes
-    `_MAX_GRID` RK4 steps raises IntegrationError.
+    it, so the run ends at `times[-1] == horizon`.  A failure (floor breach,
+    negative undershoot, or a step that does not advance t) ends the run at
+    the last good state; `_MAX_GRID` RK4 steps raise IntegrationError.
     """
     beta = cfg.beta
     rk4, stage_w, resize = _rk4(cfg, 1, h_max, in_s=True)

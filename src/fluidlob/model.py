@@ -2,8 +2,8 @@
 and the routing bands.
 
 All types are immutable after construction (arrays are marked read-only).  A
-ModelConfig computes its routing bands on first use of `bands` and keeps
-them, so the bands are derived, and an empty band reported, once per config.
+ModelConfig derives its bands (`bands`) and other operands (`kept`) on first
+use and keeps them, so each is derived, and an empty band reported, once.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def _number(value, key: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{key}: must be finite") from None
 
 
 def _frozen(x, dtype=float) -> np.ndarray:
@@ -242,8 +244,8 @@ class DeterministicSize:
     kind = "deterministic"
 
     def __post_init__(self):
-        if not _positive_int(self.value):
-            raise ConfigError("size.value: must be a positive integer")
+        if not (_positive_int(self.value) and self.value < 2**63):  # the draws are int64
+            raise ConfigError("size.value: must be a positive integer below 2**63")
         object.__setattr__(self, "value", int(self.value))
 
     @property
@@ -358,6 +360,8 @@ class ModelConfig:
                 arr = _frozen(getattr(self, name))
             except (TypeError, ValueError):
                 raise ConfigError(f"{key}: entries must be numbers") from None
+            except OverflowError:  # an integer beyond the float range
+                raise ConfigError(f"{key}: must be finite") from None
             if arr.shape != (self.n_exchanges,):
                 raise ConfigError(f"{key}: expected {self.n_exchanges} entries")
             object.__setattr__(self, name, arr)
@@ -407,6 +411,11 @@ class ModelConfig:
         `dataclasses.replace` builds a new config, which computes its own.
         """
         return compute_bands(self)
+
+    def kept(self, make):
+        """`make(self)`, made on the first call with this `make` and kept, as `bands` is."""
+        kept = self.__dict__.setdefault("_kept", {})
+        return kept[make] if make in kept else kept.setdefault(make, make(self))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +524,7 @@ def _type_dist_from_dict(d, key: str) -> TypeDistribution:
         raise ConfigError(f"{key}: missing field {exc}") from None
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:  # non-numeric grid entries
+    except (TypeError, ValueError, OverflowError) as exc:  # non-numeric or too large grid entries
         raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"{key}.kind: unknown type distribution '{kind}' (one of {sorted(_TYPE_KINDS)})")
 
@@ -536,7 +545,7 @@ def _size_dist_from_dict(d, key: str) -> SizeDistribution:
     except ConfigError as exc:
         # The size classes name their fields "size.<field>"; name the config key.
         raise ConfigError(key + str(exc).removeprefix("size")) from None
-    except (TypeError, ValueError) as exc:  # non-numeric support or probabilities
+    except (TypeError, ValueError, OverflowError) as exc:  # non-numeric or too large entries
         raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"{key}.kind: unknown size distribution '{kind}' (one of {sorted(_SIZE_KINDS)})")
 

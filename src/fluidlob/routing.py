@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError
-from .model import ModelConfig, RoutingBands, TypeDistribution
+from .model import ModelConfig
 
 __all__ = [
     "QueueState",
@@ -91,48 +91,32 @@ def route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
     return _router(cfg)(gamma, state.q.tolist(), state.workload)
 
 
-def _band_kernel(bands: RoutingBands, tdist: TypeDistribution, rows: int):
-    """The routing fractions F(w a_plus) - F(w a_minus) prepared for batches
-    of `rows` workloads w > 0, for `chi` and the fluid field:
-    `fractions(w_col, out)` takes the workloads as a (rows, 1) column and
-    writes the (rows, N) venue fractions into `out`, which it returns.
-
-    One `signed_cdf` call covers both edges (`bands.edges`), and `cdf_sign`
-    orders the difference; the bits are those of the difference of `cdf`s.
-    An infinite edge gives F(inf) = 1, so the top band takes
-    1 - F(w a_minus) and an empty band, both of whose edges are infinite,
-    exactly 0.  Not defined at w <= 0, where the top fraction is not
-    1 - F(w a_minus) (it is 0 * inf, NaN, at w = 0).
-
-    Buffers: `bands.edges` tiled to (rows, 2N) and a scratch array for the
-    edge products and their `signed_cdf` are made here once; a call writes
-    into no array but that scratch and `out`.
+def _fractions(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The band formula as one product, kept on the config for `chi` and the
+    fluid field: chi_1..N(W) = S(W [e, inf]) @ D for W in (0, inf), S the
+    type's `signed_cdf`, whose value at inf is `cdf_sign`, and e the edges of
+    `bands.edges` short of +inf.  D = cdf_sign (U - L), U and L marking each
+    venue's upper and lower edge; an edge at +inf marks the last row, where
+    an empty band's two cancel.  Each column of D holds at most two nonzero
+    entries, +-1, so each fraction has the bits of F(W a_plus) - F(W a_minus);
+    a NaN edge (a NaN floor in `compute_bands`) makes every fraction NaN.
     """
-    n, signed_cdf = len(bands.a_minus), tdist.signed_cdf
-    edges = bands.edges[None].repeat(rows, 0)
-    products = np.empty((rows, 2 * n))
-    upper, lower = products[:, n:], products[:, :n]
-    if tdist.cdf_sign < 0:  # F(w a_plus) - F(w a_minus) = -F(w a_minus) - (-F(w a_plus))
-        upper, lower = lower, upper
-    multiply, subtract = np.multiply, np.subtract
-
-    def fractions(w_col: np.ndarray, out: np.ndarray) -> np.ndarray:
-        multiply(w_col, edges, products)
-        signed_cdf(products, products)
-        return subtract(upper, lower, out)
-
-    return fractions
+    edges, sign, eye = cfg.bands.edges, cfg.type_dist.cdf_sign, np.eye(cfg.n_exchanges)
+    below = edges != math.inf  # a NaN edge stays, and gives a NaN fraction
+    marks = np.concatenate((eye * -sign, eye * sign)) + 0.0  # one row per edge; + 0.0 clears -0.0
+    return edges[below], np.concatenate((marks[below], marks[~below].sum(axis=0, keepdims=True)))
 
 
 def chi(cfg: ModelConfig, w: float) -> np.ndarray:
     """Routing fractions (chi_0, chi_1, ..., chi_N) at workload w in (0, inf),
-    index 0 first.  Components lie in [0, 1] and sum to 1.
-    """
+    index 0 first.  Components lie in [0, 1] and sum to 1."""
     if not 0 < w < math.inf:
         raise ValueError("chi is defined for workloads in (0, inf)")
+    edges, signs = cfg.kept(_fractions)
+    cdf = np.full(len(signs), float(cfg.type_dist.cdf_sign))
+    cfg.type_dist.signed_cdf(np.multiply(edges, w, cdf[:-1]), cdf[:-1])
     fractions = np.empty(cfg.n_exchanges + 1)
-    venues = fractions[1:]
-    _band_kernel(cfg.bands, cfg.type_dist, 1)(np.array(w, dtype=float, ndmin=2), venues[None])
+    venues = np.dot(cdf, signs, fractions[1:])
     fractions[0] = min(max(1.0 - float(venues.sum()), 0.0), 1.0)
     return fractions
 

@@ -28,7 +28,7 @@ from fluidlob import (
 )
 from fluidlob.errors import AssumptionError, IntegrationError, SingularityError
 from fluidlob.fluid import _CLIP_TOL, _FLOOR_FACTOR, _BatchResult
-from fluidlob.routing import _band_kernel, _router
+from fluidlob.routing import _router
 from fluidlob.sim import _sample_grid, _stream_generator
 from fluidlob.stability import (
     STABILITY_TOL,
@@ -125,15 +125,6 @@ def numpy_route(cfg: ModelConfig, gamma: float, state: QueueState) -> int:
     return int(ties[np.argmax(all_rebates[ties])])
 
 
-def band_chi(bands, tdist, w) -> np.ndarray:
-    """The venue fractions of `_band_kernel` at a scalar or an array of
-    workloads, one row of N fractions per workload, in a new array."""
-    w = np.asarray(w, dtype=float)
-    n = len(bands.a_minus)
-    venues = _band_kernel(bands, tdist, w.size)(w.reshape(-1, 1), np.empty((w.size, n)))
-    return venues.reshape(*w.shape, n)
-
-
 def two_cdf_band_chi(bands, tdist, w) -> np.ndarray:
     """The band formula with one `cdf` call per edge and `np.clip`, as the
     routing fractions were computed before the fused edge vector."""
@@ -145,48 +136,108 @@ def two_cdf_band_chi(bands, tdist, w) -> np.ndarray:
     return np.clip(hi - lo, 0.0, 1.0)
 
 
-def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray, bands=None) -> np.ndarray:
-    """The batched drift with every constant formed per call and the two-cdf
-    band formula, in the operation order of the integrator's field."""
+def two_cdf_rhs(cfg: ModelConfig, q: np.ndarray) -> np.ndarray:
+    """The batched drift as the expression b_d lam + b_o Lambda chi(W) -
+    v mu beta q / W, term by term with the two-cdf band formula: the
+    operation order of the field before it became one matrix product."""
     w = q @ cfg.beta
-    chi_v = two_cdf_band_chi(bands or compute_bands(cfg), cfg.type_dist, w)
+    chi_v = two_cdf_band_chi(cfg.bands, cfg.type_dist, w)
     service = (cfg.v * cfg.mu) * (cfg.beta * q) / w[:, None]
     return cfg.b_dedicated * cfg.lam + (cfg.b_optimized * cfg.big_lambda) * chi_v - service
 
 
-def oracle_rk4_step(cfg, qc, h, bands=None, *, in_s=False):
+def loop_field_operands(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The field's operands one band edge at a time: the edges other than
+    +inf, in the order of `bands.edges`, and the matrix M of
+    `fluid._field_matrix`, padded to two columns."""
+    n, sign = cfg.n_exchanges, cfg.type_dist.cdf_sign
+    edges = [e for e in cfg.bands.edges.tolist() if e != math.inf]
+    const, n2 = len(edges), max(n, 2)
+    matrix = np.zeros((const + 1 + n2, n2))
+    row = 0
+    for j, e in enumerate(cfg.bands.edges.tolist()):
+        venue, side = (j, -sign) if j < n else (j - n, sign)  # a_minus, then a_plus
+        at = const if e == math.inf else row
+        row += e != math.inf
+        matrix[at, venue] += side * (cfg.b_optimized * cfg.big_lambda)
+    for i in range(n):
+        matrix[const, i] += sign * (cfg.b_dedicated[i] * cfg.lam[i])
+        matrix[const + 1 + i, i] = -(cfg.v * cfg.mu) * cfg.beta[i]
+    return np.array(edges), matrix
+
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """The (B, N) `x` in the corner of a (max(B, 2), max(N, 2)) array of
+    ones: numpy hands a product with a single row or column to gemv, whose
+    bits depend on the batch, and the kernel pads its products so."""
+    rows, n = x.shape
+    out = np.ones((max(rows, 2), max(n, 2)))
+    out[:rows, :n] = x
+    return out
+
+
+def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray, w=None) -> np.ndarray:
+    """The batched drift in the integrator's operation order, every operand
+    formed per call from `loop_field_operands`: one product
+    [S(W e), S(inf), q / W] @ M, S the type's `signed_cdf`, at the
+    workloads `w` (q @ beta by default)."""
+    q = np.asarray(q, dtype=float)
+    rows, n = q.shape
+    w = q @ cfg.beta if w is None else w
+    edges, matrix = loop_field_operands(cfg)
+    w_row = _padded(np.asarray(w)[None, :])[0]
+    lhs = np.concatenate((
+        cfg.type_dist.signed_cdf(edges[:, None] * w_row),
+        np.full((1, len(w_row)), float(cfg.type_dist.cdf_sign)),
+        _padded(q).T / w_row,
+    ))
+    return np.dot(lhs.T, matrix)[:rows, :n]
+
+
+def oracle_rk4_step(cfg, qc, h, *, in_s=False):
     """One classical RK4 step of size h from the (B, N) states qc, with the
-    field as one expression (`unhoisted_rhs`), times W in s (`in_s`), and
-    every stage formed anew; returns the new states and the (4, B) stage
-    workloads."""
-    bands = bands or compute_bands(cfg)
+    field as one product (`unhoisted_rhs`), times W in s (`in_s`), and
+    every stage formed anew: stage j is qc + a k_(j-1), its workloads one
+    product with beta, and the node qc plus one product of (k1, ..., k4)
+    with (h/6) (1, 2, 2, 1), each product padded as the kernel's are.
+    Returns the new states and the (4, B) stage workloads, the first
+    qc @ beta."""
+    rows, n = qc.shape
+    beta = np.zeros((2, max(n, 2)))
+    beta[:, :n] = cfg.beta
     stage_w = []
 
-    def field(q):
-        w = q @ cfg.beta
+    def field(q, w):
         stage_w.append(w)
-        f = unhoisted_rhs(cfg, q, bands)
+        f = unhoisted_rhs(cfg, q, w)
         return f * w[:, None] if in_s else f
 
-    k1 = field(qc)
-    k2 = field(qc + 0.5 * h * k1)
-    k3 = field(qc + 0.5 * h * k2)
-    k4 = field(qc + h * k3)
-    return qc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), np.array(stage_w)
+    def workload(q):
+        return np.dot(beta, _padded(q).T)[0, :rows]
+
+    k1 = field(qc, qc @ cfg.beta)
+    q2 = qc + 0.5 * h * k1
+    k2 = field(q2, workload(q2))
+    q3 = qc + 0.5 * h * k2
+    k3 = field(q3, workload(q3))
+    q4 = qc + h * k3
+    k4 = field(q4, workload(q4))
+    weights = np.tile((h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0]), (2, 1))
+    ks = np.stack([_padded(k) for k in (k1, k2, k3, k4)])
+    node = np.dot(weights, ks.reshape(4, -1))[0].reshape(ks.shape[1:])[:rows, :n]
+    return qc + node, np.array(stage_w)
 
 
 def oracle_integrate_batch(
     cfg, q0s, horizon, dt, kappas, *, store_states=False, on_error="raise"
 ):
-    """Classical RK4 over a batch, step for step as `_integrate_batch` ran it
-    before its lean kernel: a fresh `q @ beta` for every k1, per-trajectory
-    masks for every check, `np.clip` for the undershoot, and the field as one
-    expression (`unhoisted_rhs`).  The grid has the fewest uniform steps no
+    """Classical RK4 over a batch, step for step as `_integrate_batch` runs
+    it, without its buffers: a fresh `q @ beta` for every k1, per-trajectory
+    masks for every check, `np.clip` for the undershoot, and each step
+    formed anew (`oracle_rk4_step`).  The grid has the fewest uniform steps no
     longer than `dt`; with on_error="raise" the first failure raises."""
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
-    bands = compute_bands(cfg)
-
     n_steps = max(1, math.ceil(horizon / dt - 1e-12))
     dt = horizon / n_steps
     floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
@@ -224,7 +275,7 @@ def oracle_integrate_batch(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(1, n_steps + 1):
-            q_new, _ = oracle_rk4_step(cfg, q, dt, bands)
+            q_new, _ = oracle_rk4_step(cfg, q, dt)
             low = np.min(q_new, axis=1)
             bad = alive & ~(low >= -_CLIP_TOL)
             if bad.any():
@@ -588,7 +639,7 @@ def scan_grid(cfg: ModelConfig) -> np.ndarray:
 
 def loop_stationarity_gap(cfg: ModelConfig, bands, w: float) -> float:
     """Inflow minus service at one workload, from the band fractions."""
-    total_chi = float(band_chi(bands, cfg.type_dist, w).sum())
+    total_chi = float(two_cdf_band_chi(bands, cfg.type_dist, w).sum())
     return float(
         cfg.b_dedicated @ cfg.lam
         + cfg.b_optimized * cfg.big_lambda * total_chi

@@ -397,6 +397,32 @@ def test_bad_config_value_is_validation_error_naming_key(tmp_path, capsys, chang
     assert capsys.readouterr().err.startswith(f"error: {named}:")
 
 
+_HUGE = 10**400  # an integer JSON literal beyond the float range
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"mu": _HUGE}, "mu"),
+        ({"beta": [_HUGE, 1.0]}, "beta"),
+        ({"type_dist": {"kind": "exponential", "rate": _HUGE}}, "type_dist.rate"),
+        ({"type_dist": {"kind": "tabulated", "gamma": [0, _HUGE], "cdf": [0, 1]}}, "type_dist"),
+        ({"size_dists": {**ref1_dict()["size_dists"], "market": {"kind": "geometric", "p": _HUGE}}},
+         "size_dists.market.p"),
+        ({"size_dists": {**ref1_dict()["size_dists"], "market": {"kind": "deterministic", "value": _HUGE}}},
+         "size_dists.market.value"),
+    ],
+    ids=["mu", "beta", "type-rate", "type-grid", "size-p", "size-value"],
+)
+def test_integer_beyond_the_float_range_names_its_key(tmp_path, capsys, change, named):
+    cfg = json.loads((FIXTURES / "ref1.json").read_text())
+    cfg.update(change)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", str(path), "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}:")
+
+
 def test_run_rejects_unknown_command(tmp_path):
     with pytest.raises(ConfigError, match="^command: unknown 'nope'$"):
         run("nope", REF1, {"outdir": str(tmp_path)})

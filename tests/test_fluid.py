@@ -11,22 +11,26 @@ from fluidlob import (
     QueueState,
     SingularityError,
     StepInstabilityError,
+    chi,
+    config_from_dict,
     fluid_rhs,
     integrate,
     solve_equilibrium,
 )
 from fluidlob import compute_kappa, solve_workload_star
-from fluidlob import fluid
+from fluidlob import fluid, routing
 from fluidlob.fluid import _SELECT_TOL, _failure, _integrate_batch, _rhs_batch, _step_count
 
 from helpers import (
     assert_bitwise,
+    config_dicts,
     loop_stationarity_gap,
     make_config,
     oracle_integrate_batch,
     oracle_rk4_step,
     random_positive_state,
     random_stable_config,
+    two_cdf_rhs,
     unhoisted_rhs,
 )
 
@@ -54,6 +58,28 @@ def test_rhs_ref2(ref2):
     got = fluid_rhs(ref2, QueueState.of(ref2, [1.0, 1.0, 1.0]))
     assert got[2] == pytest.approx(0.2 + math.exp(-0.75) - 1 / 3, abs=1e-14)
     assert got[2] == pytest.approx(0.33903, abs=1e-5)
+
+
+def test_operands_are_made_once_per_config_on_first_use(monkeypatch):
+    # Loading makes none; chi and the field share the band operands, and
+    # `dataclasses.replace` builds a config that makes its own.
+    made, real = [], routing._fractions
+
+    def counted(cfg):
+        made.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(routing, "_fractions", counted)
+    monkeypatch.setattr(fluid, "_fractions", counted)
+    cfg = make_config()
+    assert "_kept" not in vars(cfg)
+    for _ in range(3):
+        chi(cfg, 1.3)
+        fluid_rhs(cfg, QueueState.of(cfg, [1.0, 1.0]))
+    assert made == [cfg]
+    other = dataclasses.replace(cfg)
+    chi(other, 1.3)
+    assert made == [cfg, other] and made[1] is other
 
 
 def test_rhs_rejects_zero_workload(ref1):
@@ -472,6 +498,58 @@ def test_hoisted_rhs_is_bitwise_the_unhoisted_field(ref1, ref2, rng):
         for rows in (1, 7):
             q = np.array([random_positive_state(rng, cfg) for _ in range(rows)])
             assert_bitwise(rhs(q), unhoisted_rhs(cfg, q))
+
+
+# The field as one product against the term-by-term expression it replaced
+# (`two_cdf_rhs`).  Each rounds an entry a few times, so the two agree to
+# within 4 eps times the entry's scale, which bounds its terms' magnitudes:
+# b_d lam_i + 2 b_o Lambda + v mu beta_i q_i / W.  The largest gap over 3000
+# generated configs (most with an empty band) and 7 states each was 1.75.
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(config_dicts(n_max=12), st.integers(0, 2**32 - 1))
+def test_field_product_is_within_ulps_of_the_term_by_term_field(d, seed):
+    cfg = config_from_dict(d)
+    gen = np.random.default_rng(seed)
+    n = cfg.n_exchanges
+    q = gen.uniform(0.0, 5.0, (7, n)) * gen.choice([0.0, 1e-3, 1.0, 1e3], (7, n))
+    q[:, 0] += 0.01  # every workload positive
+    w = q @ cfg.beta
+    scale = (
+        cfg.b_dedicated * cfg.lam
+        + 2.0 * cfg.b_optimized * cfg.big_lambda
+        + (cfg.v * cfg.mu) * cfg.beta * q / w[:, None]
+    )
+    with np.errstate(over="ignore"):  # the two-cdf form meets an empty band's huge edges
+        old = two_cdf_rhs(cfg, q)
+    gap = np.abs(_rhs_batch(cfg)(q) - old)
+    assert np.all(gap <= 4.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("in_s", [False, True])
+def test_a_rows_step_has_the_same_bits_in_every_batch(ref1, ref2, rng, in_s):
+    # Numpy hands a product with a single row or column to gemv, whose bits
+    # for a row depend on the batch, so the kernel pads its products to two
+    # of each; gemm's bits for a row do not depend on the rows beside it.
+    # The configs cover N = 1, 2, 3 and 12 and every type kind.
+    one = make_config(n_exchanges=1, beta=[1.5], **{"lambda": [0.3]}, rebates=[1.0], b_dedicated=[1.0])
+    half_normal = make_config(type_dist={"kind": "half-normal", "sigma": 1.3})
+    tabulated = make_config(
+        type_dist={"kind": "tabulated", "gamma": [0.0, 1.0, 3.0], "cdf": [0.0, 0.6, 1.0]}
+    )
+    cfgs = [ref1, ref2, one, half_normal, tabulated, random_stable_config(rng, n=12)]
+    for cfg in cfgs:
+        q = np.array([random_positive_state(rng, cfg) for _ in range(64)])
+        w = q @ cfg.beta
+        want, want_w = None, None
+        for rows in (64, 50, 32, 2, 1):
+            step, stage_w, _ = fluid._rk4(cfg, rows, 0.05, in_s=in_s)
+            stage_w[0] = w[:rows]
+            out = np.empty((rows, cfg.n_exchanges))
+            step(q[:rows], out)
+            if want is None:
+                want, want_w = out, stage_w.copy()
+            assert_bitwise(out, want[:rows])
+            assert_bitwise(stage_w, want_w[:, :rows])
 
 
 def test_recorded_floor_breach_freezes_only_that_trajectory(ref1):

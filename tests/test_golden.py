@@ -28,23 +28,23 @@ SIM_RNG_FINGERPRINT = {
 # `fluid ref1 --T 2` at the explicit step 1e-3 (2001 rows) and at the
 # steps in s (80 rows, non-uniform in t).
 FLUID_REF1_CSV_SHA256 = "c53032f59dde9f2778eb142d17683e774267a517926878c07647f6655c699892"
-FLUID_REF1_SELECTED_CSV_SHA256 = "9736c8a5c7396c5d58f1e44e64057e3e943a2a362b68f420c297f26f91de96e7"
+FLUID_REF1_SELECTED_CSV_SHA256 = "854d24a5c2c1dcc10b08283c3210f46eb4e4ada78ab2f95a2e3ef9b2634748ad"
 # Batched RK4 (B = 32 and B = 50 trajectories) behind the stability experiments.
 STABILITY_RUNS = {
     "local": (
         ["stability-local", "ref1", "--deltas", "0.01,0.1", "--T", "100", "--dt", "0.1"],
         "stability_local_ref1",
         {
-            "json": "062dd893c904aca4b8c14e54eb0f92162584305546b3087ff31353cdda8b25ef",
-            "csv": "dc39836646829b6ef15b5242241078c28a6eaa8c7785a4ce5f61b7e34a66f46a",
+            "json": "43bbf073c415e8fd519c7a9f8087d9195e76468b3c68498f97b9b491f693d8ba",
+            "csv": "07d12584a3c45a38f112bd8276a6494813c02e2c4d7c89859785eb7d4ac2ef6b",
         },
     ),
     "global": (
         ["stability-global", "ref2", "--inits", "50", "--T", "150", "--dt", "0.1"],
         "stability_global_ref2",
         {
-            "json": "1b29c02e8823f25a222f284df1e8eaa8e984a1e4dbee9d404079e9006ec7d843",
-            "csv": "4731e07f26f46917b48b545f9dc15ecfcba734070504c8e11cc89f36a5dd5159",
+            "json": "1aa478ef8ac56640240546273cd5b696e8ce50eb5ad6e8b40ac2eb443221290c",
+            "csv": "c8db23158141e10940292a09ec58edcd0e09ef83fcc1eae340934c87af1d225e",
         },
     ),
 }
@@ -52,7 +52,7 @@ STABILITY_RUNS = {
 REPORT_JSON_SHA256 = {
     ("check", "ref1"): "90c098580e6e4105e2cbad9976864591061715946d6f60d76b92192daa01edb0",
     ("check", "ref2"): "62a17881692003a2fddf20255f3a7d8422a4f285322101e8edddce777c9f8405",
-    ("equilibrium", "ref1"): "b5c2e21873151579ee25d388653f028d9c48637af482421354aa42e1872b8802",
+    ("equilibrium", "ref1"): "b4fe937f1de46e146e09d0e1ef9a8e2465435e954b699c4f5ae59572b44d1d64",
     ("equilibrium", "ref2"): "2c6cb773d67e88594bad26fa402e8c7565419e7c27427f0c0266be1721054601",
     ("spectrum", "ref1"): "8501dba59082f919d9ecb9a24b241cbed61b82f4fded48bf05b783f3b3f441c6",
     ("spectrum", "ref2"): "8f6ea765d988d80fb30de7216869cb2f1ed6a29af191e9998a9cdacccb8870af",

@@ -22,7 +22,6 @@ from fluidlob.routing import _router
 from helpers import (
     FIXTURES,
     assert_bitwise,
-    band_chi,
     brute_force_route,
     config_dicts,
     make_config,
@@ -106,11 +105,20 @@ def test_fused_band_chi_is_bitwise_the_two_cdf_form(ref1, ref2, rng):
     kinds = {type(cfg.type_dist).__name__ for cfg in cfgs}
     assert kinds == {"ExponentialType", "HalfNormalType", "TabulatedType"}
     for cfg in cfgs:
-        bands = compute_bands(cfg)
         grid = np.geomspace(1e-6, 1e6, 97)
-        workloads = [1.7, grid, rng.uniform(0.01, 20.0, (9, cfg.n_exchanges))]
-        for w in workloads:
-            assert_bitwise(band_chi(bands, cfg.type_dist, w), two_cdf_band_chi(bands, cfg.type_dist, w))
+        workloads = np.concatenate(([1.7], grid, rng.uniform(0.01, 20.0, 9 * cfg.n_exchanges)))
+        got = np.array([chi(cfg, w)[1:] for w in workloads])
+        assert_bitwise(got, two_cdf_band_chi(cfg.bands, cfg.type_dist, workloads))
+
+
+def test_a_nan_band_edge_makes_every_fraction_nan():
+    # A NaN floor (1 / (mu beta v) = inf over r - rebate0 = inf) leaves a NaN
+    # lower edge on a config that loads; its NaN reaches every column of
+    # the band product, where the two-cdf form kept the empty band's 0.
+    cfg = make_config(beta=[1.0, 3.0], mu=5e-324, rebates=[1e308, 0.0], rebate0=-1e308)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 / (mu beta v) = inf
+        assert np.isnan(cfg.bands.edges[0])
+    assert np.isnan(chi(cfg, 1.0)).all()
 
 
 @st.composite

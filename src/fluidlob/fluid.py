@@ -1,18 +1,20 @@
 """Fluid vector field and RK4 integration of the coupled ODE system.
 
 The field f(q) = b_d lam + b_o Lambda chi(W) - v mu beta q / W is singular
-where the workload W vanishes.  Without a given step, `integrate` therefore
-runs RK4 in the time s with dt/ds = W (Sundman, *Acta Math.* 1912; Hairer,
+where the workload W vanishes.  Without a given step, a run therefore steps
+RK4 in the time s with dt/ds = W (Sundman, *Acta Math.* 1912; Hairer,
 Lubich & Wanner, *Geometric Numerical Integration*, section VIII.2), where
 the field W f has no singularity: the term that relaxes the venue split at
 rate v mu beta_i / W becomes a linear decay.  Step doubling (Richardson;
 Hairer, Norsett & Wanner, *Solving ODEs I*, section II.4) picks each s step,
 so a slow start near the origin takes small steps only while it lasts; the
-nodes are non-uniform in t, and the last step is cut to end at the horizon.
-A given step `dt` runs uniform RK4 steps in t, one trajectory or the
-stability experiments' batch, and step doubling over the whole run checks
-it on request.  Both take the same in-place RK4 step (`_rk4`); each stage
-evaluates the field as one matrix product (`_rhs_batch`), times W in s.
+nodes are non-uniform in t, and the last step is one step in t that ends at
+the horizon.  A given step `dt` runs uniform RK4 steps in t, and step
+doubling over the whole run checks it on request.  One driver
+(`_integrate_batch`) serves both rules, for one trajectory (`integrate`) or
+the stability experiments' batch, whose rows share the s step; every step
+is the same in-place RK4 step (`_rk4`), and each stage evaluates the field
+as one matrix product (`_rhs_batch`), times W in s.
 
 Integration aborts a trajectory whose workload falls below a fraction of
 the proven lower bound kappa (a bug or a violated assumption, not physics),
@@ -58,8 +60,13 @@ _LOCAL_TOL = 1e-12
 _FAILURES = {"floor": SingularityError, "negative": IntegrationError}
 
 
-def _step_count(horizon: float, dt: float) -> int:
-    """The fewest uniform steps over the horizon no longer than `dt`."""
+def _step_count(horizon: float, dt: float | None) -> int | None:
+    """The fewest uniform steps over the horizon no longer than `dt`, or None
+    without `dt`, for steps in s; a ParameterError names a bad horizon or dt."""
+    if not 0 < horizon < math.inf:
+        raise ParameterError("horizon: must be positive and finite")
+    if dt is None:
+        return None
     if not 0 < dt < math.inf:
         raise ParameterError("dt: must be positive and finite")
     if not horizon / dt < _MAX_GRID:
@@ -131,10 +138,10 @@ def _field_matrix(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     return edges, matrix
 
 
-def _rhs_batch(cfg: ModelConfig, rows: int | None = None, in_s: bool = False):
+def _rhs_batch(cfg: ModelConfig, rows: int | None = None):
     """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W of
     (B, N) states with workloads W = q @ beta > 0, as one product with the
-    kept `_field_matrix`; with `in_s`, times W (dq/ds for dt/ds = W).
+    kept `_field_matrix`.
 
     Numpy hands a product with a single row or column to gemv, whose bits for
     a row depend on the batch; gemm's do not.  So products here have at least
@@ -142,7 +149,8 @@ def _rhs_batch(cfg: ModelConfig, rows: int | None = None, in_s: bool = False):
     With `rows`, `rhs(q, w, out)` is prepared for B = rows: it writes S(W e)
     and q / W into a scratch array made here, the product's left operand,
     and the (b2, n2) field into `out`, for (b2, n2) states (or (B, N) ones
-    when none is padded) and (b2,) workloads.  Without, `rhs(q, w=None)`
+    when none is padded) and (b2,) workloads, times the (b2, 1) `scale` if
+    given (W in s, dq/ds for dt/ds = W).  Without, `rhs(q, w=None)`
     returns the (B, N) field in a new array, from the (B,) workloads if given.
     """
     if rows is None:
@@ -150,7 +158,7 @@ def _rhs_batch(cfg: ModelConfig, rows: int | None = None, in_s: bool = False):
             rows, n = q.shape
             states, w_row = np.ones((max(rows, 2), max(n, 2))), np.ones(max(rows, 2))
             states[:rows, :n], w_row[:rows] = q, np.dot(q, cfg.beta) if w is None else w
-            return _rhs_batch(cfg, rows, in_s)(states, w_row, np.empty_like(states))[:rows, :n]
+            return _rhs_batch(cfg, rows)(states, w_row, np.empty_like(states))[:rows, :n]
 
         return rhs_new
 
@@ -161,13 +169,13 @@ def _rhs_batch(cfg: ModelConfig, rows: int | None = None, in_s: bool = False):
     head, tail, lhs = scratch[:n_edges], scratch[n_edges + 1:], scratch.T
     multiply, divide, dot, signed_cdf = np.multiply, np.divide, np.dot, cfg.type_dist.signed_cdf
 
-    def rhs(q: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def rhs(q: np.ndarray, w: np.ndarray, out: np.ndarray, scale=None) -> np.ndarray:
         multiply(edge_col, w, head)
         signed_cdf(head, head)
         divide(q.T, w, tail)
         dot(lhs, matrix, out)
-        if in_s:
-            multiply(out, w[:, None], out)
+        if scale is not None:
+            multiply(out, scale, out)
         return out
 
     return rhs
@@ -187,39 +195,42 @@ def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False):
     (k1, ..., k4) with (h/6) (1, 2, 2, 1).  Padded like the field's
     (`_rhs_batch`), the products give a row the same bits in every batch.
     """
-    rhs, n = _rhs_batch(cfg, rows, in_s), cfg.n_exchanges
+    rhs, n = _rhs_batch(cfg, rows), cfg.n_exchanges
     b2, n2 = max(rows, 2), max(n, 2)
     padded = (b2, n2) != (rows, n)
     k, stages = np.ones((2, 4, b2, n2))
     (k1, k2, k3, k4), (q1, q2, q3, q4) = k, stages  # q1 holds qc when padded
     (kc1, kc2, kc3, _), (s1, s2, s3, s4) = k[:, :rows, :n], stages[:, :rows, :n]
-    beta = np.pad(cfg.beta, (0, n2 - n))[None].repeat(2, 0)
+    beta = np.zeros((2, n2))
+    beta[:, :n] = cfg.beta
     stage_ws = np.ones((4, 2, b2))  # row 0 of each: its stage's workloads
     (_, o2, o3, o4), (w1, w2, w3, w4) = stage_ws, stage_ws[:, 0]
+    c1, c2, c3, c4 = stage_ws[:, 0, :, None] if in_s else [None] * 4  # the factor W in s
     flat, node = k.reshape(4, -1), np.empty((2, b2 * n2))
     node_q = node[0].reshape(b2, n2)[:rows, :n]
-    weights, half, full = np.empty((2, 4)), np.empty(()), np.empty(())
+    sizes = np.empty(10)  # h/2, h and twice (h/6) (1, 2, 2, 1), set in one call
+    half, full, weights = sizes[:1].reshape(()), sizes[1:2].reshape(()), sizes[2:].reshape(2, 4)
     add, multiply, dot, copyto = np.add, np.multiply, np.dot, np.copyto
 
     def resize(h):
-        half[()], full[()] = 0.5 * h, h
-        weights[:] = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+        sixth, third = h / 6.0, h / 6.0 * 2.0
+        sizes[:] = (0.5 * h, h, sixth, third, third, sixth, sixth, third, third, sixth)
 
     resize(h)
 
     def step(qc, out):
         if padded:
             copyto(s1, qc)
-        rhs(q1 if padded else qc, w1, k1)
+        rhs(q1 if padded else qc, w1, k1, c1)
         add(multiply(kc1, half, s2), qc, s2)
         dot(beta, q2.T, o2)
-        rhs(q2, w2, k2)
+        rhs(q2, w2, k2, c2)
         add(multiply(kc2, half, s3), qc, s3)
         dot(beta, q3.T, o3)
-        rhs(q3, w3, k3)
+        rhs(q3, w3, k3, c3)
         add(multiply(kc3, full, s4), qc, s4)
         dot(beta, q4.T, o4)
-        rhs(q4, w4, k4)
+        rhs(q4, w4, k4, c4)
         dot(weights, flat, node)
         add(node_q, qc, out)
 
@@ -228,122 +239,232 @@ def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False):
 
 @dataclass
 class _BatchResult:
-    times: np.ndarray             # (K+1,)
+    times: np.ndarray             # (K+1, B) node times, one column per row
     workload: np.ndarray          # (K+1, B)
     states: np.ndarray | None     # (K+1, B, N) when stored
     terminal: np.ndarray          # (B, N)
     min_workload: np.ndarray      # (B,)
     failed: np.ndarray            # (B,) bool
     fail_reason: list             # "floor", "negative" or None
-    fail_time: np.ndarray         # (B,) grid time of the failed step; NaN if none
+    fail_time: np.ndarray         # (B,) time of the failed node; NaN if none
     steps: int
+    pilot_steps: int              # RK4 steps taken beyond `steps`; 0 in t
+    max_gap: float                # largest gap that accepted an s step; 0.0 in t
 
 
 def _integrate_batch(
     cfg: ModelConfig,
     q0s: np.ndarray,
     horizon: float,
-    n_steps: int,
+    n_steps: int | None,
     kappas: np.ndarray,
     *,
     store_states: bool = False,
 ) -> _BatchResult:
-    """Classical RK4 over a batch of trajectories sharing one grid of
-    `n_steps` uniform steps.
+    """Classical RK4 over a batch of trajectories up to t = horizon, in
+    `n_steps` uniform steps in t or, with `n_steps=None`, in steps of s.
 
-    A trajectory that fails (floor breach or negative undershoot) is frozen
-    at its last good state, and the result records the reason and the time;
-    once every trajectory has failed, the frozen states fill the rest of the
-    history.  Failed rows stay in the batch: a matmul over a subset of rows
-    can differ from the full product in its last bits.
+    In s (dq/ds = W f(q), dt/ds = W) the batch shares one step h.  A trial
+    takes one step h and two of h/2 from the nodes; a row's max-norm gap in
+    (q, t) between the two, over 15, estimates the local error of the halves
+    (step doubling), and the trial is accepted, with both half-step nodes,
+    when that is at most `_LOCAL_TOL` times max(1, max|q|) on every running
+    row.  The next h is h min(4, max(0.2, 0.9 r^(1/5))), r the least tol /
+    err of a running row, at most h_max = 1 / (v mu max(beta)), the first h.
+    Each row carries its t as tau = t / horizon, which neither a tiny horizon
+    nor a tiny h loses; a node that would reach the horizon is replaced by
+    one RK4 step in t from the node before, and the row is done.  `_MAX_GRID`
+    RK4 steps raise IntegrationError.
 
-    Buffers, made once per call: the step's (`_rk4`), and two state arrays
-    that swap roles each step, the old becoming the next step's output.  The
-    state's workload is copied into row 0 of the step's `stage_w` once the
-    checks have frozen the failed rows.  Only `terminal`, the last state,
-    aliases them; the histories and `min_workload` are fresh arrays.
+    A row that fails (floor breach, negative undershoot, or in s a node that
+    does not advance t) is frozen at its last good state, with its reason
+    and time recorded; done and failed rows repeat their last node (in s its
+    time too).  Frozen rows stay in the batch: a matmul over a subset of
+    rows can differ from the full product in its last bits.  Buffers are
+    made once per call; only `terminal` aliases one.
     """
     q0s = np.asarray(q0s, dtype=float)
-    n_traj, _ = q0s.shape
-    dt = horizon / n_steps
+    n_traj, n = q0s.shape
     floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
-    floor_max = floor.max()
-    beta = cfg.beta
-
+    floor_max, beta, in_s = floor.max(), cfg.beta, n_steps is None
+    # h_max, the s time of the fastest linear decay -v mu beta_i q_i, keeps RK4
+    # inside its real stability interval, where the error estimate is blind.
+    h = 1.0 / (cfg.v * cfg.mu * beta.max()) if in_s else horizon / n_steps
     q = q0s.copy()
-    rk4, stage_w, _ = _rk4(cfg, n_traj, dt)
-    w = np.dot(q, beta, stage_w[0])  # the workload of q, where the step reads it
+    w = np.dot(q, beta)
     if np.any(w <= 0):
         raise ValueError("every initial state needs positive workload")
+    # W relaxes toward W*, so an s step advances t by at most about
+    # h_max max(W0, W*).
+    if in_s and not horizon / (h * max(w.max(), solve_workload_star(cfg))) < _MAX_GRID:
+        raise IntegrationError(f"horizon: the run would take {_MAX_GRID} steps or more")
+    rk4, stage_w, resize = _rk4(cfg, n_traj, h, in_s)
 
     alive = np.ones(n_traj, dtype=bool)
     all_alive = True  # until a trajectory fails, the freezes below are no-ops
     reasons: list = [None] * n_traj
     fail_time = np.full(n_traj, np.nan)
-    times = np.arange(n_steps + 1) * dt
-    times[-1] = horizon
-    w_hist = np.empty((n_steps + 1, n_traj))
-    w_hist[0] = w
-    q_hist = None
-    if store_states:
-        q_hist = np.empty((n_steps + 1, n_traj, q.shape[1]))
-        q_hist[0] = q
-    q_new, w_new = np.empty_like(q), np.empty_like(w)
-    dot, minimum, copyto = np.dot, np.minimum.reduce, np.copyto
+    dot, minimum, maximum, copyto = np.dot, np.minimum.reduce, np.maximum.reduce, np.copyto
+    all_of = np.logical_and.reduce
 
-    def fail(mask, message):
+    def fail(mask, message, when):
         nonlocal alive, all_alive
-        for idx in np.flatnonzero(mask):
-            reasons[idx] = message
-        fail_time[mask] = times[step]
-        alive = alive & ~mask
-        all_alive = False
+        if mask.any():
+            for idx in np.flatnonzero(mask):
+                reasons[idx] = message
+            copyto(fail_time, when, where=mask)
+            alive, all_alive = alive & ~mask, False
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(1, n_steps + 1):
-            rk4(q, q_new)
-            # Each check is one reduction over the batch; the per-trajectory
-            # masks run only when it finds an entry that may fail (NaN too).
-            # A strictly positive state is its own floor at 0.
-            low = minimum(q_new, None)
-            if not low > 0.0:
-                if not low >= -_CLIP_TOL:
-                    bad = alive & ~(np.min(q_new, axis=1) >= -_CLIP_TOL)
-                    if bad.any():
-                        fail(bad, "negative")
-                np.maximum(q_new, 0.0, out=q_new)  # what np.clip(q_new, 0.0, None) runs
+    if in_s:
+        h_max, ran, finish, running, all_running = h, 0, None, alive.copy(), True
+        # Rows of ws and taus: the nodes', then the half-step candidates';
+        # taus ends in ones, the horizon, so one comparison checks that the
+        # candidates advance t short of it.  `peaks` holds each row's gaps in
+        # (q, t) and its node beside a 1.0, so one reduction gives the gap
+        # and max(1, max|q|).
+        peaks, qs, full = np.ones((2, n_traj, n + 1)), np.empty((2, n_traj, n)), np.empty_like(q)
+        ws, dts, lows, tops, taus = *np.empty((4, 3, n_traj)), np.zeros((4, n_traj))
+        (spread, node), (mid, end), (gap, q_top, err) = peaks, qs, tops
+        node, spread_q, spread_t, top2 = node[:, :n], spread[:, :n], spread[:, n], tops[:2]
+        node[:], ws[0], taus[3], mean = q, w, 1.0, np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+        (w_node, w_mid, w_end), (tau, tau_mid, tau_end, _), w1 = ws, taus, stage_w[0]
+        (dt_full, dt_mid, dt_end), new_dts, new_ws, new_taus = dts, dts[1:], ws[1:], taus[1:3]
+        ordered, worst = np.empty((5, n_traj), dtype=bool), np.zeros(n_traj)
+        advancing, kept, before, after = ordered[:3], ordered[3:], taus[:-1], taus[1:]
+        # As 0-d arrays, these spare numpy a scalar conversion in each call.
+        local_tol, fifteen, span = np.array(_LOCAL_TOL), np.array(15.0), np.array(horizon)
+        parts = [(taus[:1].copy(), ws[:1].copy(), node[None].copy())]
 
-            dot(q_new, beta, w_new)
-            if not minimum(w_new) >= floor_max:
-                bad = alive & ~(w_new >= floor)
-                if bad.any():
-                    fail(bad, "floor")
+        def record(t, w, q):  # nodes' taus, workloads and states
+            parts.append((t.copy(), w.copy(), q.copy() if store_states else None))
 
-            if all_alive:
-                copyto(w, w_new)
-            else:  # failed rows keep their last good state
-                copyto(q_new, q, where=~alive[:, None])
-                copyto(w, w_new, where=alive)
-            q, q_new = q_new, q
-            w_hist[step] = w
-            if store_states:
-                q_hist[step] = q
-            if not all_alive and not alive.any():
-                w_hist[step + 1:] = w
+        def advance(h, start, out, dt_out, low):
+            """One s step h (set by `resize`) into `out`, its t advance into `dt_out`;
+            return out's lowest entry, then floor out at 0, first writing each row's
+            lowest into `low` if that entry is not positive."""
+            rk4(start, out)
+            np.multiply(dot(mean, stage_w, dt_out), h, dt_out)
+            lowest = minimum(out, None)
+            if not lowest > 0.0:
+                minimum(out, 1, None, low)
+                np.maximum(out, 0.0, out=out)
+            return lowest
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while all_running or running.any():
+                if not ran < _MAX_GRID:
+                    raise IntegrationError(f"no s step meets the local tolerance {_LOCAL_TOL:g} "
+                                           f"in fewer than {_MAX_GRID} steps")
+                copyto(w1, w_node)
+                resize(h)
+                advance(h, node, full, dts[0], lows[0])
+                resize(0.5 * h)
+                low_mid = advance(0.5 * h, node, mid, dts[1], lows[1])
+                copyto(w_mid, dot(mid, beta, w1))
+                low_end = advance(0.5 * h, mid, end, dts[2], lows[2])
+                dot(end, beta, w_end)
+                ran += 3
+                np.subtract(full, end, spread_q)
+                np.subtract(np.subtract(dt_full, dt_mid, spread_t), dt_end, spread_t)
+                np.abs(spread, spread)
+                maximum(peaks, 2, None, top2)
+                if not all_running:  # a done or failed row neither limits nor accepts
+                    copyto(gap, 0.0, where=~running)
+                # err <= tol exactly when tol / err >= 1 (tol is a normal
+                # number), and a NaN estimate is rejected.
+                np.divide(np.multiply(local_tol, q_top, q_top), np.divide(gap, fifteen, err), q_top)
+                least = float(minimum(q_top))
+                accept, h = least >= 1.0, min(h_max, h * min(4.0, max(0.2, 0.9 * least**0.2)))
+                if not accept:
+                    continue
+                np.fmax(worst, gap, worst)  # an accepted gap is finite
+                np.divide(new_dts, span, new_dts)
+                np.add(tau, dt_mid, tau_mid)
+                np.add(tau_mid, dt_end, tau_end)
+                np.less(before, after, advancing)
+                np.less_equal(floor, new_ws, kept)
+                if all_running and min(low_mid, low_end) >= -_CLIP_TOL and all_of(ordered, None):
+                    record(new_taus, new_ws, qs)
+                    node[:], w_node[:], tau[:] = end, w_end, tau_end
+                    continue
+                candidates = zip(qs, new_ws, new_taus, lows[1:], (low_mid, low_end))
+                for x, w_x, tau_x, low, lowest in candidates:
+                    negative = running & (not lowest >= -_CLIP_TOL) & ~(low >= -_CLIP_TOL)
+                    for r in np.flatnonzero(running & ~(tau_x < 1.0)):
+                        # One RK4 step in t to the horizon instead.
+                        last, last_w, last_resize = finish = finish or _rk4(cfg, 1, horizon)
+                        last_resize(horizon * (1.0 - tau[r]))
+                        last_w[0], row = w_node[r], slice(r, r + 1)
+                        last(node[row], x[row])
+                        negative[r] = not minimum(x[row], None) >= -_CLIP_TOL
+                        dot(np.maximum(x[row], 0.0, out=x[row]), beta, w_x[row])
+                        tau_x[r], ran = 1.0, ran + 1
+                    fail(negative, "negative", horizon * tau_x)
+                    bad = running & alive & ~((w_x >= floor) & (tau_x > tau))
+                    fail(bad, "floor", horizon * tau_x)
+                    took = running & alive
+                    copyto(node, x, where=took[:, None])
+                    copyto(w_node, w_x, where=took)
+                    copyto(tau, tau_x, where=took)
+                    if took.any():
+                        record(tau[None], w_node[None], node[None])
+                    running = took & (tau < 1.0)
+                    if not running.any():
+                        break
+                all_running = bool(running.all())
+
+        t_parts, w_parts, q_parts = zip(*parts)
+        times, w_hist = horizon * np.concatenate(t_parts), np.concatenate(w_parts)
+        q_hist = np.concatenate(q_parts) if store_states else None
+        steps, q, worst = len(times) - 1, node, float(maximum(worst))
+    else:
+        stage_w[0], w = w, stage_w[0]  # the step reads q's workload there
+        grid = np.append(np.arange(n_steps) * h, horizon)
+        times = np.broadcast_to(grid[:, None], (n_steps + 1, n_traj))
+        w_hist, q_hist = np.empty((n_steps + 1, n_traj)), None
+        w_hist[0] = w
+        if store_states:
+            q_hist = np.empty((n_steps + 1, *q.shape))
+            q_hist[0] = q
+        q_new, w_new = np.empty_like(q), np.empty_like(w)
+        steps, ran, worst = n_steps, n_steps, 0.0
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for step in range(1, n_steps + 1):
+                rk4(q, q_new)
+                # Each check is one reduction over the batch; the per-trajectory
+                # masks run only when it finds an entry that may fail (NaN too).
+                # A strictly positive state is its own floor at 0.
+                low = minimum(q_new, None)
+                if not low > 0.0:
+                    if not low >= -_CLIP_TOL:
+                        fail(alive & ~(np.min(q_new, axis=1) >= -_CLIP_TOL), "negative", grid[step])
+                    np.maximum(q_new, 0.0, out=q_new)  # what np.clip(q_new, 0.0, None) runs
+
+                dot(q_new, beta, w_new)
+                if not minimum(w_new) >= floor_max:
+                    fail(alive & ~(w_new >= floor), "floor", grid[step])
+
+                if all_alive:
+                    copyto(w, w_new)
+                else:  # failed rows keep their last good state
+                    copyto(q_new, q, where=~alive[:, None])
+                    copyto(w, w_new, where=alive)
+                q, q_new = q_new, q
+                w_hist[step] = w
                 if store_states:
-                    q_hist[step + 1:] = q
-                break
+                    q_hist[step] = q
+                if not all_alive and not alive.any():
+                    w_hist[step + 1:] = w
+                    if store_states:
+                        q_hist[step + 1:] = q
+                    break
 
     return _BatchResult(
-        times=times,
-        workload=w_hist,
-        states=q_hist,
-        terminal=q,
+        times=times, workload=w_hist, states=q_hist, terminal=q,
         min_workload=w_hist.min(axis=0),  # frozen rows repeat a kept value
-        failed=~alive,
-        fail_reason=reasons,
-        fail_time=fail_time,
-        steps=n_steps,
+        failed=~alive, fail_reason=reasons, fail_time=fail_time,
+        steps=steps, pilot_steps=ran - steps, max_gap=worst,
     )
 
 
@@ -370,107 +491,6 @@ def _initial_state(cfg: ModelConfig, q0) -> tuple[np.ndarray, float]:
     return q0, w0
 
 
-def _integrate_s(
-    cfg: ModelConfig, q0: np.ndarray, horizon: float, h_max: float, floor: float
-) -> tuple[_BatchResult, int, float]:
-    """Classical RK4 for one trajectory in steps of the time s, with
-    dq/ds = W f(q) and dt/ds = W, up to t = horizon; return the run (a
-    one-row `_BatchResult`, its nodes non-uniform in t), the RK4 steps that
-    ran off its path and the largest gap that accepted a step.
-
-    Each trial takes one step h and two steps h/2 from the last node.  Their
-    max-norm gap in (q, t), over 15, estimates the local error of the halves
-    (step doubling), and the trial is accepted, with both half-step nodes,
-    when that is at most `_LOCAL_TOL` times max(1, max|q|).  Either way the
-    next trial takes h min(4, max(0.2, 0.9 (tol / err)^(1/5))), at most
-    `h_max`, which is also the first h.  t is carried as tau = t / horizon,
-    which each step advances by its RK4 mean of W times h over the horizon,
-    so that neither a tiny horizon nor a tiny h loses it.  A node that would
-    reach the horizon is replaced by one RK4 step in t from the node before
-    it, so the run ends at `times[-1] == horizon`.  A failure (floor breach,
-    negative undershoot, or a step that does not advance t) ends the run at
-    the last good state; `_MAX_GRID` RK4 steps raise IntegrationError.
-    """
-    beta = cfg.beta
-    rk4, stage_w, resize = _rk4(cfg, 1, h_max, in_s=True)
-    w1, w_stages = stage_w[0], stage_w[:, 0]  # the start state's workload; every stage's
-    q, full, mid, end = (np.empty((1, len(q0))) for _ in range(4))
-    weights = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
-    dot, minimum = np.dot, np.minimum.reduce
-
-    def settle(x):
-        """Floor x at 0 in place; return its lowest entry before, and its workload."""
-        low = minimum(x, None)
-        if not low > 0.0:
-            np.maximum(x, 0.0, out=x)
-        return low, dot(x, beta).item()
-
-    def advance(h, start, w_start, out):
-        """One s step h from `start` into `out`; its t advance, then `settle`."""
-        resize(h)
-        w1[0] = w_start
-        rk4(start, out)
-        return (h * float(dot(w_stages, weights)), *settle(out))
-
-    q[0] = q0
-    w = dot(q, beta).item()
-    h, tau, reason, ran, worst = h_max, 0.0, None, 0, 0.0
-    taus, states, workloads = [tau], [q.copy()], [w]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while tau < 1.0 and reason is None:
-            if not ran < _MAX_GRID:
-                raise IntegrationError(
-                    f"no s step meets the local tolerance {_LOCAL_TOL:g} "
-                    f"in fewer than {_MAX_GRID} steps"
-                )
-            dt_full, _, _ = advance(h, q, w, full)
-            dt_mid, low_mid, w_mid = advance(0.5 * h, q, w, mid)
-            dt_end, low_end, w_end = advance(0.5 * h, mid, w_mid, end)
-            ran += 3
-            gap = float(np.maximum(abs(dt_full - dt_mid - dt_end), np.abs(full - end).max()))
-            err, tol = gap / 15.0, _LOCAL_TOL * max(1.0, float(q.max()))
-            accept = err <= tol  # a NaN estimate is rejected
-            grow = 0.9 * (tol / err) ** 0.2 if err > 0.0 else (4.0 if accept else 0.2)
-            h = min(h_max, h * min(4.0, max(0.2, grow)))  # the next trial's
-            if not accept:
-                continue
-            worst = max(worst, gap)
-            for x, dt_x, low, w_x in ((mid, dt_mid, low_mid, w_mid), (end, dt_end, low_end, w_end)):
-                tau_x = tau + dt_x / horizon
-                if not tau_x < 1.0:  # one RK4 step in t to the horizon instead
-                    last, last_w, _ = _rk4(cfg, 1, horizon * (1.0 - tau))
-                    last_w[0] = w
-                    last(q, x)
-                    low, w_x = settle(x)
-                    tau_x, ran = 1.0, ran + 1
-                if not low >= -_CLIP_TOL:
-                    reason = "negative"
-                elif not (w_x >= floor and tau_x > tau):
-                    reason = "floor"
-                if reason is not None:
-                    break
-                np.copyto(q, x)
-                tau, w = tau_x, w_x
-                taus.append(tau)
-                states.append(x.copy())
-                workloads.append(w)
-                if tau == 1.0:
-                    break
-
-    steps = len(taus) - 1
-    return _BatchResult(
-        times=horizon * np.array(taus),
-        workload=np.array(workloads)[:, None],
-        states=np.array(states),
-        terminal=q,
-        min_workload=np.array([min(workloads)]),
-        failed=np.array([reason is not None]),
-        fail_reason=[reason],
-        fail_time=np.array([np.nan if reason is None else horizon * tau_x]),
-        steps=steps,
-    ), ran - steps, worst
-
-
 def _doubling_gap(coarse: _BatchResult, fine: _BatchResult) -> tuple[float, float | None]:
     """Step doubling's error estimate for trajectory 0 of a run on a uniform
     t grid from the run at half its step: the max-norm gap between node j of
@@ -480,7 +500,7 @@ def _doubling_gap(coarse: _BatchResult, fine: _BatchResult) -> tuple[float, floa
     gaps = np.max(np.abs(coarse.states[:, 0] - fine.states[::2, 0]), axis=1)
     tol = _SELECT_TOL * max(1.0, float(np.max(np.abs(fine.states))))
     bad = np.flatnonzero(~(gaps <= tol))  # a NaN gap is bad too
-    return float(np.max(gaps)), float(coarse.times[bad[0]]) if bad.size else None
+    return float(np.max(gaps)), float(coarse.times[bad[0], 0]) if bad.size else None
 
 
 def integrate(
@@ -494,11 +514,11 @@ def integrate(
     """Integrate the fluid system from q0 over [0, horizon].
 
     Without `dt` the run steps in s, dt/ds = W, and each step is picked by
-    step doubling (`_integrate_s`), starting from and bounded by
-    h_max = 1 / (v mu max(beta)); every step has already been checked
-    against two of half its size, so `refine` adds nothing.  `dt` fixes a
-    uniform step in t: the horizon is divided into the fewest steps no
-    longer than it.  With `refine` that run is checked against a run at
+    step doubling (`_integrate_batch` with no step count), starting from and
+    bounded by h_max = 1 / (v mu max(beta)); every step has already been
+    checked against two of half its size, so `refine` adds nothing.  `dt`
+    fixes a uniform step in t: the horizon is divided into the fewest steps
+    no longer than it.  With `refine` that run is checked against a run at
     twice its step count and returned unchanged.
 
     Raises SingularityError if the workload drops below half of kappa,
@@ -508,43 +528,26 @@ def integrate(
     take `_MAX_GRID` steps or more.
     """
     q0, w0 = _initial_state(cfg, q0)
-    if not 0 < horizon < math.inf:
-        raise ParameterError("horizon: must be positive and finite")
-    n_steps = None if dt is None else _step_count(horizon, dt)
+    n_steps = _step_count(horizon, dt)
     if n_steps is not None and refine and not 2 * n_steps < _MAX_GRID:
         raise ParameterError(f"dt: the refine check would take {_MAX_GRID} steps or more")
-
-    w_star = solve_workload_star(cfg)
-    kappa = compute_kappa(cfg, w0, w_star)
-    kappas = np.array([kappa])
+    kappa = compute_kappa(cfg, w0, solve_workload_star(cfg))
 
     def run(steps):
-        res = _integrate_batch(cfg, q0[None, :], horizon, steps, kappas, store_states=True)
+        res = _integrate_batch(cfg, q0[None, :], horizon, steps, [kappa], store_states=True)
         if res.failed[0]:
             raise _failure(res, 0)
         return res
 
-    pilot_steps, gap = 0, 0.0
-    if n_steps is None:
-        # h_max, the s time of the fastest linear decay -v mu beta_i q_i, keeps
-        # RK4 inside its real stability interval where the error estimate
-        # cannot see it.  W relaxes toward W*, so a step advances t by at most
-        # about h_max max(W0, W*).
-        h_max = 1.0 / (cfg.v * cfg.mu * cfg.beta.max())
-        if not horizon / (h_max * max(w0, w_star)) < _MAX_GRID:
-            raise IntegrationError(f"horizon: the run would take {_MAX_GRID} steps or more")
-        res, pilot_steps, gap = _integrate_s(cfg, q0, horizon, h_max, _FLOOR_FACTOR * kappa)
-        if res.failed[0]:
-            raise _failure(res, 0)
-    else:
-        res = run(n_steps)
-        if refine:
-            pilot_steps = 2 * n_steps
-            gap, unstable_at = _doubling_gap(res, run(pilot_steps))
-            if unstable_at is not None:
-                raise StepInstabilityError(f"trajectory 0: unstable at t={unstable_at:.6g}")
+    res = run(n_steps)
+    pilot_steps, gap = res.pilot_steps, res.max_gap
+    if n_steps is not None and refine:
+        pilot_steps = 2 * n_steps
+        gap, unstable_at = _doubling_gap(res, run(pilot_steps))
+        if unstable_at is not None:
+            raise StepInstabilityError(f"trajectory 0: unstable at t={unstable_at:.6g}")
     return FluidTrajectory(
-        times=res.times,
+        times=res.times[:, 0],
         states=res.states[:, 0, :],
         drift=_rhs_batch(cfg)(res.states[:, 0, :], res.workload[:, 0]),
         workload=res.workload[:, 0],

@@ -469,12 +469,12 @@ def compute_bands(cfg: ModelConfig) -> RoutingBands:
     this once per config.
     """
     r = cfg.rebates
-    inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
     rise = r - r[:, None]                      # rise[i, j] = r_j - r_i
     above, below = rise > 0.0, rise < 0.0
     off = above | below
     slopes = np.empty_like(rise)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a NaN slope
+        inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
         np.subtract(inv, inv[:, None], out=slopes, where=off)
         np.divide(slopes, rise, out=slopes, where=off)
         floor = inv / (r - cfg.rebate0)

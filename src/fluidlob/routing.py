@@ -101,10 +101,11 @@ def _fractions(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     entries, +-1, so each fraction has the bits of F(W a_plus) - F(W a_minus);
     a NaN edge (a NaN floor in `compute_bands`) makes every fraction NaN.
     """
-    edges, sign, eye = cfg.bands.edges, cfg.type_dist.cdf_sign, np.eye(cfg.n_exchanges)
+    edges, n = cfg.bands.edges, cfg.n_exchanges
     below = edges != math.inf  # a NaN edge stays, and gives a NaN fraction
-    marks = np.concatenate((eye * -sign, eye * sign)) + 0.0  # one row per edge; + 0.0 clears -0.0
-    return edges[below], np.concatenate((marks[below], marks[~below].sum(axis=0, keepdims=True)))
+    # One row per edge, -I over I; + 0.0 clears -0.0.
+    marks = cfg.type_dist.cdf_sign * (np.eye(2 * n, n, -n) - np.eye(2 * n, n)) + 0.0
+    return edges[below], np.concatenate((marks[below], np.dot(~below, marks)[None]))
 
 
 def chi(cfg: ModelConfig, w: float) -> np.ndarray:

@@ -9,8 +9,11 @@ sum_i chi_i(W) = 1 - F(W a_min) its root is the closed form of
 per-venue balance.  Local stability is certified by the
 eigenvalues of the drift Jacobian, cross-checked against a closed-form
 determinant built from its rank-1-plus-diagonal structure.  The trajectory
-experiments integrate all their trials as one batch on a uniform grid, `dt`
-or 1e-2/mu, and report each failed trial with its reason.
+experiments integrate all their trials as one batch, in uniform steps of
+`dt` or, without it, in shared s steps that step doubling picks, and report
+each failed trial with its reason.  `tube_entry_time` and
+`workload_monotone` are read at the nodes: the uniform grid, or the
+step-doubling nodes without `dt`.
 """
 
 from __future__ import annotations
@@ -299,25 +302,15 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
 # Trajectory experiments
 # ---------------------------------------------------------------------------
 
-def _experiment_steps(cfg: ModelConfig, horizon: float, dt: float | None) -> int:
-    """Validate the horizon and return the experiment's step count.
-
-    Without `dt` the step is 1e-2/mu: RK4 there keeps the global error
-    orders of magnitude below the experiment thresholds while fitting the
-    experiment runtime budgets.
-    """
-    if not 0 < horizon < math.inf:
-        raise ParameterError("horizon: must be positive and finite")
-    return _step_count(horizon, 1e-2 / cfg.mu if dt is None else dt)
-
-
 def _experiment_rng(seed: int) -> np.random.Generator:
     if not _positive_int(seed, low=0):
         raise ParameterError("seed: must be a nonnegative integer")
     return np.random.default_rng(int(seed))
 
 
-def _run_batch(cfg: ModelConfig, eq: Equilibrium, q0s: np.ndarray, horizon: float, n_steps: int):
+def _run_batch(
+    cfg: ModelConfig, eq: Equilibrium, q0s: np.ndarray, horizon: float, n_steps: int | None
+):
     """Integrate one trial per row of `q0s`, recording per-trial failures.
 
     Returns the batch result, the kappas and the terminal max-norm distances
@@ -371,7 +364,7 @@ def local_stability_experiment(
     if not _positive_int(directions):
         raise ParameterError("directions: must be a positive integer")
     directions = int(directions)
-    n_steps = _experiment_steps(cfg, horizon, dt)
+    n_steps = _step_count(horizon, dt)
     gen = _experiment_rng(seed)
     dirs = gen.normal(size=(directions, cfg.n_exchanges))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -451,7 +444,7 @@ def global_stability_experiment(
     """Integrate from random initial states in (0, box]^N (equal beta only).
 
     Records per trajectory the terminal distance to the stationary point,
-    whether |W_t - W*| is nonincreasing along the grid, and the first grid
+    whether |W_t - W*| is nonincreasing along its nodes, and the first node
     time inside the tube |W - W*| <= 0.01 W*.  Passes when every trajectory
     converges below 1e-4 with a monotone workload gap.
     """
@@ -462,7 +455,7 @@ def global_stability_experiment(
     n_inits = int(n_inits)
     if not 0 < box < math.inf:
         raise ParameterError("box: must be positive and finite")
-    n_steps = _experiment_steps(cfg, horizon, dt)
+    n_steps = _step_count(horizon, dt)
     gen = _experiment_rng(seed)
     eq = solve_equilibrium(cfg)
     w_star = eq.w_star
@@ -482,7 +475,7 @@ def global_stability_experiment(
         entry = None
         hit = np.flatnonzero(inside[:, k])
         if hit.size:
-            entry = float(res.times[hit[0]])
+            entry = float(res.times[hit[0], k])
         err = res.fail_reason[k]
         ok = err is None and dist[k] < _GLOBAL_THRESHOLD and bool(monotone[k])
         trials.append(

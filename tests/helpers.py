@@ -299,7 +299,7 @@ def oracle_integrate_batch(
                 q_hist[step] = q
 
     return _BatchResult(
-        times=times,
+        times=np.broadcast_to(times[:, None], (n_steps + 1, n_traj)),
         workload=w_hist,
         states=q_hist,
         terminal=q,
@@ -308,6 +308,8 @@ def oracle_integrate_batch(
         fail_reason=reasons,
         fail_time=fail_time,
         steps=n_steps,
+        pilot_steps=0,
+        max_gap=0.0,
     )
 
 
@@ -508,10 +510,10 @@ def loop_compute_bands(cfg: ModelConfig) -> RoutingBands:
     """The routing bands one venue at a time, each edge from the slopes
     against the venues above or below it: the oracle of `compute_bands`."""
     n = cfg.n_exchanges
-    inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
     a_plus = np.full(n, np.inf)
     a_minus = np.empty(n)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a NaN slope
+        inv = 1.0 / (cfg.mu * cfg.beta * cfg.v)
         for i in range(n):
             above = cfg.rebates > cfg.rebates[i]
             if above.any():

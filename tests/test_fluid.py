@@ -334,18 +334,19 @@ def test_selected_step_semigroup(ref1):
     assert np.abs(second.states[-1] - once.states[-1]).max() < 1e-9
 
 
-def _count_runs(monkeypatch, name: str) -> list:
-    """Record the fourth argument of every call of the kernel `name`: the
-    step count of `_integrate_batch`, the h_max of `_integrate_s`."""
-    grids = []
-    kernel = getattr(fluid, name)
+def _count_runs(monkeypatch) -> list:
+    """Record the step count of every `_integrate_batch` run, None for a run
+    in s, and its largest accepted gap."""
+    runs = []
+    kernel = fluid._integrate_batch
 
     def counted(*args, **kwargs):
-        grids.append(args[3])
-        return kernel(*args, **kwargs)
+        res = kernel(*args, **kwargs)
+        runs.append((args[3], res.max_gap))
+        return res
 
-    monkeypatch.setattr(fluid, name, counted)
-    return grids
+    monkeypatch.setattr(fluid, "_integrate_batch", counted)
+    return runs
 
 
 def _count_steps(monkeypatch) -> list:
@@ -373,11 +374,10 @@ def test_refine_checks_the_selected_step(ref1, monkeypatch):
     # runs nothing more and reports the largest gap that accepted a step:
     # the gap itself, up to 15 times the local tolerance, not the error
     # estimate, which is a 15th of it.
-    grids = _count_runs(monkeypatch, "_integrate_s")
-    batches = _count_runs(monkeypatch, "_integrate_batch")
+    runs = _count_runs(monkeypatch)
     plain = integrate(ref1, [1.0, 1.0], 2.0)
     checked = integrate(ref1, [1.0, 1.0], 2.0, refine=True)
-    assert grids == [0.5, 0.5] and batches == []
+    assert runs == [(None, plain.max_refine_error)] * 2
     assert np.array_equal(plain.states, checked.states) and checked.steps == plain.steps
     scale = max(1.0, np.abs(plain.states).max())
     assert checked.max_refine_error == plain.max_refine_error
@@ -415,10 +415,10 @@ def test_selector_refuses_a_grid_beyond_the_cap(ref1, monkeypatch):
 def test_integrate_refine_check(ref1, monkeypatch):
     # A fixed step is checked against twice its step count; the run that
     # comes back is the unchecked one.
-    grids = _count_runs(monkeypatch, "_integrate_batch")
+    runs = _count_runs(monkeypatch)
     plain = integrate(ref1, [1.0, 1.0], 2.0, dt=0.01)
     traj = integrate(ref1, [1.0, 1.0], 2.0, dt=0.01, refine=True)
-    assert grids == [200, 200, 400]
+    assert runs == [(200, 0.0), (200, 0.0), (400, 0.0)]
     assert_bitwise(traj.states, plain.states)
     assert plain.max_refine_error == 0.0
     assert (plain.pilot_steps, traj.pilot_steps) == (0, 400)
@@ -582,7 +582,59 @@ def test_recorded_floor_breach_freezes_only_that_trajectory(ref1):
     assert np.all(res.states[breach:, 2] == frozen)
     assert_bitwise(res.terminal[2], frozen)
     assert res.min_workload[2] == free.workload[breach - 1, 0]
-    assert res.fail_time[2] == res.times[breach] and np.isnan(res.fail_time[keep]).all()
+    assert res.fail_time[2] == res.times[breach, 2] and np.isnan(res.fail_time[keep]).all()
+
+
+def test_each_row_of_an_s_batch_ends_at_the_horizon(ref1):
+    # The rows share one s step but each carries its own t, and its last
+    # node, one step in t, is exactly the horizon: the rows, a slow start
+    # near the origin among them, finish at different trials, and the done
+    # ones repeat their last node while the others run.  Each ends within
+    # the tolerance of its run alone.
+    q0s = np.array([[0.5, 0.5], [2.0, 1.0], [5e-4, 5e-4], [0.2, 3.0], [1.0, 0.1]])
+    w_star = solve_workload_star(ref1)
+    kappas = np.array([compute_kappa(ref1, float(q @ ref1.beta), w_star) for q in q0s])
+    res = _integrate_batch(ref1, q0s, 3.0, None, kappas, store_states=True)
+    assert not res.failed.any() and np.all(res.times[-1] == 3.0)
+    assert np.all(np.diff(res.times, axis=0) >= 0.0)
+    ends = [int(np.flatnonzero(res.times[:, r] == 3.0)[0]) for r in range(len(q0s))]
+    assert len(set(ends)) > 1
+    for r, end in enumerate(ends):
+        assert np.all(res.states[end:, r] == res.states[end, r])
+        alone = integrate(ref1, q0s[r], 3.0)
+        assert np.abs(res.terminal[r] - alone.states[-1]).max() <= _SELECT_TOL
+
+
+def test_s_batch_freezes_only_the_row_that_breaches_its_floor(ref1):
+    # The rows of `test_recorded_floor_breach_freezes_only_that_trajectory`,
+    # now in s: row 2 crosses its floor 10.5 on the way down, and the breach
+    # is recorded at the time of the first node below it.  The row keeps its
+    # last node above the floor, its time included, and the other rows run
+    # to the horizon, each within the tolerance of its run alone (they share
+    # the step, so not to the bit).
+    w_star = solve_equilibrium(ref1).w_star
+    others = np.array([[0.5, 0.5], [2.0, 1.0], [0.2, 3.0], [1.0, 0.1]])
+    kappas = np.array([compute_kappa(ref1, float(q @ ref1.beta), w_star) for q in others])
+    q0s = np.insert(others, 2, [4.0, 4.0], axis=0)
+    res = _integrate_batch(ref1, q0s, 4.0, None, np.insert(kappas, 2, 21.0), store_states=True)
+    assert res.fail_reason == [None, None, "floor", None, None]
+    assert res.failed.tolist() == [False, False, True, False, False]
+    keep = [0, 1, 3, 4]
+    assert np.all(res.times[-1, keep] == 4.0) and np.isnan(res.fail_time[keep]).all()
+    for r in keep:
+        alone = integrate(ref1, q0s[r], 4.0)
+        assert np.abs(res.terminal[r] - alone.states[-1]).max() <= _SELECT_TOL
+
+    last = int(np.flatnonzero(np.diff(res.times[:, 2]) > 0)[-1]) + 1
+    assert last < len(res.times) - 1
+    assert np.all(res.states[last:, 2] == res.states[last, 2])
+    assert np.all(res.times[last:, 2] == res.times[last, 2])
+    assert_bitwise(res.terminal[2], res.states[last, 2])
+    assert res.min_workload[2] == res.workload[last, 2] >= 10.5
+    free = integrate(ref1, q0s[2], 4.0)
+    stop, breach = res.times[last, 2], res.fail_time[2]
+    assert stop < breach < 4.0
+    assert free.at([stop])[0] @ ref1.beta > 10.5 > free.at([breach])[0] @ ref1.beta
 
 
 _NO_STATES = ("times", "workload", "terminal", "min_workload", "failed", "fail_time")

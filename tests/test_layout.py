@@ -10,6 +10,9 @@ The public API carries no option that the program never sets: every
 defaulted parameter of a function, and every defaulted field of a dataclass,
 that `fluidlob` or `fluidlob.cli` exports is passed, by keyword or by
 position, by some call in `src/fluidlob` or `perfbench/` (tests excepted).
+
+Nor does it carry dead private code: every private name defined at a
+module's top level is used in `src/fluidlob` outside its own definition.
 """
 
 import ast
@@ -125,3 +128,45 @@ def test_every_exported_option_has_a_caller():
         if not any(_passes(call, param, position) for call in calls.get(name, []))
     ]
     assert not unset, f"defaulted parameters that no caller in the program sets: {unset}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The module-level statements that define a private (single underscore) name."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        defined.update((name, node) for name in names if name[:1] == "_" and name[:2] != "__")
+    return defined
+
+
+def test_every_private_name_is_used():
+    # A name counts as used where its own module, or a module that imports
+    # it from there, loads it outside its definition.
+    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in MODULES}
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree).items():
+            readers = {
+                other
+                for other, other_tree in trees.items()
+                for node in other_tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+                and any(alias.name == name for alias in node.names)
+            }
+            used = any(
+                isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                and not (
+                    reader == module and definition.lineno <= node.lineno <= definition.end_lineno
+                )
+                for reader in {module} | readers
+                for node in ast.walk(trees[reader])
+            )
+            if not used:
+                unused.append(f"{module}.{name}")
+    assert not unused, f"private names that nothing in the program uses: {unused}"

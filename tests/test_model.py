@@ -200,6 +200,16 @@ def test_overflowing_band_edge_takes_its_limit():
     assert chi_derivative(cfg, 1.0)[1] == 0.0  # no inf * 0 at the infinite lower edge
 
 
+def test_an_overflowing_delay_keeps_its_band_edges():
+    # With mu = 5e-324 each 1 / (mu beta v) overflows to +inf, so the slopes
+    # between venues are inf - inf: the bands come without a RuntimeWarning
+    # (the suite makes warnings errors), both lower edges are +inf and the
+    # top venue's upper edge stays +inf.
+    bands = make_config(mu=5e-324).bands
+    assert bands.a_minus.tolist() == [math.inf, math.inf]
+    assert bands.a_plus.tolist() == [0.0, math.inf]
+
+
 def test_zero_width_band_counts_as_empty():
     # The config above: venue 0's band is [0.5, 0.5], a single type, so it
     # never receives flow and `check` lists it with venue 1.  Its fraction

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fluidlob
+from fluidlob import stability
 from fluidlob import (
     AssumptionError,
     SpectrumReport,
@@ -368,6 +369,37 @@ def test_global_experiment_small(ref2):
     assert all(t.workload_monotone for t in rep.trials)
     assert all(t.tube_entry_time is not None for t in rep.trials)
     assert all(t.min_workload > t.kappa * (1 - 1e-6) for t in rep.trials)
+
+
+def test_default_experiments_match_a_fine_uniform_step(ref1, ref2, monkeypatch):
+    # Without dt the experiments step in s, by step doubling; against their
+    # runs at dt = 0.01 (10 000 and 15 000 steps) every verdict, `ok` and
+    # `workload_monotone` holds, the terminal distances agree within 1e-9
+    # (measured 5e-15 and 1.4e-12), and each tube entry time, a node time,
+    # lies within the s run's node gap before it (measured 0.93 of it).
+    runs = []
+    batch = stability._integrate_batch
+
+    def kept(*args, **kwargs):
+        runs.append(batch(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(stability, "_integrate_batch", kept)
+    eq = solve_equilibrium(ref1)
+    local = [local_stability_experiment(ref1, eq, [0.01, 0.1], 100.0, 16, dt=dt) for dt in (None, 0.01)]
+    glob = [global_stability_experiment(ref2, 50, 5.0, 150.0, 0, dt=dt) for dt in (None, 0.01)]
+    assert [run.pilot_steps > 0 for run in runs] == [True, False, True, False]  # s, t, s, t
+    in_s = runs[2]
+    for k, (got, want) in enumerate(zip(*(rep.trials for rep in glob))):
+        assert (got.ok, got.workload_monotone) == (want.ok, want.workload_monotone)
+        assert abs(got.terminal_distance - want.terminal_distance) <= 1e-9
+        node = int(np.flatnonzero(in_s.times[:, k] == got.tube_entry_time)[0])
+        gap = in_s.times[node, k] - in_s.times[node - 1, k]
+        assert abs(got.tube_entry_time - want.tube_entry_time) <= gap
+    for got, want in zip(*(rep.trials for rep in local)):
+        assert got.ok == want.ok
+        assert abs(got.terminal_distance - want.terminal_distance) <= 1e-9
+    assert local[0].passed and local[1].passed and glob[0].passed and glob[1].passed
 
 
 def test_global_experiment_rejects_unequal_beta(ref1):

@@ -8,11 +8,13 @@ different libm or numpy build may change last bits of the fluid solution.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fluidlob import SimConfig, load_config, simulate
+from fluidlob import SimConfig, integrate, load_config, simulate
 from fluidlob.cli import main
 
 from helpers import FIXTURES
@@ -59,6 +61,20 @@ REPORT_JSON_SHA256 = {
 }
 
 
+# Companion checks of the four integration pins above, which a change of
+# rounding alone moves: the runs behind them keep their node, step and
+# pilot-step counts and their verdicts exactly, and their values to within
+# tolerances far wider than rounding and far narrower than a fault.  The
+# values are kept apart from the code, where Hypothesis would add their
+# literals to its example pool.
+INTEGRATION = json.loads(Path(__file__).with_name("golden_integration.json").read_text())
+# The states at t = 2 and the trials' least workloads, relative to each entry.
+STATE_REL = 1e-12
+# The terminal distances: relative, or absolute for the smallest, down to
+# 5e-12; 1e-13 is about 450 ulps of the unit-scale states they compare.
+DISTANCE_REL, DISTANCE_ABS = 1e-6, 1e-13
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -100,3 +116,31 @@ def test_stability_batch_bytes_are_pinned(tmp_path, kind):
 def test_report_json_bytes_are_pinned(tmp_path, command, name):
     assert main([command, str(FIXTURES / f"{name}.json"), "-o", str(tmp_path)]) == 0
     assert _sha256(tmp_path / f"{command}_{name}.json") == REPORT_JSON_SHA256[command, name]
+
+
+@pytest.mark.parametrize("run", ["dt", "selected"])
+def test_fluid_reference_runs_keep_their_counts_and_terminal_state(run):
+    want = INTEGRATION["fluid"][run]
+    step = {"dt": 0.001, "selected": None}[run]
+    traj = integrate(load_config(FIXTURES / "ref1.json"), np.ones(2), 2.0, dt=step)
+    assert (len(traj.times), traj.steps, traj.pilot_steps) == (
+        want["nodes"], want["steps"], want["pilot_steps"]
+    )
+    assert traj.times[-1] == 2.0
+    assert traj.states[-1] == pytest.approx(want["state_at_2"], rel=STATE_REL, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(STABILITY_RUNS))
+def test_stability_runs_keep_their_verdicts_and_distances(tmp_path, kind):
+    argv, stem, _ = STABILITY_RUNS[kind]
+    command, name, *rest = argv
+    assert main([command, str(FIXTURES / f"{name}.json"), *rest, "--seed", "7", "-o", str(tmp_path)]) == 0
+    report, want = json.loads((tmp_path / f"{stem}.json").read_text()), INTEGRATION["stability"][kind]
+    assert report["passed"] is want["passed"]
+    trials = report["trials"]
+    assert len(trials) == len(want["exact"])
+    assert [{key: t[key] for key in exact} for t, exact in zip(trials, want["exact"])] == want["exact"]
+    distances = [t["terminal_distance"] for t in trials]
+    assert distances == pytest.approx(want["terminal_distance"], rel=DISTANCE_REL, abs=DISTANCE_ABS)
+    lows = [t["min_workload"] for t in trials]
+    assert lows == pytest.approx(want["min_workload"], rel=STATE_REL, abs=0.0)

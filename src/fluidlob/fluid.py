@@ -12,9 +12,12 @@ nodes are non-uniform in t, and the last step is one step in t that ends at
 the horizon.  A given step `dt` runs uniform RK4 steps in t, and step
 doubling over the whole run checks it on request.  One driver
 (`_integrate_batch`) serves both rules, for one trajectory (`integrate`) or
-the stability experiments' batch, whose rows share the s step; every step
-is the same in-place RK4 step (`_rk4`), and each stage evaluates the field
-as one matrix product (`_rhs_batch`), times W in s.
+the stability experiments' batch, whose rows share the s step.  Every step
+is the same RK4 kernel (`_rk4`) on states stored one column per row: each
+stage is two matrix products, one for its state, workload and scaled band
+edges, one for its field (times W in s), with one elementwise call each
+for the type's CDF and for q / W between them.  `_rhs_batch` evaluates the
+field of given states, for `fluid_rhs` and a trajectory's drift.
 
 Integration aborts a trajectory whose workload falls below a fraction of
 the proven lower bound kappa (a bug or a violated assumption, not physics),
@@ -26,7 +29,9 @@ the per-venue delay at empty queues.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +61,11 @@ _SELECT_TOL = 1e-10
 # times max(1, max|q|); over 30 random near-origin starts the global error
 # stayed within 2.6e-11 of that scale, inside `_SELECT_TOL`.
 _LOCAL_TOL = 1e-12
+# The RK4 kernel pads its batch to a multiple of this many columns.  The
+# OpenBLAS dgemm kernel (Haswell) takes a product's columns in groups of 8,
+# and a last group of 1 to 4 takes another path whose bits differ once
+# N >= 4; whole groups give a column the same bits in every batch.
+_COLUMNS = 8
 # The exception `integrate` raises for each recorded failure reason.
 _FAILURES = {"floor": SingularityError, "negative": IntegrationError}
 
@@ -122,7 +132,7 @@ def fluid_rhs(cfg: ModelConfig, state: QueueState) -> np.ndarray:
     """Drift of venue i: b_d_i lam_i + b_o Lambda chi_i(W) - v mu_i(q)."""
     if not state.workload > 0:
         raise ValueError("fluid field is singular at zero workload")
-    return _rhs_batch(cfg)(state.q[None, :])[0]
+    return _rhs_batch(cfg, state.q[None, :])[0]
 
 
 def _field_matrix(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -138,103 +148,134 @@ def _field_matrix(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     return edges, matrix
 
 
-def _rhs_batch(cfg: ModelConfig, rows: int | None = None):
-    """Vectorised drift q -> b_d lam + b_o Lambda chi(W) - v mu beta q / W of
-    (B, N) states with workloads W = q @ beta > 0, as one product with the
-    kept `_field_matrix`.
+def _rhs_batch(cfg: ModelConfig, q: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """The drift b_d lam + b_o Lambda chi(W) - v mu beta q / W of (B, N)
+    states at their (B,) workloads `w` (q @ beta by default), as one product
+    [S(W e), S(inf), q / W] @ M with the kept `_field_matrix`.
 
     Numpy hands a product with a single row or column to gemv, whose bits for
-    a row depend on the batch; gemm's do not.  So products here have at least
-    b2 = max(B, 2) rows and n2 = max(N, 2) columns, padded with finite values.
-    With `rows`, `rhs(q, w, out)` is prepared for B = rows: it writes S(W e)
-    and q / W into a scratch array made here, the product's left operand,
-    and the (b2, n2) field into `out`, for (b2, n2) states (or (B, N) ones
-    when none is padded) and (b2,) workloads, times the (b2, 1) `scale` if
-    given (W in s, dq/ds for dt/ds = W).  Without, `rhs(q, w=None)`
-    returns the (B, N) field in a new array, from the (B,) workloads if given.
+    a row depend on the batch; gemm's do not.  So the product has at least
+    two rows and two columns, padded with ones.
     """
-    if rows is None:
-        def rhs_new(q: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-            rows, n = q.shape
-            states, w_row = np.ones((max(rows, 2), max(n, 2))), np.ones(max(rows, 2))
-            states[:rows, :n], w_row[:rows] = q, np.dot(q, cfg.beta) if w is None else w
-            return _rhs_batch(cfg, rows)(states, w_row, np.empty_like(states))[:rows, :n]
-
-        return rhs_new
-
     edges, matrix = cfg.kept(_field_matrix)
-    edge_col, n_edges = edges[:, None], len(edges)
-    scratch = np.empty((len(matrix), max(rows, 2)))
-    scratch[n_edges] = cfg.type_dist.cdf_sign
-    head, tail, lhs = scratch[:n_edges], scratch[n_edges + 1:], scratch.T
-    multiply, divide, dot, signed_cdf = np.multiply, np.divide, np.dot, cfg.type_dist.signed_cdf
-
-    def rhs(q: np.ndarray, w: np.ndarray, out: np.ndarray, scale=None) -> np.ndarray:
-        multiply(edge_col, w, head)
-        signed_cdf(head, head)
-        divide(q.T, w, tail)
-        dot(lhs, matrix, out)
-        if scale is not None:
-            multiply(out, scale, out)
-        return out
-
-    return rhs
+    (rows, n), n_edges = q.shape, len(edges)
+    states, w_row = np.ones((max(rows, 2), max(n, 2))), np.ones(max(rows, 2))
+    states[:rows, :n], w_row[:rows] = q, np.dot(q, cfg.beta) if w is None else w
+    lhs = np.empty((len(matrix), len(w_row)))
+    lhs[n_edges] = cfg.type_dist.cdf_sign
+    cfg.type_dist.signed_cdf(np.multiply(edges[:, None], w_row, lhs[:n_edges]), lhs[:n_edges])
+    np.divide(states.T, w_row, lhs[n_edges + 1:])
+    return np.dot(lhs.T, matrix)[:rows, :n]
 
 
-def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False):
-    """Classical RK4 steps of size h for a (rows, N) batch of states, every
-    stage computed in place in buffers made here once.
+def _stage_operands(cfg: ModelConfig) -> tuple[list, np.ndarray, np.ndarray]:
+    """The RK4 kernel's constant operands, kept per config, for states with
+    n2 = max(N, 2) rows (padding rows get zero weight):
 
-    `step(qc, out)` writes qc + (h/6) (k1 + 2 k2 + 2 k3 + k4) into `out` for
-    states qc whose workloads the caller has written into row 0 of
-    `stage_w`, returned with it; rows 1-3 receive the other stages'
-    workloads.  With `in_s` each stage takes W times the field, dq/ds for
-    dt/ds = W.  `resize(h)` sets the size of the steps that follow,
-    returned third.  Stage j is qc + a k_(j-1), a = h/2, h/2, h, with its
-    workloads one product with beta, and the node qc plus one product of
-    (k1, ..., k4) with (h/6) (1, 2, 2, 1).  Padded like the field's
-    (`_rhs_batch`), the products give a row the same bits in every batch.
+    - the four stage matrices.  Stage j maps X = [qc; h k1; ...] to rows
+      [c W e; q; W, ..., W]: its state q = qc + a h k_(j-1) (a = 1/2, 1/2, 1),
+      its workload W = beta . q repeated n2 times, and the band edges times
+      W times the type's `cdf_scale` c.  Stage 1 reads qc alone, stage j
+      the first j blocks of X;
+    - the node matrix [I, I/6, I/3, I/3, I/6], for qc + (h/6)(k1 + 2 k2 +
+      2 k3 + k4) from X;
+    - the transpose M' of `_field_matrix`, its constant row first, so that
+      f = M' [S(inf); S(W e); q / W].
     """
-    rhs, n = _rhs_batch(cfg, rows), cfg.n_exchanges
-    b2, n2 = max(rows, 2), max(n, 2)
-    padded = (b2, n2) != (rows, n)
-    k, stages = np.ones((2, 4, b2, n2))
-    (k1, k2, k3, k4), (q1, q2, q3, q4) = k, stages  # q1 holds qc when padded
-    (kc1, kc2, kc3, _), (s1, s2, s3, s4) = k[:, :rows, :n], stages[:, :rows, :n]
-    beta = np.zeros((2, n2))
-    beta[:, :n] = cfg.beta
-    stage_ws = np.ones((4, 2, b2))  # row 0 of each: its stage's workloads
-    (_, o2, o3, o4), (w1, w2, w3, w4) = stage_ws, stage_ws[:, 0]
-    c1, c2, c3, c4 = stage_ws[:, 0, :, None] if in_s else [None] * 4  # the factor W in s
-    flat, node = k.reshape(4, -1), np.empty((2, b2 * n2))
-    node_q = node[0].reshape(b2, n2)[:rows, :n]
-    sizes = np.empty(10)  # h/2, h and twice (h/6) (1, 2, 2, 1), set in one call
-    half, full, weights = sizes[:1].reshape(()), sizes[1:2].reshape(()), sizes[2:].reshape(2, 4)
-    add, multiply, dot, copyto = np.add, np.multiply, np.dot, np.copyto
+    edges, matrix = cfg.kept(_field_matrix)
+    n2, n_edges = len(matrix[0]), len(edges)
+    beta = np.zeros(n2)
+    beta[:cfg.n_exchanges] = cfg.beta
+    unit = np.concatenate((
+        np.multiply.outer(edges * cfg.type_dist.cdf_scale, beta), np.eye(n2), np.tile(beta, (n2, 1))
+    ))
+    stages = [unit] + [
+        np.hstack((unit, np.zeros((len(unit), j * n2)), a * unit)) for j, a in enumerate((0.5, 0.5, 1.0))
+    ]
+    node = np.hstack((np.eye(n2), np.kron([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0], np.eye(n2))))
+    order = np.r_[n_edges, :n_edges, n_edges + 1:len(matrix)]
+    return stages, node, np.ascontiguousarray(matrix[order].T)
+
+
+class _Kernel(NamedTuple):
+    load: Callable     # load(q): make the (N, rows) states q the start of the next step
+    step: Callable     # step(): the node of one step from the start, an (N, rows) view
+    weigh: Callable    # weigh(): the node's stage-1 product, as `load` would form it
+    accept: Callable   # accept(): make the weighed node the start of the next step
+    resize: Callable   # resize(h): set the size of the steps that follow
+    state: np.ndarray  # (N, rows) the start of the next step
+    fields: np.ndarray  # (4, R, rows) each stage's [S(inf); S(W e); q / W; W, ..., W]
+
+
+def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False) -> _Kernel:
+    """Classical RK4 steps of size h for a batch of `rows` states, stored
+    feature-major (one column per state), every stage in buffers made here
+    once.
+
+    Each stage is two products.  The stage matrix (`_stage_operands`) takes
+    X = [qc; h k1; ...] to the stage state, its workload and the band edges
+    times it, already scaled for the type's `scaled_cdf`; that call writes
+    S(W e) in place and one divide writes q / W, which completes the field
+    operand.  The field product gives h k_j, with h folded into the field
+    matrix (`resize`); in s (`in_s`, dq/ds = W f for dt/ds = W) one multiply
+    by W follows.  One more product forms the node from X.  A stage whose
+    workload is not positive gets S = F(0), through the clamp in
+    `scaled_cdf`.  Per-row step sizes would enter as a (1, rows) row that
+    multiplies each field product's columns (in s, W times it), with M' left
+    unscaled.
+
+    `load` runs stage 1's product for the start and `weigh` runs it for the
+    node, so a node's workload (`fields[0, -1]` after `weigh`) is bit for bit
+    the next step's stage-1 workload; `step` leaves each stage's workload in
+    `fields[:, -1]`.  Every product has at least two rows, and its columns
+    are padded with states of ones to a multiple of `_COLUMNS`, so gemm
+    gives a column the same bits in every batch.
+    """
+    stages, node_matrix, field = cfg.kept(_stage_operands)
+    n, n2, b2 = cfg.n_exchanges, len(node_matrix), -(-rows // _COLUMNS) * _COLUMNS
+    n_edges = len(field[0]) - 1 - n2
+    x = np.ones((5 * n2, b2))  # [qc; h k1; h k2; h k3; h k4]
+    g = np.ones((4, 1 + n_edges + 2 * n2, b2))
+    g[:, 0] = cfg.type_dist.cdf_sign
+    node, field_h = np.empty((n2, b2)), np.empty_like(field)
+    z, q, w = 1, 1 + n_edges, 1 + n_edges + n2  # the first row of each part of g
+    plan = [
+        (stages[j], x[:(j + 1) * n2], g[j, z:], g[j, z:q], g[j, q:w], g[j, w:], g[j, :w],
+         x[(j + 1) * n2:(j + 2) * n2])
+        for j in range(4)
+    ]
+    first, start, primed = stages[0], x[:n2], g[0, z:]
+    state, node_q = x[:n, :rows], node[:n, :rows]
+    copyto, dot, divide, multiply = np.copyto, np.dot, np.divide, np.multiply
+    scaled_cdf = cfg.type_dist.scaled_cdf
+
+    def load(states):
+        copyto(state, states)
+        dot(first, start, primed)
+
+    def step():
+        for j, (matrix, operand, out, edge, state_q, work, f, k) in enumerate(plan):
+            if j:
+                dot(matrix, operand, out)
+            scaled_cdf(edge, edge)
+            divide(state_q, work, state_q)
+            dot(field_h, f, k)
+            if in_s:
+                multiply(k, work, k)
+        dot(node_matrix, x, node)
+        return node_q
+
+    def weigh():
+        dot(first, node, primed)
+
+    def accept():
+        copyto(state, node_q)
 
     def resize(h):
-        sixth, third = h / 6.0, h / 6.0 * 2.0
-        sizes[:] = (0.5 * h, h, sixth, third, third, sixth, sixth, third, third, sixth)
+        multiply(field, h, field_h)
 
     resize(h)
-
-    def step(qc, out):
-        if padded:
-            copyto(s1, qc)
-        rhs(q1 if padded else qc, w1, k1, c1)
-        add(multiply(kc1, half, s2), qc, s2)
-        dot(beta, q2.T, o2)
-        rhs(q2, w2, k2, c2)
-        add(multiply(kc2, half, s3), qc, s3)
-        dot(beta, q3.T, o3)
-        rhs(q3, w3, k3, c3)
-        add(multiply(kc3, full, s4), qc, s4)
-        dot(beta, q4.T, o4)
-        rhs(q4, w4, k4, c4)
-        dot(weights, flat, node)
-        add(node_q, qc, out)
-
-    return step, stage_ws[:, 0, :rows], resize
+    return _Kernel(load, step, weigh, accept, resize, state, g[:, :, :rows])
 
 
 @dataclass
@@ -280,8 +321,9 @@ def _integrate_batch(
     does not advance t) is frozen at its last good state, with its reason
     and time recorded; done and failed rows repeat their last node (in s its
     time too).  Frozen rows stay in the batch: a matmul over a subset of
-    rows can differ from the full product in its last bits.  Buffers are
-    made once per call; only `terminal` aliases one.
+    rows can differ from the full product in its last bits.  Each node's
+    workload is its `_rk4` stage-1 workload.  The kernel's buffers are made
+    once per call, and the states are kept feature-major, (N, B), inside.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, n = q0s.shape
@@ -290,15 +332,15 @@ def _integrate_batch(
     # h_max, the s time of the fastest linear decay -v mu beta_i q_i, keeps RK4
     # inside its real stability interval, where the error estimate is blind.
     h = 1.0 / (cfg.v * cfg.mu * beta.max()) if in_s else horizon / n_steps
-    q = q0s.copy()
-    w = np.dot(q, beta)
+    load, step, weigh, accept, resize, state, fields = _rk4(cfg, n_traj, h, in_s)
+    stage_w, w = fields[:, -1], fields[0, -1]  # w: the weighed or loaded state's
+    load(q0s.T)
     if np.any(w <= 0):
         raise ValueError("every initial state needs positive workload")
     # W relaxes toward W*, so an s step advances t by at most about
     # h_max max(W0, W*).
     if in_s and not horizon / (h * max(w.max(), solve_workload_star(cfg))) < _MAX_GRID:
         raise IntegrationError(f"horizon: the run would take {_MAX_GRID} steps or more")
-    rk4, stage_w, resize = _rk4(cfg, n_traj, h, in_s)
 
     alive = np.ones(n_traj, dtype=bool)
     all_alive = True  # until a trajectory fails, the freezes below are no-ops
@@ -320,16 +362,16 @@ def _integrate_batch(
         # Rows of ws and taus: the nodes', then the half-step candidates';
         # taus ends in ones, the horizon, so one comparison checks that the
         # candidates advance t short of it.  `peaks` holds each row's gaps in
-        # (q, t) and its node beside a 1.0, so one reduction gives the gap
+        # (q, t) and its node above a 1.0, so one reduction gives the gap
         # and max(1, max|q|).
-        peaks, qs, full = np.ones((2, n_traj, n + 1)), np.empty((2, n_traj, n)), np.empty_like(q)
+        peaks, qs, full = np.ones((2, n + 1, n_traj)), np.empty((2, n, n_traj)), np.empty((n, n_traj))
         ws, dts, lows, tops, taus = *np.empty((4, 3, n_traj)), np.zeros((4, n_traj))
         (spread, node), (mid, end), (gap, q_top, err) = peaks, qs, tops
-        node, spread_q, spread_t, top2 = node[:, :n], spread[:, :n], spread[:, n], tops[:2]
-        node[:], ws[0], taus[3], mean = q, w, 1.0, np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
-        (w_node, w_mid, w_end), (tau, tau_mid, tau_end, _), w1 = ws, taus, stage_w[0]
+        node, spread_q, spread_t, top2 = node[:n], spread[:n], spread[n], tops[:2]
+        node[:], ws[0], taus[3], mean = state, w, 1.0, np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+        (w_node, w_mid, w_end), (tau, tau_mid, tau_end, _) = ws, taus
         (dt_full, dt_mid, dt_end), new_dts, new_ws, new_taus = dts, dts[1:], ws[1:], taus[1:3]
-        ordered, worst = np.empty((5, n_traj), dtype=bool), np.zeros(n_traj)
+        ordered, worst, loaded = np.empty((5, n_traj), dtype=bool), np.zeros(n_traj), True
         advancing, kept, before, after = ordered[:3], ordered[3:], taus[:-1], taus[1:]
         # As 0-d arrays, these spare numpy a scalar conversion in each call.
         local_tol, fifteen, span = np.array(_LOCAL_TOL), np.array(15.0), np.array(horizon)
@@ -338,16 +380,22 @@ def _integrate_batch(
         def record(t, w, q):  # nodes' taus, workloads and states
             parts.append((t.copy(), w.copy(), q.copy() if store_states else None))
 
-        def advance(h, start, out, dt_out, low):
-            """One s step h (set by `resize`) into `out`, its t advance into `dt_out`;
-            return out's lowest entry, then floor out at 0, first writing each row's
-            lowest into `low` if that entry is not positive."""
-            rk4(start, out)
+        def advance(h, out, dt_out, low, w_out=None):
+            """One s step h (set by `resize`) from the loaded state into `out`, its
+            t advance into `dt_out`; return out's lowest entry, then floor out at 0,
+            first writing each row's lowest into `low` if that entry is not positive.
+            With `w_out`, weigh out into it and load out for the next step."""
+            x = step()
             np.multiply(dot(mean, stage_w, dt_out), h, dt_out)
-            lowest = minimum(out, None)
+            lowest = minimum(x, None)
             if not lowest > 0.0:
-                minimum(out, 1, None, low)
-                np.maximum(out, 0.0, out=out)
+                minimum(x, 0, None, low)
+                np.maximum(x, 0.0, out=x)
+            copyto(out, x)
+            if w_out is not None:
+                weigh()
+                accept()
+                copyto(w_out, w)
             return lowest
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -355,27 +403,27 @@ def _integrate_batch(
                 if not ran < _MAX_GRID:
                     raise IntegrationError(f"no s step meets the local tolerance {_LOCAL_TOL:g} "
                                            f"in fewer than {_MAX_GRID} steps")
-                copyto(w1, w_node)
+                if not loaded:
+                    load(node)
                 resize(h)
-                advance(h, node, full, dts[0], lows[0])
+                advance(h, full, dts[0], lows[0])
+                load(node)
                 resize(0.5 * h)
-                low_mid = advance(0.5 * h, node, mid, dts[1], lows[1])
-                copyto(w_mid, dot(mid, beta, w1))
-                low_end = advance(0.5 * h, mid, end, dts[2], lows[2])
-                dot(end, beta, w_end)
-                ran += 3
+                low_mid = advance(0.5 * h, mid, dts[1], lows[1], w_mid)
+                low_end = advance(0.5 * h, end, dts[2], lows[2], w_end)
+                ran, loaded = ran + 3, False
                 np.subtract(full, end, spread_q)
                 np.subtract(np.subtract(dt_full, dt_mid, spread_t), dt_end, spread_t)
                 np.abs(spread, spread)
-                maximum(peaks, 2, None, top2)
+                maximum(peaks, 1, None, top2)
                 if not all_running:  # a done or failed row neither limits nor accepts
                     copyto(gap, 0.0, where=~running)
                 # err <= tol exactly when tol / err >= 1 (tol is a normal
                 # number), and a NaN estimate is rejected.
                 np.divide(np.multiply(local_tol, q_top, q_top), np.divide(gap, fifteen, err), q_top)
                 least = float(minimum(q_top))
-                accept, h = least >= 1.0, min(h_max, h * min(4.0, max(0.2, 0.9 * least**0.2)))
-                if not accept:
+                accept_trial, h = least >= 1.0, min(h_max, h * min(4.0, max(0.2, 0.9 * least**0.2)))
+                if not accept_trial:
                     continue
                 np.fmax(worst, gap, worst)  # an accepted gap is finite
                 np.divide(new_dts, span, new_dts)
@@ -385,25 +433,27 @@ def _integrate_batch(
                 np.less_equal(floor, new_ws, kept)
                 if all_running and min(low_mid, low_end) >= -_CLIP_TOL and all_of(ordered, None):
                     record(new_taus, new_ws, qs)
-                    node[:], w_node[:], tau[:] = end, w_end, tau_end
+                    node[:], w_node[:], tau[:], loaded = end, w_end, tau_end, True
                     continue
                 candidates = zip(qs, new_ws, new_taus, lows[1:], (low_mid, low_end))
                 for x, w_x, tau_x, low, lowest in candidates:
                     negative = running & (not lowest >= -_CLIP_TOL) & ~(low >= -_CLIP_TOL)
                     for r in np.flatnonzero(running & ~(tau_x < 1.0)):
                         # One RK4 step in t to the horizon instead.
-                        last, last_w, last_resize = finish = finish or _rk4(cfg, 1, horizon)
-                        last_resize(horizon * (1.0 - tau[r]))
-                        last_w[0], row = w_node[r], slice(r, r + 1)
-                        last(node[row], x[row])
-                        negative[r] = not minimum(x[row], None) >= -_CLIP_TOL
-                        dot(np.maximum(x[row], 0.0, out=x[row]), beta, w_x[row])
-                        tau_x[r], ran = 1.0, ran + 1
+                        finish = finish or _rk4(cfg, 1, horizon)
+                        finish.resize(horizon * (1.0 - tau[r]))
+                        finish.load(node[:, r:r + 1])
+                        last = finish.step()
+                        negative[r] = not minimum(last, None) >= -_CLIP_TOL
+                        np.maximum(last, 0.0, out=last)
+                        finish.weigh()
+                        copyto(x[:, r:r + 1], last)
+                        w_x[r], tau_x[r], ran = finish.fields[0, -1, 0], 1.0, ran + 1
                     fail(negative, "negative", horizon * tau_x)
                     bad = running & alive & ~((w_x >= floor) & (tau_x > tau))
                     fail(bad, "floor", horizon * tau_x)
                     took = running & alive
-                    copyto(node, x, where=took[:, None])
+                    copyto(node, x, where=took)
                     copyto(w_node, w_x, where=took)
                     copyto(tau, tau_x, where=took)
                     if took.any():
@@ -415,53 +465,49 @@ def _integrate_batch(
 
         t_parts, w_parts, q_parts = zip(*parts)
         times, w_hist = horizon * np.concatenate(t_parts), np.concatenate(w_parts)
-        q_hist = np.concatenate(q_parts) if store_states else None
+        q_hist = np.concatenate(q_parts).transpose(0, 2, 1) if store_states else None
         steps, q, worst = len(times) - 1, node, float(maximum(worst))
     else:
-        stage_w[0], w = w, stage_w[0]  # the step reads q's workload there
         grid = np.append(np.arange(n_steps) * h, horizon)
         times = np.broadcast_to(grid[:, None], (n_steps + 1, n_traj))
         w_hist, q_hist = np.empty((n_steps + 1, n_traj)), None
         w_hist[0] = w
         if store_states:
-            q_hist = np.empty((n_steps + 1, *q.shape))
-            q_hist[0] = q
-        q_new, w_new = np.empty_like(q), np.empty_like(w)
+            q_hist = np.empty((n_steps + 1, n_traj, n))
+            q_hist[0] = q0s
         steps, ran, worst = n_steps, n_steps, 0.0
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for step in range(1, n_steps + 1):
-                rk4(q, q_new)
+            for i in range(1, n_steps + 1):
+                q = step()
                 # Each check is one reduction over the batch; the per-trajectory
                 # masks run only when it finds an entry that may fail (NaN too).
                 # A strictly positive state is its own floor at 0.
-                low = minimum(q_new, None)
+                low = minimum(q, None)
                 if not low > 0.0:
                     if not low >= -_CLIP_TOL:
-                        fail(alive & ~(np.min(q_new, axis=1) >= -_CLIP_TOL), "negative", grid[step])
-                    np.maximum(q_new, 0.0, out=q_new)  # what np.clip(q_new, 0.0, None) runs
-
-                dot(q_new, beta, w_new)
-                if not minimum(w_new) >= floor_max:
-                    fail(alive & ~(w_new >= floor), "floor", grid[step])
-
-                if all_alive:
-                    copyto(w, w_new)
-                else:  # failed rows keep their last good state
-                    copyto(q_new, q, where=~alive[:, None])
-                    copyto(w, w_new, where=alive)
-                q, q_new = q_new, q
-                w_hist[step] = w
+                        fail(alive & ~(np.min(q, axis=0) >= -_CLIP_TOL), "negative", grid[i])
+                    np.maximum(q, 0.0, out=q)  # what np.clip(q, 0.0, None) runs
+                if not all_alive:  # failed rows keep their last good state
+                    copyto(q, state, where=~alive)
+                weigh()
+                if not minimum(w) >= floor_max:
+                    fail(alive & ~(w >= floor), "floor", grid[i])
+                    copyto(q, state, where=~alive)
+                    weigh()
+                accept()
+                w_hist[i] = w
                 if store_states:
-                    q_hist[step] = q
+                    q_hist[i] = state.T
                 if not all_alive and not alive.any():
-                    w_hist[step + 1:] = w
+                    w_hist[i + 1:] = w
                     if store_states:
-                        q_hist[step + 1:] = q
+                        q_hist[i + 1:] = state.T
                     break
+        q = state
 
     return _BatchResult(
-        times=times, workload=w_hist, states=q_hist, terminal=q,
+        times=times, workload=w_hist, states=q_hist, terminal=q.T.copy(),
         min_workload=w_hist.min(axis=0),  # frozen rows repeat a kept value
         failed=~alive, fail_reason=reasons, fail_time=fail_time,
         steps=steps, pilot_steps=ran - steps, max_gap=worst,
@@ -549,7 +595,7 @@ def integrate(
     return FluidTrajectory(
         times=res.times[:, 0],
         states=res.states[:, 0, :],
-        drift=_rhs_batch(cfg)(res.states[:, 0, :], res.workload[:, 0]),
+        drift=_rhs_batch(cfg, res.states[:, 0, :], res.workload[:, 0]),
         workload=res.workload[:, 0],
         min_workload=float(res.min_workload[0]),
         kappa=kappa,

@@ -42,6 +42,7 @@ _SQRT2 = math.sqrt(2.0)
 # A 0-d operand gives the bits of the Python float, and numpy dispatches it
 # faster on small arrays.
 _ZERO = np.array(0.0)
+_MINUS_ZERO = np.array(-0.0)
 
 
 def _positive_int(x, low=1) -> bool:
@@ -81,11 +82,14 @@ class ExponentialType:
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
             raise ConfigError("type_dist.rate: must be positive and finite")
-        object.__setattr__(self, "_minus_rate", np.array(-self.rate))
+        object.__setattr__(self, "cdf_scale", np.array(-self.rate))
+
+    def scaled_cdf(self, z, out=None):
+        # The bound -0.0 gives expm1 the signed zero that -rate max(x, 0) has.
+        return np.expm1(np.minimum(z, _MINUS_ZERO, out=out), out)
 
     def signed_cdf(self, x, out=None):
-        f = np.maximum(np.asarray(x, dtype=float), _ZERO, out=out)
-        return np.expm1(np.multiply(f, self._minus_rate, out), out)
+        return self.scaled_cdf(np.multiply(np.asarray(x, dtype=float), self.cdf_scale, out), out)
 
     def cdf(self, x, out=None):
         return np.negative(self.signed_cdf(x, out), out)
@@ -119,10 +123,13 @@ class HalfNormalType:
         if not 0 < self.sigma < math.inf:
             raise ConfigError("type_dist.sigma: must be positive and finite")
         object.__setattr__(self, "_scale", np.array(self.sigma * _SQRT2))
+        object.__setattr__(self, "cdf_scale", 1.0 / (self.sigma * _SQRT2))
+
+    def scaled_cdf(self, z, out=None):
+        return scipy.special.erf(np.maximum(z, _ZERO, out=out), out)
 
     def cdf(self, x, out=None):
-        f = np.maximum(np.asarray(x, dtype=float), _ZERO, out=out)
-        return scipy.special.erf(np.divide(f, self._scale, out), out)
+        return self.scaled_cdf(np.divide(np.asarray(x, dtype=float), self._scale, out), out)
 
     signed_cdf = cdf
 
@@ -158,6 +165,7 @@ class TabulatedType:
 
     kind = "tabulated"
     cdf_sign = 1
+    cdf_scale = 1.0
 
     def __post_init__(self):
         g = np.asarray(self.gammas, dtype=float)
@@ -186,7 +194,7 @@ class TabulatedType:
         out[...] = f
         return out
 
-    signed_cdf = cdf
+    signed_cdf = scaled_cdf = cdf  # F is 0 left of 0, so needs no clamp
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -224,12 +232,17 @@ class TabulatedType:
 # returns it; the bits are those of the allocating call.  `signed_cdf` does
 # the same for `cdf_sign` * F(x): the exponential kind leaves out its
 # negation, which a difference of two F values takes from the order of its
-# operands, as (-a) - (-b) and b - a round to the same bits.  `isf(s)` is the
-# upper-tail quantile, the smallest gamma with 1 - F(gamma) = s for s in
-# (0, 1), formed from s itself so that a small s loses no digits to 1 - s
-# (the tabulated kind, whose grid holds F, excepted).  `gamma_f_mode` is the
-# point from which gamma f(gamma) no longer rises: condition (i) holds on
-# [a, inf) exactly when a is at or past it.
+# operands, as (-a) - (-b) and b - a round to the same bits.  The fluid
+# kernel folds the scaling of x into a matrix product, so each kind also has
+# `cdf_scale` c and `scaled_cdf(z, out=)`, S as a function of z = c x with
+# the clamp at x = 0 included.  `signed_cdf` is `scaled_cdf` of c x, except
+# that the half-normal kind divides x by sigma sqrt 2, as c x would move its
+# bits.  `isf(s)` is the upper-tail quantile, the smallest gamma with
+# 1 - F(gamma) = s for s in (0, 1), formed from s itself so that a small s
+# loses no digits to 1 - s (the tabulated kind, whose grid holds F,
+# excepted).  `gamma_f_mode` is the point from which gamma f(gamma) no
+# longer rises: condition (i) holds on [a, inf) exactly when a is at or
+# past it.
 TypeDistribution = ExponentialType | HalfNormalType | TabulatedType
 
 

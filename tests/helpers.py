@@ -194,21 +194,18 @@ def unhoisted_rhs(cfg: ModelConfig, q: np.ndarray, w=None) -> np.ndarray:
     return np.dot(lhs.T, matrix)[:rows, :n]
 
 
-def oracle_rk4_step(cfg, qc, h, *, in_s=False):
-    """One classical RK4 step of size h from the (B, N) states qc, with the
-    field as one product (`unhoisted_rhs`), times W in s (`in_s`), and
-    every stage formed anew: stage j is qc + a k_(j-1), its workloads one
-    product with beta, and the node qc plus one product of (k1, ..., k4)
-    with (h/6) (1, 2, 2, 1), each product padded as the kernel's are.
-    Returns the new states and the (4, B) stage workloads, the first
-    qc @ beta."""
+def old_order_rk4_step(cfg, qc, h, *, in_s=False):
+    """One classical RK4 step of size h from the (B, N) states qc in the
+    operation order of the kernel before its stages became stage products:
+    the field as one product (`unhoisted_rhs`), times W in s (`in_s`), stage
+    j the sum qc + a k_(j-1), its workloads one product with beta, and the
+    node qc plus one product of (k1, ..., k4) with (h/6) (1, 2, 2, 1), each
+    product padded as the kernel's are.  Returns the new states."""
     rows, n = qc.shape
     beta = np.zeros((2, max(n, 2)))
     beta[:, :n] = cfg.beta
-    stage_w = []
 
     def field(q, w):
-        stage_w.append(w)
         f = unhoisted_rhs(cfg, q, w)
         return f * w[:, None] if in_s else f
 
@@ -225,17 +222,88 @@ def oracle_rk4_step(cfg, qc, h, *, in_s=False):
     weights = np.tile((h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0]), (2, 1))
     ks = np.stack([_padded(k) for k in (k1, k2, k3, k4)])
     node = np.dot(weights, ks.reshape(4, -1))[0].reshape(ks.shape[1:])[:rows, :n]
-    return qc + node, np.array(stage_w)
+    return qc + node
+
+
+def loop_stage_operands(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The RK4 kernel's unit stage matrix, one entry at a time: rows
+    [c W e; q; W, ..., W] from a state q with n2 = max(N, 2) rows, c the
+    type's `cdf_scale` and e the edges of `loop_field_operands`; and the
+    transpose of that field matrix with its constant row first."""
+    edges, matrix = loop_field_operands(cfg)
+    n2, m = matrix.shape[1], len(edges)
+    beta = list(cfg.beta) + [0.0] * (n2 - cfg.n_exchanges)
+    unit = np.zeros((m + 2 * n2, n2))
+    for i in range(n2):
+        for r, e in enumerate(edges.tolist()):
+            unit[r, i] = (e * cfg.type_dist.cdf_scale) * beta[i]
+        unit[m + i, i] = 1.0
+        unit[m + n2:, i] = beta[i]
+    field = np.concatenate((matrix[m:m + 1], matrix[:m], matrix[m + 1:])).T
+    return unit, np.ascontiguousarray(field)
+
+
+def _feature_major(q: np.ndarray) -> np.ndarray:
+    """The (B, N) `q` transposed into the corner of a (max(N, 2), 8k) array
+    of ones, k the fewest whole groups of 8 columns that hold B: the RK4
+    kernel's padding (`fluid._COLUMNS`)."""
+    rows, n = q.shape
+    out = np.ones((max(n, 2), -(-rows // 8) * 8))
+    out[:n, :rows] = q.T
+    return out
+
+
+def _stage_product(cfg, blocks, a):
+    """Stage product of the RK4 kernel: [unit, 0, ..., a unit] times the
+    stacked (n2, max(B, 2)) blocks [qc; h k1; ...], or unit times qc alone."""
+    unit, _ = loop_stage_operands(cfg)
+    if len(blocks) > 1:
+        unit = np.hstack([unit] + [np.zeros_like(unit)] * (len(blocks) - 2) + [a * unit])
+    return np.dot(unit, np.concatenate(blocks))
+
+
+def oracle_workload(cfg, q: np.ndarray) -> np.ndarray:
+    """The workloads of (B, N) states as the RK4 kernel forms them: the last
+    row of the stage-1 product."""
+    return _stage_product(cfg, [_feature_major(q)], None)[-1, :len(q)]
+
+
+def oracle_rk4_step(cfg, qc, h, *, in_s=False):
+    """One classical RK4 step of size h from the (B, N) states qc in the
+    kernel's operation order, every operand formed anew from
+    `loop_stage_operands`, on states padded as the kernel's
+    (`_feature_major`): stage j's product gives its rows [c W e; q; W, ...],
+    the type's `scaled_cdf` and q / W complete [S(inf); S(W e); q / W], the
+    product with h M' gives h k_j, times W in s (`in_s`), and the node is
+    [I, I/6, I/3, I/3, I/6] times [qc; h k1; ...; h k4].  Returns the new
+    states and the (4, B) stage workloads, the first
+    `oracle_workload(cfg, qc)`."""
+    rows, n = qc.shape
+    _, field = loop_stage_operands(cfg)
+    n2 = len(field)
+    m = field.shape[1] - 1 - n2
+    blocks, stage_w = [_feature_major(qc)], []
+    for a in (None, 0.5, 0.5, 1.0):
+        y = _stage_product(cfg, blocks, a)
+        z, q, w = y[:m], y[m:m + n2], y[m + n2:]
+        stage_w.append(w[-1, :rows])
+        sign = np.full((1, q.shape[1]), float(cfg.type_dist.cdf_sign))
+        hk = np.dot(field * h, np.concatenate((sign, cfg.type_dist.scaled_cdf(z), q / w)))
+        blocks.append(hk * w if in_s else hk)
+    eye = np.eye(n2)
+    node = np.dot(np.hstack((eye, eye / 6.0, eye / 3.0, eye / 3.0, eye / 6.0)), np.concatenate(blocks))
+    return node[:n, :rows].T, np.array(stage_w)
 
 
 def oracle_integrate_batch(
     cfg, q0s, horizon, dt, kappas, *, store_states=False, on_error="raise"
 ):
     """Classical RK4 over a batch, step for step as `_integrate_batch` runs
-    it, without its buffers: a fresh `q @ beta` for every k1, per-trajectory
-    masks for every check, `np.clip` for the undershoot, and each step
-    formed anew (`oracle_rk4_step`).  The grid has the fewest uniform steps no
-    longer than `dt`; with on_error="raise" the first failure raises."""
+    it, without its buffers: each node's workload formed anew
+    (`oracle_workload`), per-trajectory masks for every check, `np.clip` for
+    the undershoot, and each step formed anew (`oracle_rk4_step`).  The grid
+    has the fewest uniform steps no longer than `dt`; with on_error="raise"
+    the first failure raises."""
     q0s = np.asarray(q0s, dtype=float)
     n_traj, _ = q0s.shape
     n_steps = max(1, math.ceil(horizon / dt - 1e-12))
@@ -243,7 +311,7 @@ def oracle_integrate_batch(
     floor = _FLOOR_FACTOR * np.asarray(kappas, dtype=float)
 
     q = q0s.copy()
-    w = q @ cfg.beta
+    w = oracle_workload(cfg, q)
     if np.any(w <= 0):
         raise ValueError("every initial state needs positive workload")
 
@@ -282,7 +350,7 @@ def oracle_integrate_batch(
                 fail(bad, "negative")
             np.clip(q_new, 0.0, None, out=q_new)
 
-            w_new = q_new @ cfg.beta
+            w_new = oracle_workload(cfg, q_new)
             bad = alive & ~(w_new >= floor)
             if bad.any():
                 fail(bad, "floor")

@@ -29,24 +29,24 @@ SIM_RNG_FINGERPRINT = {
 }
 # `fluid ref1 --T 2` at the explicit step 1e-3 (2001 rows) and at the
 # steps in s (80 rows, non-uniform in t).
-FLUID_REF1_CSV_SHA256 = "c53032f59dde9f2778eb142d17683e774267a517926878c07647f6655c699892"
-FLUID_REF1_SELECTED_CSV_SHA256 = "854d24a5c2c1dcc10b08283c3210f46eb4e4ada78ab2f95a2e3ef9b2634748ad"
+FLUID_REF1_CSV_SHA256 = "d6ed50ff70004d8a0f32f6ad1c9aa28993941301c01e6001d47230c072141c32"
+FLUID_REF1_SELECTED_CSV_SHA256 = "9dee1710af44b77e3e4ca1a3f0db203965334ff1aaf03b23c7e8adc074dd8d86"
 # Batched RK4 (B = 32 and B = 50 trajectories) behind the stability experiments.
 STABILITY_RUNS = {
     "local": (
         ["stability-local", "ref1", "--deltas", "0.01,0.1", "--T", "100", "--dt", "0.1"],
         "stability_local_ref1",
         {
-            "json": "43bbf073c415e8fd519c7a9f8087d9195e76468b3c68498f97b9b491f693d8ba",
-            "csv": "07d12584a3c45a38f112bd8276a6494813c02e2c4d7c89859785eb7d4ac2ef6b",
+            "json": "1ee1f39ac6aa3bf300168ae6f26cec4de57b73a66c20e0cf9dfb34a78dfdfd6b",
+            "csv": "f04fa36cfd5c8ecd44ee29bf51cf44c2b6499f0e82efbbfbf2e50bbdb39f7063",
         },
     ),
     "global": (
         ["stability-global", "ref2", "--inits", "50", "--T", "150", "--dt", "0.1"],
         "stability_global_ref2",
         {
-            "json": "1aa478ef8ac56640240546273cd5b696e8ce50eb5ad6e8b40ac2eb443221290c",
-            "csv": "c8db23158141e10940292a09ec58edcd0e09ef83fcc1eae340934c87af1d225e",
+            "json": "bbe307c204434bfae4d1cdcb7c8a955479cb79d7257eb35f26c0dd265d3e96a8",
+            "csv": "4cd514b12e93b62e2043d04605a9ab4376a221e459297c2daac68f1f2cc560a7",
         },
     ),
 }

@@ -204,7 +204,7 @@ class _Kernel(NamedTuple):
     accept: Callable   # accept(): make the weighed node the start of the next step
     resize: Callable   # resize(h): set the size of the steps that follow
     state: np.ndarray  # (N, rows) the start of the next step
-    fields: np.ndarray  # (4, R, rows) each stage's [S(inf); S(W e); q / W; W, ..., W]
+    fields: np.ndarray  # (4, ., rows) each stage's field operand [S(inf); S(W e); q / W; W, ..., W]
 
 
 def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False) -> _Kernel:

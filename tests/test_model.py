@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import erf
 
 from fluidlob import (
     ConfigError,
@@ -406,6 +407,29 @@ def test_type_distribution_edge_values():
         grid = np.linspace(0.01, 10, 200)
         assert np.all(np.diff(dist.cdf(grid)) > 0)
         assert np.all(dist.pdf(grid) >= 0)
+
+
+@pytest.mark.parametrize("dist", [ExponentialType(rate=1.3), HalfNormalType(sigma=0.8)], ids=["exp", "hn"])
+def test_signed_cdf_keeps_the_bits_of_clamp_then_scale(dist, rng):
+    # `signed_cdf` runs through `scaled_cdf`; it keeps the bits of the form
+    # that clamps x at 0 first, signed zeros and NaNs included, allocating or
+    # in place, and S(x) for x <= 0 is S(0), as the fluid kernel relies on.
+    x = np.concatenate((
+        [-math.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf, math.nan],
+        rng.uniform(-3.0, 3.0, 50),
+    ))
+    clamped = np.maximum(x, 0.0)
+    if isinstance(dist, ExponentialType):
+        want = np.expm1(clamped * -dist.rate)
+    else:
+        want = erf(clamped / (dist.sigma * math.sqrt(2.0)))
+    assert_bitwise(dist.signed_cdf(x), want)
+    assert_bitwise(dist.signed_cdf(x.copy(), np.empty_like(x)), want)
+    buffer = x.copy()
+    assert dist.signed_cdf(buffer, buffer) is buffer
+    assert_bitwise(buffer, want)
+    at_zero = dist.signed_cdf(np.zeros(1))
+    assert_bitwise(dist.scaled_cdf(dist.cdf_scale * x[:6]), np.repeat(at_zero, 6))
 
 
 def test_type_samplers_match_cdf(rng):

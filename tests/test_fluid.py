@@ -830,9 +830,9 @@ def test_a_nan_band_edge_makes_the_whole_step_nan(in_s):
 @pytest.mark.parametrize("n_steps", [_step_count(3.0, 0.05), None])
 def test_a_nodes_workload_is_its_next_stage_one_workload(ref1, ref2, rng, n_steps):
     # Each recorded workload is the stage-1 workload of a step from that node,
-    # bit for bit, in a batch of any size: the driver weighs a node with the
-    # kernel's stage-1 product, in t and in s, the halves, the nodes that
-    # finish at the horizon and the frozen rows included.
+    # bit for bit, in a batch of any size: `_integrate_batch` weighs each node
+    # with the kernel's stage-1 product, in t and in s, the halves, the nodes
+    # that finish at the horizon and the frozen rows included.
     for cfg in (ref1, ref2):
         q0s = np.array([random_positive_state(rng, cfg) for _ in range(5)])
         q0s[0] = 5e-4  # a slow start: its row finishes last in s

@@ -37,6 +37,8 @@ __all__ = ["run", "emit_plotdata", "main"]
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # the rows of `emit_plotdata`'s arrays
+        return f"{x:.12g}"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
@@ -80,8 +82,7 @@ def _csv_text(header: list[str], rows, meta: dict | None = None) -> str:
         for key in sorted(meta):
             lines.append(f"# {key}={_fmt(meta[key])}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -97,9 +98,7 @@ def emit_plotdata(obj, out) -> Path:
     if isinstance(obj, FluidTrajectory):
         n = obj.states.shape[1]
         header = ["t"] + [f"q{i + 1}" for i in range(n)] + ["W"]
-        rows = (
-            [obj.times[k], *obj.states[k], obj.workload[k]] for k in range(len(obj.times))
-        )
+        rows = np.column_stack((obj.times, obj.states, obj.workload)).tolist()
         _atomic_write(out, _csv_text(header, rows))
     elif isinstance(obj, SimPath):
         n = obj.q_scaled.shape[1]
@@ -111,17 +110,10 @@ def emit_plotdata(obj, out) -> Path:
             + [f"d{i + 1}" for i in range(n)]
             + ["routed0"]
         )
-        rows = (
-            [
-                obj.times[k],
-                *obj.q_scaled[k],
-                *obj.arrivals_dedicated[k],
-                *obj.arrivals_optimized[k],
-                *obj.served[k],
-                obj.routed_zero[k],
-            ]
-            for k in range(len(obj.times))
-        )
+        rows = np.column_stack((
+            obj.times, obj.q_scaled, obj.arrivals_dedicated, obj.arrivals_optimized, obj.served,
+            obj.routed_zero,
+        )).tolist()
         _atomic_write(out, _csv_text(header, rows, meta={"seed": obj.seed, "n": obj.n}))
     elif isinstance(obj, ConvergenceTable):
         _atomic_write(

@@ -50,6 +50,14 @@ class QueueState:
         return cls(q=q, workload=workload)
 
 
+def _payoff_operands(cfg: ModelConfig) -> tuple[float, list]:
+    """rebate0 and, for each venue, (i, r_i, (mu*beta_i)*v) as plain floats:
+    the operands of the routing payoffs, for `_router` and the simulator's
+    inline argmax."""
+    delays = zip(cfg.rebates.tolist(), (cfg.mu * cfg.beta * cfg.v).tolist())
+    return float(cfg.rebate0), [(i, r, s) for i, (r, s) in enumerate(delays)]
+
+
 def _router(cfg: ModelConfig):
     """The routing argmax as a plain-float rule `pick(gamma, queues, w)`.
 
@@ -60,18 +68,14 @@ def _router(cfg: ModelConfig):
     highest rebate, which puts index 0 last.  With every queue empty no delay
     is formed and the top-rebate venue wins.
     """
-    rebate0 = float(cfg.rebate0)
-    venues = [
-        (i + 1, float(r), float(s))
-        for i, (r, s) in enumerate(zip(cfg.rebates, cfg.mu * cfg.beta * cfg.v))
-    ]
+    rebate0, venues = _payoff_operands(cfg)
 
     def pick(gamma, queues, w) -> int:
         best, best_r, target = gamma * rebate0, rebate0, 0
-        for (k, r, s), q in zip(venues, queues):
+        for (i, r, s), q in zip(venues, queues):
             pay = gamma * r - w / s if q > 0 else gamma * r
             if pay > best or (pay == best and r > best_r):
-                best, best_r, target = pay, r, k
+                best, best_r, target = pay, r, i + 1
         return target
 
     return pick

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import ParameterError
 from .fluid import _MAX_GRID, FluidTrajectory, integrate
 from .model import ModelConfig, _positive_int
-from .routing import _router
+from .routing import _payoff_operands
 
 __all__ = [
     "SimConfig",
@@ -311,6 +311,13 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
     the routed-to-zero counter; with all queues empty the market clock is
     effectively suspended (every candidate is rejected) and optimized orders
     fall to the venue with the top rebate, whose delay penalty is zero.
+
+    The routing argmax runs inline in the event loop, over the payoff
+    operands that `routing._payoff_operands` builds once per run, with the
+    float expressions and the tie rule of `routing._router`.  `_router`,
+    which `route` calls, stays its reference: the test suite's event-loop
+    oracle (`oracle_simulate` in `tests/helpers.py`) routes with it, and the
+    two agree bit for bit.
     """
     n = sim.n
     n_venues = cfg.n_exchanges
@@ -362,7 +369,7 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
         ),
         _Clock(seed, "opt-times", opt_rate, opt_code, optimized_marks, opt_first),
     ]
-    pick_venue = _router(cfg)
+    rebate0, venues = _payoff_operands(cfg)
 
     queues = [int(x) for x in np.rint(np.asarray(sim.q0_scaled) * n)]
     arr_ded = [0] * n_venues
@@ -424,13 +431,19 @@ def simulate(cfg: ModelConfig, sim: SimConfig) -> SimPath:
                     queues[i] -= delivered
                     served[i] += delivered
                 elif code == opt_code:
-                    target = pick_venue(x, queues, w_scaled)
-                    if target == 0:
+                    # `routing._router`'s argmax over the type x, inline:
+                    # the same payoffs and tie rule, target -1 for option 0.
+                    best, best_r, target = x * rebate0, rebate0, -1
+                    for j, r, s in venues:
+                        pay = x * r - w_scaled / s if queues[j] > 0 else x * r
+                        if pay > best or (pay == best and r > best_r):
+                            best, best_r, target = pay, r, j
+                    if target < 0:
                         routed_zero += 1
                         continue
-                    queues[target - 1] += size
-                    arr_opt[target - 1] += size
-                    routed[target - 1] += 1
+                    queues[target] += size
+                    arr_opt[target] += size
+                    routed[target] += 1
                 else:
                     queues[code - 1] += size
                     arr_ded[code - 1] += size

@@ -225,22 +225,31 @@ def old_order_rk4_step(cfg, qc, h, *, in_s=False):
     return qc + node
 
 
-def loop_stage_operands(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The RK4 kernel's unit stage matrix, one entry at a time: rows
-    [c W e; q; W, ..., W] from a state q with n2 = max(N, 2) rows, c the
-    type's `cdf_scale` and e the edges of `loop_field_operands`; and the
-    transpose of that field matrix with its constant row first."""
+def loop_stage_operands(cfg: ModelConfig, in_s: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The RK4 kernel's unit block U and lifted field matrix L, one entry at
+    a time, for steps in t or in s (`in_s`), with n2 = max(N, 2) state rows,
+    c the type's `cdf_scale`, c0 its `cdf_sign` and e the edges of
+    `loop_field_operands`.  U maps a state q to the rows that a stage
+    product writes: [c W e; q; W (n2 times)] in t and
+    [c0 W; c W e; q; W (once per edge, at least once)] in s.
+    L = [M' | 0] takes a field operand, [c0; S(W e); q / W; W, ...] in t and
+    [c0 W; W S(W e); q; W, ...] in s, to the field (times W in s), M' the
+    transpose of the field matrix with its constant row first."""
     edges, matrix = loop_field_operands(cfg)
     n2, m = matrix.shape[1], len(edges)
     beta = list(cfg.beta) + [0.0] * (n2 - cfg.n_exchanges)
-    unit = np.zeros((m + 2 * n2, n2))
+    head, repeat = (1, max(m, 1)) if in_s else (0, n2)
+    unit = np.zeros((head + m + n2 + repeat, n2))
     for i in range(n2):
+        if in_s:
+            unit[0, i] = cfg.type_dist.cdf_sign * beta[i]
         for r, e in enumerate(edges.tolist()):
-            unit[r, i] = (e * cfg.type_dist.cdf_scale) * beta[i]
-        unit[m + i, i] = 1.0
-        unit[m + n2:, i] = beta[i]
-    field = np.concatenate((matrix[m:m + 1], matrix[:m], matrix[m + 1:])).T
-    return unit, np.ascontiguousarray(field)
+            unit[head + r, i] = (e * cfg.type_dist.cdf_scale) * beta[i]
+        unit[head + m + i, i] = 1.0
+        unit[head + m + n2:, i] = beta[i]
+    lifted = np.zeros((n2, 1 + m + n2 + repeat))
+    lifted[:, :1 + m + n2] = np.concatenate((matrix[m:m + 1], matrix[:m], matrix[m + 1:])).T
+    return unit, lifted
 
 
 def _feature_major(q: np.ndarray) -> np.ndarray:
@@ -253,46 +262,52 @@ def _feature_major(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stage_product(cfg, blocks, a):
-    """Stage product of the RK4 kernel: [unit, 0, ..., a unit] times the
-    stacked (n2, max(B, 2)) blocks [qc; h k1; ...], or unit times qc alone."""
-    unit, _ = loop_stage_operands(cfg)
-    if len(blocks) > 1:
-        unit = np.hstack([unit] + [np.zeros_like(unit)] * (len(blocks) - 2) + [a * unit])
-    return np.dot(unit, np.concatenate(blocks))
-
-
-def oracle_workload(cfg, q: np.ndarray) -> np.ndarray:
+def oracle_workload(cfg, q: np.ndarray, *, in_s: bool = False) -> np.ndarray:
     """The workloads of (B, N) states as the RK4 kernel forms them: the last
     row of the stage-1 product."""
-    return _stage_product(cfg, [_feature_major(q)], None)[-1, :len(q)]
+    unit, _ = loop_stage_operands(cfg, in_s)
+    return np.dot(unit, _feature_major(q))[-1, :len(q)]
 
 
 def oracle_rk4_step(cfg, qc, h, *, in_s=False):
     """One classical RK4 step of size h from the (B, N) states qc in the
     kernel's operation order, every operand formed anew from
     `loop_stage_operands`, on states padded as the kernel's
-    (`_feature_major`): stage j's product gives its rows [c W e; q; W, ...],
-    the type's `scaled_cdf` and q / W complete [S(inf); S(W e); q / W], the
-    product with h M' gives h k_j, times W in s (`in_s`), and the node is
-    [I, I/6, I/3, I/3, I/6] times [qc; h k1; ...; h k4].  Returns the new
+    (`_feature_major`).  Stage 1's product is U qc; stage j's is
+    [a h U L | 0 | U] (a = 1/2, 1/2, 1) times [G_(j-1); ...; G_1; qc], the
+    field operands G of the stages before it, newest first, and the start
+    last.  The type's `scaled_cdf` and then q / W in t, or W S(W e) in s
+    (`in_s`), complete G_j, and the node is
+    [hL/6, hL/3, hL/3, hL/6, I] [G_4; G_3; G_2; G_1; qc].  Returns the new
     states and the (4, B) stage workloads, the first
-    `oracle_workload(cfg, qc)`."""
+    `oracle_workload(cfg, qc, in_s=in_s)`."""
     rows, n = qc.shape
-    _, field = loop_stage_operands(cfg)
-    n2 = len(field)
-    m = field.shape[1] - 1 - n2
-    blocks, stage_w = [_feature_major(qc)], []
+    unit, lifted = loop_stage_operands(cfg, in_s)
+    n2, f = lifted.shape
+    m = len(loop_field_operands(cfg)[0])
+    q, w = 1 + m, 1 + m + n2  # the first rows of q and W in G
+    field_u, start = np.dot(unit, lifted), _feature_major(qc)
+    blocks: list = []  # G_1, G_2, ...
     for a in (None, 0.5, 0.5, 1.0):
-        y = _stage_product(cfg, blocks, a)
-        z, q, w = y[:m], y[m:m + n2], y[m + n2:]
-        stage_w.append(w[-1, :rows])
-        sign = np.full((1, q.shape[1]), float(cfg.type_dist.cdf_sign))
-        hk = np.dot(field * h, np.concatenate((sign, cfg.type_dist.scaled_cdf(z), q / w)))
-        blocks.append(hk * w if in_s else hk)
-    eye = np.eye(n2)
-    node = np.dot(np.hstack((eye, eye / 6.0, eye / 3.0, eye / 3.0, eye / 6.0)), np.concatenate(blocks))
-    return node[:n, :rows].T, np.array(stage_w)
+        if a is None:
+            y = np.dot(unit, start)
+        else:
+            older = [np.zeros((len(unit), f))] * (len(blocks) - 1)
+            matrix = np.hstack([a * field_u * h] + older + [unit])
+            y = np.dot(matrix, np.concatenate(blocks[::-1] + [start]))
+        g = np.full((f, y.shape[1]), float(cfg.type_dist.cdf_sign))
+        g[f - len(y):] = y
+        g[1:q] = cfg.type_dist.scaled_cdf(g[1:q])
+        if in_s:
+            g[1:q] = g[1:q] * g[w:w + m]
+        else:
+            g[q:w] = g[q:w] / g[w:]
+        blocks.append(g)
+    node = np.dot(
+        np.hstack((lifted / 6.0 * h, lifted / 3.0 * h, lifted / 3.0 * h, lifted / 6.0 * h, np.eye(n2))),
+        np.concatenate(blocks[::-1] + [start]),
+    )
+    return node[:n, :rows].T, np.array([g[-1, :rows] for g in blocks])
 
 
 def oracle_integrate_batch(

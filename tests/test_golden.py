@@ -29,24 +29,24 @@ SIM_RNG_FINGERPRINT = {
 }
 # `fluid ref1 --T 2` at the explicit step 1e-3 (2001 rows) and at the
 # steps in s (80 rows, non-uniform in t).
-FLUID_REF1_CSV_SHA256 = "d6ed50ff70004d8a0f32f6ad1c9aa28993941301c01e6001d47230c072141c32"
-FLUID_REF1_SELECTED_CSV_SHA256 = "9dee1710af44b77e3e4ca1a3f0db203965334ff1aaf03b23c7e8adc074dd8d86"
+FLUID_REF1_CSV_SHA256 = "c53032f59dde9f2778eb142d17683e774267a517926878c07647f6655c699892"
+FLUID_REF1_SELECTED_CSV_SHA256 = "484eb781cf56a1b0f77a4c4b695f8ba444a5f1671bc2daecc95347f18ffa1008"
 # Batched RK4 (B = 32 and B = 50 trajectories) behind the stability experiments.
 STABILITY_RUNS = {
     "local": (
         ["stability-local", "ref1", "--deltas", "0.01,0.1", "--T", "100", "--dt", "0.1"],
         "stability_local_ref1",
         {
-            "json": "1ee1f39ac6aa3bf300168ae6f26cec4de57b73a66c20e0cf9dfb34a78dfdfd6b",
-            "csv": "f04fa36cfd5c8ecd44ee29bf51cf44c2b6499f0e82efbbfbf2e50bbdb39f7063",
+            "json": "5a9411f07202f3a111a88d5e758b477dd8039abe419dcb7335d8eef50d30ef6e",
+            "csv": "58adf0ebb9d724e8e3b9ee28931046a45e3ea64f269088e4a71a37ccf8af66a7",
         },
     ),
     "global": (
         ["stability-global", "ref2", "--inits", "50", "--T", "150", "--dt", "0.1"],
         "stability_global_ref2",
         {
-            "json": "bbe307c204434bfae4d1cdcb7c8a955479cb79d7257eb35f26c0dd265d3e96a8",
-            "csv": "4cd514b12e93b62e2043d04605a9ab4376a221e459297c2daac68f1f2cc560a7",
+            "json": "0a025bce87c2bbee68ed8c97d44ffa60eae93383030e8fecfbd0d6858c4b8eb3",
+            "csv": "5172859b8198402805f04a97cbb942908773857cf03fc7b41bcd8da9b6e47985",
         },
     ),
 }

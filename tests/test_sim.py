@@ -25,6 +25,7 @@ from fluidlob import load_config, sim
 from fluidlob.fluid import _SELECT_TOL
 from fluidlob.model import compute_kappa
 
+import helpers
 from helpers import FIXTURES, make_config, oracle_simulate, random_valid_config, ref1_dict
 
 
@@ -402,6 +403,8 @@ def _case_config(name):
     if name == "no-arrivals":
         return make_config(**{"lambda": [0.0, 0.0]}, big_lambda=0.0)
     kind, seed = name.rsplit("-", 1)
+    if kind.startswith("venues-"):  # "venues-N-seed": N venues, both type kinds
+        return random_valid_config(np.random.default_rng(int(seed)), n=int(kind[7:]))
     return random_valid_config(np.random.default_rng(int(seed)), kinds=(kind,))
 
 
@@ -418,6 +421,8 @@ ORACLE_CASES = {
     "service only": ("no-arrivals", 300, 2.0, 0.02, 0.0, None),
     "zero horizon": ("ref2", 100, 0.0, 1.0, 0.0, None),
     "block boundary": ("ref1", 5000, 2.0, 0.01, 0.0, None),
+    "twelve venues": ("venues-12-1", 300, 2.0, 0.02, 0.0, None),
+    "eight venues whose queues empty": ("venues-8-4", 10, 2.0, 0.02, 0.0, 0.1),
 }
 
 
@@ -478,6 +483,43 @@ def test_oracle_cases_reach_their_edge(ref1):
     assert np.any(empty.q_scaled.sum(axis=1) == 0)
     assert empty.counters.accepted < empty.counters.candidates
     assert _oracle_run("epsilon truncation", 3)[2].counters.truncated > 0
+    # The routing argmax meets N = 12, and at N = 8 queues that empty, where
+    # an empty venue pays gamma r_i and most venues win some orders.
+    twelve = _oracle_run("twelve venues", 3)[2]
+    assert len(twelve.counters.routed) == 12 and twelve.counters.routed_zero > 0
+    eight = _oracle_run("eight venues whose queues empty", 3)[2]
+    assert np.mean(np.any(eight.q_scaled == 0, axis=1)) > 0.5
+    assert sum(count > 0 for count in eight.counters.routed) >= 6 and eight.counters.routed_zero > 0
+
+
+def test_simulate_breaks_exact_payoff_ties_as_the_oracle(ref1, monkeypatch):
+    # Every optimized type is 1.0, the type of
+    # `test_router_exact_payoff_ties_go_to_the_higher_rebate`.  On ref1 at
+    # n = 20 from q0 = 0.5 the scaled workload is exactly 2 or 4 at some
+    # arrivals, where the two venues, or option 0 and venue 1, pay exactly
+    # the same; the simulator's inline argmax breaks each tie as the
+    # oracle's `routing._router` does.
+    monkeypatch.setattr(type(ref1.type_dist), "sample", lambda self, gen, size: np.ones(size))
+    router, ties = helpers._router, set()
+
+    def recording(cfg):
+        pick = router(cfg)
+        rebates, delays = cfg.rebates.tolist(), (cfg.mu * cfg.beta * cfg.v).tolist()
+
+        def recorded(gamma, queues, w):
+            pays = [gamma * cfg.rebate0]
+            pays += [gamma * r - w / s if q > 0 else gamma * r for r, s, q in zip(rebates, delays, queues)]
+            best = [k for k, pay in enumerate(pays) if pay == max(pays)]
+            if len(best) > 1:
+                ties.add(tuple(best))
+            return pick(gamma, queues, w)
+
+        return recorded
+
+    monkeypatch.setattr(helpers, "_router", recording)
+    run = SimConfig(n=20, horizon=4.0, sample_dt=0.02, seed=1, q0_scaled=np.full(2, 0.5))
+    _assert_is_the_oracle(simulate(ref1, run), oracle_simulate(ref1, run))
+    assert ties == {(0, 1), (1, 2)}
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))

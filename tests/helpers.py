@@ -262,10 +262,10 @@ def _feature_major(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def oracle_workload(cfg, q: np.ndarray, *, in_s: bool = False) -> np.ndarray:
+def oracle_workload(cfg, q: np.ndarray) -> np.ndarray:
     """The workloads of (B, N) states as the RK4 kernel forms them: the last
     row of the stage-1 product."""
-    unit, _ = loop_stage_operands(cfg, in_s)
+    unit, _ = loop_stage_operands(cfg)
     return np.dot(unit, _feature_major(q))[-1, :len(q)]
 
 
@@ -280,7 +280,7 @@ def oracle_rk4_step(cfg, qc, h, *, in_s=False):
     (`in_s`), complete G_j, and the node is
     [hL/6, hL/3, hL/3, hL/6, I] [G_4; G_3; G_2; G_1; qc].  Returns the new
     states and the (4, B) stage workloads, the first
-    `oracle_workload(cfg, qc, in_s=in_s)`."""
+    `oracle_workload(cfg, qc)`."""
     rows, n = qc.shape
     unit, lifted = loop_stage_operands(cfg, in_s)
     n2, f = lifted.shape

@@ -727,12 +727,17 @@ def test_lean_s_step_is_bitwise_the_oracle_step(ref1, rng, rows):
     # One step of the kernel in s, with its stage workloads, against one
     # RK4 step on W times the unhoisted field, for each type kind.  The
     # steps keep every stage's workload positive, the field's domain.  The
-    # kernel is made at one step size and resized to the other.
+    # kernel is made at one step size and resized to the other.  With
+    # mu = 5e-324 every band edge is +inf, so the field has no S(W e) row,
+    # and a field operand still keeps one W row: its stage-1 workload is
+    # beta . q.
     half_normal = make_config(type_dist={"kind": "half-normal", "sigma": 1.3})
     tabulated = make_config(
         type_dist={"kind": "tabulated", "gamma": [0.0, 1.0, 3.0], "cdf": [0.0, 0.6, 1.0]}
     )
-    cfgs = [ref1, half_normal, tabulated] + [random_stable_config(rng, n_max=6) for _ in range(4)]
+    no_edges = make_config(mu=5e-324)
+    assert np.all(no_edges.bands.edges == np.inf)
+    cfgs = [ref1, half_normal, tabulated, no_edges] + [random_stable_config(rng, n_max=6) for _ in range(4)]
     kinds = {type(cfg.type_dist).__name__ for cfg in cfgs}
     assert kinds == {"ExponentialType", "HalfNormalType", "TabulatedType"}
     for cfg in cfgs:
@@ -744,6 +749,7 @@ def test_lean_s_step_is_bitwise_the_oracle_step(ref1, rng, rows):
             out = kernel.step()
             want, want_w = oracle_rk4_step(cfg, q, h, in_s=True)
             assert want_w.min() > 0
+            assert want_w[0] == pytest.approx(q @ cfg.beta, rel=4 * np.finfo(float).eps, abs=0.0)
             assert_bitwise(out.T, want)
             assert_bitwise(kernel.fields[:, -1], want_w)
 

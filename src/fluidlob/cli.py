@@ -207,7 +207,7 @@ def run(command: str, config_path, params: dict) -> int:
         _write_json(path, rep)
         print(
             f"spectrum {name}: verdict={rep.verdict} max_real={rep.max_real_part:.3e} "
-            f"det_err={rep.det_identity_max_rel_err:.2e} -> {path}"
+            f"det_err={rep.det_identity_max_rel_err:.2e} rhp={rep.rhp_roots_by_winding} -> {path}"
         )
         return 0 if rep.verdict == "stable" else 2
 

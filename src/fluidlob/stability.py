@@ -6,12 +6,12 @@ limit-order inflow matches total service exactly when
 sum_i b_d_i lam_i + b_o Lambda sum_i chi_i(W) = v mu, and since
 sum_i chi_i(W) = 1 - F(W a_min) its root is the closed form of
 `routing.solve_workload_star`.  The venue composition then follows from the
-per-venue balance.  Local stability is certified by the
-eigenvalues of the drift Jacobian, cross-checked against a closed-form
-determinant built from its rank-1-plus-diagonal structure.  The trajectory
-experiments integrate all their trials as one batch, in uniform steps of
-`dt` or, without it, in shared s steps that step doubling picks, and report
-each failed trial with its reason.  `tube_entry_time` and
+per-venue balance.  Local stability is certified by the eigenvalues of the
+drift Jacobian, cross-checked against the closed-form determinant of its
+rank-1-plus-diagonal structure and a winding count of the unstable ones.
+The trajectory experiments integrate all their trials as one batch, in
+uniform steps of `dt` or, without it, in shared s steps that step doubling
+picks, and report each failed trial with its reason.  `tube_entry_time` and
 `workload_monotone` are read at the nodes: the uniform grid, or the
 step-doubling nodes without `dt`.
 """
@@ -201,7 +201,7 @@ def det_shifted(cfg: ModelConfig, q, nu: float) -> float:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Spectrum of the drift Jacobian plus the determinant cross-checks.
+    """Spectrum of the drift Jacobian plus the determinant and winding cross-checks.
 
     `eigenvalues` is complex even when all are real; `marginal_tolerance` is
     the fixed bound on |max_real_part| within which the verdict is "marginal".
@@ -213,15 +213,15 @@ class SpectrumReport:
     det_identity_max_rel_err: float
     verdict: str                      # "stable" | "unstable" | "marginal"
     has_complex_pair: bool
-    secular_checked: bool
-    secular_real_roots: int | None
-    real_eigs_off_pole: int | None
-    secular_max_residual: float | None
+    rhp_roots_by_winding: int | None  # eigenvalues with Re > 0 by `_winding_count`
     marginal_tolerance: float = field(default=STABILITY_TOL, init=False)
 
 
 # Elements in one block of `spectrum`'s shifted matrices or secular terms.
 _BLOCK = 1 << 16
+# Times the winding count checks its omega grid, halving each step whose phase
+# step exceeds 0.5 rad: 40 halvings take a ratio of 1.1 to 1 + 1e-13.
+_WINDING_ROUNDS = 40
 
 
 def _secular(d: np.ndarray, c: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -230,16 +230,41 @@ def _secular(d: np.ndarray, c: np.ndarray, nus: np.ndarray) -> np.ndarray:
     return np.divide(c, terms, out=terms).sum(axis=-1) - 1.0
 
 
+def _winding_count(d: np.ndarray, c: np.ndarray) -> int | None:
+    """Zeros of s(z) = sum_i c_i/(d_i + z) - 1 in Re z > 0, for d > 0: as
+    every pole has Re < 0, s(-i omega) = conj s(i omega) and s(inf) = -1, the
+    argument principle makes it -Phi/pi, Phi the phase change of s(i omega)
+    on [0, inf).  None unless that is within 1e-6 of an integer and the
+    geometric omega grid, refined at wide steps, settles."""
+    rows = max(1, _BLOCK // len(d))
+
+    def on_axis(omegas):  # s(i omega) in blocks of about `_BLOCK` terms
+        return np.concatenate([_secular(d, c, 1j * omegas[k : k + rows]) for k in range(0, len(omegas), rows)])
+
+    omegas = np.geomspace(1e-4 * d.min(), 1e4 * (d.max() + np.abs(c).sum()), 256)
+    vals = on_axis(omegas)
+    for _ in range(_WINDING_ROUNDS):
+        steps = np.angle(vals[1:] * vals[:-1].conj())
+        wide = np.flatnonzero(np.abs(steps) > 0.5)
+        if not wide.size:
+            break
+        mids = np.sqrt(omegas[wide] * omegas[wide + 1])
+        omegas, vals = np.insert(omegas, wide + 1, mids), np.insert(vals, wide + 1, on_axis(mids))
+    else:
+        return None
+    ends = np.angle([vals[0] * (np.sum(c / d) - 1.0), -vals[-1].conj()])
+    count = -float(steps.sum() + ends.sum()) / math.pi
+    return round(count) if abs(count - round(count)) <= 1e-6 else None
+
+
 def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
-    """Dense eigenvalue computation with determinant and secular cross-checks.
+    """Dense eigenvalue computation with determinant and winding cross-checks.
 
     The eigensolver is authoritative for the verdict.  The closed-form
-    determinant on a 21-point nu grid is compared with the direct ones, and
-    for distinct diagonal entries the real eigenvalues away from the poles
-    are counted against the secular function's sign changes on 200 points
-    per pole interval.  Shifted copies of J and secular terms are formed in
-    blocks of about `_BLOCK` elements (one matrix or grid row at least), so
-    memory stays O(N^2 + 200 N).
+    determinant on a 21-point nu grid is compared with the direct ones, in
+    blocks of about `_BLOCK` elements (one matrix at least), and
+    `_winding_count` counts the right-half-plane eigenvalues from the
+    secular function alone.  Memory stays O(N^2).
     """
     w, jac, d, c = _rank1_parts(cfg, q, "spectrum")
     try:
@@ -259,30 +284,6 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
     rel = np.abs(_det_from_parts(d, c, nus) - direct) / np.maximum(np.abs(direct), 1e-300)
     max_rel = float(np.fmax.reduce(rel, initial=0.0))
 
-    secular_checked = cfg.n_exchanges == 1 or bool(np.all(np.diff(np.sort(d)) > 1e-9 * d.max()))
-    sec_roots = real_off_pole = sec_res = None
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if secular_checked:
-        poles = -d
-        real_eigs = eigs.real[np.abs(eigs.imag) <= 1e-9 * scale]
-        near = np.abs(real_eigs[:, None] - poles).min(axis=1)
-        off_pole = real_eigs[near > 1e-7 * max(1.0, d.max())]
-        real_off_pole = len(off_pole)
-        sec_res = float(np.abs(_secular(d, c, off_pole)).max()) if off_pole.size else 0.0
-        # Intervals between consecutive poles, plus the two outer ones
-        # bounded by the Gershgorin radius, one grid row each.
-        radius = float(np.max(np.sum(np.abs(jac), axis=1))) + 1.0
-        edges = np.concatenate(([-radius], np.sort(poles), [radius]))
-        width = np.diff(edges)
-        pad = 1e-6 * np.where(width > 1.0, width, 1.0)
-        xs = np.linspace(edges[:-1] + pad, edges[1:] - pad, 200, axis=1)
-        vals = np.empty_like(xs)
-        rows = max(1, _BLOCK // (xs.shape[1] * cfg.n_exchanges))
-        for k in range(0, len(xs), rows):
-            vals[k : k + rows] = _secular(d, c, xs[k : k + rows])
-        signs = np.sign(vals)
-        sec_roots = int(np.count_nonzero(signs[:, :-1] * signs[:, 1:] < 0))
-
     return SpectrumReport(
         jacobian=jac,
         eigenvalues=eigs,
@@ -290,11 +291,8 @@ def spectrum(cfg: ModelConfig, q) -> SpectrumReport:
         det_identity_max_rel_err=max_rel,
         verdict=("stable" if max_real < -STABILITY_TOL
                  else "unstable" if max_real > STABILITY_TOL else "marginal"),
-        has_complex_pair=bool(np.any(np.abs(eigs.imag) > 1e-9 * scale)),
-        secular_checked=secular_checked,
-        secular_real_roots=sec_roots,
-        real_eigs_off_pole=real_off_pole,
-        secular_max_residual=sec_res,
+        has_complex_pair=bool(np.any(np.abs(eigs.imag) > 1e-9 * max(1.0, float(np.abs(eigs).max())))),
+        rhp_roots_by_winding=_winding_count(d, c),
     )
 
 

@@ -19,11 +19,9 @@ from fluidlob import (
     ModelConfig,
     QueueState,
     RoutingBands,
-    chi_derivative,
     compute_bands,
     config_from_dict,
     fluid_rhs,
-    jacobian,
     solve_workload_star,
 )
 from fluidlob.errors import AssumptionError, IntegrationError, SingularityError
@@ -627,10 +625,6 @@ def _loop_det_from_parts(d: np.ndarray, c: np.ndarray, nu: float) -> float:
     return float(np.prod(dn) * (np.sum(c / dn) - 1.0) * sign)
 
 
-def _loop_secular(d: np.ndarray, c: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    return (c / (d + nus[:, None])).sum(axis=1) - 1.0
-
-
 def loop_det_shifted(cfg: ModelConfig, q, nu: float) -> float:
     """The closed-form det(J - nu I) at one float nu: the oracle of `det_shifted`."""
     _, _, d, c = _rank1_parts(cfg, q, "determinant")
@@ -638,8 +632,9 @@ def loop_det_shifted(cfg: ModelConfig, q, nu: float) -> float:
 
 
 def loop_spectrum(cfg: ModelConfig, q) -> SpectrumReport:
-    """`spectrum` with one nu, one determinant and one secular interval per
-    step: the oracle of the array form."""
+    """`spectrum` with one nu and one determinant per step, and the
+    right-half-plane count read off the eigenvalues: the oracle of the array
+    form and of the winding count."""
     w, jac, d, c = _rank1_parts(cfg, q, "spectrum")
     try:
         eigs = np.linalg.eigvals(jac).astype(complex)
@@ -656,29 +651,6 @@ def loop_spectrum(cfg: ModelConfig, q) -> SpectrumReport:
         closed = _loop_det_from_parts(d, c, float(nu))
         max_rel = max(max_rel, abs(closed - direct) / max(abs(direct), 1e-300))
 
-    gaps = np.diff(np.sort(d))
-    secular_checked = cfg.n_exchanges == 1 or bool(np.all(gaps > 1e-9 * d.max()))
-    sec_roots = real_off_pole = None
-    sec_res = None
-    if secular_checked:
-        poles = -d
-        scale = max(1.0, float(np.abs(eigs).max()))
-        real_eigs = [z.real for z in eigs if abs(z.imag) <= 1e-9 * scale]
-        off_pole = [
-            x for x in real_eigs if np.min(np.abs(x - poles)) > 1e-7 * max(1.0, d.max())
-        ]
-        real_off_pole = len(off_pole)
-        sec_res = float(np.abs(_loop_secular(d, c, np.array(off_pole))).max()) if off_pole else 0.0
-        radius = float(np.max(np.sum(np.abs(jac), axis=1))) + 1.0
-        edges = np.concatenate(([-radius], np.sort(poles), [radius]))
-        count = 0
-        for a, b in zip(edges[:-1], edges[1:]):
-            pad = 1e-6 * max(1.0, b - a)
-            xs = np.linspace(a + pad, b - pad, 200)
-            vals = _loop_secular(d, c, xs)
-            count += int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
-        sec_roots = count
-
     if max_real < -STABILITY_TOL:
         verdict = "stable"
     elif max_real > STABILITY_TOL:
@@ -692,10 +664,7 @@ def loop_spectrum(cfg: ModelConfig, q) -> SpectrumReport:
         det_identity_max_rel_err=max_rel,
         verdict=verdict,
         has_complex_pair=bool(np.any(np.abs(eigs.imag) > 1e-9 * max(1.0, np.abs(eigs).max()))),
-        secular_checked=secular_checked,
-        secular_real_roots=sec_roots,
-        real_eigs_off_pole=real_off_pole,
-        secular_max_residual=sec_res,
+        rhp_roots_by_winding=int(np.count_nonzero(eigs.real > 0)),
     )
 
 
@@ -772,29 +741,6 @@ def loop_workload_roots(cfg: ModelConfig) -> list[float]:
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
-
-
-def loop_secular_real_roots(cfg: ModelConfig, q) -> int:
-    """Real roots of the secular function sum_i c_i/(d_i + nu) - 1, counted by
-    sign changes on 200 points per pole interval, one nu per call."""
-    q = np.asarray(q, dtype=float)
-    w = float(cfg.beta @ q)
-    lam_o = cfg.b_optimized * cfg.big_lambda
-    mu_eff = cfg.v * cfg.mu
-    d = cfg.beta * mu_eff / w
-    c = cfg.beta**2 * q * mu_eff / w**2 + lam_o * cfg.beta * chi_derivative(cfg, w)
-
-    def phi(nu):
-        return float(np.sum(c / (d + nu)) - 1.0)
-
-    radius = float(np.max(np.sum(np.abs(jacobian(cfg, q)), axis=1))) + 1.0
-    edges = np.concatenate(([-radius], np.sort(-d), [radius]))
-    count = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        pad = 1e-6 * max(1.0, b - a)
-        vals = np.array([phi(x) for x in np.linspace(a + pad, b - pad, 200)])
-        count += int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -919,6 +865,54 @@ def random_stable_config(
     raise AssertionError("could not reach the stability-regime margin")
 
 
+# The two smooth type kinds of `all_active_config`: their laws and upper tails.
+_ALL_ACTIVE_TYPES = {
+    "exponential": ({"kind": "exponential", "rate": 1.0}, lambda x: math.exp(-x)),
+    "half-normal": ({"kind": "half-normal", "sigma": 1.0}, lambda x: math.erfc(x / math.sqrt(2.0))),
+}
+
+
+def all_active_config(n: int, kind: str = "exponential") -> ModelConfig:
+    """A config with `n` venues in which every routing band is nonempty.
+
+    Venue i pays W (x r_i - 1/(mu beta_i v)) at x = gamma/W and option 0 pays
+    W x rebate0, so venue i has a nonempty band exactly when its point
+    (r_i, 1/(mu beta_i v)) is a strict vertex of the lower convex hull of
+    those points and (rebate0, 0).  Here r = linspace(0.2, 3, n), v = mu = 1
+    and 1/(mu beta_i v) = 1 + 0.2 r_i^2, convex in r, with rebate0 = -20 far
+    to the left: every venue is a vertex.  lambda_i = 0.3/n, unit sizes, and
+    Lambda = (mu - sum lambda)/s with s the type's upper tail at
+    1.2 gamma_f_mode beta_max/beta_min, so a_min W* = 1.2 gamma_f_mode
+    beta_max/beta_min and condition (i) holds from q* at every n.
+
+    The family is slow: W* is large and max Re of the Jacobian's
+    eigenvalues is about -0.005, so experiments on it need horizons in the
+    thousands, not ref1's hundreds.
+    """
+    law, tail = _ALL_ACTIVE_TYPES[kind]
+    r = np.linspace(0.2, 3.0, n)
+    beta = 1.0 / (1.0 + 0.2 * r**2)
+    lam = np.full(n, 0.3 / n)
+    s = tail(1.2 * beta.max() / beta.min())          # gamma_f_mode = 1 for both laws
+    unit = {"kind": "deterministic", "value": 1}
+    return config_from_dict(
+        {
+            "n_exchanges": n,
+            "beta": beta.tolist(),
+            "lambda": lam.tolist(),
+            "big_lambda": (1.0 - float(lam.sum())) / s,
+            "mu": 1.0,
+            "rebate0": -20.0,
+            "rebates": r.tolist(),
+            "v": 1.0,
+            "b_dedicated": [1.0] * n,
+            "b_optimized": 1.0,
+            "type_dist": law,
+            "size_dists": {"market": unit, "dedicated": unit, "optimized": unit},
+        }
+    )
+
+
 def _as_dict(cfg: ModelConfig) -> dict:
     from fluidlob import config_to_dict
 
@@ -965,10 +959,7 @@ def oracle_report_dict(report) -> dict:
             "det_identity_max_rel_err": r.det_identity_max_rel_err,
             "verdict": r.verdict,
             "has_complex_pair": r.has_complex_pair,
-            "secular_checked": r.secular_checked,
-            "secular_real_roots": r.secular_real_roots,
-            "real_eigs_off_pole": r.real_eigs_off_pole,
-            "secular_max_residual": r.secular_max_residual,
+            "rhp_roots_by_winding": r.rhp_roots_by_winding,
             "marginal_tolerance": STABILITY_TOL,
         }
     if isinstance(r, LocalStabilityReport):

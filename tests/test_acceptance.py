@@ -126,8 +126,10 @@ def test_criterion_3_spectrum_certificate(ref1, ref2, eq_ref1, eq_ref2):
         worst_real = -np.inf
         worst_det = 0.0
         sign_law = True
+        winding = 0
         for cfg, eq in cases:
             rep = spectrum(cfg, eq.q_star)
+            winding += rep.rhp_roots_by_winding == np.count_nonzero(rep.eigenvalues.real > 0)
             worst_real = max(worst_real, rep.max_real_part)
             worst_det = max(worst_det, rep.det_identity_max_rel_err)
             want_sign = (-1.0) ** cfg.n_exchanges
@@ -138,13 +140,13 @@ def test_criterion_3_spectrum_certificate(ref1, ref2, eq_ref1, eq_ref2):
                 if np.sign(direct) != want_sign or np.sign(closed) != want_sign:
                     sign_law = False
     elapsed = time.perf_counter() - start
-    ok = worst_real < -1e-10 and worst_det < 1e-8 and sign_law and elapsed < 60
+    ok = worst_real < -1e-10 and worst_det < 1e-8 and sign_law and winding == len(cases) and elapsed < 60
     _verdict(
         3,
         "local stability certificate",
         ok,
         f"configs={len(cases)} worst_real={worst_real:.2e} worst_det_err={worst_det:.1e} "
-        f"sign_law={sign_law} elapsed={elapsed:.1f}s",
+        f"sign_law={sign_law} winding_agrees={winding}/{len(cases)} elapsed={elapsed:.1f}s",
     )
 
 

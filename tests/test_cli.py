@@ -58,11 +58,23 @@ def test_equilibrium_command(tmp_path):
     assert payload["residual"] < 1e-10
 
 
-def test_spectrum_command(tmp_path):
+def test_spectrum_command(tmp_path, capsys):
     assert main(["spectrum", REF2, "-o", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "spectrum_ref2.json").read_text())
+    assert list(payload) == [
+        "jacobian",
+        "eigenvalues",
+        "max_real_part",
+        "det_identity_max_rel_err",
+        "verdict",
+        "has_complex_pair",
+        "rhp_roots_by_winding",
+        "marginal_tolerance",
+    ]
     assert payload["verdict"] == "stable"
     assert payload["max_real_part"] < 0
+    assert payload["rhp_roots_by_winding"] == 0
+    assert " rhp=0 -> " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -56,8 +56,8 @@ REPORT_JSON_SHA256 = {
     ("check", "ref2"): "62a17881692003a2fddf20255f3a7d8422a4f285322101e8edddce777c9f8405",
     ("equilibrium", "ref1"): "b4fe937f1de46e146e09d0e1ef9a8e2465435e954b699c4f5ae59572b44d1d64",
     ("equilibrium", "ref2"): "2c6cb773d67e88594bad26fa402e8c7565419e7c27427f0c0266be1721054601",
-    ("spectrum", "ref1"): "8501dba59082f919d9ecb9a24b241cbed61b82f4fded48bf05b783f3b3f441c6",
-    ("spectrum", "ref2"): "8f6ea765d988d80fb30de7216869cb2f1ed6a29af191e9998a9cdacccb8870af",
+    ("spectrum", "ref1"): "2c97b89f25be1e98a53e0f754edfe48b21b3e7f912b3bc6da2d49a74f118e4e1",
+    ("spectrum", "ref2"): "f626e03165e52ab4d4768d0972edfc798c0b27e7489d2cba722b1f3e05979001",
 }
 
 

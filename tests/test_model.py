@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -108,6 +109,54 @@ def test_a_minus_positive_for_random_configs(rng):
         # +inf exactly for the top-rebate venue
         assert np.isinf(bands.a_plus[np.argmax(cfg.rebates)])
         assert np.isfinite(np.delete(bands.a_plus, np.argmax(cfg.rebates))).all()
+
+
+# Three hull points whose cross product is within this fraction of the
+# product of their two spans lie too near one line for the hull rule: there
+# rounding decides between an empty band and one of zero width.
+_COLLINEAR_REL = 1e-9
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _lower_hull(points) -> set[int]:
+    """Indices of the strict vertices of the lower convex hull of `points`,
+    whose x-coordinates are distinct, by the monotone chain."""
+    hull: list[int] = []
+    for k in sorted(range(len(points)), key=lambda k: points[k][0]):
+        while len(hull) >= 2 and _cross(points[hull[-2]], points[hull[-1]], points[k]) <= 0:
+            hull.pop()
+        hull.append(k)
+    return set(hull)
+
+
+def test_nonempty_bands_are_the_lower_hull_vertices(rng):
+    # Venue i pays W (x r_i - 1/(mu beta_i v)) at x = gamma/W and option 0
+    # pays W x rebate0: each option is a point (r, 1/(mu beta v)), with
+    # (rebate0, 0) leftmost and lowest, and the best option at slope x > 0 is
+    # the lower hull's vertex that a line of that slope supports.  So venue i
+    # has a nonempty band exactly when its point is a strict vertex of that
+    # hull, a derivation independent of `compute_bands`' edge formulas.
+    checked = with_empty = several = 0
+    for _ in range(300):
+        cfg = random_valid_config(rng, n_max=8)
+        points = [(cfg.rebate0, 0.0), *zip(cfg.rebates, 1.0 / (cfg.mu * cfg.beta * cfg.v))]
+        if any(
+            abs(_cross(o, a, b)) <= _COLLINEAR_REL * math.dist(o, a) * math.dist(o, b)
+            for o, a, b in itertools.combinations(points, 3)
+        ):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            empty = compute_bands(cfg).empty_band
+        hull = _lower_hull(points)
+        assert [not e for e in empty] == [i + 1 in hull for i in range(cfg.n_exchanges)]
+        checked += 1
+        with_empty += bool(empty.any())
+        several += int(np.count_nonzero(~empty)) >= 2
+    assert checked >= 250 and 0 < with_empty < checked and several >= 80
 
 
 @st.composite

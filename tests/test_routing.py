@@ -140,30 +140,36 @@ _REF2_AT_INF = {
     "beta": [2.0, 1.0, 1.0],
     "rebates": [0.0, 5e-324, 1.0],
 }
+# Rebates 1e-308 apart: venue 0's upper edge, 5e307, is finite, but W times
+# it is not.
+_REF1_NEAR_MAX = {**ref1_dict(), "rebates": [0.0, 1e-308]}
 
 
 @example((ref1_dict(), [1.0, 0.0], [0.3, 0.9, 1.6, 3.5]))
 @example((_REF1_AT_INF, [1.0, 1.0], [0.2, 0.7, 3.0]))
 @example((_REF2_AT_INF, [1.0, 0.5, 1.0], [0.2, 0.7, 3.0]))
+@example((_REF1_NEAR_MAX, [1.0, 2.0], [0.2, 0.7, 3.0]))
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(_routing_cases())
 def test_route_band_consistency(case):
     # Choosing venue i implies gamma sits inside W * [a_minus_i, a_plus_i],
     # also when other queues are empty.  Besides the drawn types, each finite
-    # positive band edge is tried with its two float neighbours.
+    # positive band edge is tried with its two float neighbours; an edge near
+    # the float maximum times W overflows to inf and is not tried.
     d, q, gammas = case
     cfg = config_from_dict(d)
     bands = compute_bands(cfg)
     state = QueueState.of(cfg, q)
-    edges = state.workload * np.concatenate((bands.a_minus, bands.a_plus))
+    with np.errstate(over="ignore"):
+        lo, hi = state.workload * bands.a_minus, state.workload * bands.a_plus
+    edges = np.concatenate((lo, hi))
     edges = edges[np.isfinite(edges) & (edges > 0)]
     probes = np.concatenate((gammas, edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)))
     for gamma in probes[probes > 0].tolist():
         i = route(cfg, gamma, state)
         if i >= 1 and q[i - 1] > 0:
             tol = 1e-12 * max(1.0, gamma)
-            assert state.workload * bands.a_minus[i - 1] - tol <= gamma
-            assert gamma <= state.workload * bands.a_plus[i - 1] + tol
+            assert lo[i - 1] - tol <= gamma <= hi[i - 1] + tol
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)

@@ -343,6 +343,15 @@ def test_winding_count_is_the_eigensolver_count():
     assert 100 <= unstable <= 200
 
 
+def test_winding_count_is_none_with_roots_on_the_imaginary_axis():
+    # s(z) = -2/(1 + z) + 5/(2 + z) - 1 vanishes at z = +-i, where the phase
+    # of s(i omega) jumps by pi however fine the grid: no count.
+    d, c = np.array([1.0, 2.0]), np.array([-2.0, 5.0])
+    eigs = sorted(np.linalg.eigvals(_rank1_plus_diagonal(d, c)), key=lambda z: z.imag)
+    assert eigs == pytest.approx([-1j, 1j], abs=1e-12)
+    assert stability._winding_count(d, c) is None
+
+
 @pytest.mark.parametrize("kind", ["exponential", "half-normal"])
 @pytest.mark.parametrize("n", [1, 2, 12, 50, 200])
 def test_all_active_family_is_certified(n, kind):

@@ -16,10 +16,15 @@ the stability experiments' batch, whose rows share the s step.  Every step
 is the same RK4 kernel (`_rk4`) on states stored one column per row, which
 keeps each stage's field operand instead of its field: a stage is one
 matrix product, of the operands before it and the start, for its scaled
-band edges, state and workload, then the type's CDF and one divide by W
-(in t) or one multiply by W (in s); one more product forms the node.
-`_rhs_batch` evaluates the field of given states, for `fluid_rhs` and a
-trajectory's drift.
+band edges, state and workload, then the type's clamp and CDF and one
+divide by W (in t) or one multiply by W (in s); one more product forms the
+node.  The four stages and the node run as straight-line code.  In uniform
+t steps, while no row has failed, the driver checks a block of steps at
+once, by a running minimum of its nodes and the least of its workloads; a
+block in which a check per step would have clipped, failed or frozen
+anything runs again from its start with a check per step, and the same RK4
+map from the same state gives the same bits.  `_rhs_batch` evaluates the
+field of given states, for `fluid_rhs` and a trajectory's drift.
 
 Integration aborts a trajectory whose workload falls below a fraction of
 the proven lower bound kappa (a bug or a violated assumption, not physics),
@@ -68,6 +73,13 @@ _LOCAL_TOL = 1e-12
 # and a last group of 1 to 4 takes another path whose bits differ once
 # N >= 4; whole groups give a column the same bits in every batch.
 _COLUMNS = 8
+# The uniform-t driver checks this many steps at once while no row has
+# failed (`_integrate_batch`): two reductions per block, and a block that
+# fails runs twice.  On 2 shared x86-64 cores a batched step at B = 32
+# (ref1) and B = 50 (ref2) took 11.5 and 13.4 us at 1, 8.2 and 10.2 us at 8,
+# 8.0 and 10.2 us at 32, and 7.8 and 10.9 us at 128, where ref2's first
+# block, whose rows start below the largest floor, ran twice.
+_CHECK_BLOCK = 32
 # The exception `integrate` raises for each recorded failure reason.
 _FAILURES = {"floor": SingularityError, "negative": IntegrationError}
 
@@ -243,11 +255,14 @@ def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False) -> _Kernel:
     start qc last.  Stage j's state qc + a_j h k_(j-1) enters its product
     only through U, so one product, [a_j U (h L) | 0 | U] times the tail
     [G_(j-1); ...; G_1; qc] of Y, writes G_j's rows before the CDF.  The
-    type's `scaled_cdf` then writes S(W e) in place, and one divide (q / W,
-    in t) or one multiply (W S(W e), in s) completes G_j; no stage forms
-    h k_j.  The node is [hL/6 | hL/3 | hL/3 | hL/6 | I] Y.  A stage whose
-    workload is not positive gets S = F(0), through the clamp in
-    `scaled_cdf`.
+    type's `scaled_parts` then write S(W e) in place, as
+    cdf(clamp(z, bound, out=z), z), and one divide (q / W, in t) or one
+    multiply (W S(W e), in s) completes G_j; no stage forms h k_j.  The node
+    is [hL/6 | hL/3 | hL/3 | hL/6 | I] Y.  A stage whose workload is not
+    positive gets S = F(0), through the clamp.  `step` is these calls in
+    line, stage 1 (its product made by `load` or `weigh`) to the node, with
+    no loop or method frame between them: the same operands, ufuncs and
+    order as `scaled_cdf` in a loop over the stages.
 
     qc comes last in each product's inner dimension, which gemm sums in
     order: the small stage terms add up among themselves and the start's
@@ -280,23 +295,31 @@ def _rk4(cfg: ModelConfig, rows: int, h: float, in_s: bool = False) -> _Kernel:
         matrix = stages[j - 1, :j * f + n2].T if j else stages[0, f:f + n2].T
         completing = (g[e:q], g[w:w + n_edges]) if in_s else (g[q:w], g[w:])
         plan.append((matrix, y[(4 - j) * f:], g[0 if in_s else 1:], g[e:q], *completing))
-    first, start, primed = plan[0][:3]
+    # Stage 1's product is `load`'s and `weigh`'s.
+    [(first, start, primed, s1, c1, d1), (m2, y2, o2, s2, c2, d2),
+     (m3, y3, o3, s3, c3, d3), (m4, y4, o4, s4, c4, d4)] = plan
     state, node_q, node_matrix = y[4 * f:4 * f + n, :rows], node[:n, :rows], node_t.T
     hs = ((kept_stages[:, :f], stages[:, :f]), (kept_node[:4 * f], node_t[:4 * f]))
     copyto, dot, multiply = np.copyto, np.dot, np.multiply
     complete = multiply if in_s else np.divide
-    scaled_cdf = cfg.type_dist.scaled_cdf
+    clamp, bound, cdf = cfg.type_dist.scaled_parts
 
     def load(states):
         copyto(state, states)
         dot(first, start, primed)
 
     def step():
-        for j, (matrix, operand, out, edge, a, b) in enumerate(plan):
-            if j:
-                dot(matrix, operand, out)
-            scaled_cdf(edge, edge)
-            complete(a, b, a)
+        cdf(clamp(s1, bound, out=s1), s1)
+        complete(c1, d1, c1)
+        dot(m2, y2, o2)
+        cdf(clamp(s2, bound, out=s2), s2)
+        complete(c2, d2, c2)
+        dot(m3, y3, o3)
+        cdf(clamp(s3, bound, out=s3), s3)
+        complete(c3, d3, c3)
+        dot(m4, y4, o4)
+        cdf(clamp(s4, bound, out=s4), s4)
+        complete(c4, d4, c4)
         dot(node_matrix, y, node)
         return node_q
 
@@ -360,6 +383,21 @@ def _integrate_batch(
     rows can differ from the full product in its last bits.  Each node's
     workload is its `_rk4` stage-1 workload.  The kernel's buffers are made
     once per call, and the states are kept feature-major, (N, B), inside.
+
+    In t, until a row fails, steps run in blocks of `_CHECK_BLOCK`: each
+    step records its node and workload unchecked and folds the node into a
+    running elementwise minimum, and the block ends with two reductions, the
+    minimum > 0 and the block's workloads >= the largest floor (NaN fails
+    both).  A block that passes is one in which the check of every step
+    (`checked`) would have clipped nothing, failed no row and frozen
+    nothing, so its record is that check's.  A block that fails is loaded
+    again from its start and run by `checked`, which decides clipping,
+    failures and freezing step by step.  RK4 from the same state gives the
+    same bits, and `load` gives the start the stage-1 product that `weigh`
+    gave it: the two differ only in the padding row of N = 1, which a step
+    leaves at 1.0 when its operands are finite, and a non-finite operand
+    makes the weighed workload NaN, which fails the block.  After the first
+    recorded failure every step is checked, which the frozen rows need.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, n = q0s.shape
@@ -515,8 +553,10 @@ def _integrate_batch(
             q_hist[0] = q0s
         steps, ran, worst = n_steps, n_steps, 0.0
 
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(1, n_steps + 1):
+        def checked(i, stop):
+            """Steps i to stop - 1, each checked as it is taken; the step after
+            the last one run (past the grid once every row has failed)."""
+            for i in range(i, stop):
                 q = step()
                 # Each check is one reduction over the batch; the per-trajectory
                 # masks run only when it finds an entry that may fail (NaN too).
@@ -541,7 +581,31 @@ def _integrate_batch(
                     w_hist[i + 1:] = w
                     if store_states:
                         q_hist[i + 1:] = state.T
-                    break
+                    return n_steps + 1
+            return stop
+
+        block_start, lows, fold = np.empty_like(state), np.empty_like(state), np.minimum
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            i = 1
+            while i <= n_steps:
+                if not all_alive:
+                    i = checked(i, n_steps + 1)
+                    continue
+                stop = min(i + _CHECK_BLOCK, n_steps + 1)
+                copyto(block_start, state)
+                lows.fill(math.inf)
+                for k in range(i, stop):
+                    fold(step(), lows, out=lows)
+                    weigh()
+                    accept()
+                    w_hist[k] = w
+                    if store_states:
+                        q_hist[k] = state.T
+                if minimum(lows, None) > 0.0 and minimum(w_hist[i:stop], None) >= floor_max:
+                    i = stop
+                else:
+                    load(block_start)
+                    i = checked(i, stop)
         q = state
 
     return _BatchResult(

@@ -68,6 +68,12 @@ def _frozen(x, dtype=float) -> np.ndarray:
     return a
 
 
+def _scaled_cdf(dist, z, out=None):
+    """A type kind's `scaled_cdf`: cdf(clamp(z, bound)) of its `scaled_parts`."""
+    clamp, bound, cdf = dist.scaled_parts
+    return cdf(clamp(z, bound, out=out), out)
+
+
 # ---------------------------------------------------------------------------
 # Investor-type distributions
 # ---------------------------------------------------------------------------
@@ -84,9 +90,9 @@ class ExponentialType:
             raise ConfigError("type_dist.rate: must be positive and finite")
         object.__setattr__(self, "cdf_scale", np.array(-self.rate))
 
-    def scaled_cdf(self, z, out=None):
-        # The bound -0.0 gives expm1 the signed zero that -rate max(x, 0) has.
-        return np.expm1(np.minimum(z, _MINUS_ZERO, out=out), out)
+    # The bound -0.0 gives expm1 the signed zero that -rate max(x, 0) has.
+    scaled_parts = (np.minimum, _MINUS_ZERO, np.expm1)
+    scaled_cdf = _scaled_cdf
 
     def signed_cdf(self, x, out=None):
         return self.scaled_cdf(np.multiply(np.asarray(x, dtype=float), self.cdf_scale, out), out)
@@ -125,8 +131,11 @@ class HalfNormalType:
         object.__setattr__(self, "_scale", np.array(self.sigma * _SQRT2))
         object.__setattr__(self, "cdf_scale", 1.0 / (self.sigma * _SQRT2))
 
-    def scaled_cdf(self, z, out=None):
-        return scipy.special.erf(np.maximum(z, _ZERO, out=out), out)
+    @property
+    def scaled_parts(self):
+        return np.maximum, _ZERO, scipy.special.erf
+
+    scaled_cdf = _scaled_cdf
 
     def cdf(self, x, out=None):
         return self.scaled_cdf(np.divide(np.asarray(x, dtype=float), self._scale, out), out)
@@ -194,7 +203,14 @@ class TabulatedType:
         out[...] = f
         return out
 
-    signed_cdf = scaled_cdf = cdf  # F is 0 left of 0, so needs no clamp
+    signed_cdf = cdf  # F is 0 left of 0, so needs no clamp
+
+    @property
+    def scaled_parts(self):
+        # F is 0 left of 0, so this clamp moves no bit; it keeps every kind's rule.
+        return np.maximum, _ZERO, self.cdf
+
+    scaled_cdf = _scaled_cdf
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -235,12 +251,15 @@ class TabulatedType:
 # operands, as (-a) - (-b) and b - a round to the same bits.  The fluid
 # kernel folds the scaling of x into a matrix product, so each kind also has
 # `cdf_scale` c and `scaled_cdf(z, out=)`, S as a function of z = c x with
-# the clamp at x = 0 included.  `signed_cdf` is `scaled_cdf` of c x, except
-# that the half-normal kind divides x by sigma sqrt 2, as c x would move its
-# bits.  `isf(s)` is the upper-tail quantile, the smallest gamma with
-# 1 - F(gamma) = s for s in (0, 1), formed from s itself so that a small s
-# loses no digits to 1 - s (the tabulated kind, whose grid holds F,
-# excepted).  `gamma_f_mode` is the point from which gamma f(gamma) no
+# the clamp at x = 0 included.  `scaled_parts` is its triple (clamp ufunc,
+# bound, cdf), run as cdf(clamp(z, bound, out=), out): `scaled_cdf` and the
+# kernel both call it, so each kind writes its clamp once, and the
+# half-normal kind looks up `erf` only when the triple is asked for.
+# `signed_cdf` is `scaled_cdf` of c x, except that the half-normal kind
+# divides x by sigma sqrt 2, as c x would move its bits.  `isf(s)` is the
+# upper-tail quantile, the smallest gamma with 1 - F(gamma) = s for s in
+# (0, 1), formed from s itself so that a small s loses no digits to 1 - s
+# (the tabulated kind, whose grid holds F, excepted).  `gamma_f_mode` is the point from which gamma f(gamma) no
 # longer rises: condition (i) holds on [a, inf) exactly when a is at or
 # past it.
 TypeDistribution = ExponentialType | HalfNormalType | TabulatedType

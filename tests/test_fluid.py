@@ -799,6 +799,103 @@ def test_lean_kernel_fails_like_the_oracle(lam, q0, dt, kappas):
             assert type(got) is want.type and str(got) == str(want.value)
 
 
+# Steps 1 to n of the uniform-t driver run in blocks of `_CHECK_BLOCK`;
+# here the last block is a partial one.
+_BLOCK = fluid._CHECK_BLOCK
+_BLOCK_STEPS = 3 * _BLOCK + _BLOCK // 2
+
+
+@pytest.mark.parametrize(
+    "first_bad",
+    [1, _BLOCK + 1, _BLOCK + _BLOCK // 2, 2 * _BLOCK, 3 * _BLOCK + 3],
+    ids=["first-step", "block-start", "block-middle", "block-end", "partial-block"],
+)
+def test_a_floor_breach_replays_its_block_like_the_oracle(first_bad):
+    # The pure drain lowers W steadily, and row 0's floor lies halfway
+    # between its workloads at steps first_bad - 1 and first_bad, so its
+    # first bad step lands at that place of a block; row 1 stays healthy.
+    # The driver reruns that block from its start with a check per step:
+    # the same record as the oracle, bit for bit, for every type kind.
+    q0s, horizon = np.array([[2.0, 2.0], [3.0, 2.0]]), 3.0
+    dt = horizon / _BLOCK_STEPS
+    for type_dist in _FAILURE_TYPES:
+        cfg = make_config(**{"lambda": [0.0, 0.0]}, big_lambda=0.0, beta=[1.0, 1.0], type_dist=type_dist)
+        free = oracle_integrate_batch(cfg, q0s[:1], horizon, dt, [0.0], on_error="record").workload[:, 0]
+        assert np.all(np.diff(free) < 0)
+        kappas = np.array([free[first_bad - 1] + free[first_bad], 1e-12])
+        ref = oracle_integrate_batch(cfg, q0s, horizon, dt, kappas, store_states=True, on_error="record")
+        assert ref.fail_reason == ["floor", None] and ref.fail_time[0] == ref.times[first_bad, 0]
+        for store_states in (True, False):
+            res = _integrate_batch(cfg, q0s, horizon, _BLOCK_STEPS, kappas, store_states=store_states)
+            _assert_same_batch(res, ref, _NO_STATES + ("states",) * store_states)
+
+
+@pytest.mark.parametrize(
+    "lam, q0, dt, horizon",
+    [
+        ([0.0, 0.0], [0.0, 4.0], 3.0 / _BLOCK_STEPS, 3.0),
+        ([0.5, 0.0], [0.07616857631277527, 1.0], 0.5, 0.5 * _BLOCK_STEPS),
+        ([0.0, 0.0], [1.0, 1.0], 3.0 / _BLOCK_STEPS, 3.0),
+        ([0.0, 0.0], [1.0, 1.0], 0.5, 3.0),
+    ],
+    ids=["clip-every-step", "clip-then-negative", "nan-state", "short-run"],
+)
+def test_a_clipped_or_failed_step_replays_its_block_like_the_oracle(lam, q0, dt, horizon):
+    # Each case takes a branch of the per-step checks inside a block, beside
+    # a healthy row, with every type kind, bit for bit against the oracle:
+    # - "clip-every-step": venue 0 starts and stays at exactly 0, so every
+    #   node is clipped at 0 and every block is rerun, with no failure;
+    # - "clip-then-negative": step 4's node undershoots to within
+    #   `_CLIP_TOL` below 0 and is clipped, and step 5 fails as negative;
+    # - "nan-state": W reaches 0 in the third block, failing the row there;
+    # - "short-run": the same drain in fewer steps than one block.
+    steps = _step_count(horizon, dt)
+    q0s, kappas = np.array([q0, [20.0, 20.0]]), np.array([1e-12, 1e-12])
+    for type_dist in _FAILURE_TYPES:
+        cfg = make_config(**{"lambda": lam}, big_lambda=0.0, beta=[1.0, 1.0], type_dist=type_dist)
+        ref = oracle_integrate_batch(cfg, q0s, horizon, dt, kappas, store_states=True, on_error="record")
+        assert ref.fail_reason[1] is None
+        if q0[0] == 0.0:
+            assert not ref.failed.any() and np.all(ref.states[:, 0, 0] == 0.0)
+        else:
+            assert ref.failed[0]
+        if q0[0] == 0.07616857631277527:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                low = oracle_rk4_step(cfg, ref.states[3], dt)[0].min()
+            assert -fluid._CLIP_TOL <= low < 0.0 and ref.fail_time[0] == ref.times[5, 0]
+        if horizon / dt < _BLOCK:
+            assert steps < _BLOCK
+        for store_states in (True, False):
+            res = _integrate_batch(cfg, q0s, horizon, steps, kappas, store_states=store_states)
+            _assert_same_batch(res, ref, _NO_STATES + ("states",) * store_states)
+
+
+@pytest.mark.parametrize("store_states", [False, True])
+def test_the_check_block_changes_only_the_cost(ref1, ref2, rng, monkeypatch, store_states):
+    # Any block length gives the same bits: one step per block, an odd
+    # length that leaves a partial block, and one block past the whole grid.
+    # The last row starts high and breaches its floor halfway, so its block
+    # runs again and the rest of the run is checked step by step.  With N = 1
+    # the kernel pads its states with a row of ones, which `load` and `weigh`
+    # must treat alike.
+    steps = _step_count(3.0, 0.02)
+    cfgs = [ref1, ref2, random_stable_config(rng, n=1)] + [random_stable_config(rng, n_max=8) for _ in range(3)]
+    for cfg in cfgs:
+        w_star = solve_workload_star(cfg)
+        q0s = np.array([random_positive_state(rng, cfg) for _ in range(5)])
+        kappas = np.array([compute_kappa(cfg, float(q @ cfg.beta), w_star) for q in q0s])
+        q0s[-1] = 4.0 * w_star / cfg.beta.sum()
+        free = _integrate_batch(cfg, q0s[-1:], 3.0, steps, [0.0]).workload[:, 0]
+        kappas[-1] = free[steps // 2] + free[steps // 2 + 1]  # floor = their mean
+        runs = []
+        for block in (_BLOCK, 1, 7, steps + 1):
+            monkeypatch.setattr(fluid, "_CHECK_BLOCK", block)
+            runs.append(_integrate_batch(cfg, q0s, 3.0, steps, kappas, store_states=store_states))
+        assert runs[0].fail_reason == [None] * 4 + ["floor"]
+        for res in runs[1:]:
+            _assert_same_batch(res, runs[0], _NO_STATES + ("states",) * store_states)
+
+
 @pytest.mark.parametrize("type_dist", _FAILURE_TYPES, ids=lambda d: d["kind"])
 def test_a_stage_at_nonpositive_workload_takes_the_cdf_at_zero(type_dist):
     # From near the origin the venue split relaxes at a rate of about

@@ -13,10 +13,15 @@ position, by some call in `src/fluidlob` or `perfbench/` (tests excepted).
 
 Nor does it carry dead private code: every private name defined at a
 module's top level is used in `src/fluidlob` outside its own definition.
+
+The test configuration in `pyproject.toml` reports a falsified Hypothesis
+property as a failure with its example, not as an internal error.
 """
 
 import ast
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +175,22 @@ def test_every_private_name_is_used():
             if not used:
                 unused.append(f"{module}.{name}")
     assert not unused, f"private names that nothing in the program uses: {unused}"
+
+
+def test_a_falsified_property_is_reported_under_the_repository_config(tmp_path):
+    # Hypothesis's report imports libcst, whose import warns; under
+    # `filterwarnings = ["error"]` alone that warning was an INTERNALERROR.
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 3\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(REPO / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "Falsifying example" in done.stdout and "1 failed" in done.stdout

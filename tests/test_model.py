@@ -481,6 +481,33 @@ def test_signed_cdf_keeps_the_bits_of_clamp_then_scale(dist, rng):
     assert_bitwise(dist.scaled_cdf(dist.cdf_scale * x[:6]), np.repeat(at_zero, 6))
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [ExponentialType(rate=1.3), HalfNormalType(sigma=0.8),
+     TabulatedType(gammas=[0.0, 1.0, 3.0], cdf_values=[0.0, 0.6, 1.0])],
+    ids=["exp", "hn", "tab"],
+)
+def test_scaled_cdf_is_its_clamp_bound_cdf_triple(dist):
+    # The fluid kernel runs a kind's `scaled_parts` directly, in place, as
+    # cdf(clamp(z, bound, out=z), z): `scaled_cdf` gives its bits, signed
+    # zeros and NaN included, and so does each kind's clamp written out
+    # (the tabulated kind's F is 0 left of 0, which its clamp keeps).
+    z = np.array([-2.0, -1e-300, -0.0, 0.0, 1e-300, 2.0, math.inf, -math.inf, math.nan])
+    clamp, bound, cdf = dist.scaled_parts
+    want = cdf(clamp(z, bound))
+    buffer = z.copy()
+    assert cdf(clamp(buffer, bound, out=buffer), buffer) is buffer
+    assert_bitwise(buffer, want)
+    assert_bitwise(dist.scaled_cdf(z), want)
+    assert_bitwise(dist.scaled_cdf(z.copy(), np.empty_like(z)), want)
+    written = {
+        "exponential": lambda: np.expm1(np.minimum(z, -0.0)),
+        "half-normal": lambda: erf(np.maximum(z, 0.0)),
+        "tabulated": lambda: np.interp(z, dist.gammas, dist.cdf_values),
+    }
+    assert_bitwise(written[dist.kind](), want)
+
+
 def test_type_samplers_match_cdf(rng):
     for dist in [ExponentialType(rate=1.0), HalfNormalType(sigma=1.0),
                  TabulatedType(gammas=[0.0, 1.0, 3.0], cdf_values=[0.0, 0.6, 1.0])]:

@@ -75,10 +75,11 @@ _LOCAL_TOL = 1e-12
 _COLUMNS = 8
 # The uniform-t driver checks this many steps at once while no row has
 # failed (`_integrate_batch`): two reductions per block, and a block that
-# fails runs twice.  On 2 shared x86-64 cores a batched step at B = 32
-# (ref1) and B = 50 (ref2) took 11.5 and 13.4 us at 1, 8.2 and 10.2 us at 8,
-# 8.0 and 10.2 us at 32, and 7.8 and 10.9 us at 128, where ref2's first
-# block, whose rows start below the largest floor, ran twice.
+# fails runs twice.  On 2 shared x86-64 cores (the fastest of 12 rounds) a
+# step of the stability experiments' batches at B = 32 (ref1) and B = 50
+# (ref2) took 14.6 and 16.4 us at 1, 10.2 and 11.8 us at 8, 9.7 and 11.1 us
+# at 32, and 9.2 and 11.3 us at 128, with no block run twice; past 32 the
+# gain was within the noise, and a longer block costs more to run again.
 _CHECK_BLOCK = 32
 # The exception `integrate` raises for each recorded failure reason.
 _FAILURES = {"floor": SingularityError, "negative": IntegrationError}
@@ -387,17 +388,19 @@ def _integrate_batch(
     In t, until a row fails, steps run in blocks of `_CHECK_BLOCK`: each
     step records its node and workload unchecked and folds the node into a
     running elementwise minimum, and the block ends with two reductions, the
-    minimum > 0 and the block's workloads >= the largest floor (NaN fails
-    both).  A block that passes is one in which the check of every step
-    (`checked`) would have clipped nothing, failed no row and frozen
-    nothing, so its record is that check's.  A block that fails is loaded
-    again from its start and run by `checked`, which decides clipping,
-    failures and freezing step by step.  RK4 from the same state gives the
-    same bits, and `load` gives the start the stage-1 product that `weigh`
-    gave it: the two differ only in the padding row of N = 1, which a step
-    leaves at 1.0 when its operands are finite, and a non-finite operand
-    makes the weighed workload NaN, which fails the block.  After the first
-    recorded failure every step is checked, which the frozen rows need.
+    minimum > 0 and each row's workloads >= its own floor (NaN fails both).
+    A block that passes is one in which the check of every step (`checked`)
+    would have clipped nothing, failed no row and frozen nothing, so its
+    record is that check's (its floor branch, taken when a workload is below
+    the largest floor, then finds no row below its own and leaves every bit
+    as it was).  A block that fails is loaded again from its start and run
+    by `checked`, which decides clipping, failures and freezing step by
+    step.  RK4 from the same state gives the same bits, and `load` gives the
+    start the stage-1 product that `weigh` gave it: the two differ only in
+    the padding row of N = 1, which a step leaves at 1.0 when its operands
+    are finite, and a non-finite operand makes the weighed workload NaN,
+    which fails the block.  After the first recorded failure every step is
+    checked, which the frozen rows need.
     """
     q0s = np.asarray(q0s, dtype=float)
     n_traj, n = q0s.shape
@@ -601,7 +604,7 @@ def _integrate_batch(
                     w_hist[k] = w
                     if store_states:
                         q_hist[k] = state.T
-                if minimum(lows, None) > 0.0 and minimum(w_hist[i:stop], None) >= floor_max:
+                if minimum(lows, None) > 0.0 and all_of(w_hist[i:stop] >= floor, None):
                     i = stop
                 else:
                     load(block_start)

@@ -131,7 +131,7 @@ class HalfNormalType:
         object.__setattr__(self, "_scale", np.array(self.sigma * _SQRT2))
         object.__setattr__(self, "cdf_scale", 1.0 / (self.sigma * _SQRT2))
 
-    @property
+    @functools.cached_property
     def scaled_parts(self):
         return np.maximum, _ZERO, scipy.special.erf
 
@@ -254,7 +254,8 @@ class TabulatedType:
 # the clamp at x = 0 included.  `scaled_parts` is its triple (clamp ufunc,
 # bound, cdf), run as cdf(clamp(z, bound, out=), out): `scaled_cdf` and the
 # kernel both call it, so each kind writes its clamp once, and the
-# half-normal kind looks up `erf` only when the triple is asked for.
+# half-normal kind looks up `erf` when the triple is first asked for and
+# keeps it, so `cdf` pays no lookup per call.
 # `signed_cdf` is `scaled_cdf` of c x, except that the half-normal kind
 # divides x by sigma sqrt 2, as c x would move its bits.  `isf(s)` is the
 # upper-tail quantile, the smallest gamma with 1 - F(gamma) = s for s in

@@ -896,6 +896,32 @@ def test_the_check_block_changes_only_the_cost(ref1, ref2, rng, monkeypatch, sto
             _assert_same_batch(res, runs[0], _NO_STATES + ("states",) * store_states)
 
 
+def test_a_row_below_another_rows_floor_runs_no_block_twice(ref1, monkeypatch):
+    # Row 0 starts near the origin, its workload far below row 1's floor, and
+    # neither row breaches its own floor.  The per-step check takes no branch
+    # there, so the block check, row by row, passes every block: the kernel
+    # is loaded once, at the start, and the record is the oracle's.
+    kernel, loads = fluid._rk4, []
+
+    def counted(*args):
+        built = kernel(*args)
+
+        def load(states):
+            loads.append(1)
+            built.load(states)
+
+        return built._replace(load=load)
+
+    monkeypatch.setattr(fluid, "_rk4", counted)
+    q0s, horizon, dt = np.array([[0.05, 0.05], [8.0, 8.0]]), 3.0, 0.02
+    kappas = np.array([1e-4, 2.0])
+    ref = oracle_integrate_batch(ref1, q0s, horizon, dt, kappas, store_states=True, on_error="record")
+    assert not ref.failed.any() and ref.workload[0, 0] < fluid._FLOOR_FACTOR * kappas[1]
+    res = _integrate_batch(ref1, q0s, horizon, _step_count(horizon, dt), kappas, store_states=True)
+    _assert_same_batch(res, ref)
+    assert len(loads) == 1
+
+
 @pytest.mark.parametrize("type_dist", _FAILURE_TYPES, ids=lambda d: d["kind"])
 def test_a_stage_at_nonpositive_workload_takes_the_cdf_at_zero(type_dist):
     # From near the origin the venue split relaxes at a rate of about
